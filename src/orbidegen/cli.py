@@ -12,10 +12,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import glue, inertia
+from . import inertia
 from .contact import ContactOrder, MonodromyTable, enumerate_partitions
 from .dimension import ModuliSpec, RelTerm, splitting_ledger, virdim
-from .errors import ResourceLimitError, ValidationError
+from .errors import NonConvergenceError, ResourceLimitError, ValidationError
 from .expand import expand as expand_terms
 from .expand import term_record
 from .graph import (
@@ -32,15 +32,26 @@ from .graph import (
     total_class,
     validate,
 )
-from .io import SCHEMA, InputDocument, dump_json, format_rational, load_document, parse_rational
+from .io import (
+    SCHEMA,
+    InputDocument,
+    dump_json,
+    format_rational,
+    load_document,
+    load_ledger,
+    parse_rational,
+)
+
+
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
 
 
 def _read_document(path: str) -> InputDocument:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
-    return load_document(text)
+    return load_document(_read_text(path))
 
 
 def _graph_context(doc: InputDocument, name: str):
@@ -136,7 +147,11 @@ def _cmd_graphs_validate(args) -> int:
 def _cmd_graphs_genus(args) -> int:
     doc = _read_document(args.input)
     name, _ = doc.one("graphs", args.graph)
-    graph, _, _ = _graph_context(doc, name)
+    graph, homology, table = _graph_context(doc, name)
+    # genus and total_class index vertices by edge and tail endpoints
+    broken = [d for d in validate(graph, homology, table) if d.rule == "structure"]
+    if broken:
+        raise ValidationError(f"graph {name} is malformed: {broken[0]}")
     value = genus(graph) if is_connected(graph) and graph.vertices else bullet_genus(graph)
     cls = total_class(graph)
     if args.json:
@@ -264,43 +279,8 @@ def _cmd_dim_virdim(args) -> int:
 
 
 def _cmd_dim_ledger(args) -> int:
-    import json as _json
-
-    try:
-        raw = _json.loads(Path(args.input).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValidationError(f"cannot read {args.input}: {exc}") from None
-    except _json.JSONDecodeError as exc:
-        raise ValidationError(f"line {exc.lineno}: invalid JSON: {exc.msg}") from None
-    if raw.get("schema") != SCHEMA:
-        raise ValidationError(f"schema must be {SCHEMA!r}")
-
-    def spec_of(key: str) -> ModuliSpec | None:
-        data = raw.get(key)
-        if data is None:
-            return None
-        rel = tuple(
-            RelTerm(order=ContactOrder.parse(t["contact"]),
-                    shift=parse_rational(t.get("shift", "0")),
-                    monodromy=t.get("monodromy", "e"))
-            for t in data.get("rel", []))
-        return ModuliSpec(
-            flavor=data["flavor"], n=int(data["n"]), genus=int(data["genus"]),
-            c1A=parse_rational(data["c1A"]),
-            shifts=tuple(parse_rational(x) for x in data.get("shifts", [])),
-            rel=rel,
-            zA=parse_rational(data.get("zA", "0")))
-
-    plus = spec_of("plus")
-    if plus is None:
-        raise ValidationError("ledger document needs a 'plus' spec")
-    total = spec_of("total")
-    if total is None:
-        raise ValidationError("ledger document needs a 'total' spec")
-    ledger = splitting_ledger(
-        plus, spec_of("minus"),
-        tuple(parse_rational(x) for x in raw.get("sector_dims", [])),
-        total)
+    doc = load_ledger(_read_text(args.input))
+    ledger = splitting_ledger(doc.plus, doc.minus, doc.sector_dims, doc.total)
     if args.json:
         sys.stdout.write(dump_json({
             "schema": SCHEMA,
@@ -375,6 +355,11 @@ def _cmd_expand(args) -> int:
 # ---------------------------------------------------------------- glue
 
 def _cmd_glue_demo(args) -> int:
+    # the only numpy user: the exact-only commands start without it
+    import numpy as np
+
+    from . import glue
+
     if args.model == "sphere":
         system, chart = glue.sphere_model(scale=args.scale)
     elif args.model == "node":
@@ -384,7 +369,6 @@ def _cmd_glue_demo(args) -> int:
     else:
         raise ValidationError(f"unknown model {args.model!r}")
     const = glue.estimate_constants(system, chart, sample_count=args.samples, seed=args.seed)
-    import numpy as np
 
     def e(x: float) -> str:
         return f"{x:.12e}"
@@ -428,7 +412,7 @@ def _cmd_glue_demo(args) -> int:
             "xi_contract_ok": xi_norm <= 2 * const.eps1 + 1e-12,
             "residual_history": [e(r) for r in result.residual_history],
         }
-    except glue.NonConvergenceError as exc:
+    except NonConvergenceError as exc:
         out.append(f"  correction FAILED: {exc}")
         payload["correction"] = {
             "converged": False,
@@ -559,10 +543,14 @@ def run(argv: list[str]) -> int:
     except ResourceLimitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    except (ValidationError, ValueError, glue.NonConvergenceError) as exc:
+    except (ValidationError, ValueError, NonConvergenceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

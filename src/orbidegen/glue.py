@@ -17,15 +17,9 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import NonConvergenceError
+
 FD_SCALE = 1e-6
-
-
-class NonConvergenceError(RuntimeError):
-    """Correction iteration diverged; carries the residual history."""
-
-    def __init__(self, message: str, residuals: list[float]):
-        super().__init__(message)
-        self.residuals = residuals
 
 
 def _as_vec(x) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .contact import MonodromyTable
@@ -30,8 +31,18 @@ class FiniteGroupTable:
     def from_rows(cls, rows: Sequence[Sequence[int]], identity: int = 0) -> "FiniteGroupTable":
         table = cls(order=len(rows), mul=tuple(tuple(int(x) for x in row) for row in rows),
                     identity=identity)
-        table.validate()
+        table.class_data  # validates, and keeps the classes for every later reader
         return table
+
+    @cached_property
+    def class_data(self) -> "ClassData":
+        """The validated class list and inverse-class map, computed once per table.
+
+        The table is immutable, so the cache cannot go stale.  A table that
+        fails validation raises on every access, since an exception is not
+        cached.
+        """
+        return _class_data(self)
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroupTable":
@@ -93,8 +104,19 @@ class ConjugacyClass:
         return element in self.members
 
 
-def conjugacy_classes(group: FiniteGroupTable) -> list[ConjugacyClass]:
-    """Conjugation orbits; the identity class comes first, then by least member."""
+@dataclass(frozen=True)
+class ClassData:
+    """Conjugacy classes of one table: the identity class first, then by least member.
+
+    Shared by every reader of the table, so treat the maps as read-only.
+    """
+
+    classes: tuple[ConjugacyClass, ...]
+    index_of: Mapping[frozenset[int], int]
+    inverse_of: Mapping[frozenset[int], ConjugacyClass]
+
+
+def _class_data(group: FiniteGroupTable) -> ClassData:
     group.validate()
     n = group.order
     seen: set[int] = set()
@@ -112,16 +134,29 @@ def conjugacy_classes(group: FiniteGroupTable) -> list[ConjugacyClass]:
         if orders != {cls_.ord}:
             raise ValidationError(f"class of {cls_.representative} mixes element orders {orders}")
     classes.sort(key=lambda c: (c.representative != group.identity, min(c.members)))
-    return classes
+    by_members = {cls_.members: cls_ for cls_ in classes}
+    return ClassData(
+        classes=tuple(classes),
+        index_of={cls_.members: i for i, cls_ in enumerate(classes)},
+        inverse_of={cls_.members: by_members[frozenset(inverses[m] for m in cls_.members)]
+                    for cls_ in classes},
+    )
+
+
+def conjugacy_classes(group: FiniteGroupTable) -> list[ConjugacyClass]:
+    """Conjugation orbits; the identity class comes first, then by least member.
+
+    Returns a new list on each call, so a caller may change it freely.
+    """
+    return list(group.class_data.classes)
 
 
 def inverse_class(group: FiniteGroupTable, cls_: ConjugacyClass) -> ConjugacyClass:
     """The class of inverses; applying twice is the identity on classes."""
-    inv_members = frozenset(group.inverse(m) for m in cls_.members)
-    for candidate in conjugacy_classes(group):
-        if candidate.members == inv_members:
-            return candidate
-    raise ValidationError(f"no class holds the inverses of class of {cls_.representative}")
+    inverse = group.class_data.inverse_of.get(cls_.members)
+    if inverse is None:
+        raise ValidationError(f"no class holds the inverses of class of {cls_.representative}")
+    return inverse
 
 
 def class_label(index: int) -> str:
@@ -130,14 +165,13 @@ def class_label(index: int) -> str:
 
 def monodromy_table(group: FiniteGroupTable) -> MonodromyTable:
     """Label the classes c0,c1,... (c0 = identity) and record orders and inverses."""
-    classes = conjugacy_classes(group)
-    index_of = {cls_.members: i for i, cls_ in enumerate(classes)}
+    data = group.class_data
     orders: dict[str, int] = {}
     inverses: dict[str, str] = {}
-    for i, cls_ in enumerate(classes):
+    for i, cls_ in enumerate(data.classes):
         orders[class_label(i)] = cls_.ord
-        inv = inverse_class(group, cls_)
-        inverses[class_label(i)] = class_label(index_of[inv.members])
+        inv = data.inverse_of[cls_.members]
+        inverses[class_label(i)] = class_label(data.index_of[inv.members])
     return MonodromyTable(orders=orders, inverses=inverses)
 
 
@@ -193,11 +227,10 @@ class CRProfile:
     sectors: tuple[SectorDatum, ...]
 
     def __post_init__(self) -> None:
-        classes = conjugacy_classes(self.group)
-        by_members = {s.cls.members: s for s in self.sectors}
+        by_members = self._sector_index
         if len(by_members) != len(self.sectors):
             raise ValidationError("duplicate sector for a conjugacy class")
-        for cls_ in classes:
+        for cls_ in self.group.class_data.classes:
             if cls_.members not in by_members:
                 raise ValidationError(f"no sector for the class of {cls_.representative}")
         for sector in self.sectors:
@@ -221,16 +254,20 @@ class CRProfile:
                     f"are not the complements"
                 )
 
+    @cached_property
+    def _sector_index(self) -> dict[frozenset[int], SectorDatum]:
+        return {s.cls.members: s for s in self.sectors}
+
     def sector_of(self, cls_: ConjugacyClass) -> SectorDatum:
-        for sector in self.sectors:
-            if sector.cls.members == cls_.members:
-                return sector
-        raise ValidationError(f"no sector for the class of {cls_.representative}")
+        sector = self._sector_index.get(cls_.members)
+        if sector is None:
+            raise ValidationError(f"no sector for the class of {cls_.representative}")
+        return sector
 
     def labeled_sectors(self) -> list[tuple[str, SectorDatum]]:
         """Sectors in class order with their c{i} labels."""
-        classes = conjugacy_classes(self.group)
-        return [(class_label(i), self.sector_of(cls_)) for i, cls_ in enumerate(classes)]
+        return [(class_label(i), self.sector_of(cls_))
+                for i, cls_ in enumerate(self.group.class_data.classes)]
 
 
 @dataclass(frozen=True)
@@ -252,16 +289,15 @@ class PairingReport:
         return not self.violations
 
 
-def _pairing_scan(profile: CRProfile) -> PairingReport:
-    classes = conjugacy_classes(profile.group)
-    label_of = {cls_.members: class_label(i) for i, cls_ in enumerate(classes)}
+def pairing_check(profile: CRProfile) -> PairingReport:
+    """Report (never raise) every violation of the graded pairing shape."""
+    data = profile.group.class_data
     n = profile.ambient_dim
     violations: list[PairingViolation] = []
     checked = 0
     for sector in profile.sectors:
-        label = label_of[sector.cls.members]
-        inv = inverse_class(profile.group, sector.cls)
-        partner = profile.sector_of(inv)
+        label = class_label(data.index_of[sector.cls.members])
+        partner = profile.sector_of(data.inverse_of[sector.cls.members])
         dim = sector.sector_dim(n)
         degrees = sorted(set(sector.betti) | {2 * dim - d for d in partner.betti})
         for d in degrees:
@@ -283,14 +319,9 @@ def _pairing_scan(profile: CRProfile) -> PairingReport:
     return PairingReport(tuple(violations), checked)
 
 
-def pairing_check(profile: CRProfile) -> PairingReport:
-    """Report (never raise) every violation of the graded pairing shape."""
-    return _pairing_scan(profile)
-
-
 def cr_poincare_polynomial(profile: CRProfile) -> list[tuple[Fraction, int]]:
     """Rationally graded Betti counts: each sector's table shifted up by 2*shift."""
-    report = _pairing_scan(profile)
+    report = pairing_check(profile)
     if not report.ok:
         first = report.violations[0]
         raise ValidationError(f"pairing shape violated at sector {first.sector}: {first.detail}")

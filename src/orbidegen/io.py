@@ -14,10 +14,11 @@ from fractions import Fraction
 from typing import Any
 
 from .contact import ContactOrder, MonodromyTable
+from .dimension import ModuliSpec, RelTerm
 from .errors import ValidationError
 from .expand import AbsInsertion, BasisEntry, CRBasisZ, MenuEntry, SplittingScenario
 from .graph import Edge, HomologyModel, RelGraph, Tail, Vertex
-from .inertia import CRProfile, FiniteGroupTable, SectorDatum, class_label, conjugacy_classes
+from .inertia import CRProfile, FiniteGroupTable, SectorDatum, class_label
 from . import inertia
 
 SCHEMA = "orbi-degen/1"
@@ -87,7 +88,8 @@ def _check_name(name: Any, used: set[str], where: str) -> str:
     return name
 
 
-def load_document(text: str) -> InputDocument:
+def _load_object(text: str) -> dict:
+    """Parse a document's JSON text and check its top level and schema."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -96,6 +98,11 @@ def load_document(text: str) -> InputDocument:
         raise ValidationError("top level must be a JSON object")
     if raw.get("schema") != SCHEMA:
         raise ValidationError(f"schema must be {SCHEMA!r}, got {raw.get('schema')!r}")
+    return raw
+
+
+def load_document(text: str) -> InputDocument:
+    raw = _load_object(text)
     doc = InputDocument()
     used: set[str] = set()
 
@@ -138,8 +145,7 @@ def load_document(text: str) -> InputDocument:
         if gname not in doc.groups:
             raise ValidationError(f"{where}: unknown group {gname!r}")
         group = doc.groups[gname]
-        classes = conjugacy_classes(group)
-        by_label = {class_label(i): cls_ for i, cls_ in enumerate(classes)}
+        by_label = {class_label(i): cls_ for i, cls_ in enumerate(group.class_data.classes)}
         ambient = int(_require(entry, "ambient_dim", where))
         sectors = []
         for sec in _require(entry, "sectors", where):
@@ -242,6 +248,71 @@ def load_document(text: str) -> InputDocument:
         doc.scenario_context[name] = (hname, bname)
 
     return doc
+
+
+@dataclass(frozen=True)
+class LedgerDocument:
+    """The inputs of one splitting ledger: the two halves, node sectors, the total."""
+
+    plus: ModuliSpec
+    minus: ModuliSpec | None
+    sector_dims: tuple[Fraction, ...]
+    total: ModuliSpec
+
+
+def _object(value: Any, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where}: must be a JSON object")
+    return value
+
+
+def _array(value: Any, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{where}: must be a JSON array")
+    return value
+
+
+def _integer(value: Any, where: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{where}: expected an integer, got {value!r}") from None
+
+
+def _moduli_spec(data: Any, where: str) -> ModuliSpec:
+    data = _object(data, where)
+    rel = []
+    for i, term in enumerate(_array(data.get("rel", []), f"{where}.rel")):
+        at = f"{where}.rel[{i}]"
+        term = _object(term, at)
+        order = _contact(_require(term, "contact", at), at)
+        if order is None:
+            raise ValidationError(f"{at}: contact order must be a 'k/r' string")
+        rel.append(RelTerm(order=order, shift=parse_rational(term.get("shift", "0")),
+                           monodromy=term.get("monodromy", "e")))
+    return ModuliSpec(
+        flavor=_require(data, "flavor", where),
+        n=_integer(_require(data, "n", where), f"{where}.n"),
+        genus=_integer(_require(data, "genus", where), f"{where}.genus"),
+        c1A=parse_rational(_require(data, "c1A", where)),
+        shifts=tuple(parse_rational(x) for x in _array(data.get("shifts", []), f"{where}.shifts")),
+        rel=tuple(rel),
+        zA=parse_rational(data.get("zA", "0")))
+
+
+def load_ledger(text: str) -> LedgerDocument:
+    """Parse a `dim ledger` document: 'plus' and 'total' specs, optional 'minus'."""
+    raw = _load_object(text)
+    for key in ("plus", "total"):
+        if raw.get(key) is None:
+            raise ValidationError(f"ledger document needs a {key!r} spec")
+    minus = raw.get("minus")
+    return LedgerDocument(
+        plus=_moduli_spec(raw["plus"], "plus"),
+        minus=None if minus is None else _moduli_spec(minus, "minus"),
+        sector_dims=tuple(parse_rational(x)
+                          for x in _array(raw.get("sector_dims", []), "sector_dims")),
+        total=_moduli_spec(raw["total"], "total"))
 
 
 def dump_json(payload: dict) -> str:

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout, redirect_stderr
 from pathlib import Path
 
@@ -11,6 +14,15 @@ from orbidegen.io import load_document
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "demos" / "data"
 GOLDEN = ROOT / "tests" / "golden"
+
+
+def python(*args):
+    """Run a fresh interpreter with the source tree first on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env,
+                          cwd=ROOT, timeout=120)
 
 
 def capture(argv):
@@ -180,3 +192,67 @@ class TestDocumentInvariants:
         path.write_text('{"schema": "other/9"}')
         rc, _, err = capture(["sectors", "--in", str(path)])
         assert rc == 1 and "orbi-degen/1" in err
+
+
+class TestEntryPoint:
+    def test_module_runs_as_script(self):
+        proc = python("-m", "orbidegen.cli", "sectors", "--in", "demos/data/ex_z3.json")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (GOLDEN / "sectors_z3.txt").read_bytes()
+
+    def test_exact_commands_leave_numpy_unloaded(self):
+        script = f"""
+import contextlib, io, sys
+from orbidegen.cli import run
+commands = [
+    ["sectors", "--in", {str(DATA / "ex_z3.json")!r}],
+    ["partitions", "--total", "2", "--orders", "2,2"],
+    ["dim", "virdim", "--flavor", "relative-orbifold", "--n", "2", "--genus", "0",
+     "--c1a", "3", "--rel", "3/2:1/2:h", "--za", "3/2"],
+    ["expand", "--in", {str(DATA / "smooth1.json")!r}, "--scenario", "smooth_one_node"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [run(argv) for argv in commands]
+print(codes, "numpy" in sys.modules)
+"""
+        proc = python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode().split() == ["[0,", "0,", "0,", "0]", "False"]
+
+    def test_glue_error_type_is_shared(self):
+        from orbidegen import errors, glue
+
+        assert glue.NonConvergenceError is errors.NonConvergenceError
+
+
+class TestMalformedInputExits1:
+    def run_on(self, tmp_path, text, argv):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        rc, out, err = capture(argv + ["--in", str(path)])
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        return err
+
+    def test_ledger_top_level_array(self, tmp_path):
+        err = self.run_on(tmp_path, "[1, 2]", ["dim", "ledger"])
+        assert "JSON object" in err
+
+    def test_ledger_spec_without_flavor(self, tmp_path):
+        raw = json.loads((DATA / "ledger_smooth.json").read_text())
+        del raw["plus"]["flavor"]
+        err = self.run_on(tmp_path, json.dumps(raw), ["dim", "ledger"])
+        assert "plus" in err and "'flavor'" in err
+
+    def test_genus_edge_endpoint_out_of_range(self, tmp_path):
+        doc = {
+            "schema": "orbi-degen/1",
+            "homology": [{"name": "h", "rank": 1, "c1": ["0"], "z_pairing": ["0"],
+                          "effective": [[0]]}],
+            "graphs": [{"name": "g", "homology": "h",
+                        "vertices": [{"genus": 0, "class": [0], "level": 0}],
+                        "edges": [{"kind": "absolute", "ends": [0, 5]}],
+                        "tails": []}],
+        }
+        err = self.run_on(tmp_path, json.dumps(doc), ["graphs", "genus", "--graph", "g"])
+        assert "edge 0" in err and "out of range" in err

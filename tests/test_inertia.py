@@ -277,3 +277,96 @@ class TestMonodromyTableFromGroup:
         table = monodromy_table(s3_table())
         assert table.orders == {"c0": 1, "c1": 2, "c2": 3}
         assert table.inverse_of("c2") == "c2"
+
+
+def dihedral8_table() -> FiniteGroupTable:
+    """Symmetries of a square as vertex permutations, closed under composition."""
+    rotation, reflection = (1, 2, 3, 0), (0, 3, 2, 1)
+    perms = {(0, 1, 2, 3)}
+    frontier = [rotation, reflection]
+    while frontier:
+        p = frontier.pop()
+        if p not in perms:
+            perms.add(p)
+            frontier.extend(tuple(p[q[i]] for i in range(4)) for q in (rotation, reflection))
+    perms = sorted(perms)
+    index = {p: i for i, p in enumerate(perms)}
+    rows = [[index[tuple(p[q[i]] for i in range(4))] for q in perms] for p in perms]
+    return FiniteGroupTable.from_rows(rows, identity=index[(0, 1, 2, 3)])
+
+
+def z16_profile(group: FiniteGroupTable) -> CRProfile:
+    """C with Z16 rotating by j/16 in sector j; the inverse sector rotates by 1 - j/16."""
+    sectors = []
+    for cls in conjugacy_classes(group):
+        j = cls.representative
+        betti = {0: 1, 2: 1} if j == 0 else {0: 1}
+        sectors.append(SectorDatum(cls=cls, rotations=(F(j, 16),), betti=betti))
+    return CRProfile(group=group, ambient_dim=1, sectors=tuple(sectors))
+
+
+class TestClassDataComputedOnce:
+    def test_validate_runs_once_per_table(self, monkeypatch):
+        calls = []
+        original = FiniteGroupTable.validate
+
+        def counting(self):
+            calls.append(self)
+            original(self)
+
+        monkeypatch.setattr(FiniteGroupTable, "validate", counting)
+        rows = FiniteGroupTable.cyclic(16).mul
+        for build in (lambda: FiniteGroupTable.cyclic(16),
+                      lambda: FiniteGroupTable.from_rows(rows)):
+            calls.clear()
+            group = build()
+            profile = z16_profile(group)
+            profile.labeled_sectors()
+            assert pairing_check(profile).ok
+            assert sum(m for _, m in cr_poincare_polynomial(profile)) == 17
+            table = monodromy_table(group)
+            assert table.inverse_of("c3") == "c13"
+            for cls in conjugacy_classes(group):
+                profile.sector_of(inverse_class(group, cls))
+            assert calls == [group]
+
+    @pytest.mark.parametrize("name,group", [(f"z{n}", FiniteGroupTable.cyclic(n))
+                                            for n in range(1, 17)]
+                             + [("s3", s3_table()), ("d8", dihedral8_table())])
+    def test_inverse_class_against_brute_force(self, name, group):
+        e = group.identity
+        oracle = set(brute_force_classes(group))
+        for cls in conjugacy_classes(group):
+            inverted = frozenset(
+                next(b for b in range(group.order)
+                     if group.mul[m][b] == e and group.mul[b][m] == e)
+                for m in cls.members)
+            got = inverse_class(group, cls)
+            assert got.members == inverted
+            assert got.members in oracle
+
+    def test_dihedral8_has_five_classes(self):
+        sizes = sorted(len(c.members) for c in conjugacy_classes(dihedral8_table()))
+        assert sizes == [1, 1, 2, 2, 2]
+
+    def test_returned_list_is_a_copy(self):
+        group = s3_table()
+        first = conjugacy_classes(group)
+        expected = list(first)
+        first.reverse()
+        first.append(first[0])
+        assert conjugacy_classes(group) == expected
+        first.clear()
+        assert conjugacy_classes(group) == expected
+
+    def test_class_outside_the_table_rejected(self):
+        group = FiniteGroupTable.cyclic(6)
+        stranger = next(c for c in conjugacy_classes(s3_table()) if len(c.members) == 3)
+        with pytest.raises(ValidationError, match="no class holds the inverses"):
+            inverse_class(group, stranger)
+
+    def test_bad_table_raises_on_every_call(self):
+        group = FiniteGroupTable(order=2, mul=((0, 1), (1, 1)))
+        for _ in range(2):
+            with pytest.raises(ValidationError):
+                conjugacy_classes(group)
