@@ -22,12 +22,12 @@ from .graph import (
     PosetBounds,
     Tail,
     bullet_genus,
-    canonical_form,
     contract_edge,
     contract_level,
     genus,
     is_connected,
     poset_to_dot,
+    stratification_poset,
     to_dot,
     total_class,
     validate,
@@ -36,7 +36,6 @@ from .io import (
     SCHEMA,
     InputDocument,
     dump_json,
-    format_rational,
     load_document,
     load_ledger,
     parse_rational,
@@ -79,12 +78,12 @@ def _cmd_sectors(args) -> int:
         for label, sector in profile.labeled_sectors():
             rows.append({
                 "class": label,
-                "shift": format_rational(sector.shift),
+                "shift": str(sector.shift),
                 "sector_dim": sector.sector_dim(profile.ambient_dim),
-                "rotations": [format_rational(r) for r in sector.rotations],
+                "rotations": [str(r) for r in sector.rotations],
             })
         poly = [
-            {"degree": format_rational(d), "multiplicity": m}
+            {"degree": str(d), "multiplicity": m}
             for d, m in inertia.cr_poincare_polynomial(profile)
         ]
         report = inertia.pairing_check(profile)
@@ -220,7 +219,8 @@ def _cmd_graphs_poset(args) -> int:
         if args.edge_monodromies else ("e",),
         max_edge_contact_numerator=args.max_edge_contact,
     )
-    poset = _build_poset(graph, tails, homology, table, bounds)
+    poset = stratification_poset(genus(graph), total_class(graph), tails, homology,
+                                 table, bounds)
     if args.dot:
         sys.stdout.write(poset_to_dot(poset, name=f"{name}_poset"))
         return 0
@@ -238,13 +238,6 @@ def _cmd_graphs_poset(args) -> int:
             f"maximal node {poset.maximal_index()}, "
             f"{'complete' if poset.complete else 'INCOMPLETE (bounds reached)'}\n")
     return 0
-
-
-def _build_poset(graph, tails, homology, table, bounds):
-    from .graph import stratification_poset
-
-    return stratification_poset(genus(graph), total_class(graph), tails, homology,
-                                table, bounds)
 
 
 # ---------------------------------------------------------------- dim
@@ -271,7 +264,7 @@ def _cmd_dim_virdim(args) -> int:
     value = virdim(spec)
     if args.json:
         sys.stdout.write(dump_json({
-            "schema": SCHEMA, "flavor": args.flavor, "virdim": format_rational(value),
+            "schema": SCHEMA, "flavor": args.flavor, "virdim": str(value),
         }))
     else:
         sys.stdout.write(f"virdim = {value}\n")
@@ -284,11 +277,11 @@ def _cmd_dim_ledger(args) -> int:
     if args.json:
         sys.stdout.write(dump_json({
             "schema": SCHEMA,
-            "d_total": format_rational(ledger.d_total),
-            "d_plus": format_rational(ledger.d_plus),
-            "d_minus": format_rational(ledger.d_minus),
-            "constraint_dims": [format_rational(d) for d in ledger.constraint_dims],
-            "defect": format_rational(ledger.defect),
+            "d_total": str(ledger.d_total),
+            "d_plus": str(ledger.d_plus),
+            "d_minus": str(ledger.d_minus),
+            "constraint_dims": [str(d) for d in ledger.constraint_dims],
+            "defect": str(ledger.defect),
         }))
     else:
         sys.stdout.write(
@@ -307,7 +300,7 @@ def _cmd_partitions(args) -> int:
     if args.json:
         sys.stdout.write(dump_json({
             "schema": SCHEMA,
-            "total": format_rational(total),
+            "total": str(total),
             "orders": orders,
             "count": len(tuples),
             "partitions": [[str(o) for o in tup] for tup in tuples],
@@ -336,7 +329,7 @@ def _cmd_expand(args) -> int:
             "schema": SCHEMA, "scenario": name, "count": len(terms),
             "terms": [
                 {
-                    "coefficient": format_rational(t.coefficient),
+                    "coefficient": str(t.coefficient),
                     "labels": list(t.labels),
                     "record": term_record(t),
                 }
@@ -346,15 +339,26 @@ def _cmd_expand(args) -> int:
         sys.stdout.write(dump_json(payload))
     else:
         sys.stdout.write(f"scenario {name}: {len(terms)} term(s)\n")
-        width = max((len(format_rational(t.coefficient)) for t in terms), default=1)
+        width = max((len(str(t.coefficient)) for t in terms), default=1)
         for t in terms:
-            sys.stdout.write(f"  {format_rational(t.coefficient):>{width}}  {term_record(t)}\n")
+            sys.stdout.write(f"  {t.coefficient!s:>{width}}  {term_record(t)}\n")
     return 0
 
 
 # ---------------------------------------------------------------- glue
 
 def _cmd_glue_demo(args) -> int:
+    try:
+        return _glue_demo(args)
+    except (FloatingPointError, OverflowError) as exc:
+        setting = {"sphere": f" --scale {args.scale:g}",
+                   "node": f" --tau {args.tau:g}"}.get(args.model, "")
+        raise ValidationError(
+            f"glue demo {args.model}{setting} leaves the floating-point range: {exc}"
+        ) from None
+
+
+def _glue_demo(args) -> int:
     # the only numpy user: the exact-only commands start without it
     import numpy as np
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .contact import ContactOrder, MonodromyTable, RelInsertion, aut_order, enumerate_partitions
 from .errors import ResourceLimitError, ValidationError
@@ -27,6 +27,8 @@ from .graph import (
     RelGraph,
     Tail,
     Vertex,
+    _class_assignments,
+    _compositions,
     canonical_form,
     encode,
     is_connected,
@@ -222,28 +224,6 @@ def _node_multisets(
     return sorted(out, key=lambda ms: [(h, c.k, c.r) for h, c in ms])
 
 
-def _class_splits(total: tuple[int, ...], count: int,
-                  effective: tuple[tuple[int, ...], ...]) -> Iterable[tuple]:
-    if count == 0:
-        if all(x == 0 for x in total):
-            yield ()
-        return
-    for first in effective:
-        rest_total = tuple(t - f for t, f in zip(total, first))
-        for rest in _class_splits(rest_total, count - 1, effective):
-            yield (first,) + rest
-
-
-def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _extract_matching(canon: RelGraph, scenario: SplittingScenario,
                       table: MonodromyTable) -> Matching:
     """Read the two side graphs back off the canonical glued representation."""
@@ -301,6 +281,7 @@ def enumerate_splittings(
     m = len(scenario.absolute)
     found: dict[tuple, Matching] = {}
     budget = _CANDIDATE_BUDGET
+    effective = homology.effective
 
     for a_plus, a_minus in sorted(set(scenario.class_splittings)):
         for n_nodes in range(0, scenario.max_nodes + 1):
@@ -320,8 +301,8 @@ def enumerate_splittings(
                         if cycles < 0 or scenario.genus - cycles < 0:
                             continue
                         genus_budget = scenario.genus - cycles
-                        for cls_plus in _class_splits(a_plus, v_plus, homology.effective):
-                            for cls_minus in _class_splits(a_minus, v_minus, homology.effective):
+                        for cls_plus in _class_assignments(a_plus, v_plus, effective):
+                            for cls_minus in _class_assignments(a_minus, v_minus, effective):
                                 classes = cls_plus + cls_minus
                                 for genera in _compositions(genus_budget, total_v):
                                     for homes in itertools.product(range(total_v), repeat=m):

@@ -247,12 +247,15 @@ def correct(
     x = chart.x(s)
     q = chart.q(s)
     t0 = system.t(x)
+    lx = system.jacobian(x)
     xi = np.zeros(system.dim_f)
     residuals: list[float] = []
     norms: list[float] = []
     growth = 0
     for iteration in range(max_iter + 1):
-        residual = float(np.linalg.norm(system.t(x + q @ xi)))
+        v = q @ xi
+        tv = system.t(x + v)
+        residual = float(np.linalg.norm(tv))
         residuals.append(residual)
         norms.append(float(np.linalg.norm(xi)))
         if residual <= tol:
@@ -270,7 +273,8 @@ def correct(
                     f"{system.name}: residual grew for 5 consecutive steps", residuals)
         else:
             growth = 0
-        xi = -t0 - system.quadratic_remainder(x, q @ xi)
+        # N_x(v) = t(x+v) - t(x) - L_x v, with t(x+v) from the residual check
+        xi = -t0 - (tv - t0 - lx @ v)
     raise NonConvergenceError(
         f"{system.name}: no convergence to {tol:g} in {max_iter} iterations "
         f"(last residual {residuals[-1]:.3e})", residuals)

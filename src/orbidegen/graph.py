@@ -219,28 +219,21 @@ def is_connected(graph: RelGraph) -> bool:
 
 def genus(graph: RelGraph) -> int:
     """dim H^1 of the graph plus the vertex genera; connected graphs only."""
-    comps = _components(graph)
-    if len(comps) > 1:
+    if len(_components(graph)) > 1:
         raise ValidationError("graph is disconnected; use bullet_genus")
     if not graph.vertices:
         raise ValidationError("graph has no vertices; use bullet_genus")
-    cycles = len(graph.edges) - len(graph.vertices) + 1
-    return cycles + sum(v.genus for v in graph.vertices)
+    return bullet_genus(graph)
 
 
 def bullet_genus(graph: RelGraph) -> int:
     """Genus of a possibly disconnected graph: sum over components minus (#components - 1).
 
     This is the Euler-characteristic convention under which gluing two pieces
-    at one node adds genera; the empty graph gets 1.
+    at one node adds genera; the empty graph gets 1.  Each edge lies in one
+    component, so the component count cancels.
     """
-    comps = _components(graph)
-    total = 0
-    for comp in comps:
-        sub_edges = [e for e in graph.edges if e.ends[0] in comp]
-        total += len(sub_edges) - len(comp) + 1
-    total += sum(v.genus for v in graph.vertices)
-    return total - (len(comps) - 1)
+    return len(graph.edges) - len(graph.vertices) + 1 + sum(v.genus for v in graph.vertices)
 
 
 def total_class(graph: RelGraph) -> tuple[int, ...]:
@@ -307,44 +300,25 @@ def contract_level(graph: RelGraph, level: int) -> RelGraph:
     levels = {v.level for v in graph.vertices}
     if level not in levels or level + 1 not in levels:
         raise ValidationError(f"levels {level} and {level + 1} are not both occupied")
-    between = [j for j, e in enumerate(graph.edges)
-               if e.kind == RELATIVE
+    between = [e.kind == RELATIVE
                and {graph.vertices[e.ends[0]].level, graph.vertices[e.ends[1]].level}
-               == {level, level + 1}]
-    # connected components of the between-edge subgraph get merged
-    nv = len(graph.vertices)
-    parent = list(range(nv))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for j in between:
-        a, b = (find(v) for v in graph.edges[j].ends)
-        if a != b:
-            parent[a] = b
-    groups_map: dict[int, set[int]] = {}
-    for v in range(nv):
-        groups_map.setdefault(find(v), set()).add(v)
-    groups = sorted(groups_map.values(), key=min)
-    group_index = {}
-    for gi, group in enumerate(groups):
-        for v in group:
-            group_index[v] = gi
+               == {level, level + 1}
+               for e in graph.edges]
+    # connected components of the between-edge subgraph get merged, in order
+    # of their least vertex
+    merged = RelGraph(graph.vertices,
+                      tuple(e for e, b in zip(graph.edges, between) if b), ())
+    groups = _components(merged)
     # each merged component absorbs its internal cycles into genus
-    extra: dict[int, int] = {}
-    for gi, group in enumerate(groups):
-        internal = sum(1 for j in between if graph.edges[j].ends[0] in group)
-        extra[gi] = internal - len(group) + 1
+    extra = {gi: sum(1 for e in merged.edges if e.ends[0] in group) - len(group) + 1
+             for gi, group in enumerate(groups)}
     # merged components span {level, level+1} and land on `level`; everything
     # strictly above `level` drops by one
     shift: dict[int, int] = {}
     for gi, group in enumerate(groups):
         old = min(graph.vertices[v].level for v in group)
         shift[gi] = old if old <= level else old - 1
-    remaining = tuple(e for j, e in enumerate(graph.edges) if j not in set(between))
+    remaining = tuple(e for e, b in zip(graph.edges, between) if not b)
     stripped = RelGraph(graph.vertices, remaining, graph.tails)
     return _merge_vertices(stripped, groups, extra_genus=extra, level_shift=shift)
 
@@ -353,16 +327,18 @@ def _contact_key(contact: ContactOrder | None) -> tuple[int, int]:
     return (contact.k, contact.r) if contact is not None else (0, 0)
 
 
-def _edge_code(graph: RelGraph, edge: Edge) -> tuple:
+def _flipped(graph: RelGraph, edge: Edge) -> bool:
+    """Whether end 0 comes after end 1 in (level, vertex, half) order."""
     a, b = edge.ends
-    pa = (graph.vertices[a].level, a, edge.halves[0])
-    pb = (graph.vertices[b].level, b, edge.halves[1])
-    if edge.kind == RELATIVE:
-        # endpoints are at adjacent levels: orient from the lower level
-        first, second = (pa, pb) if pa[0] < pb[0] else (pb, pa)
-    else:
-        first, second = sorted((pa, pb))
-    return (edge.kind, first[1], first[2], second[1], second[2], _contact_key(edge.contact))
+    return ((graph.vertices[a].level, a, edge.halves[0])
+            > (graph.vertices[b].level, b, edge.halves[1]))
+
+
+def _edge_code(graph: RelGraph, edge: Edge) -> tuple:
+    (a, b), (ha, hb) = edge.ends, edge.halves
+    if _flipped(graph, edge):
+        a, b, ha, hb = b, a, hb, ha
+    return (edge.kind, a, ha, b, hb, _contact_key(edge.contact))
 
 
 def encode(graph: RelGraph) -> tuple:
@@ -401,17 +377,16 @@ def _vertex_base_keys(graph: RelGraph) -> list[tuple]:
     return keys
 
 
-def _key_blocks(graph: RelGraph) -> tuple[list[int], list[list[int]]]:
+def _key_blocks(graph: RelGraph) -> list[list[int]]:
     """Vertices sorted by base key, grouped into equal-key blocks."""
     keys = _vertex_base_keys(graph)
-    order = sorted(range(len(keys)), key=lambda v: keys[v])
     blocks: list[list[int]] = []
-    for v in order:
+    for v in sorted(range(len(keys)), key=lambda v: keys[v]):
         if blocks and keys[blocks[-1][-1]] == keys[v]:
             blocks[-1].append(v)
         else:
             blocks.append([v])
-    return order, blocks
+    return blocks
 
 
 def _block_permutations(blocks: list[list[int]], nv: int) -> Iterable[list[int]]:
@@ -437,24 +412,34 @@ def _block_permutations(blocks: list[list[int]], nv: int) -> Iterable[list[int]]
         yield perm
 
 
-def canonical_form(graph: RelGraph) -> RelGraph:
-    """Deterministic representative of the vertex-relabeling class (tails stay labeled)."""
-    if not graph.vertices:
-        return graph
+def _canonical_search(graph: RelGraph) -> tuple[RelGraph, int]:
+    """The least-encoding relabeling over the base-key-respecting vertex maps,
+    and how many maps reach it: two maps tie exactly when they differ by a
+    decoration-preserving symmetry, and every symmetry respects the base keys
+    (which hold the tail index, so a symmetry fixes every tail)."""
     if len(graph.vertices) > MAX_AUT_VERTICES:
         raise ResourceLimitError(
             f"graph has {len(graph.vertices)} vertices, cap is {MAX_AUT_VERTICES}"
         )
-    _, blocks = _key_blocks(graph)
     best: RelGraph | None = None
     best_code: tuple | None = None
-    for perm in _block_permutations(blocks, len(graph.vertices)):
+    ties = 0
+    for perm in _block_permutations(_key_blocks(graph), len(graph.vertices)):
         candidate = _permute(graph, perm)
         code = encode(candidate)
         if best_code is None or code < best_code:
-            best, best_code = candidate, code
+            best, best_code, ties = candidate, code, 1
+        elif code == best_code:
+            ties += 1
     assert best is not None
-    return _normalize_edges(best)
+    return best, ties
+
+
+def canonical_form(graph: RelGraph) -> RelGraph:
+    """Deterministic representative of the vertex-relabeling class (tails stay labeled)."""
+    if not graph.vertices:
+        return graph
+    return _normalize_edges(_canonical_search(graph)[0])
 
 
 def automorphism_order(graph: RelGraph) -> int:
@@ -463,57 +448,16 @@ def automorphism_order(graph: RelGraph) -> int:
     Tails enter as a multiset of (vertex, kind, monodromy, contact), so two
     identically decorated tails may be exchanged by a symmetry.
     """
-    nv = len(graph.vertices)
-    if nv == 0:
+    if not graph.vertices:
         return 1
-    if nv > MAX_AUT_VERTICES:
-        raise ResourceLimitError(f"graph has {nv} vertices, cap is {MAX_AUT_VERTICES}")
-    base = _vertex_base_keys(graph)
-    groups: dict[tuple, list[int]] = {}
-    for v, key in enumerate(base):
-        groups.setdefault(key, []).append(v)
-    edge_code = sorted(_edge_code(graph, e) for e in graph.edges)
-    tail_multiset = sorted((t.vertex, t.kind, t.monodromy, _contact_key(t.contact))
-                           for t in graph.tails)
-    count = 0
-    members = list(groups.values())
-    budget = 1
-    for g in members:
-        for i in range(2, len(g) + 1):
-            budget *= i
-    if budget > _PERM_BUDGET:
-        raise ResourceLimitError(f"automorphism budget exceeded ({budget} permutations)")
-    for arrangement in itertools.product(*(itertools.permutations(g) for g in members)):
-        perm = [0] * nv
-        for g, arranged in zip(members, arrangement):
-            for src, dst in zip(g, arranged):
-                perm[src] = dst
-        image = _permute(graph, perm)
-        if sorted(_edge_code(image, e) for e in image.edges) != edge_code:
-            continue
-        image_tails = sorted((t.vertex, t.kind, t.monodromy, _contact_key(t.contact))
-                             for t in image.tails)
-        if image_tails != tail_multiset:
-            continue
-        # vertex decorations are preserved because perm respects base keys
-        count += 1
-    return count
+    return _canonical_search(graph)[1]
 
 
 def _normalize_edges(graph: RelGraph) -> RelGraph:
     """Sort the edge list and orient each edge the way _edge_code does."""
-    oriented = []
-    for e in graph.edges:
-        a, b = e.ends
-        pa = (graph.vertices[a].level, a, e.halves[0])
-        pb = (graph.vertices[b].level, b, e.halves[1])
-        if e.kind == RELATIVE:
-            flip = pa[0] > pb[0]
-        else:
-            flip = pa > pb
-        if flip:
-            e = replace(e, ends=(b, a), halves=(e.halves[1], e.halves[0]))
-        oriented.append(e)
+    oriented = [replace(e, ends=e.ends[::-1], halves=e.halves[::-1])
+                if _flipped(graph, e) else e
+                for e in graph.edges]
     oriented.sort(key=lambda e: _edge_code(graph, e))
     return RelGraph(graph.vertices, tuple(oriented), graph.tails)
 
@@ -707,25 +651,9 @@ def stratification_poset(
 
 
 def _edge_multiplicities(slots: list, nv: int, max_edges: int) -> Iterable[tuple[int, ...]]:
-    """Multiplicity vectors over edge slots with total in [nv-1 ... max_edges],
-    plus the empty graph case when a single vertex needs no edges."""
-    lo = max(0, nv - 1)
-    if not slots:
-        if lo == 0:
-            yield ()
-        return
-
-    def rec(idx: int, budget: int) -> Iterable[tuple[int, ...]]:
-        if idx == len(slots):
-            yield ()
-            return
-        for mult in range(budget + 1):
-            for rest in rec(idx + 1, budget - mult):
-                yield (mult,) + rest
-
-    for counts in rec(0, max_edges):
-        if sum(counts) >= lo:
-            yield counts
+    """Multiplicity vectors over edge slots with total in [nv-1 ... max_edges]."""
+    for total in range(max(0, nv - 1), max_edges + 1):
+        yield from _compositions(total, len(slots))
 
 
 def _vec_str(vec: tuple[int, ...]) -> str:

@@ -204,6 +204,7 @@ class SectorDatum:
 
     @property
     def shift(self) -> Fraction:
+        """Sum of the rotation numbers, an exact rational in [0, n)."""
         return sum(self.rotations, Fraction(0))
 
     def sector_dim(self, ambient_dim: int) -> int:
@@ -211,11 +212,6 @@ class SectorDatum:
 
     def total_rank(self) -> int:
         return sum(self.betti.values())
-
-
-def degree_shift(sector: SectorDatum) -> Fraction:
-    """Sum of the rotation numbers, an exact rational in [0, n)."""
-    return sector.shift
 
 
 @dataclass(frozen=True)

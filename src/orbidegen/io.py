@@ -35,12 +35,20 @@ def parse_rational(text: Any) -> Fraction:
     raise ValidationError(f"rational must be a string or integer, got {text!r}")
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q)
+def _object(value: Any, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where}: must be a JSON object")
+    return value
 
 
-def _require(mapping: dict, key: str, where: str) -> Any:
-    if key not in mapping:
+def _array(value: Any, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{where}: must be a JSON array")
+    return value
+
+
+def _require(mapping: Any, key: str, where: str) -> Any:
+    if key not in _object(mapping, where):
         raise ValidationError(f"{where}: missing field {key!r}")
     return mapping[key]
 
@@ -106,7 +114,7 @@ def load_document(text: str) -> InputDocument:
     doc = InputDocument()
     used: set[str] = set()
 
-    for entry in raw.get("groups", []):
+    for entry in _array(raw.get("groups", []), "groups"):
         name = _check_name(_require(entry, "name", "groups"), used, "groups")
         where = f"groups[{name}]"
         if "cyclic" in entry:
@@ -117,7 +125,7 @@ def load_document(text: str) -> InputDocument:
             raise ValidationError(f"{where}: needs 'cyclic' or 'table'")
         doc.groups[name] = group
 
-    for entry in raw.get("classes", []):
+    for entry in _array(raw.get("classes", []), "classes"):
         name = _check_name(_require(entry, "name", "classes"), used, "classes")
         where = f"classes[{name}]"
         if entry.get("trivial"):
@@ -138,7 +146,7 @@ def load_document(text: str) -> InputDocument:
         else:
             raise ValidationError(f"{where}: needs 'trivial', 'group', or 'labels'")
 
-    for entry in raw.get("profiles", []):
+    for entry in _array(raw.get("profiles", []), "profiles"):
         name = _check_name(_require(entry, "name", "profiles"), used, "profiles")
         where = f"profiles[{name}]"
         gname = _require(entry, "group", where)
@@ -158,7 +166,7 @@ def load_document(text: str) -> InputDocument:
         doc.profiles[name] = CRProfile(group=group, ambient_dim=ambient,
                                        sectors=tuple(sectors))
 
-    for entry in raw.get("homology", []):
+    for entry in _array(raw.get("homology", []), "homology"):
         name = _check_name(_require(entry, "name", "homology"), used, "homology")
         where = f"homology[{name}]"
         rank = int(_require(entry, "rank", where))
@@ -170,7 +178,7 @@ def load_document(text: str) -> InputDocument:
                             for vec in _require(entry, "effective", where)),
         )
 
-    for entry in raw.get("graphs", []):
+    for entry in _array(raw.get("graphs", []), "graphs"):
         name = _check_name(_require(entry, "name", "graphs"), used, "graphs")
         where = f"graphs[{name}]"
         hname = _require(entry, "homology", where)
@@ -199,7 +207,7 @@ def load_document(text: str) -> InputDocument:
         doc.graphs[name] = RelGraph(vertices, edges, tails)
         doc.graph_context[name] = (hname, cname if cname is not None else "")
 
-    for entry in raw.get("basis", []):
+    for entry in _array(raw.get("basis", []), "basis"):
         name = _check_name(_require(entry, "name", "basis"), used, "basis")
         where = f"basis[{name}]"
         entries = tuple(
@@ -217,7 +225,7 @@ def load_document(text: str) -> InputDocument:
         doc.basis[name] = CRBasisZ(dim_z=int(_require(entry, "dim_z", where)),
                                    entries=entries, duality=tuple(duality))
 
-    for entry in raw.get("scenarios", []):
+    for entry in _array(raw.get("scenarios", []), "scenarios"):
         name = _check_name(_require(entry, "name", "scenarios"), used, "scenarios")
         where = f"scenarios[{name}]"
         hname = _require(entry, "homology", where)
@@ -258,18 +266,6 @@ class LedgerDocument:
     minus: ModuliSpec | None
     sector_dims: tuple[Fraction, ...]
     total: ModuliSpec
-
-
-def _object(value: Any, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValidationError(f"{where}: must be a JSON object")
-    return value
-
-
-def _array(value: Any, where: str) -> list:
-    if not isinstance(value, list):
-        raise ValidationError(f"{where}: must be a JSON array")
-    return value
 
 
 def _integer(value: Any, where: str) -> int:

@@ -256,3 +256,31 @@ class TestMalformedInputExits1:
         }
         err = self.run_on(tmp_path, json.dumps(doc), ["graphs", "genus", "--graph", "g"])
         assert "edge 0" in err and "out of range" in err
+
+    @pytest.mark.parametrize("section,entries", [
+        ("groups", [1]),
+        ("classes", [1]),
+        ("classes", [{"name": "c", "labels": [1]}]),
+        ("profiles", [1]),
+        ("homology", [1]),
+        ("graphs", [1]),
+        ("basis", [1]),
+        ("scenarios", [1]),
+        ("scenarios", 1),
+    ], ids=["groups", "classes", "classes-labels", "profiles", "homology", "graphs",
+            "basis", "scenarios", "scenarios-not-array"])
+    def test_non_object_entry(self, tmp_path, section, entries):
+        doc = {"schema": "orbi-degen/1", section: entries}
+        err = self.run_on(tmp_path, json.dumps(doc), ["sectors"])
+        assert section in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("argv,setting", [
+        (["sphere", "--scale", "1e200"], "--scale 1e+200"),
+        (["node", "--tau", "1e300"], "--tau 1e+300"),
+    ], ids=["sphere-scale", "node-tau"])
+    def test_glue_demo_out_of_float_range(self, argv, setting):
+        rc, out, err = capture(["glue", "demo", *argv])
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"glue demo {argv[0]} {setting}" in err

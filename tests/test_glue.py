@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,24 @@ class TestCorrect:
         with pytest.raises(NonConvergenceError) as err:
             correct(system, chart, np.array([1.0, 0.5]), tol=1e-12, max_iter=50)
         assert len(err.value.residuals) >= 2
+
+    def test_jacobian_once_per_call(self):
+        system, chart = sphere_model(1.05)
+        calls = []
+
+        def derivative(x):
+            calls.append(x)
+            return system.derivative(x)
+
+        counted = dataclasses.replace(system, derivative=derivative)
+        result = correct(counted, chart, np.array([1.2, 0.3]))
+        assert result.iterations > 1 and len(calls) == 1
+        # the iterates are those of xi <- -t(x) - N_x(Q xi), bit for bit
+        x, q = chart.x(np.array([1.2, 0.3])), chart.q(np.array([1.2, 0.3]))
+        xi = np.zeros(system.dim_f)
+        for residual in result.residual_history:
+            assert float(np.linalg.norm(system.t(x + q @ xi))) == residual
+            xi = -system.t(x) - system.quadratic_remainder(x, q @ xi)
 
     def test_bad_tol_rejected(self):
         system, chart = sphere_model()

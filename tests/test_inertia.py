@@ -10,7 +10,6 @@ from orbidegen.inertia import (
     SectorDatum,
     conjugacy_classes,
     cr_poincare_polynomial,
-    degree_shift,
     inverse_class,
     monodromy_table,
     pairing_check,
@@ -157,15 +156,15 @@ class TestInverseClass:
 class TestDegreeShift:
     def test_untwisted_zero(self):
         group = FiniteGroupTable.cyclic(2)
-        assert degree_shift(sector(group, 0, ("0",), {0: 1})) == 0
+        assert sector(group, 0, ("0",), {0: 1}).shift == 0
 
     def test_z2_half(self):
         group = FiniteGroupTable.cyclic(2)
-        assert degree_shift(sector(group, 1, ("1/2",))) == F(1, 2)
+        assert sector(group, 1, ("1/2",)).shift == F(1, 2)
 
     def test_z3_sum_one(self):
         group = FiniteGroupTable.cyclic(3)
-        assert degree_shift(sector(group, 1, ("1/3", "2/3"))) == 1
+        assert sector(group, 1, ("1/3", "2/3")).shift == 1
 
     def test_rotation_out_of_range(self):
         group = FiniteGroupTable.cyclic(2)
