@@ -61,6 +61,14 @@ def _graph_context(doc: InputDocument, name: str):
     return graph, homology, table
 
 
+def _well_formed(graph, name: str, homology, table) -> None:
+    """Stop at the first "structure" diagnostic: genus, total_class and the
+    contraction moves index vertices by edge and tail endpoints."""
+    broken = [d for d in validate(graph, homology, table) if d.rule == "structure"]
+    if broken:
+        raise ValidationError(f"graph {name} is malformed: {broken[0]}")
+
+
 # ---------------------------------------------------------------- sectors
 
 def _cmd_sectors(args) -> int:
@@ -147,10 +155,7 @@ def _cmd_graphs_genus(args) -> int:
     doc = _read_document(args.input)
     name, _ = doc.one("graphs", args.graph)
     graph, homology, table = _graph_context(doc, name)
-    # genus and total_class index vertices by edge and tail endpoints
-    broken = [d for d in validate(graph, homology, table) if d.rule == "structure"]
-    if broken:
-        raise ValidationError(f"graph {name} is malformed: {broken[0]}")
+    _well_formed(graph, name, homology, table)
     value = genus(graph) if is_connected(graph) and graph.vertices else bullet_genus(graph)
     cls = total_class(graph)
     if args.json:
@@ -170,6 +175,7 @@ def _cmd_graphs_contract(args) -> int:
     graph, homology, table = _graph_context(doc, name)
     if (args.edge is None) == (args.level is None):
         raise ValidationError("pass exactly one of --edge or --level")
+    _well_formed(graph, name, homology, table)
     if args.edge is not None:
         result = contract_edge(graph, args.edge)
     else:

@@ -286,70 +286,55 @@ def enumerate_splittings(
     for a_plus, a_minus in sorted(set(scenario.class_splittings)):
         for n_nodes in range(0, scenario.max_nodes + 1):
             for nodes in _node_multisets(n_nodes, scenario.monodromy_menu, scenario.z_total):
-                for v_plus in range(0, n_nodes + 2):
-                    for v_minus in range(0, n_nodes + 2 - v_plus):
-                        total_v = v_plus + v_minus
-                        if total_v == 0 or total_v > n_nodes + 1:
-                            continue
-                        if n_nodes > 0 and (v_plus == 0 or v_minus == 0):
-                            continue
-                        if v_plus == 0 and any(x != 0 for x in a_plus):
-                            continue
-                        if v_minus == 0 and any(x != 0 for x in a_minus):
-                            continue
-                        cycles = n_nodes - total_v + 1
-                        if cycles < 0 or scenario.genus - cycles < 0:
-                            continue
-                        genus_budget = scenario.genus - cycles
-                        for cls_plus in _class_assignments(a_plus, v_plus, effective):
-                            for cls_minus in _class_assignments(a_minus, v_minus, effective):
-                                classes = cls_plus + cls_minus
-                                for genera in _compositions(genus_budget, total_v):
-                                    for homes in itertools.product(range(total_v), repeat=m):
-                                        attach_options = [
-                                            (p, q)
-                                            for p in range(v_plus)
-                                            for q in range(v_plus, total_v)
-                                        ]
-                                        for attach in itertools.product(
-                                                attach_options, repeat=n_nodes):
-                                            vertices = tuple(
-                                                Vertex(genera[v], classes[v],
-                                                       0 if v < v_plus else 1)
-                                                for v in range(total_v))
-                                            edges = tuple(
-                                                # half decorations: node monodromy on
-                                                # the plus side, inverse on the minus
-                                                _node_edge(attach[j], nodes[j], table)
-                                                for j in range(n_nodes))
-                                            tails = tuple(
-                                                Tail(vertex=homes[i], kind=ABSOLUTE,
-                                                     monodromy=scenario.absolute[i].label)
-                                                for i in range(m))
-                                            budget -= 1
-                                            if budget < 0:
-                                                raise ResourceLimitError(
-                                                    "splitting enumeration exceeded "
-                                                    f"the candidate budget "
-                                                    f"({_CANDIDATE_BUDGET}); a partial "
-                                                    "term sum would be wrong, tighten "
-                                                    "the scenario bounds")
-                                            glued = RelGraph(vertices, edges, tails)
-                                            if not is_connected(glued):
-                                                continue
-                                            canon = canonical_form(glued)
-                                            key = encode(canon)
-                                            if key in found:
-                                                continue
-                                            found[key] = _extract_matching(
-                                                canon, scenario, table)
+                for v_plus, v_minus in _side_sizes(n_nodes, a_plus, a_minus):
+                    total_v = v_plus + v_minus
+                    # each node joins a plus vertex to a minus vertex; half
+                    # decorations are the node monodromy on the plus side and
+                    # its inverse on the minus side
+                    node_edges = [
+                        [Edge(RELATIVE, (p, q), (label, table.inverse_of(label)), contact)
+                         for p in range(v_plus) for q in range(v_plus, total_v)]
+                        for label, contact in nodes]
+                    # a negative genus budget (too many cycles) has no compositions
+                    genus_budget = scenario.genus - (n_nodes - total_v + 1)
+                    for cls_plus, cls_minus in itertools.product(
+                            _class_assignments(a_plus, v_plus, effective),
+                            _class_assignments(a_minus, v_minus, effective)):
+                        classes = cls_plus + cls_minus
+                        for genera in _compositions(genus_budget, total_v):
+                            vertices = tuple(Vertex(genera[v], classes[v], int(v >= v_plus))
+                                             for v in range(total_v))
+                            for homes in itertools.product(range(total_v), repeat=m):
+                                tails = tuple(
+                                    Tail(vertex=home, kind=ABSOLUTE, monodromy=insertion.label)
+                                    for home, insertion in zip(homes, scenario.absolute))
+                                for edges in itertools.product(*node_edges):
+                                    budget -= 1
+                                    if budget < 0:
+                                        raise ResourceLimitError(
+                                            "splitting enumeration exceeded the candidate "
+                                            f"budget ({_CANDIDATE_BUDGET}); a partial term "
+                                            "sum would be wrong, tighten the scenario bounds")
+                                    glued = RelGraph(vertices, edges, tails)
+                                    if not is_connected(glued):
+                                        continue
+                                    canon = canonical_form(glued)
+                                    key = encode(canon)
+                                    if key not in found:
+                                        found[key] = _extract_matching(canon, scenario, table)
     return [found[key] for key in sorted(found)]
 
 
-def _node_edge(attach: tuple[int, int], node: tuple[str, ContactOrder],
-               table: MonodromyTable) -> Edge:
-    label, contact = node
-    return Edge(RELATIVE, attach, (label, table.inverse_of(label)), contact)
+def _side_sizes(n_nodes: int, a_plus: tuple[int, ...],
+                a_minus: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Vertex counts (v_plus, v_minus) of the two sides: at most n_nodes + 1
+    vertices in all, both sides occupied when there is a node, and an empty
+    side only where its class is zero."""
+    return [(v_plus, v_minus)
+            for v_plus in range(n_nodes + 2)
+            for v_minus in range(n_nodes + 2 - v_plus)
+            if (v_plus or not any(a_plus)) and (v_minus or not any(a_minus))
+            and (v_plus and v_minus if n_nodes else v_plus + v_minus)]
 
 
 def _side_record(graph: RelGraph) -> str:

@@ -8,8 +8,9 @@ against a MonodromyTable.
 
 Identity convention: tails are labeled by their list position (marked points
 are distinguishable), so two graphs that differ only in which vertex carries
-tail 0 are distinct.  automorphism_order, by contrast, treats the tail set as
-a multiset, per the decoration-preserving reading of graph symmetry.
+tail 0 are distinct, and a symmetry counted by automorphism_order fixes every
+tail.  A graph's identity is its least encoding over vertex relabelings;
+canonical_form is that encoding decoded.
 """
 
 from __future__ import annotations
@@ -327,35 +328,46 @@ def _contact_key(contact: ContactOrder | None) -> tuple[int, int]:
     return (contact.k, contact.r) if contact is not None else (0, 0)
 
 
-def _flipped(graph: RelGraph, edge: Edge) -> bool:
-    """Whether end 0 comes after end 1 in (level, vertex, half) order."""
-    a, b = edge.ends
-    return ((graph.vertices[a].level, a, edge.halves[0])
-            > (graph.vertices[b].level, b, edge.halves[1]))
+def _contact_of(key: tuple[int, int]) -> ContactOrder | None:
+    return ContactOrder(*key) if key != (0, 0) else None
 
 
-def _edge_code(graph: RelGraph, edge: Edge) -> tuple:
+def _edge_code(graph: RelGraph, edge: Edge, perm: Sequence[int]) -> tuple:
+    """The edge with vertex v relabeled perm[v], oriented so that end 0 comes
+    first in (level, vertex, half) order."""
     (a, b), (ha, hb) = edge.ends, edge.halves
-    if _flipped(graph, edge):
+    la, lb = graph.vertices[a].level, graph.vertices[b].level
+    a, b = perm[a], perm[b]
+    if (la, a, ha) > (lb, b, hb):
         a, b, ha, hb = b, a, hb, ha
     return (edge.kind, a, ha, b, hb, _contact_key(edge.contact))
 
 
+def _encode(graph: RelGraph, perm: Sequence[int]) -> tuple:
+    """The encoding of `graph` with vertex v relabeled perm[v]."""
+    vs: list = [None] * len(graph.vertices)
+    for v, vertex in enumerate(graph.vertices):
+        vs[perm[v]] = (vertex.level, vertex.genus, vertex.cls)
+    es = tuple(sorted(_edge_code(graph, e, perm) for e in graph.edges))
+    ts = tuple((perm[t.vertex], t.kind, t.monodromy, _contact_key(t.contact))
+               for t in graph.tails)
+    return (tuple(vs), es, ts)
+
+
 def encode(graph: RelGraph) -> tuple:
     """Index-sensitive total encoding; equal encodings mean equal decorated graphs."""
-    vs = tuple((v.level, v.genus, v.cls) for v in graph.vertices)
-    es = tuple(sorted(_edge_code(graph, e) for e in graph.edges))
-    ts = tuple((t.vertex, t.kind, t.monodromy, _contact_key(t.contact)) for t in graph.tails)
-    return (vs, es, ts)
+    return _encode(graph, range(len(graph.vertices)))
 
 
-def _permute(graph: RelGraph, perm: Sequence[int]) -> RelGraph:
-    """Relabel vertices so that old vertex v becomes perm[v]."""
-    order = sorted(range(len(perm)), key=lambda v: perm[v])
-    new_vertices = tuple(graph.vertices[v] for v in order)
-    new_edges = tuple(replace(e, ends=(perm[e.ends[0]], perm[e.ends[1]])) for e in graph.edges)
-    new_tails = tuple(replace(t, vertex=perm[t.vertex]) for t in graph.tails)
-    return RelGraph(new_vertices, new_edges, new_tails)
+def _decode(code: tuple) -> RelGraph:
+    """The graph an encoding describes, its edges in encoding order and orientation."""
+    vs, es, ts = code
+    return RelGraph(
+        tuple(Vertex(genus, cls, level) for level, genus, cls in vs),
+        tuple(Edge(kind, (a, b), (ha, hb), _contact_of(contact))
+              for kind, a, ha, b, hb, contact in es),
+        tuple(Tail(v, kind, monodromy, _contact_of(contact))
+              for v, kind, monodromy, contact in ts))
 
 
 def _vertex_base_keys(graph: RelGraph) -> list[tuple]:
@@ -412,54 +424,45 @@ def _block_permutations(blocks: list[list[int]], nv: int) -> Iterable[list[int]]
         yield perm
 
 
-def _canonical_search(graph: RelGraph) -> tuple[RelGraph, int]:
-    """The least-encoding relabeling over the base-key-respecting vertex maps,
-    and how many maps reach it: two maps tie exactly when they differ by a
+def _canonical_search(graph: RelGraph) -> tuple[tuple, int]:
+    """The least encoding over the base-key-respecting vertex relabelings, and
+    how many relabelings reach it: two tie exactly when they differ by a
     decoration-preserving symmetry, and every symmetry respects the base keys
     (which hold the tail index, so a symmetry fixes every tail)."""
     if len(graph.vertices) > MAX_AUT_VERTICES:
         raise ResourceLimitError(
             f"graph has {len(graph.vertices)} vertices, cap is {MAX_AUT_VERTICES}"
         )
-    best: RelGraph | None = None
-    best_code: tuple | None = None
+    best: tuple | None = None
     ties = 0
     for perm in _block_permutations(_key_blocks(graph), len(graph.vertices)):
-        candidate = _permute(graph, perm)
-        code = encode(candidate)
-        if best_code is None or code < best_code:
-            best, best_code, ties = candidate, code, 1
-        elif code == best_code:
+        code = _encode(graph, perm)
+        if best is None or code < best:
+            best, ties = code, 1
+        elif code == best:
             ties += 1
-    assert best is not None
     return best, ties
 
 
 def canonical_form(graph: RelGraph) -> RelGraph:
-    """Deterministic representative of the vertex-relabeling class (tails stay labeled)."""
+    """Deterministic representative of the vertex-relabeling class (tails stay
+    labeled): the least encoding, decoded."""
     if not graph.vertices:
         return graph
-    return _normalize_edges(_canonical_search(graph)[0])
+    return _decode(_canonical_search(graph)[0])
 
 
 def automorphism_order(graph: RelGraph) -> int:
     """Order of the decoration-preserving vertex symmetry group.
 
-    Tails enter as a multiset of (vertex, kind, monodromy, contact), so two
-    identically decorated tails may be exchanged by a symmetry.
+    Marked points are labeled, so a symmetry fixes every tail; two identically
+    decorated tails are never exchanged.  The multiset symmetry of equal
+    insertions enters each term's coefficient through contact.aut_order, so
+    counting it here as well would count it twice.
     """
     if not graph.vertices:
         return 1
     return _canonical_search(graph)[1]
-
-
-def _normalize_edges(graph: RelGraph) -> RelGraph:
-    """Sort the edge list and orient each edge the way _edge_code does."""
-    oriented = [replace(e, ends=e.ends[::-1], halves=e.halves[::-1])
-                if _flipped(graph, e) else e
-                for e in graph.edges]
-    oriented.sort(key=lambda e: _edge_code(graph, e))
-    return RelGraph(graph.vertices, tuple(oriented), graph.tails)
 
 
 @dataclass(frozen=True)
@@ -557,8 +560,7 @@ def stratification_poset(
             for k in range(1, bounds.max_edge_contact_numerator + 1):
                 rel_decos.append((h, table.inverse_of(h), ContactOrder(k, r)))
 
-    seen: dict[tuple, int] = {}
-    nodes: list[RelGraph] = []
+    seen: set[tuple] = set()
     touched_cap = False
     budget = _PERM_BUDGET
 
@@ -566,12 +568,10 @@ def stratification_poset(
         nonlocal touched_cap
         if validate(graph, homology, table):
             return
-        canon = canonical_form(graph)
-        code = encode(canon)
+        code = _canonical_search(graph)[0]
         if code in seen:
             return
-        seen[code] = len(nodes)
-        nodes.append(canon)
+        seen.add(code)
         if len(graph.vertices) == bounds.max_vertices:
             touched_cap = True
         if any(v.level == bounds.max_levels - 1 for v in graph.vertices) and bounds.max_levels > 1:
@@ -630,15 +630,14 @@ def stratification_poset(
                                 tuple(edges), placed)
                             consider(candidate)
 
-    order = sorted(range(len(nodes)), key=lambda i: encode(nodes[i]))
-    nodes = [nodes[i] for i in order]
-    index_of = {encode(node): i for i, node in enumerate(nodes)}
+    codes = sorted(seen)
+    nodes = [_decode(code) for code in codes]
+    index_of = {code: i for i, code in enumerate(codes)}
 
     covers: set[tuple[int, int]] = set()
     for i, node in enumerate(nodes):
         for contracted in _single_contractions(node):
-            canon = canonical_form(contracted)
-            j = index_of.get(encode(canon))
+            j = index_of.get(_canonical_search(contracted)[0])
             if j is None:
                 raise ValidationError(
                     "a contraction left the enumerated node set; effective list is "

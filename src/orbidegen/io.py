@@ -25,7 +25,7 @@ SCHEMA = "orbi-degen/1"
 
 
 def parse_rational(text: Any) -> Fraction:
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
     if isinstance(text, str):
         try:
@@ -53,12 +53,70 @@ def _require(mapping: Any, key: str, where: str) -> Any:
     return mapping[key]
 
 
+def _integer(value: Any, where: str) -> int:
+    """A JSON integer, or a string holding one (object keys are strings)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValidationError(f"{where}: expected an integer, got {value!r}")
+
+
+def _string(value: Any, where: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
+def _rational(value: Any, where: str) -> Fraction:
+    try:
+        return parse_rational(value)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+
+
+def _array_of(read):
+    """A reader of JSON arrays whose elements `read` reads, each under its index."""
+    def read_array(value: Any, where: str) -> tuple:
+        return tuple(read(x, f"{where}[{i}]") for i, x in enumerate(_array(value, where)))
+    return read_array
+
+
+def _pair_of(read):
+    """A reader of two-element JSON arrays."""
+    read_array = _array_of(read)
+
+    def read_pair(value: Any, where: str) -> tuple:
+        items = read_array(value, where)
+        if len(items) != 2:
+            raise ValidationError(f"{where}: expected a pair, got {len(items)} entries")
+        return items
+    return read_pair
+
+
+_integers = _array_of(_integer)
+_rationals = _array_of(_rational)
+
+
+def _field(mapping: Any, key: str, where: str, read, default: Any = ...) -> Any:
+    """Read one member; a missing member is an error unless a default is given."""
+    if default is not ... and key not in _object(mapping, where):
+        return default
+    return read(_require(mapping, key, where), f"{where}.{key}")
+
+
 def _contact(value: Any, where: str) -> ContactOrder | None:
     if value is None:
         return None
     if not isinstance(value, str):
         raise ValidationError(f"{where}: contact order must be a 'k/r' string")
-    return ContactOrder.parse(value)
+    try:
+        return ContactOrder.parse(value)
+    except (ValidationError, ValueError) as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 @dataclass
@@ -109,150 +167,145 @@ def _load_object(text: str) -> dict:
     return raw
 
 
+def _entries(raw: dict, section: str, used: set[str]):
+    """(name, where, entry) for each entry of a section; names are unique document-wide."""
+    for entry in _array(raw.get(section, []), section):
+        name = _check_name(_require(entry, "name", section), used, section)
+        yield name, f"{section}[{name}]", entry
+
+
+def _known(name: str, table: dict, what: str, where: str) -> str:
+    if name not in table:
+        raise ValidationError(f"{where}: unknown {what} {name!r}")
+    return name
+
+
 def load_document(text: str) -> InputDocument:
+    """Parse a document; every field is read through a typed reader, so a
+    malformed value raises ValidationError naming its field."""
     raw = _load_object(text)
     doc = InputDocument()
     used: set[str] = set()
 
-    for entry in _array(raw.get("groups", []), "groups"):
-        name = _check_name(_require(entry, "name", "groups"), used, "groups")
-        where = f"groups[{name}]"
+    for name, where, entry in _entries(raw, "groups", used):
         if "cyclic" in entry:
-            group = FiniteGroupTable.cyclic(int(entry["cyclic"]))
+            group = FiniteGroupTable.cyclic(_field(entry, "cyclic", where, _integer))
         elif "table" in entry:
-            group = FiniteGroupTable.from_rows(entry["table"], int(entry.get("identity", 0)))
+            rows = _field(entry, "table", where, _array_of(_integers))
+            group = FiniteGroupTable.from_rows(rows,
+                                               _field(entry, "identity", where, _integer, 0))
         else:
             raise ValidationError(f"{where}: needs 'cyclic' or 'table'")
         doc.groups[name] = group
 
-    for entry in _array(raw.get("classes", []), "classes"):
-        name = _check_name(_require(entry, "name", "classes"), used, "classes")
-        where = f"classes[{name}]"
+    def label_row(item: Any, at: str) -> tuple[str, int, str]:
+        return (_field(item, "label", at, _string), _field(item, "order", at, _integer),
+                _field(item, "inverse", at, _string))
+
+    for name, where, entry in _entries(raw, "classes", used):
         if entry.get("trivial"):
             doc.classes[name] = MonodromyTable.trivial()
         elif "group" in entry:
-            gname = entry["group"]
-            if gname not in doc.groups:
-                raise ValidationError(f"{where}: unknown group {gname!r}")
+            gname = _known(_field(entry, "group", where, _string), doc.groups, "group", where)
             doc.classes[name] = inertia.monodromy_table(doc.groups[gname])
         elif "labels" in entry:
-            orders = {}
-            inverses = {}
-            for item in entry["labels"]:
-                label = _require(item, "label", where)
-                orders[label] = int(_require(item, "order", where))
-                inverses[label] = _require(item, "inverse", where)
-            doc.classes[name] = MonodromyTable(orders=orders, inverses=inverses)
+            rows = _field(entry, "labels", where, _array_of(label_row))
+            doc.classes[name] = MonodromyTable(orders={lb: o for lb, o, _ in rows},
+                                               inverses={lb: inv for lb, _, inv in rows})
         else:
             raise ValidationError(f"{where}: needs 'trivial', 'group', or 'labels'")
 
-    for entry in _array(raw.get("profiles", []), "profiles"):
-        name = _check_name(_require(entry, "name", "profiles"), used, "profiles")
-        where = f"profiles[{name}]"
-        gname = _require(entry, "group", where)
-        if gname not in doc.groups:
-            raise ValidationError(f"{where}: unknown group {gname!r}")
+    for name, where, entry in _entries(raw, "profiles", used):
+        gname = _known(_field(entry, "group", where, _string), doc.groups, "group", where)
         group = doc.groups[gname]
         by_label = {class_label(i): cls_ for i, cls_ in enumerate(group.class_data.classes)}
-        ambient = int(_require(entry, "ambient_dim", where))
-        sectors = []
-        for sec in _require(entry, "sectors", where):
-            label = _require(sec, "class", where)
-            if label not in by_label:
-                raise ValidationError(f"{where}: unknown class label {label!r}")
-            rotations = tuple(parse_rational(r) for r in _require(sec, "rotations", where))
-            betti = {int(k): int(v) for k, v in sec.get("betti", {}).items()}
-            sectors.append(SectorDatum(cls=by_label[label], rotations=rotations, betti=betti))
-        doc.profiles[name] = CRProfile(group=group, ambient_dim=ambient,
-                                       sectors=tuple(sectors))
 
-    for entry in _array(raw.get("homology", []), "homology"):
-        name = _check_name(_require(entry, "name", "homology"), used, "homology")
-        where = f"homology[{name}]"
-        rank = int(_require(entry, "rank", where))
+        def sector(sec: Any, at: str) -> SectorDatum:
+            label = _known(_field(sec, "class", at, _string), by_label, "class label", at)
+            betti = _field(sec, "betti", at, _object, {})
+            return SectorDatum(
+                cls=by_label[label],
+                rotations=_field(sec, "rotations", at, _rationals),
+                betti={_integer(k, f"{at}.betti"): _integer(v, f"{at}.betti.{k}")
+                       for k, v in betti.items()})
+
+        doc.profiles[name] = CRProfile(
+            group=group, ambient_dim=_field(entry, "ambient_dim", where, _integer),
+            sectors=_field(entry, "sectors", where, _array_of(sector)))
+
+    for name, where, entry in _entries(raw, "homology", used):
         doc.homology[name] = HomologyModel(
-            rank=rank,
-            c1=tuple(parse_rational(x) for x in _require(entry, "c1", where)),
-            z_pairing=tuple(parse_rational(x) for x in _require(entry, "z_pairing", where)),
-            effective=tuple(tuple(int(v) for v in vec)
-                            for vec in _require(entry, "effective", where)),
-        )
+            rank=_field(entry, "rank", where, _integer),
+            c1=_field(entry, "c1", where, _rationals),
+            z_pairing=_field(entry, "z_pairing", where, _rationals),
+            effective=_field(entry, "effective", where, _array_of(_integers)))
 
-    for entry in _array(raw.get("graphs", []), "graphs"):
-        name = _check_name(_require(entry, "name", "graphs"), used, "graphs")
-        where = f"graphs[{name}]"
-        hname = _require(entry, "homology", where)
-        if hname not in doc.homology:
-            raise ValidationError(f"{where}: unknown homology model {hname!r}")
+    def vertex(v: Any, at: str) -> Vertex:
+        return Vertex(genus=_field(v, "genus", at, _integer),
+                      cls=_field(v, "class", at, _integers),
+                      level=_field(v, "level", at, _integer, 0))
+
+    def edge(e: Any, at: str) -> Edge:
+        return Edge(kind=_field(e, "kind", at, _string),
+                    ends=_field(e, "ends", at, _pair_of(_integer)),
+                    halves=_field(e, "halves", at, _pair_of(_string), ("e", "e")),
+                    contact=_field(e, "contact", at, _contact, None))
+
+    def tail(t: Any, at: str) -> Tail:
+        return Tail(vertex=_field(t, "vertex", at, _integer),
+                    kind=_field(t, "kind", at, _string),
+                    monodromy=_field(t, "monodromy", at, _string, "e"),
+                    contact=_field(t, "contact", at, _contact, None))
+
+    for name, where, entry in _entries(raw, "graphs", used):
+        hname = _known(_field(entry, "homology", where, _string), doc.homology,
+                       "homology model", where)
         cname = entry.get("classes")
-        if cname is not None and cname not in doc.classes:
-            raise ValidationError(f"{where}: unknown class table {cname!r}")
-        vertices = tuple(
-            Vertex(genus=int(_require(v, "genus", where)),
-                   cls=tuple(int(x) for x in _require(v, "class", where)),
-                   level=int(v.get("level", 0)))
-            for v in entry.get("vertices", []))
-        edges = tuple(
-            Edge(kind=_require(e, "kind", where),
-                 ends=tuple(int(x) for x in _require(e, "ends", where)),
-                 halves=tuple(e.get("halves", ["e", "e"])),
-                 contact=_contact(e.get("contact"), where))
-            for e in entry.get("edges", []))
-        tails = tuple(
-            Tail(vertex=int(_require(t, "vertex", where)),
-                 kind=_require(t, "kind", where),
-                 monodromy=t.get("monodromy", "e"),
-                 contact=_contact(t.get("contact"), where))
-            for t in entry.get("tails", []))
-        doc.graphs[name] = RelGraph(vertices, edges, tails)
+        if cname is not None:
+            _known(_field(entry, "classes", where, _string), doc.classes, "class table", where)
+        doc.graphs[name] = RelGraph(
+            _field(entry, "vertices", where, _array_of(vertex), ()),
+            _field(entry, "edges", where, _array_of(edge), ()),
+            _field(entry, "tails", where, _array_of(tail), ()))
         doc.graph_context[name] = (hname, cname if cname is not None else "")
 
-    for entry in _array(raw.get("basis", []), "basis"):
-        name = _check_name(_require(entry, "name", "basis"), used, "basis")
-        where = f"basis[{name}]"
-        entries = tuple(
-            BasisEntry(label=_require(b, "label", where),
-                       sector=_require(b, "sector", where),
-                       cr_degree=parse_rational(_require(b, "degree", where)))
-            for b in _require(entry, "entries", where))
+    def basis_entry(b: Any, at: str) -> BasisEntry:
+        return BasisEntry(label=_field(b, "label", at, _string),
+                          sector=_field(b, "sector", at, _string),
+                          cr_degree=_field(b, "degree", at, _rational))
+
+    for name, where, entry in _entries(raw, "basis", used):
+        entries = _field(entry, "entries", where, _array_of(basis_entry))
         index = {b.label: i for i, b in enumerate(entries)}
         duality = []
-        for pair in _require(entry, "duality", where):
-            a, b = pair
-            if a not in index or b not in index:
-                raise ValidationError(f"{where}: duality references unknown label in {pair}")
-            duality.append((index[a], index[b]))
-        doc.basis[name] = CRBasisZ(dim_z=int(_require(entry, "dim_z", where)),
+        for pair in _field(entry, "duality", where, _array_of(_pair_of(_string))):
+            if any(label not in index for label in pair):
+                raise ValidationError(
+                    f"{where}: duality references unknown label in {list(pair)}")
+            duality.append((index[pair[0]], index[pair[1]]))
+        doc.basis[name] = CRBasisZ(dim_z=_field(entry, "dim_z", where, _integer),
                                    entries=entries, duality=tuple(duality))
 
-    for entry in _array(raw.get("scenarios", []), "scenarios"):
-        name = _check_name(_require(entry, "name", "scenarios"), used, "scenarios")
-        where = f"scenarios[{name}]"
-        hname = _require(entry, "homology", where)
-        if hname not in doc.homology:
-            raise ValidationError(f"{where}: unknown homology model {hname!r}")
-        bname = entry.get("basis", "")
-        if bname and bname not in doc.basis:
-            raise ValidationError(f"{where}: unknown basis {bname!r}")
-        menu = tuple(
-            MenuEntry(label=_require(m, "label", where),
-                      order=int(_require(m, "order", where)),
-                      inverse=_require(m, "inverse", where))
-            for m in _require(entry, "monodromy_menu", where))
-        scenario = SplittingScenario(
-            genus=int(_require(entry, "genus", where)),
-            absolute=tuple(
-                AbsInsertion(label=_require(a, "label", where),
-                             descendant=int(a.get("descendant", 0)))
-                for a in entry.get("absolute", [])),
-            class_splittings=tuple(
-                (tuple(int(x) for x in pair[0]), tuple(int(x) for x in pair[1]))
-                for pair in _require(entry, "splittings", where)),
-            max_nodes=int(_require(entry, "max_nodes", where)),
-            monodromy_menu=menu,
-            z_total=parse_rational(_require(entry, "z_total", where)),
-        )
-        doc.scenarios[name] = scenario
+    def menu_entry(m: Any, at: str) -> MenuEntry:
+        return MenuEntry(*label_row(m, at))
+
+    def insertion(a: Any, at: str) -> AbsInsertion:
+        return AbsInsertion(label=_field(a, "label", at, _string),
+                            descendant=_field(a, "descendant", at, _integer, 0))
+
+    for name, where, entry in _entries(raw, "scenarios", used):
+        hname = _known(_field(entry, "homology", where, _string), doc.homology,
+                       "homology model", where)
+        bname = _field(entry, "basis", where, _string, "")
+        if bname:
+            _known(bname, doc.basis, "basis", where)
+        doc.scenarios[name] = SplittingScenario(
+            genus=_field(entry, "genus", where, _integer),
+            absolute=_field(entry, "absolute", where, _array_of(insertion), ()),
+            class_splittings=_field(entry, "splittings", where, _array_of(_pair_of(_integers))),
+            max_nodes=_field(entry, "max_nodes", where, _integer),
+            monodromy_menu=_field(entry, "monodromy_menu", where, _array_of(menu_entry)),
+            z_total=_field(entry, "z_total", where, _rational))
         doc.scenario_context[name] = (hname, bname)
 
     return doc
@@ -268,32 +321,23 @@ class LedgerDocument:
     total: ModuliSpec
 
 
-def _integer(value: Any, where: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{where}: expected an integer, got {value!r}") from None
+def _rel_term(term: Any, at: str) -> RelTerm:
+    order = _field(term, "contact", at, _contact)
+    if order is None:
+        raise ValidationError(f"{at}: contact order must be a 'k/r' string")
+    return RelTerm(order=order, shift=_field(term, "shift", at, _rational, Fraction(0)),
+                   monodromy=_field(term, "monodromy", at, _string, "e"))
 
 
 def _moduli_spec(data: Any, where: str) -> ModuliSpec:
-    data = _object(data, where)
-    rel = []
-    for i, term in enumerate(_array(data.get("rel", []), f"{where}.rel")):
-        at = f"{where}.rel[{i}]"
-        term = _object(term, at)
-        order = _contact(_require(term, "contact", at), at)
-        if order is None:
-            raise ValidationError(f"{at}: contact order must be a 'k/r' string")
-        rel.append(RelTerm(order=order, shift=parse_rational(term.get("shift", "0")),
-                           monodromy=term.get("monodromy", "e")))
     return ModuliSpec(
-        flavor=_require(data, "flavor", where),
-        n=_integer(_require(data, "n", where), f"{where}.n"),
-        genus=_integer(_require(data, "genus", where), f"{where}.genus"),
-        c1A=parse_rational(_require(data, "c1A", where)),
-        shifts=tuple(parse_rational(x) for x in _array(data.get("shifts", []), f"{where}.shifts")),
-        rel=tuple(rel),
-        zA=parse_rational(data.get("zA", "0")))
+        flavor=_field(data, "flavor", where, _string),
+        n=_field(data, "n", where, _integer),
+        genus=_field(data, "genus", where, _integer),
+        c1A=_field(data, "c1A", where, _rational),
+        shifts=_field(data, "shifts", where, _rationals, ()),
+        rel=_field(data, "rel", where, _array_of(_rel_term), ()),
+        zA=_field(data, "zA", where, _rational, Fraction(0)))
 
 
 def load_ledger(text: str) -> LedgerDocument:
@@ -306,8 +350,7 @@ def load_ledger(text: str) -> LedgerDocument:
     return LedgerDocument(
         plus=_moduli_spec(raw["plus"], "plus"),
         minus=None if minus is None else _moduli_spec(minus, "minus"),
-        sector_dims=tuple(parse_rational(x)
-                          for x in _array(raw.get("sector_dims", []), "sector_dims")),
+        sector_dims=_rationals(raw.get("sector_dims", []), "sector_dims"),
         total=_moduli_spec(raw["total"], "total"))
 
 

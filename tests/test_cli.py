@@ -274,6 +274,34 @@ class TestMalformedInputExits1:
         err = self.run_on(tmp_path, json.dumps(doc), ["sectors"])
         assert section in err
 
+    def test_null_cyclic_order(self, tmp_path):
+        doc = json.loads((DATA / "ex_z3.json").read_text())
+        doc["groups"][0]["cyclic"] = None
+        err = self.run_on(tmp_path, json.dumps(doc), ["sectors"])
+        assert "groups[z3].cyclic" in err and "integer" in err
+
+    def test_non_pair_splitting(self, tmp_path):
+        doc = json.loads((DATA / "smooth1.json").read_text())
+        doc["scenarios"][0]["splittings"] = [1]
+        err = self.run_on(tmp_path, json.dumps(doc),
+                          ["expand", "--scenario", "smooth_one_node"])
+        assert "scenarios[smooth_one_node].splittings[0]" in err
+
+    def test_boolean_rational(self, tmp_path):
+        doc = json.loads((DATA / "smooth1.json").read_text())
+        doc["scenarios"][0]["z_total"] = True
+        err = self.run_on(tmp_path, json.dumps(doc),
+                          ["expand", "--scenario", "smooth_one_node"])
+        assert "scenarios[smooth_one_node].z_total" in err
+
+    @pytest.mark.parametrize("ends", [[0, 1, 1], [1]], ids=["three-ends", "one-end"])
+    def test_edge_ends_not_a_pair(self, tmp_path, ends):
+        doc = json.loads((DATA / "graphs.json").read_text())
+        doc["graphs"][1]["edges"][0]["ends"] = ends
+        err = self.run_on(tmp_path, json.dumps(doc),
+                          ["graphs", "genus", "--graph", "two_level"])
+        assert "graphs[two_level].edges[0].ends" in err and "pair" in err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("argv,setting", [
         (["sphere", "--scale", "1e200"], "--scale 1e+200"),
@@ -284,3 +312,62 @@ class TestMalformedInputExits1:
         assert rc == 1 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
         assert f"glue demo {argv[0]} {setting}" in err
+
+
+SWEEP_COMMANDS = {
+    "ex_z3.json": [["sectors"]],
+    "ex_s3.json": [["sectors"]],
+    "graphs.json": [["graphs", "validate", "--graph", "two_level"],
+                    ["graphs", "genus", "--graph", "two_level"],
+                    ["graphs", "contract", "--graph", "two_level", "--level", "0"],
+                    ["graphs", "poset", "--graph", "gmax"]],
+    "smooth1.json": [["expand", "--scenario", "dup_insertion"]],
+    "ledger_smooth.json": [["dim", "ledger"]],
+}
+MISTYPED = (None, [1], {}, "x", 1.5, -1)
+
+
+def json_paths(node, prefix=()):
+    """The key path of every object member and array element, at every depth."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from json_paths(child, prefix + (key,))
+
+
+def mistyped_documents(name):
+    """Each shipped document with one value replaced by each mistyped value."""
+    text = (DATA / name).read_text()
+    for path in json_paths(json.loads(text)):
+        for value in MISTYPED:
+            doc = json.loads(text)
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+            yield path, value, json.dumps(doc)
+
+
+class TestMistypedFieldSweep:
+    @pytest.mark.parametrize("name", sorted(SWEEP_COMMANDS), ids=str)
+    def test_no_exception_escapes(self, tmp_path, name):
+        path = tmp_path / name
+        escaped, runs = [], 0
+        for where, value, text in mistyped_documents(name):
+            path.write_text(text)
+            for argv in SWEEP_COMMANDS[name]:
+                runs += 1
+                try:
+                    rc, _, _ = capture(argv + ["--in", str(path)])
+                except Exception as exc:  # noqa: BLE001 - the sweep records every escape
+                    escaped.append((argv[0], where, value, type(exc).__name__))
+                    continue
+                if rc not in (0, 1, 3):
+                    escaped.append((argv[0], where, value, f"exit {rc}"))
+        assert runs > 100
+        assert escaped == []

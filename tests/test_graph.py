@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -27,6 +28,7 @@ from orbidegen.graph import (
     total_class,
     validate,
 )
+from orbidegen.graph import _canonical_search, _decode
 
 LINE = HomologyModel(rank=1, c1=(F(3),), z_pairing=(F(1),),
                      effective=((0,), (1,), (2,), (3,), (4,)))
@@ -433,8 +435,8 @@ class TestCanonicalSearchOracle:
         graphs = oracle_graphs()
         orders = [automorphism_order(g) for g in graphs]
         assert orders == [brute_automorphism_count(g) for g in graphs]
-        # labeled tails: the two-tail edge counts 1, although the docstring's
-        # multiset reading of tails would give 2 (an open defect)
+        # labeled tails: a symmetry fixes every tail, so the edge whose two
+        # equal ends each carry one equally decorated tail counts 1, not 2
         assert orders[:8] == [720, 12, 2, 2, 36, 12, 1, 2]
         assert sum(order > 1 for order in orders) > 60
 
@@ -456,3 +458,29 @@ class TestCanonicalSearchOracle:
         canon = canonical_form(forward)
         assert canonical_form(canon) == canon
         assert canonical_form(backward) == canon
+
+
+def pinned_graphs() -> list[RelGraph]:
+    rng = random.Random(5000)
+    return oracle_graphs() + [
+        (random_symmetric_graph if i % 2 else random_valid_graph)(rng) for i in range(5000)]
+
+
+# sha256 over repr((canonical_form(g), encode(canonical_form(g)), automorphism_order(g)))
+# for every pinned graph, recorded before canonical_form became the decoded
+# least encoding
+PINNED_DIGEST = "898f7f353c3e4022e1e6616b0b48f47445bb0810bebb809e473f563b8ae6ad2f"
+
+
+class TestCanonicalFormPinned:
+    def test_digest(self):
+        digest = hashlib.sha256()
+        for graph in pinned_graphs():
+            canon = canonical_form(graph)
+            digest.update(repr((canon, encode(canon), automorphism_order(graph))).encode())
+        assert digest.hexdigest() == PINNED_DIGEST
+
+    def test_decode_inverts_encode(self):
+        for graph in pinned_graphs():
+            code = _canonical_search(graph)[0]
+            assert encode(_decode(code)) == code
