@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import inertia
-from .contact import ContactOrder, MonodromyTable, enumerate_partitions
-from .dimension import ModuliSpec, RelTerm, splitting_ledger, virdim
+from .contact import MonodromyTable, enumerate_partitions
+from .dimension import ModuliSpec, splitting_ledger, virdim
 from .errors import NonConvergenceError, ResourceLimitError, ValidationError
 from .expand import expand as expand_terms
 from .expand import term_record
@@ -39,18 +38,13 @@ from .io import (
     load_document,
     load_ledger,
     parse_rational,
+    parse_rel,
+    read_text,
 )
 
 
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
-
-
 def _read_document(path: str) -> InputDocument:
-    return load_document(_read_text(path))
+    return load_document(read_text(path))
 
 
 def _graph_context(doc: InputDocument, name: str):
@@ -248,22 +242,9 @@ def _cmd_graphs_poset(args) -> int:
 
 # ---------------------------------------------------------------- dim
 
-def _parse_rel(text: str) -> tuple[RelTerm, ...]:
-    if not text:
-        return ()
-    terms = []
-    for chunk in text.split(","):
-        parts = chunk.split(":")
-        order = ContactOrder.parse(parts[0])
-        shift = parse_rational(parts[1]) if len(parts) > 1 and parts[1] else Fraction(0)
-        monodromy = parts[2] if len(parts) > 2 else "e"
-        terms.append(RelTerm(order=order, shift=shift, monodromy=monodromy))
-    return tuple(terms)
-
-
 def _cmd_dim_virdim(args) -> int:
     shifts = tuple(parse_rational(x) for x in args.shifts.split(",")) if args.shifts else ()
-    rel = _parse_rel(args.rel)
+    rel = parse_rel(args.rel)
     za = parse_rational(args.za) if args.za else sum((t.order.value for t in rel), Fraction(0))
     spec = ModuliSpec(flavor=args.flavor, n=args.n, genus=args.genus,
                       c1A=parse_rational(args.c1a), shifts=shifts, rel=rel, zA=za)
@@ -278,7 +259,7 @@ def _cmd_dim_virdim(args) -> int:
 
 
 def _cmd_dim_ledger(args) -> int:
-    doc = load_ledger(_read_text(args.input))
+    doc = load_ledger(read_text(args.input))
     ledger = splitting_ledger(doc.plus, doc.minus, doc.sector_dims, doc.total)
     if args.json:
         sys.stdout.write(dump_json({

@@ -16,7 +16,7 @@ canonical_form is that encoding decoded.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -265,9 +265,10 @@ def _merge_vertices(graph: RelGraph, groups: list[set[int]], extra_genus: dict[i
         if level_shift:
             level = level_shift.get(gi, level)
         new_vertices.append(Vertex(genus=g, cls=cls, level=level))
-    new_edges = tuple(replace(e, ends=(group_of[e.ends[0]], group_of[e.ends[1]]))
-                      for e in graph.edges)
-    new_tails = tuple(replace(t, vertex=group_of[t.vertex]) for t in graph.tails)
+    new_edges = tuple(Edge(e.kind, (group_of[e.ends[0]], group_of[e.ends[1]]), e.halves,
+                           e.contact) for e in graph.edges)
+    new_tails = tuple(Tail(group_of[t.vertex], t.kind, t.monodromy, t.contact)
+                      for t in graph.tails)
     return RelGraph(tuple(new_vertices), new_edges, new_tails)
 
 
@@ -287,7 +288,7 @@ def contract_edge(graph: RelGraph, edge_index: int) -> RelGraph:
     stripped = RelGraph(graph.vertices, remaining, graph.tails)
     if edge.is_loop():
         new_vertices = tuple(
-            replace(v, genus=v.genus + 1) if i == a else v
+            Vertex(v.genus + 1, v.cls, v.level) if i == a else v
             for i, v in enumerate(stripped.vertices)
         )
         return RelGraph(new_vertices, stripped.edges, stripped.tails)
@@ -371,22 +372,21 @@ def _decode(code: tuple) -> RelGraph:
 
 
 def _vertex_base_keys(graph: RelGraph) -> list[tuple]:
-    keys = []
-    for v in range(len(graph.vertices)):
-        vertex = graph.vertices[v]
-        incident = []
-        for e in graph.edges:
-            for side in (0, 1):
-                if e.ends[side] == v:
-                    other = graph.vertices[e.ends[1 - side]]
-                    incident.append((e.kind, e.halves[side], e.halves[1 - side],
-                                     _contact_key(e.contact), e.is_loop(),
-                                     other.level, other.genus, other.cls))
-        tails = [(t_index, t.kind, t.monodromy, _contact_key(t.contact))
-                 for t_index, t in enumerate(graph.tails) if t.vertex == v]
-        keys.append((vertex.level, vertex.genus, vertex.cls,
-                     tuple(sorted(incident)), tuple(sorted(tails))))
-    return keys
+    """Per vertex: its decoration, its sorted incident half-edges (each with the
+    far end's decoration) and its tails in index order; one pass over each list."""
+    vertices = graph.vertices
+    incident: list[list[tuple]] = [[] for _ in vertices]
+    for e in graph.edges:
+        (a, b), (ha, hb) = e.ends, e.halves
+        contact, loop = _contact_key(e.contact), a == b
+        va, vb = vertices[a], vertices[b]
+        incident[a].append((e.kind, ha, hb, contact, loop, vb.level, vb.genus, vb.cls))
+        incident[b].append((e.kind, hb, ha, contact, loop, va.level, va.genus, va.cls))
+    tails: list[list[tuple]] = [[] for _ in vertices]
+    for t_index, t in enumerate(graph.tails):
+        tails[t.vertex].append((t_index, t.kind, t.monodromy, _contact_key(t.contact)))
+    return [(v.level, v.genus, v.cls, tuple(sorted(inc)), tuple(ts))
+            for v, inc, ts in zip(vertices, incident, tails)]
 
 
 def _key_blocks(graph: RelGraph) -> list[list[int]]:
@@ -513,8 +513,12 @@ def _class_assignments(total_cls: tuple[int, ...], count: int,
 
 
 def _single_contractions(graph: RelGraph) -> Iterable[RelGraph]:
+    """Each distinct absolute edge contracted once (equal edges give the same
+    graph up to edge order), then each adjacent level pair collapsed."""
+    contracted: set[Edge] = set()
     for j, edge in enumerate(graph.edges):
-        if edge.kind == ABSOLUTE:
+        if edge.kind == ABSOLUTE and edge not in contracted:
+            contracted.add(edge)
             yield contract_edge(graph, j)
     levels = sorted({v.level for v in graph.vertices})
     for level in levels:
@@ -535,7 +539,8 @@ def stratification_poset(
 
     Tail vertex assignments in `tails` are ignored; tails keep their list
     positions (marked points are labeled).  The result is flagged incomplete
-    when any node touches the vertex or level cap.
+    when any node touches the vertex or level cap.  Invalid inputs raise
+    ValidationError naming the one-vertex graph's first diagnostic.
     """
     table = classes if classes is not None else MonodromyTable.trivial()
     if bounds.max_vertices > MAX_AUT_VERTICES:
@@ -543,15 +548,24 @@ def stratification_poset(
             f"vertex cap {bounds.max_vertices} exceeds the supported "
             f"maximum {MAX_AUT_VERTICES}"
         )
-    if total_cls not in homology.effective:
-        raise ValidationError(f"total class {total_cls} is not in the effective list")
     if bounds.max_levels > 1 and bounds.max_edge_contact_numerator is None:
         raise ValidationError(
             "max_edge_contact_numerator is required when max_levels > 1 "
             "(relative edge contacts are otherwise unbounded)"
         )
 
-    # balanced decoration menus for internal edges
+    # every candidate below is valid by construction except for the inputs:
+    # classes come from `effective`, genera from _compositions, edges from the
+    # balanced level-respecting menus (MonodromyTable keeps inverses involutive
+    # with equal orders), so the one-vertex graph is the only one to check
+    top = RelGraph((Vertex(genus_total, total_cls, 0),), (),
+                   tuple(Tail(0, t.kind, t.monodromy, t.contact) for t in tails))
+    diags = validate(top, homology, table)
+    if diags:
+        raise ValidationError(f"the one-vertex graph is invalid: {diags[0]}")
+
+    # balanced decoration menus for internal edges; an absolute edge between
+    # two vertices may carry its pair of inverse halves either way round
     abs_decos = sorted({tuple(sorted((h, table.inverse_of(h)))) for h in bounds.edge_monodromies})
     rel_decos: list[tuple[str, str, ContactOrder]] = []
     if bounds.max_levels > 1:
@@ -564,71 +578,55 @@ def stratification_poset(
     touched_cap = False
     budget = _PERM_BUDGET
 
-    def consider(graph: RelGraph) -> None:
-        nonlocal touched_cap
-        if validate(graph, homology, table):
-            return
-        code = _canonical_search(graph)[0]
-        if code in seen:
-            return
-        seen.add(code)
-        if len(graph.vertices) == bounds.max_vertices:
-            touched_cap = True
-        if any(v.level == bounds.max_levels - 1 for v in graph.vertices) and bounds.max_levels > 1:
-            touched_cap = True
-
+    # Every graph has a vertex order non-decreasing in (level, class, genus),
+    # so only those decorated vertex tuples are walked; for each, every edge
+    # multiset and tail placement still is.
     for nv in range(1, bounds.max_vertices + 1):
-        for levels in itertools.product(range(bounds.max_levels), repeat=nv):
+        placements = [tuple(Tail(home, t.kind, t.monodromy, t.contact)
+                            for home, t in zip(homes, tails))
+                      for homes in itertools.product(range(nv), repeat=len(tails))]
+        for levels in itertools.combinations_with_replacement(range(bounds.max_levels), nv):
             occupied = set(levels)
             if occupied != set(range(max(occupied) + 1)):
                 continue
+            at_cap = nv == bounds.max_vertices or (
+                bounds.max_levels > 1 and levels[-1] == bounds.max_levels - 1)
+            slots: list[Edge] = []
+            for i in range(nv):
+                for j in range(i, nv):
+                    if levels[i] == levels[j]:
+                        for h0, h1 in abs_decos:
+                            slots.append(Edge(ABSOLUTE, (i, j), (h0, h1)))
+                            if i != j and h0 != h1:
+                                slots.append(Edge(ABSOLUTE, (i, j), (h1, h0)))
+                    elif levels[j] == levels[i] + 1:
+                        for h0, h1, contact in rel_decos:
+                            slots.append(Edge(RELATIVE, (i, j), (h0, h1), contact))
             for cls_assign in _class_assignments(total_cls, nv, homology.effective):
-                # candidate endpoints for edges, with their allowed decorations
-                slots: list[tuple[int, int, str, tuple]] = []
-                for i in range(nv):
-                    for j in range(i, nv):
-                        if levels[i] == levels[j]:
-                            for deco in abs_decos:
-                                slots.append((i, j, ABSOLUTE, deco))
-                        elif abs(levels[i] - levels[j]) == 1 and i != j:
-                            lo, hi = (i, j) if levels[i] < levels[j] else (j, i)
-                            for deco in rel_decos:
-                                slots.append((lo, hi, RELATIVE, deco))
-                max_edges = nv - 1 + genus_total
-                for counts in _edge_multiplicities(slots, nv, max_edges):
+                if not _sorted_in_runs(cls_assign, levels):
+                    continue
+                keys = list(zip(levels, cls_assign))
+                genera_by_cycles = [
+                    [g for g in _compositions(genus_total - cycles, nv) if _sorted_in_runs(g, keys)]
+                    for cycles in range(genus_total + 1)]
+                for counts in _edge_multiplicities(slots, nv, nv - 1 + genus_total):
                     budget -= 1
                     if budget < 0:
                         raise ResourceLimitError(
                             f"poset enumeration exceeded the candidate budget "
                             f"({_PERM_BUDGET}); tighten the bounds"
                         )
-                    edges = []
-                    for (i, j, kind, deco), mult in zip(slots, counts):
-                        for _ in range(mult):
-                            if kind == ABSOLUTE:
-                                edges.append(Edge(ABSOLUTE, (i, j), (deco[0], deco[1])))
-                            else:
-                                edges.append(Edge(RELATIVE, (i, j), (deco[0], deco[1]), deco[2]))
-                    n_edges = len(edges)
-                    cycles = n_edges - nv + 1
-                    if cycles < 0 or cycles > genus_total:
-                        continue
+                    edges = tuple(e for e, mult in zip(slots, counts) for _ in range(mult))
                     base = RelGraph(
-                        tuple(Vertex(0, cls_assign[v], levels[v]) for v in range(nv)),
-                        tuple(edges), ())
+                        tuple(Vertex(0, cls_assign[v], levels[v]) for v in range(nv)), edges, ())
                     if not is_connected(base):
                         continue
-                    for genera in _compositions(genus_total - cycles, nv):
-                        for tail_homes in itertools.product(range(nv), repeat=len(tails)):
-                            placed = tuple(
-                                Tail(vertex=tail_homes[t], kind=tail.kind,
-                                     monodromy=tail.monodromy, contact=tail.contact)
-                                for t, tail in enumerate(tails))
-                            candidate = RelGraph(
-                                tuple(Vertex(genera[v], cls_assign[v], levels[v])
-                                      for v in range(nv)),
-                                tuple(edges), placed)
-                            consider(candidate)
+                    for genera in genera_by_cycles[len(edges) - nv + 1]:
+                        vertices = tuple(Vertex(genera[v], cls_assign[v], levels[v])
+                                         for v in range(nv))
+                        touched_cap = touched_cap or at_cap
+                        for placed in placements:
+                            seen.add(_canonical_search(RelGraph(vertices, edges, placed))[0])
 
     codes = sorted(seen)
     nodes = [_decode(code) for code in codes]
@@ -653,6 +651,12 @@ def _edge_multiplicities(slots: list, nv: int, max_edges: int) -> Iterable[tuple
     """Multiplicity vectors over edge slots with total in [nv-1 ... max_edges]."""
     for total in range(max(0, nv - 1), max_edges + 1):
         yield from _compositions(total, len(slots))
+
+
+def _sorted_in_runs(values: Sequence, keys: Sequence) -> bool:
+    """Whether `values` is non-decreasing inside every run of equal `keys`."""
+    return all(values[i] <= values[i + 1]
+               for i in range(len(keys) - 1) if keys[i] == keys[i + 1])
 
 
 def _vec_str(vec: tuple[int, ...]) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 from typing import Any
 
 from .contact import ContactOrder, MonodromyTable
@@ -352,6 +353,32 @@ def load_ledger(text: str) -> LedgerDocument:
         minus=None if minus is None else _moduli_spec(minus, "minus"),
         sector_dims=_rationals(raw.get("sector_dims", []), "sector_dims"),
         total=_moduli_spec(raw["total"], "total"))
+
+
+def parse_rel(text: str) -> tuple[RelTerm, ...]:
+    """The `--rel` option: comma-separated 'k/r[:shift[:monodromy]]' terms."""
+    if not text:
+        return ()
+    terms = []
+    for chunk in text.split(","):
+        where = f"--rel term {chunk!r}"
+        parts = chunk.split(":")
+        if len(parts) > 3:
+            raise ValidationError(
+                f"{where}: expected 'k/r[:shift[:monodromy]]', got {len(parts)} fields")
+        order = _contact(parts[0], where)
+        shift = _rational(parts[1], where) if len(parts) > 1 and parts[1] else Fraction(0)
+        monodromy = parts[2] if len(parts) > 2 else "e"
+        terms.append(RelTerm(order=order, shift=shift, monodromy=monodromy))
+    return tuple(terms)
+
+
+def read_text(path: str) -> str:
+    """A UTF-8 input file; an unreadable path is a validation error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
 
 
 def dump_json(payload: dict) -> str:

@@ -280,6 +280,17 @@ class TestMalformedInputExits1:
         err = self.run_on(tmp_path, json.dumps(doc), ["sectors"])
         assert "groups[z3].cyclic" in err and "integer" in err
 
+    @pytest.mark.parametrize("rel,term", [
+        ("3/2:1/2:h:q", "3/2:1/2:h:q"),
+        ("x", "x"),
+        ("3/2:1/2:h,x", "x"),
+    ], ids=["extra-field", "not-a-contact", "second-term"])
+    def test_virdim_bad_rel_term(self, rel, term):
+        rc, out, err = capture(["dim", "virdim", "--flavor", "relative-orbifold", "--n", "2",
+                                "--genus", "0", "--c1a", "3", "--rel", rel])
+        assert rc == 1 and out == ""
+        assert err.startswith(f"error: --rel term {term!r}:") and "Traceback" not in err
+
     def test_non_pair_splitting(self, tmp_path):
         doc = json.loads((DATA / "smooth1.json").read_text())
         doc["scenarios"][0]["splittings"] = [1]

@@ -5,18 +5,33 @@ predicate, full-permutation isomorphism testing, and its own contraction
 moves.  Only the counts are compared against the library.
 """
 
+import hashlib
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+from orbidegen import graph
 from orbidegen.contact import ContactOrder, MonodromyTable
+from orbidegen.errors import ValidationError
 from orbidegen.graph import (
+    ABSOLUTE,
+    RELATIVE,
+    Edge,
     HomologyModel,
     PosetBounds,
+    RelGraph,
     Tail,
+    Vertex,
+    automorphism_order,
+    encode,
     stratification_poset,
+    validate,
 )
+from orbidegen.io import load_document
 
 # oracle graph: (vertices, edges, tails)
 #   vertices: tuple of (genus, class_scalar, level)
@@ -299,3 +314,180 @@ def test_maximal_element_is_one_vertex():
     for i in range(len(poset.nodes)):
         if i != poset.maximal_index():
             assert i in lowers
+
+
+# ------------------------------------------------------- sorted-decoration walk
+#
+# The generator walks only vertex tuples that are non-decreasing in
+# (level, class, genus).  For a node G the labelings with that vertex tuple
+# are the orbit of the block permutations (one symmetric group per block of
+# equal decorations), and the stabiliser is Aut(G), so the walk must emit
+# exactly  sum over nodes of  prod(block size!) / |Aut(G)|  labeled graphs.
+# An emission missed or doubled moves that sum.
+
+DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
+Z2 = MonodromyTable(orders={"e": 1, "h": 2}, inverses={"e": "e", "h": "h"})
+Z3 = MonodromyTable.cyclic(3)
+T11 = [("relative", "e", (1, 1)), ("relative", "e", (1, 1))]
+TZ2 = [("relative", "h", (1, 2)), ("relative", "h", (3, 2))]
+
+# (name, table, genus, class, tails, max_vertices, max_levels, edge menu, contact cap)
+WALK_CASES = [
+    ("g1_v3", None, 1, 2, T11 + [("absolute", "e", None)], 3, 1, ("e",), None),
+    ("g2_v3", None, 2, 2, T11 + [("absolute", "e", None)], 3, 1, ("e",), None),
+    ("g0_v4", None, 0, 2, T11, 4, 1, ("e",), None),
+    ("z2_g0_v3", Z2, 0, 2, TZ2, 3, 1, ("e", "h"), None),
+    ("z2_g1_v2", Z2, 1, 2, TZ2 + [("absolute", "h", None)], 2, 1, ("e", "h"), None),
+    ("z2grp_g0_v3", MonodromyTable.cyclic(2), 0, 2,
+     [("relative", "c1", (1, 2)), ("relative", "c1", (3, 2))], 3, 1, ("c0", "c1"), None),
+    ("lvl2_g0_v3_k2", None, 0, 2, T11, 3, 2, ("e",), 2),
+    ("lvl2_g1_v2_k2", None, 1, 2, T11 + [("absolute", "e", None)], 2, 2, ("e",), 2),
+    ("lvl2_z2_g0_v2_k2", Z2, 0, 2, TZ2, 2, 2, ("e", "h"), 2),
+    # c1 and c2 are mutually inverse, so an absolute edge between two
+    # vertices has two orientations
+    ("z3_g1_v3", Z3, 1, 1, [("relative", "c1", (1, 3)), ("relative", "c2", (2, 3))],
+     3, 1, ("c0", "c1"), None),
+    ("z3_lvl2_g1_v2", Z3, 1, 1, [("relative", "c1", (1, 3)), ("relative", "c2", (2, 3))],
+     2, 2, ("c1",), 1),
+]
+
+
+def walk_inputs(case):
+    _, table, genus_total, cls, tails, mv, levels, menu, cap = case
+    homology = HomologyModel(rank=1, c1=(F(3),), z_pairing=(F(1),),
+                             effective=tuple((c,) for c in range(max(2, cls) + 1)))
+    tails = [Tail(0, kind, mono, ContactOrder(*contact) if contact else None)
+             for kind, mono, contact in tails]
+    table = table or MonodromyTable.trivial()
+    return (genus_total, (cls,), tails, homology, table,
+            PosetBounds(mv, levels, menu, cap))
+
+
+def sorted_mass(poset):
+    total = 0
+    for node in poset.nodes:
+        blocks = Counter((v.level, v.cls, v.genus) for v in node.vertices)
+        labelings = math.prod(math.factorial(size) for size in blocks.values())
+        orbit, rest = divmod(labelings, automorphism_order(node))
+        assert rest == 0
+        total += orbit
+    return total
+
+
+@pytest.mark.parametrize("case", WALK_CASES, ids=lambda c: c[0])
+def test_sorted_walk(monkeypatch, case):
+    """Canonical searches before the first cover equal the sorted mass,
+    validate runs once per poset, and every node it returns is valid."""
+    counts = Counter()
+    search, contractions, check = (graph._canonical_search, graph._single_contractions,
+                                   graph.validate)
+
+    def counted_search(g):
+        if not counts["covers"]:
+            counts["searches"] += 1
+        return search(g)
+
+    def first_contractions(g):
+        counts["covers"] += 1
+        return contractions(g)
+
+    def counted_validate(*args):
+        counts["validate"] += 1
+        return check(*args)
+
+    monkeypatch.setattr(graph, "_canonical_search", counted_search)
+    monkeypatch.setattr(graph, "_single_contractions", first_contractions)
+    monkeypatch.setattr(graph, "validate", counted_validate)
+    genus_total, cls, tails, homology, table, bounds = walk_inputs(case)
+    poset = stratification_poset(genus_total, cls, tails, homology, table, bounds)
+    monkeypatch.undo()
+    assert counts["validate"] == 1
+    assert counts["searches"] == sorted_mass(poset)
+    if case[0] == "g2_v3":
+        # every vertex order would give sum(nv! / |Aut|) = 19,317 searches
+        assert (len(poset.nodes), counts["searches"]) == (3351, 5341)
+    for node in poset.nodes:
+        assert validate(node, homology, table) == []
+        assert graph.genus(node) == genus_total and graph.total_class(node) == cls
+
+
+def all_orderings_poset_codes(genus_total, total_cls, tails, homology, table, bounds):
+    """Every canonical code the library validates, walking every vertex order
+    and both orientations of every absolute edge between two vertices."""
+    halves = {(h, table.inverse_of(h)) for h in bounds.edge_monodromies}
+    halves |= {(b, a) for a, b in halves}
+    found = set()
+    for nv in range(1, bounds.max_vertices + 1):
+        for levels in itertools.product(range(bounds.max_levels), repeat=nv):
+            if sorted(set(levels)) != list(range(max(levels) + 1)):
+                continue
+            for classes in itertools.product(homology.effective, repeat=nv):
+                slots = []
+                for i in range(nv):
+                    for j in range(i, nv):
+                        if levels[i] == levels[j]:
+                            slots += [Edge(ABSOLUTE, (i, j), pair) for pair in sorted(halves)]
+                        elif levels[j] == levels[i] + 1:
+                            slots += [Edge(RELATIVE, (i, j), (h, table.inverse_of(h)),
+                                           ContactOrder(k, table.order_of(h)))
+                                      for h in bounds.edge_monodromies
+                                      for k in range(1, (bounds.max_edge_contact_numerator
+                                                         or 0) + 1)]
+                edge_sets = itertools.chain.from_iterable(
+                    itertools.combinations_with_replacement(slots, k)
+                    for k in range(nv - 1, nv + genus_total))
+                for edges in edge_sets:
+                    for genera in itertools.product(range(genus_total + 1), repeat=nv):
+                        vertices = tuple(Vertex(g, c, lv)
+                                         for g, c, lv in zip(genera, classes, levels))
+                        for homes in itertools.product(range(nv), repeat=len(tails)):
+                            g = RelGraph(vertices, edges, tuple(
+                                Tail(v, t.kind, t.monodromy, t.contact)
+                                for v, t in zip(homes, tails)))
+                            if (not validate(g, homology, table) and graph.is_connected(g)
+                                    and graph.genus(g) == genus_total
+                                    and graph.total_class(g) == total_cls):
+                                found.add(graph._canonical_search(g)[0])
+    return found
+
+
+@pytest.mark.parametrize("genus_total,cls,mv,levels,menu,cap", [
+    (0, 1, 3, 1, ("c0", "c1"), None),
+    (1, 0, 2, 1, ("c0", "c1"), None),
+    (1, 1, 2, 1, ("c1",), None),
+    (2, 0, 2, 1, ("c1",), None),
+    (0, 1, 2, 2, ("c1",), 1),
+], ids=["g0_v3", "g1_v2", "g1_v2_c1", "g2_v2", "lvl2_g0_v2"])
+def test_inverse_pair_menu_matches_all_orderings(genus_total, cls, mv, levels, menu, cap):
+    """With a class that is not its own inverse, an edge's two orientations
+    are different graphs; the sorted walk reaches all of them."""
+    homology = HomologyModel(rank=1, c1=(F(1),), z_pairing=(F(0),), effective=((0,), (1,)))
+    args = (genus_total, (cls,), [], homology, Z3, PosetBounds(mv, levels, menu, cap))
+    poset = stratification_poset(*args)
+    assert {encode(n) for n in poset.nodes} == all_orderings_poset_codes(*args)
+
+
+@pytest.mark.parametrize("max_vertices,nodes,covers,digest", [
+    (4, 150, 328, "550a27fd81ab741fe0dc8a3738ddf42d4e0592defc9c26008c12b74e2d084999"),
+    (5, 594, 1661, "580affe5fd024f81fb27c69452f60372c6823c6043e8acea82ba346ffe4babea"),
+], ids=["v4", "v5"])
+def test_gmax_poset_pinned(max_vertices, nodes, covers, digest):
+    """Recorded before the walk was restricted to sorted decorations."""
+    doc = load_document((DATA / "graphs.json").read_text())
+    g = doc.graphs["gmax"]
+    hname, cname = doc.graph_context["gmax"]
+    table = doc.classes[cname] if cname else MonodromyTable.trivial()
+    poset = stratification_poset(
+        graph.genus(g), graph.total_class(g),
+        [Tail(0, t.kind, t.monodromy, t.contact) for t in g.tails],
+        doc.homology[hname], table, PosetBounds(max_vertices=max_vertices))
+    assert (len(poset.nodes), len(poset.covers)) == (nodes, covers)
+    payload = repr(([encode(n) for n in poset.nodes], poset.covers, poset.complete))
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
+def test_bad_tail_sum_is_named():
+    homology = HomologyModel(rank=1, c1=(F(1),), z_pairing=(F(1),), effective=((0,), (1,)))
+    tails = [Tail(0, "relative", "e", ContactOrder(2, 1))]
+    with pytest.raises(ValidationError, match=r"\[tail sum\]"):
+        stratification_poset(0, (1,), tails, homology, bounds=PosetBounds(max_vertices=3))
