@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -382,3 +383,192 @@ class TestMistypedFieldSweep:
                     escaped.append((argv[0], where, value, f"exit {rc}"))
         assert runs > 100
         assert escaped == []
+
+
+def _matrix():
+    """(id, argv) for every subcommand on demos/data in each output mode it offers."""
+    graphs, smooth = str(DATA / "graphs.json"), str(DATA / "smooth1.json")
+    virdim = ["dim", "virdim", "--flavor", "relative-orbifold", "--n", "2", "--genus", "0",
+              "--c1a", "3", "--rel", "3/2:1/2:h"]
+    poset_wide = ["--max-vertices", "2", "--max-levels", "2", "--edge-monodromies", "e,h",
+                  "--max-edge-contact", "2"]
+    bases = [
+        ("sectors-z3", ["sectors", "--in", str(DATA / "ex_z3.json")], "json"),
+        ("sectors-s3", ["sectors", "--in", str(DATA / "ex_s3.json")], "json"),
+        ("sectors-s3-profile", ["sectors", "--in", str(DATA / "ex_s3.json"),
+                                "--profile", "s3_plane"], "json"),
+        ("sectors-missing-profile", ["sectors", "--in", str(DATA / "ex_s3.json"),
+                                     "--profile", "nope"], ""),
+        *((f"graphs-{cmd}-{g}", ["graphs", cmd, "--in", graphs, "--graph", g], "json")
+          for cmd in ("validate", "genus") for g in ("gmax", "two_level")),
+        ("graphs-contract-level", ["graphs", "contract", "--in", graphs, "--graph",
+                                   "two_level", "--level", "0"], "json dot"),
+        ("graphs-contract-edge", ["graphs", "contract", "--in", graphs, "--graph",
+                                  "two_level", "--edge", "0"], "json dot"),
+        ("graphs-contract-neither", ["graphs", "contract", "--in", graphs, "--graph",
+                                     "two_level"], ""),
+        ("graphs-poset-gmax", ["graphs", "poset", "--in", graphs, "--graph", "gmax",
+                               "--max-vertices", "2"], "json dot"),
+        ("graphs-poset-gmax-v3", ["graphs", "poset", "--in", graphs, "--graph", "gmax",
+                                  "--max-vertices", "3"], "json"),
+        ("graphs-poset-gmax-wide", ["graphs", "poset", "--in", graphs, "--graph", "gmax",
+                                    *poset_wide], "json dot"),
+        ("graphs-poset-two_level", ["graphs", "poset", "--in", graphs, "--graph",
+                                    "two_level"], "json dot"),
+        ("dim-virdim", [*virdim, "--za", "3/2"], "json"),
+        ("dim-virdim-default-za", virdim, "json"),
+        ("dim-virdim-shifts", [*virdim, "--shifts", "1/3,2/3"], "json"),
+        ("dim-virdim-smooth", ["dim", "virdim", "--flavor", "absolute-smooth", "--n", "1",
+                               "--genus", "1", "--c1a", "2"], "json"),
+        ("dim-ledger", ["dim", "ledger", "--in", str(DATA / "ledger_smooth.json")], "json"),
+        ("partitions-2-22", ["partitions", "--total", "2", "--orders", "2,2"], "json"),
+        ("partitions-3_2-21", ["partitions", "--total", "3/2", "--orders", "2,1"], "json"),
+        ("partitions-default-orders", ["partitions", "--total", "2"], "json"),
+        *((f"expand-{s}", ["expand", "--in", smooth, "--scenario", s], "json")
+          for s in ("smooth_one_node", "dup_insertion")),
+        ("expand-degree-1", ["expand", "--in", smooth, "--scenario", "smooth_one_node",
+                             "--degree", "1"], "json"),
+        ("expand-degree-3", ["expand", "--in", smooth, "--scenario", "smooth_one_node",
+                             "--degree", "3"], "json"),
+    ]
+    for name, argv, modes in bases:
+        yield f"{name}-text", argv
+        for mode in modes.split():
+            yield f"{name}-{mode}", argv + [f"--{mode}"]
+
+
+OUTPUT_MATRIX = dict(_matrix())
+
+
+def output_digest(argv) -> str:
+    rc, out, _ = capture(argv)
+    return hashlib.sha256(f"{rc}\n{out}".encode()).hexdigest()
+
+
+# sha256 of "<rc>\n<stdout>" for each OUTPUT_MATRIX entry, recorded before the
+# command line was restructured; `glue` is left out (perfbench checks its floats)
+OUTPUT_DIGESTS = {
+    "dim-ledger-json":
+        "617d3f79fdd154af70ffb462abcd245ed2dd09d59075fa3ddde13aff436344e7",
+    "dim-ledger-text":
+        "8288c87aa8b88d7a736fcd5884e8e91453a5590b3a29e04723b674517f6fe96a",
+    "dim-virdim-default-za-json":
+        "ae35f626a5739483b092117af8b6c988c51fec79d9b45fd6f73332fc57fc64f8",
+    "dim-virdim-default-za-text":
+        "4fae659ed47c9047f66dba2dddd58bd55e49346df1727120c2fdaed18da535ea",
+    "dim-virdim-json":
+        "ae35f626a5739483b092117af8b6c988c51fec79d9b45fd6f73332fc57fc64f8",
+    "dim-virdim-shifts-json":
+        "2115342d0e045a1195e186a697ce1f902fc881a09d2c892a960865eb941ef34a",
+    "dim-virdim-shifts-text":
+        "809a843496c9b26ba2e2b79415746ad54851b41f3b1fac6f242a05c3c95484df",
+    "dim-virdim-smooth-json":
+        "d376368f2a32c7a6d271b64e6a468cfd400982fb28e7fffa262adeba6bceea18",
+    "dim-virdim-smooth-text":
+        "e07cdb6afd6deaf8a4a5caeee8c2163fa5d57660c689f1dc509b6f94a9a67981",
+    "dim-virdim-text":
+        "4fae659ed47c9047f66dba2dddd58bd55e49346df1727120c2fdaed18da535ea",
+    "expand-degree-1-json":
+        "cef433dec0316be53ef0e47cac9226997ebe931508df7789c39e0c3225faadd6",
+    "expand-degree-1-text":
+        "04de8bdfbb25bec965c63a401a6008e1792098e1207e86b296c3f88a1c9895e2",
+    "expand-degree-3-json":
+        "7b6f2347abeb057cee35b263d1077524d3e4d37db9e51e66b62db80a5e2e1e30",
+    "expand-degree-3-text":
+        "9c178cb0821ee6470ae02276ede72f1dbc3b54a8773fb47e11219cca1e0914a6",
+    "expand-dup_insertion-json":
+        "6ff98eb909738122562806eeb6ada3c01ddce347ff66562084334f9f28107f59",
+    "expand-dup_insertion-text":
+        "4ace013e3397e32114858b84471cdf269c7b7845e3b39be0ad5ab9d1ed483d6b",
+    "expand-smooth_one_node-json":
+        "0265c35dedaf1dacffee637779ca745a419dffd819c99d724f02a9ac1f4c7af8",
+    "expand-smooth_one_node-text":
+        "dc297a9bcf39affc4c55aa7db4ef406cb2cb01a6eef43e6d1268aa6d6ecd4db8",
+    "graphs-contract-edge-dot":
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "graphs-contract-edge-json":
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "graphs-contract-edge-text":
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "graphs-contract-level-dot":
+        "30f1c881e2cc68a51a3208e63a1c4fe3786d2a6c39a6521a97fe1157e54449d8",
+    "graphs-contract-level-json":
+        "e405ef385686b496d6a0a74bcd3861c03e007601ce3b4f196aa79fb9cc538ecb",
+    "graphs-contract-level-text":
+        "0a4582daf39b09f44ebf266d761d4bc5cad10bd4d94055648963e0612d5f8796",
+    "graphs-contract-neither-text":
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "graphs-genus-gmax-json":
+        "8bb479419002f6a3ba36914862b9dcb58692605e5b25a3296e3f29153598b2de",
+    "graphs-genus-gmax-text":
+        "e4efbe9eae73aa11938a4359205089c38412f9677ac7bb72573a39bbe3cae343",
+    "graphs-genus-two_level-json":
+        "b1969fbcf3e11ed2988ef7a98c636f11eb6786f34dfcd795eb90b13c15386953",
+    "graphs-genus-two_level-text":
+        "eff2c6933965022dce5b6ae9bbd1c4ca80ff3b12d549bc8da55cfeafac7c0db2",
+    "graphs-poset-gmax-dot":
+        "11186e62c0b69243c51753f0e7b881154ed987139f2f425f6bbcb96a31344aff",
+    "graphs-poset-gmax-json":
+        "b8d1937672831ba62707fc859823b698308ebe966c9fc3e5bb2eca0290b71dfb",
+    "graphs-poset-gmax-text":
+        "9b5fc23e14e3ab45c322a4a5d11d3083381fe09e251dda180b12e9ab3b2e4894",
+    "graphs-poset-gmax-v3-json":
+        "a7a47571c5fefba2a6d64eb0c9ada07d30a2004b2b3ac851065433c9acb615e6",
+    "graphs-poset-gmax-v3-text":
+        "ef5e7464b79d6d3b2dc6b4a68beddf0a99bede5706eca7b6e8e15d2ca779067d",
+    "graphs-poset-gmax-wide-dot":
+        "f51ef8ef2bda9221c72f7452340182a39493c8ad0e03fb1f27033dbe16a2326c",
+    "graphs-poset-gmax-wide-json":
+        "2079569826922521f9f3486715784d123d8aabfba029a22668b45d75a5487ddf",
+    "graphs-poset-gmax-wide-text":
+        "8bc0d93e1844801e9870e2ca8ffb315bd7e703cc40e911cb83eb4001ec3e99bd",
+    "graphs-poset-two_level-dot":
+        "336dac38bbdeb4601ff5ff984fab33fc5fe4c28c60dde798e68c4bfb7fc81452",
+    "graphs-poset-two_level-json":
+        "4406f3c32098b823b06be93b049dde3e6a32d8cb254277bfa70a77aae4fff646",
+    "graphs-poset-two_level-text":
+        "643dd9b8cf969ee3aef6e6e49191ac38d632489282c3884ced802faefa121d72",
+    "graphs-validate-gmax-json":
+        "82f556d54bbe2b628ad1e67cf979d7b38c6a5825a8643e78045c862028bf30fa",
+    "graphs-validate-gmax-text":
+        "cd1beef9b75f0a5b059daa08a42201b17680600995512c079583896c6913795b",
+    "graphs-validate-two_level-json":
+        "38b2851835ca8a3ba0d4f4e0694f9355989d91c7b76fa07c541aba43701b013b",
+    "graphs-validate-two_level-text":
+        "206308a6b644bf9befcb3cf01a6fa5e04cbd9cb4c22ba17b4e73e3d5455c3786",
+    "partitions-2-22-json":
+        "28f9e92e19212bcb15cf73e5b5ba558a72d392230fb8e9433e0d748005ec02ae",
+    "partitions-2-22-text":
+        "ea7787fd53b83fb79c6c4bf72b9b39e49698289df24f89cc4cafb8a4dd7665ab",
+    "partitions-3_2-21-json":
+        "07e7f020e1ee02a1c18820d2a791bbb1911997f73ded640d36fa2f07ae095734",
+    "partitions-3_2-21-text":
+        "ec2b1e96aab709ebedd6fed81b5be61dee815a880b48971ac2207c7da130d40b",
+    "partitions-default-orders-json":
+        "6a2808e7b75d024b0ec8e2999e86dbf8aeb23c15f96bcdfdbeebf12536055890",
+    "partitions-default-orders-text":
+        "20321ad1d11c2a7c1d4956e6317741c74e1230e9d1391dcc03efdbc3593ad89c",
+    "sectors-missing-profile-text":
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "sectors-s3-json":
+        "4f5a581b93a674f148a22daa7cae14d5a0ac30ecf4a9ddaf42b3554e161d0995",
+    "sectors-s3-profile-json":
+        "4f5a581b93a674f148a22daa7cae14d5a0ac30ecf4a9ddaf42b3554e161d0995",
+    "sectors-s3-profile-text":
+        "73de6ac01993701200bc7f3525a30b6b8f73e508469992df6e9eab8fbd32c48f",
+    "sectors-s3-text":
+        "73de6ac01993701200bc7f3525a30b6b8f73e508469992df6e9eab8fbd32c48f",
+    "sectors-z3-json":
+        "b41578295a2897f32ca844aaf479609c79893e9f2f307a6c4f9fe7e190872d8a",
+    "sectors-z3-text":
+        "a8db7fd1951712b0fd257151dc963cc4c5277a909601b62115f8e90d71cfec43",
+}
+
+
+class TestOutputMatrix:
+    def test_covers_the_matrix(self):
+        assert sorted(OUTPUT_DIGESTS) == sorted(OUTPUT_MATRIX)
+
+    @pytest.mark.parametrize("case", sorted(OUTPUT_MATRIX), ids=str)
+    def test_output_unchanged(self, case):
+        assert output_digest(OUTPUT_MATRIX[case]) == OUTPUT_DIGESTS[case]
