@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import inertia
@@ -19,7 +20,6 @@ from .expand import expand as expand_terms
 from .expand import term_record
 from .graph import (
     PosetBounds,
-    Tail,
     bullet_genus,
     contract_edge,
     contract_level,
@@ -33,26 +33,33 @@ from .graph import (
 )
 from .io import (
     SCHEMA,
-    InputDocument,
+    _integer,
+    _rational,
+    _string,
     dump_json,
     load_document,
     load_ledger,
-    parse_rational,
+    parse_list,
     parse_rel,
     read_text,
 )
 
 
-def _read_document(path: str) -> InputDocument:
-    return load_document(read_text(path))
+def _emit(args, payload: dict, lines: list[str]) -> None:
+    """Write a report: `payload` with the schema under --json, else the text lines."""
+    if args.json:
+        sys.stdout.write(dump_json({"schema": SCHEMA, **payload}))
+    else:
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
 
 
-def _graph_context(doc: InputDocument, name: str):
-    graph = doc.graphs[name]
+def _load_graph(args):
+    """(name, graph, homology, class table) of the --graph entry of the --in document."""
+    doc = load_document(read_text(args.input))
+    name, graph = doc.one("graphs", args.graph)
     hname, cname = doc.graph_context[name]
-    homology = doc.homology[hname]
     table = doc.classes[cname] if cname else MonodromyTable.trivial()
-    return graph, homology, table
+    return name, graph, doc.homology[hname], table
 
 
 def _well_formed(graph, name: str, homology, table) -> None:
@@ -66,30 +73,23 @@ def _well_formed(graph, name: str, homology, table) -> None:
 # ---------------------------------------------------------------- sectors
 
 def _cmd_sectors(args) -> int:
-    doc = _read_document(args.input)
+    doc = load_document(read_text(args.input))
     names = [args.profile] if args.profile else sorted(doc.profiles)
     if not names:
         raise ValidationError("document has no profiles")
-    payload = {"schema": SCHEMA, "profiles": []}
-    lines = []
+    profiles, lines = [], []
     for name in names:
         if name not in doc.profiles:
             raise ValidationError(f"no profile named {name!r}")
         profile = doc.profiles[name]
-        rows = []
-        for label, sector in profile.labeled_sectors():
-            rows.append({
-                "class": label,
-                "shift": str(sector.shift),
-                "sector_dim": sector.sector_dim(profile.ambient_dim),
-                "rotations": [str(r) for r in sector.rotations],
-            })
-        poly = [
-            {"degree": str(d), "multiplicity": m}
-            for d, m in inertia.cr_poincare_polynomial(profile)
-        ]
+        rows = [{"class": label, "shift": str(sector.shift),
+                 "sector_dim": sector.sector_dim(profile.ambient_dim),
+                 "rotations": [str(r) for r in sector.rotations]}
+                for label, sector in profile.labeled_sectors()]
+        poly = [{"degree": str(d), "multiplicity": m}
+                for d, m in inertia.cr_poincare_polynomial(profile)]
         report = inertia.pairing_check(profile)
-        payload["profiles"].append({
+        profiles.append({
             "name": name,
             "ambient_dim": profile.ambient_dim,
             "sectors": rows,
@@ -107,66 +107,42 @@ def _cmd_sectors(args) -> int:
             lines.append(f"  {row['class']:<6} {row['shift']:<6} {row['sector_dim']:<4} ({rot})")
         poly_text = " + ".join(f"{p['multiplicity']}*q^{p['degree']}" for p in poly)
         lines.append(f"  CR Poincare polynomial: {poly_text}")
-        if report.ok:
-            lines.append("  pairing check: ok")
-        else:
-            lines.append("  pairing check: FAILED")
-            for v in report.violations:
-                lines.append(f"    sector {v.sector}: {v.detail}")
-    if args.json:
-        sys.stdout.write(dump_json(payload))
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
+        lines.append(f"  pairing check: {'ok' if report.ok else 'FAILED'}")
+        lines.extend(f"    sector {v.sector}: {v.detail}" for v in report.violations)
+    _emit(args, {"profiles": profiles}, lines)
     return 0
 
 
 # ---------------------------------------------------------------- graphs
 
 def _cmd_graphs_validate(args) -> int:
-    doc = _read_document(args.input)
-    name, _ = doc.one("graphs", args.graph)
-    graph, homology, table = _graph_context(doc, name)
+    name, graph, homology, table = _load_graph(args)
     diags = validate(graph, homology, table)
-    if args.json:
-        payload = {
-            "schema": SCHEMA, "graph": name, "valid": not diags,
-            "diagnostics": [
-                {"rule": d.rule, "element": d.element, "message": d.message} for d in diags
-            ],
-        }
-        sys.stdout.write(dump_json(payload))
+    payload = {
+        "graph": name, "valid": not diags,
+        "diagnostics": [{"rule": d.rule, "element": d.element, "message": d.message}
+                        for d in diags],
+    }
+    if diags:
+        lines = [f"graph {name}: {len(diags)} violation(s)", *(f"  {d}" for d in diags)]
     else:
-        if not diags:
-            sys.stdout.write(f"graph {name}: valid\n")
-        else:
-            sys.stdout.write(f"graph {name}: {len(diags)} violation(s)\n")
-            for d in diags:
-                sys.stdout.write(f"  {d}\n")
-    return 0 if not diags else 1
+        lines = [f"graph {name}: valid"]
+    _emit(args, payload, lines)
+    return 1 if diags else 0
 
 
 def _cmd_graphs_genus(args) -> int:
-    doc = _read_document(args.input)
-    name, _ = doc.one("graphs", args.graph)
-    graph, homology, table = _graph_context(doc, name)
+    name, graph, homology, table = _load_graph(args)
     _well_formed(graph, name, homology, table)
-    value = genus(graph) if is_connected(graph) and graph.vertices else bullet_genus(graph)
-    cls = total_class(graph)
-    if args.json:
-        sys.stdout.write(dump_json({
-            "schema": SCHEMA, "graph": name, "genus": value,
-            "total_class": list(cls), "connected": is_connected(graph),
-        }))
-    else:
-        sys.stdout.write(f"graph {name}: genus {value}, total class "
-                         f"({','.join(str(x) for x in cls)})\n")
+    value, cls = bullet_genus(graph), total_class(graph)
+    _emit(args, {"graph": name, "genus": value, "total_class": list(cls),
+                 "connected": is_connected(graph)},
+          [f"graph {name}: genus {value}, total class ({','.join(str(x) for x in cls)})"])
     return 0
 
 
 def _cmd_graphs_contract(args) -> int:
-    doc = _read_document(args.input)
-    name, _ = doc.one("graphs", args.graph)
-    graph, homology, table = _graph_context(doc, name)
+    name, graph, homology, table = _load_graph(args)
     if (args.edge is None) == (args.level is None):
         raise ValidationError("pass exactly one of --edge or --level")
     _well_formed(graph, name, homology, table)
@@ -174,161 +150,103 @@ def _cmd_graphs_contract(args) -> int:
         result = contract_edge(graph, args.edge)
     else:
         result = contract_level(graph, args.level)
-    diags = validate(result, homology, table)
     if args.dot:
         sys.stdout.write(to_dot(result, name=f"{name}_contracted"))
         return 0
-    if args.json:
-        payload = {
-            "schema": SCHEMA, "graph": name, "valid": not diags,
-            "vertices": [
-                {"genus": v.genus, "class": list(v.cls), "level": v.level}
-                for v in result.vertices
-            ],
-            "edges": [
-                {"kind": e.kind, "ends": list(e.ends), "halves": list(e.halves),
-                 "contact": str(e.contact) if e.contact else None}
-                for e in result.edges
-            ],
-            "tails": [
-                {"vertex": t.vertex, "kind": t.kind, "monodromy": t.monodromy,
-                 "contact": str(t.contact) if t.contact else None}
-                for t in result.tails
-            ],
-        }
-        sys.stdout.write(dump_json(payload))
-    else:
-        sys.stdout.write(f"contracted graph: {len(result.vertices)} vertices, "
-                         f"{len(result.edges)} edges, genus "
-                         f"{bullet_genus(result)}\n")
+    payload = {
+        "graph": name, "valid": not validate(result, homology, table),
+        "vertices": [{"genus": v.genus, "class": list(v.cls), "level": v.level}
+                     for v in result.vertices],
+        "edges": [{"kind": e.kind, "ends": list(e.ends), "halves": list(e.halves),
+                   "contact": str(e.contact) if e.contact else None} for e in result.edges],
+        "tails": [{"vertex": t.vertex, "kind": t.kind, "monodromy": t.monodromy,
+                   "contact": str(t.contact) if t.contact else None} for t in result.tails],
+    }
+    _emit(args, payload, [f"contracted graph: {len(result.vertices)} vertices, "
+                          f"{len(result.edges)} edges, genus {bullet_genus(result)}"])
     return 0
 
 
 def _cmd_graphs_poset(args) -> int:
-    doc = _read_document(args.input)
-    name, _ = doc.one("graphs", args.graph)
-    graph, homology, table = _graph_context(doc, name)
+    name, graph, homology, table = _load_graph(args)
     diags = validate(graph, homology, table)
     if diags:
         raise ValidationError(f"graph {name} is invalid: {diags[0]}")
-    tails = [Tail(0, t.kind, t.monodromy, t.contact) for t in graph.tails]
-    bounds = PosetBounds(
-        max_vertices=args.max_vertices,
-        max_levels=args.max_levels,
-        edge_monodromies=tuple(args.edge_monodromies.split(","))
-        if args.edge_monodromies else ("e",),
-        max_edge_contact_numerator=args.max_edge_contact,
-    )
-    poset = stratification_poset(genus(graph), total_class(graph), tails, homology,
+    menu = parse_list(args.edge_monodromies, "--edge-monodromies", _string)
+    bounds = PosetBounds(max_vertices=args.max_vertices, max_levels=args.max_levels,
+                         edge_monodromies=menu or ("e",),
+                         max_edge_contact_numerator=args.max_edge_contact)
+    poset = stratification_poset(genus(graph), total_class(graph), graph.tails, homology,
                                  table, bounds)
     if args.dot:
         sys.stdout.write(poset_to_dot(poset, name=f"{name}_poset"))
         return 0
-    if args.json:
-        payload = {
-            "schema": SCHEMA, "graph": name,
-            "nodes": len(poset.nodes), "covers": list(list(c) for c in poset.covers),
-            "complete": poset.complete,
-            "maximal": poset.maximal_index(),
-        }
-        sys.stdout.write(dump_json(payload))
-    else:
-        sys.stdout.write(
-            f"poset of {name}: {len(poset.nodes)} nodes, {len(poset.covers)} covers, "
-            f"maximal node {poset.maximal_index()}, "
-            f"{'complete' if poset.complete else 'INCOMPLETE (bounds reached)'}\n")
+    maximal = poset.maximal_index()
+    _emit(args, {"graph": name, "nodes": len(poset.nodes),
+                 "covers": [list(c) for c in poset.covers],
+                 "complete": poset.complete, "maximal": maximal},
+          [f"poset of {name}: {len(poset.nodes)} nodes, {len(poset.covers)} covers, "
+           f"maximal node {maximal}, "
+           f"{'complete' if poset.complete else 'INCOMPLETE (bounds reached)'}"])
     return 0
 
 
 # ---------------------------------------------------------------- dim
 
 def _cmd_dim_virdim(args) -> int:
-    shifts = tuple(parse_rational(x) for x in args.shifts.split(",")) if args.shifts else ()
     rel = parse_rel(args.rel)
-    za = parse_rational(args.za) if args.za else sum((t.order.value for t in rel), Fraction(0))
-    spec = ModuliSpec(flavor=args.flavor, n=args.n, genus=args.genus,
-                      c1A=parse_rational(args.c1a), shifts=shifts, rel=rel, zA=za)
-    value = virdim(spec)
-    if args.json:
-        sys.stdout.write(dump_json({
-            "schema": SCHEMA, "flavor": args.flavor, "virdim": str(value),
-        }))
-    else:
-        sys.stdout.write(f"virdim = {value}\n")
+    za = (_rational(args.za, "--za") if args.za
+          else sum((t.order.value for t in rel), Fraction(0)))
+    value = virdim(ModuliSpec(flavor=args.flavor, n=args.n, genus=args.genus,
+                              c1A=_rational(args.c1a, "--c1a"),
+                              shifts=parse_list(args.shifts, "--shifts", _rational),
+                              rel=rel, zA=za))
+    _emit(args, {"flavor": args.flavor, "virdim": str(value)}, [f"virdim = {value}"])
     return 0
 
 
 def _cmd_dim_ledger(args) -> int:
     doc = load_ledger(read_text(args.input))
     ledger = splitting_ledger(doc.plus, doc.minus, doc.sector_dims, doc.total)
-    if args.json:
-        sys.stdout.write(dump_json({
-            "schema": SCHEMA,
-            "d_total": str(ledger.d_total),
-            "d_plus": str(ledger.d_plus),
-            "d_minus": str(ledger.d_minus),
-            "constraint_dims": [str(d) for d in ledger.constraint_dims],
-            "defect": str(ledger.defect),
-        }))
-    else:
-        sys.stdout.write(
-            f"d_total={ledger.d_total} d_plus={ledger.d_plus} d_minus={ledger.d_minus} "
-            f"constraints={[str(d) for d in ledger.constraint_dims]} "
-            f"defect={ledger.defect}\n")
+    constraints = [str(d) for d in ledger.constraint_dims]
+    _emit(args, {"d_total": str(ledger.d_total), "d_plus": str(ledger.d_plus),
+                 "d_minus": str(ledger.d_minus), "constraint_dims": constraints,
+                 "defect": str(ledger.defect)},
+          [f"d_total={ledger.d_total} d_plus={ledger.d_plus} d_minus={ledger.d_minus} "
+           f"constraints={constraints} defect={ledger.defect}"])
     return 0
 
 
 # ---------------------------------------------------------------- partitions
 
 def _cmd_partitions(args) -> int:
-    total = parse_rational(args.total)
-    orders = [int(x) for x in args.orders.split(",")] if args.orders else [1]
-    tuples = enumerate_partitions(total, orders)
-    if args.json:
-        sys.stdout.write(dump_json({
-            "schema": SCHEMA,
-            "total": str(total),
-            "orders": orders,
-            "count": len(tuples),
-            "partitions": [[str(o) for o in tup] for tup in tuples],
-        }))
-    else:
-        sys.stdout.write(f"{len(tuples)} tuple(s) of contact orders summing to {total}\n")
-        for tup in tuples:
-            sys.stdout.write("  (" + ", ".join(str(o) for o in tup) + ")\n")
+    total = _rational(args.total, "--total")
+    orders = parse_list(args.orders, "--orders", _integer) or (1,)
+    tuples = [[str(o) for o in tup] for tup in enumerate_partitions(total, orders)]
+    _emit(args, {"total": str(total), "orders": orders, "count": len(tuples),
+                 "partitions": tuples},
+          [f"{len(tuples)} tuple(s) of contact orders summing to {total}",
+           *(f"  ({', '.join(tup)})" for tup in tuples)])
     return 0
 
 
 # ---------------------------------------------------------------- expand
 
 def _cmd_expand(args) -> int:
-    doc = _read_document(args.input)
+    doc = load_document(read_text(args.input))
     name, scenario = doc.one("scenarios", args.scenario)
     hname, bname = doc.scenario_context[name]
-    homology = doc.homology[hname]
     if not bname:
         raise ValidationError(f"scenario {name!r} has no basis reference")
-    basis = doc.basis[bname]
-    degree = parse_rational(args.degree) if args.degree else None
-    terms = expand_terms(scenario, basis, homology, total_degree=degree)
-    if args.json:
-        payload = {
-            "schema": SCHEMA, "scenario": name, "count": len(terms),
-            "terms": [
-                {
-                    "coefficient": str(t.coefficient),
-                    "labels": list(t.labels),
-                    "record": term_record(t),
-                }
-                for t in terms
-            ],
-        }
-        sys.stdout.write(dump_json(payload))
-    else:
-        sys.stdout.write(f"scenario {name}: {len(terms)} term(s)\n")
-        width = max((len(str(t.coefficient)) for t in terms), default=1)
-        for t in terms:
-            sys.stdout.write(f"  {t.coefficient!s:>{width}}  {term_record(t)}\n")
+    degree = _rational(args.degree, "--degree") if args.degree else None
+    terms = expand_terms(scenario, doc.basis[bname], doc.homology[hname], total_degree=degree)
+    rows = [(str(t.coefficient), list(t.labels), term_record(t)) for t in terms]
+    width = max((len(c) for c, _, _ in rows), default=1)
+    _emit(args, {"scenario": name, "count": len(rows),
+                 "terms": [{"coefficient": c, "labels": labels, "record": record}
+                           for c, labels, record in rows]},
+          [f"scenario {name}: {len(rows)} term(s)",
+           *(f"  {c:>{width}}  {record}" for c, _, record in rows)])
     return 0
 
 
@@ -346,6 +264,8 @@ def _cmd_glue_demo(args) -> int:
 
 
 def _glue_demo(args) -> int:
+    if args.probes < 0:
+        raise ValidationError(f"--probes must be at least 0, got {args.probes}")
     # the only numpy user: the exact-only commands start without it
     import numpy as np
 
@@ -365,7 +285,7 @@ def _glue_demo(args) -> int:
         return f"{x:.12e}"
 
     payload = {
-        "schema": SCHEMA, "model": system.name, "chart": chart.name,
+        "model": system.name, "chart": chart.name,
         "constants": {"C1": e(const.c1), "C2": e(const.c2), "eps1": e(const.eps1),
                       "delta1": e(const.delta1), "K1": e(const.k1)},
         "ordering_ok": const.ordering_ok,
@@ -394,13 +314,12 @@ def _glue_demo(args) -> int:
         for i, (xn, rn) in enumerate(zip(result.xi_history, result.residual_history)):
             out.append(f"    {i:<4} {xn:.6e}  {rn:.6e}")
         xi_norm = float(np.linalg.norm(result.xi))
-        verdict = "ok" if xi_norm <= 2 * const.eps1 + 1e-12 else "FLAGGED"
+        xi_ok = xi_norm <= 2 * const.eps1 + 1e-12
         out.append(f"  |xi| <= 2 eps1 contract: |xi|={xi_norm:.6e} vs "
-                   f"2 eps1={2 * const.eps1:.6e}  [{verdict}]")
+                   f"2 eps1={2 * const.eps1:.6e}  [{'ok' if xi_ok else 'FLAGGED'}]")
         payload["correction"] = {
             "converged": True, "iterations": result.iterations,
-            "residual": e(result.residual), "xi_norm": e(xi_norm),
-            "xi_contract_ok": xi_norm <= 2 * const.eps1 + 1e-12,
+            "residual": e(result.residual), "xi_norm": e(xi_norm), "xi_contract_ok": xi_ok,
             "residual_history": [e(r) for r in result.residual_history],
         }
     except NonConvergenceError as exc:
@@ -419,14 +338,25 @@ def _glue_demo(args) -> int:
     out.append(f"  |DPhi| probe over {len(probes)} points: max {worst:.6e}  [{verdict}]")
     payload["derivative_probe"] = {"points": len(probes), "max_norm": e(worst),
                                    "within_bound": worst <= 2.0}
-    if args.json:
-        sys.stdout.write(dump_json(payload))
-    else:
-        sys.stdout.write("\n".join(out) + "\n")
+    _emit(args, payload, out)
     return 0
 
 
 # ---------------------------------------------------------------- main
+
+@contextmanager
+def _command(sub, name: str, func, *, reads: bool = True, dot: bool = False, **kwargs):
+    """Register a subcommand: --in when it `reads` a document, then the options
+    added inside the with-block, then --dot when it renders DOT, then --json."""
+    parser = sub.add_parser(name, **kwargs)
+    if reads:
+        parser.add_argument("--in", dest="input", required=True)
+    yield parser
+    if dot:
+        parser.add_argument("--dot", action="store_true")
+    parser.add_argument("--json", action="store_true")
+    parser.set_defaults(func=func)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -435,90 +365,59 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sectors", help="degree shifts, CR polynomial, pairing check")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--profile")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_sectors)
+    with _command(sub, "sectors", _cmd_sectors,
+                  help="degree shifts, CR polynomial, pairing check") as p:
+        p.add_argument("--profile")
 
     graphs = sub.add_parser("graphs", help="graph validation and contraction")
     gsub = graphs.add_subparsers(dest="graph_command", required=True)
-
-    p = gsub.add_parser("validate")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--graph")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_graphs_validate)
-
-    p = gsub.add_parser("genus")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--graph")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_graphs_genus)
-
-    p = gsub.add_parser("contract")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--graph")
-    p.add_argument("--edge", type=int)
-    p.add_argument("--level", type=int)
-    p.add_argument("--dot", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_graphs_contract)
-
-    p = gsub.add_parser("poset")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--graph")
-    p.add_argument("--max-vertices", type=int, default=2)
-    p.add_argument("--max-levels", type=int, default=1)
-    p.add_argument("--edge-monodromies", default="")
-    p.add_argument("--max-edge-contact", type=int, default=None)
-    p.add_argument("--dot", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_graphs_poset)
+    with _command(gsub, "validate", _cmd_graphs_validate) as p:
+        p.add_argument("--graph")
+    with _command(gsub, "genus", _cmd_graphs_genus) as p:
+        p.add_argument("--graph")
+    with _command(gsub, "contract", _cmd_graphs_contract, dot=True) as p:
+        p.add_argument("--graph")
+        p.add_argument("--edge", type=int)
+        p.add_argument("--level", type=int)
+    with _command(gsub, "poset", _cmd_graphs_poset, dot=True) as p:
+        p.add_argument("--graph")
+        p.add_argument("--max-vertices", type=int, default=2)
+        p.add_argument("--max-levels", type=int, default=1)
+        p.add_argument("--edge-monodromies", default="")
+        p.add_argument("--max-edge-contact", type=int, default=None)
 
     dim = sub.add_parser("dim", help="virtual dimensions and the splitting ledger")
     dsub = dim.add_subparsers(dest="dim_command", required=True)
+    with _command(dsub, "virdim", _cmd_dim_virdim, reads=False) as p:
+        p.add_argument("--flavor", required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--genus", type=int, required=True)
+        p.add_argument("--c1a", required=True)
+        p.add_argument("--shifts", default="")
+        p.add_argument("--rel", default="", help="k/r[:shift[:monodromy]],...")
+        p.add_argument("--za", default="")
+    with _command(dsub, "ledger", _cmd_dim_ledger):
+        pass
 
-    p = dsub.add_parser("virdim")
-    p.add_argument("--flavor", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--c1a", required=True)
-    p.add_argument("--shifts", default="")
-    p.add_argument("--rel", default="", help="k/r[:shift[:monodromy]],...")
-    p.add_argument("--za", default="")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_dim_virdim)
+    with _command(sub, "partitions", _cmd_partitions, reads=False,
+                  help="ordered contact-order partitions") as p:
+        p.add_argument("--total", required=True)
+        p.add_argument("--orders", default="")
 
-    p = dsub.add_parser("ledger")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_dim_ledger)
-
-    p = sub.add_parser("partitions", help="ordered contact-order partitions")
-    p.add_argument("--total", required=True)
-    p.add_argument("--orders", default="")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_partitions)
-
-    p = sub.add_parser("expand", help="degeneration-formula term expansion")
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--scenario")
-    p.add_argument("--degree", default="")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_expand)
+    with _command(sub, "expand", _cmd_expand,
+                  help="degeneration-formula term expansion") as p:
+        p.add_argument("--scenario")
+        p.add_argument("--degree", default="")
 
     gl = sub.add_parser("glue", help="finite-dimensional gluing sandbox")
     glsub = gl.add_subparsers(dest="glue_command", required=True)
-    p = glsub.add_parser("demo")
-    p.add_argument("model", choices=["sphere", "node", "linear"])
-    p.add_argument("--tau", type=float, default=0.25)
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--probes", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_glue_demo)
+    with _command(glsub, "demo", _cmd_glue_demo, reads=False) as p:
+        p.add_argument("model", choices=["sphere", "node", "linear"])
+        p.add_argument("--tau", type=float, default=0.25)
+        p.add_argument("--scale", type=float, default=1.0)
+        p.add_argument("--samples", type=int, default=200)
+        p.add_argument("--probes", type=int, default=100)
+        p.add_argument("--seed", type=int, default=0)
 
     return parser
 

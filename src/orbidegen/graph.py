@@ -467,13 +467,20 @@ def automorphism_order(graph: RelGraph) -> int:
 
 @dataclass(frozen=True)
 class PosetBounds:
-    """Enumeration caps; relative internal edges additionally need a numerator cap
-    and a decoration menu because nothing else makes the search space finite."""
+    """Enumeration caps, each at least 1; relative internal edges additionally need
+    a numerator cap and a decoration menu because nothing else makes the search
+    space finite."""
 
     max_vertices: int
     max_levels: int = 1
     edge_monodromies: tuple[str, ...] = ("e",)
     max_edge_contact_numerator: int | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("max_vertices", "max_levels", "max_edge_contact_numerator"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValidationError(f"PosetBounds.{name} must be at least 1, got {value}")
 
 
 @dataclass(frozen=True)

@@ -373,6 +373,16 @@ def parse_rel(text: str) -> tuple[RelTerm, ...]:
     return tuple(terms)
 
 
+def parse_list(text: str, option: str, read) -> tuple:
+    """A comma-separated option value, element i read by `read` as `option[i]`;
+    an empty value is the empty tuple, an empty element is an error."""
+    def element(item: str, where: str) -> Any:
+        if not item.strip():
+            raise ValidationError(f"{where}: empty element")
+        return read(item, where)
+    return _array_of(element)(text.split(","), option) if text else ()
+
+
 def read_text(path: str) -> str:
     """A UTF-8 input file; an unreadable path is a validation error."""
     try:

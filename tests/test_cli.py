@@ -226,6 +226,10 @@ print(codes, "numpy" in sys.modules)
         assert glue.NonConvergenceError is errors.NonConvergenceError
 
 
+VIRDIM = ["dim", "virdim", "--flavor", "relative-orbifold", "--n", "2", "--genus", "0"]
+POSET = ["graphs", "poset", "--in", str(DATA / "graphs.json"), "--graph", "gmax"]
+
+
 class TestMalformedInputExits1:
     def run_on(self, tmp_path, text, argv):
         path = tmp_path / "doc.json"
@@ -324,6 +328,35 @@ class TestMalformedInputExits1:
         assert rc == 1 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
         assert f"glue demo {argv[0]} {setting}" in err
+
+    @pytest.mark.parametrize("argv,option", [
+        (["partitions", "--total", "2", "--orders", "2,x"], "--orders[1]"),
+        (["partitions", "--total", "2", "--orders", "2,,2"], "--orders[1]"),
+        (["partitions", "--total", "x"], "--total"),
+        (VIRDIM + ["--c1a", "q"], "--c1a"),
+        (VIRDIM + ["--c1a", "3", "--za", "x"], "--za"),
+        (VIRDIM + ["--c1a", "3", "--shifts", "1,,2"], "--shifts[1]"),
+        (["expand", "--in", str(DATA / "smooth1.json"), "--scenario", "smooth_one_node",
+          "--degree", "1/0"], "--degree"),
+        (POSET + ["--edge-monodromies", "e,,h"], "--edge-monodromies[1]"),
+        (["glue", "demo", "linear", "--probes", "-5"], "--probes"),
+    ], ids=["orders-not-integer", "orders-empty", "total", "c1a", "za", "shifts-empty",
+            "degree-zero-denominator", "edge-monodromies-empty", "negative-probes"])
+    def test_bad_option_value_is_named(self, argv, option):
+        rc, out, err = capture(argv)
+        assert rc == 1 and out == ""
+        assert err.startswith(f"error: {option}") and "Traceback" not in err
+
+    @pytest.mark.parametrize("extra,field", [
+        (["--max-vertices", "0"], "max_vertices"),
+        (["--max-vertices", "-3"], "max_vertices"),
+        (["--max-levels", "0"], "max_levels"),
+        (["--max-levels", "2", "--max-edge-contact", "0"], "max_edge_contact_numerator"),
+    ], ids=["vertices-0", "vertices-negative", "levels-0", "edge-contact-0"])
+    def test_poset_bound_below_one(self, extra, field):
+        rc, out, err = capture(POSET + extra)
+        assert rc == 1 and out == ""
+        assert err.startswith(f"error: PosetBounds.{field} must be at least 1")
 
 
 SWEEP_COMMANDS = {

@@ -491,3 +491,16 @@ def test_bad_tail_sum_is_named():
     tails = [Tail(0, "relative", "e", ContactOrder(2, 1))]
     with pytest.raises(ValidationError, match=r"\[tail sum\]"):
         stratification_poset(0, (1,), tails, homology, bounds=PosetBounds(max_vertices=3))
+
+
+@pytest.mark.parametrize("kwargs,field", [
+    ({"max_vertices": 0}, "max_vertices"),
+    ({"max_vertices": -3}, "max_vertices"),
+    ({"max_vertices": 2, "max_levels": 0}, "max_levels"),
+    ({"max_vertices": 2, "max_levels": 2, "max_edge_contact_numerator": 0},
+     "max_edge_contact_numerator"),
+])
+def test_bound_below_one_is_named(kwargs, field):
+    """A cap below 1 walks nothing; it is refused before any walk starts."""
+    with pytest.raises(ValidationError, match=f"PosetBounds.{field} must be at least 1"):
+        PosetBounds(**kwargs)
