@@ -264,13 +264,18 @@ def _cmd_glue_demo(args) -> int:
 
 
 def _glue_demo(args) -> int:
-    if args.probes < 0:
-        raise ValidationError(f"--probes must be at least 0, got {args.probes}")
     # the only numpy user: the exact-only commands start without it
     import numpy as np
 
     from . import glue
 
+    for option, value, low in (("--samples", args.samples, glue.MIN_SAMPLES),
+                               ("--probes", args.probes, 0), ("--seed", args.seed, 0)):
+        if value < low:
+            raise ValidationError(f"{option} must be at least {low}, got {value}")
+    for option, value in (("--samples", args.samples), ("--probes", args.probes)):
+        if value > glue.MAX_SAMPLES:
+            raise ResourceLimitError(f"{option} must be at most {glue.MAX_SAMPLES}, got {value}")
     if args.model == "sphere":
         system, chart = glue.sphere_model(scale=args.scale)
     elif args.model == "node":

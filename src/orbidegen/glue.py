@@ -17,9 +17,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonConvergenceError
+from .errors import NonConvergenceError, ResourceLimitError
 
 FD_SCALE = 1e-6
+# estimate_constants keeps every sample in memory; 10,000 take a few seconds
+MIN_SAMPLES = 10
+MAX_SAMPLES = 10_000
 
 
 def _as_vec(x) -> np.ndarray:
@@ -83,10 +86,16 @@ class ApproxChart:
     name: str = "chart"
 
     def x(self, s) -> np.ndarray:
-        return _as_vec(self.param(_as_vec(s)))
+        value = _as_vec(self.param(_as_vec(s)))
+        if not np.all(np.isfinite(value)):
+            raise FloatingPointError(f"{self.name}: x(s) is non-finite at s={s}")
+        return value
 
     def q(self, s) -> np.ndarray:
-        return np.asarray(self.right_inverse(_as_vec(s)), dtype=float)
+        value = np.asarray(self.right_inverse(_as_vec(s)), dtype=float)
+        if not np.all(np.isfinite(value)):
+            raise FloatingPointError(f"{self.name}: Q(s) is non-finite at s={s}")
+        return value
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.s_low, self.s_high)
@@ -117,6 +126,16 @@ class GlueConstants:
     conditions: tuple[ConditionReport, ...]
 
 
+def _sup(scored) -> tuple[float, tuple[float, ...]]:
+    """The largest positive (value, witness), the first sample to reach it
+    winning ties; (0.0, (0.0,)) when no value is positive."""
+    best, witness = 0.0, (0.0,)
+    for value, point in scored:
+        if value > best:
+            best, witness = value, point
+    return best, witness
+
+
 def estimate_constants(
     system: FredholmSystem,
     chart: ApproxChart,
@@ -126,82 +145,65 @@ def estimate_constants(
     """Monte-Carlo estimates of the uniform-continuity constant C1, the chart
     approximation quality eps1, and the right-inverse bound C2, each reported
     with its witnessing sample.  delta1 is placed between eps1 and C2 and the
-    ordering flag requires factor-10 separations eps1 << delta1 << C2."""
-    if sample_count < 10:
-        raise ValueError(f"sample_count must be >= 10, got {sample_count}")
+    ordering flag requires factor-10 separations eps1 << delta1 << C2.  Each
+    model callback runs once per sample; t also twice per remainder probe."""
+    if sample_count < MIN_SAMPLES:
+        raise ValueError(f"sample_count must be >= {MIN_SAMPLES}, got {sample_count}")
+    if sample_count > MAX_SAMPLES:
+        raise ResourceLimitError(f"sample_count must be <= {MAX_SAMPLES}, got {sample_count}")
     rng = np.random.default_rng(seed)
     ss = [chart.sample(rng) for _ in range(sample_count)]
+    at = [tuple(float(v) for v in _as_vec(s)) for s in ss]
     xs = [chart.x(s) for s in ss]
+    ts = [system.t(x) for x in xs]
+    ls = [system.jacobian(x) for x in xs]
+    qs = [chart.q(s) for s in ss]
+    k1 = max(float(np.linalg.norm(x)) for x in xs)
 
-    def lipschitz(pairs, fn):
-        best, witness = 0.0, (0.0,)
-        for a, b in pairs:
-            gap = float(np.linalg.norm(_as_vec(a) - _as_vec(b)))
-            if gap < 1e-12:
+    # cyclic consecutive pairs along the chart, their gaps |x_i - x_j| and
+    # the pair witness (x_i[0], x_j[0])
+    gaps = []
+    for i in range(sample_count):
+        j = (i + 1) % sample_count
+        gap = float(np.linalg.norm(xs[i] - xs[j]))
+        if gap >= 1e-12:
+            gaps.append((i, j, gap, (float(xs[i][0]), float(xs[j][0]))))
+    b1, w1 = _sup((float(np.linalg.norm(ts[i] - ts[j])) / gap, w) for i, j, gap, w in gaps)
+    b2, w2 = _sup((float(np.linalg.norm(ls[i] - ls[j], 2)) / gap, w) for i, j, gap, w in gaps)
+
+    # (B3) quadratic remainder quotient |N_x(v1)-N_x(v2)| / ((|v1|+|v2|)|v1-v2|),
+    # N_x(v) = t(x+v) - t(x) - L_x v summed in quadratic_remainder's order
+    scale = 0.1 * (1.0 + k1)
+
+    def remainder_quotients():
+        for i in range(min(sample_count, 100)):
+            v1 = rng.normal(size=system.dim_b) * scale
+            v2 = rng.normal(size=system.dim_b) * scale
+            denom = (np.linalg.norm(v1) + np.linalg.norm(v2)) * np.linalg.norm(v1 - v2)
+            if denom < 1e-12:
                 continue
-            quotient = fn(a, b) / gap
-            if quotient > best:
-                best, witness = quotient, (float(_as_vec(a)[0]), float(_as_vec(b)[0]))
-        return best, witness
+            n1, n2 = (system.t(xs[i] + v) - ts[i] - ls[i] @ v for v in (v1, v2))
+            yield float(np.linalg.norm(n1 - n2)) / float(denom), (float(xs[i][0]),)
 
-    pairs = [(xs[i], xs[(i + 1) % len(xs)]) for i in range(len(xs))]
-    b1, w1 = lipschitz(pairs, lambda a, b: float(np.linalg.norm(system.t(a) - system.t(b))))
-    b2, w2 = lipschitz(pairs, lambda a, b: float(
-        np.linalg.norm(system.jacobian(a) - system.jacobian(b), 2)))
-
-    # (B3) quadratic remainder quotient |N_x(v1)-N_x(v2)| / ((|v1|+|v2|)|v1-v2|)
-    b3, w3 = 0.0, (0.0,)
-    scale = 0.1 * (1.0 + max(float(np.linalg.norm(x)) for x in xs))
-    for i in range(min(sample_count, 100)):
-        x = xs[i % len(xs)]
-        v1 = rng.normal(size=system.dim_b) * scale
-        v2 = rng.normal(size=system.dim_b) * scale
-        denom = (np.linalg.norm(v1) + np.linalg.norm(v2)) * np.linalg.norm(v1 - v2)
-        if denom < 1e-12:
-            continue
-        num = float(np.linalg.norm(
-            system.quadratic_remainder(x, v1) - system.quadratic_remainder(x, v2)))
-        quotient = num / float(denom)
-        if quotient > b3:
-            b3, w3 = quotient, (float(x[0]),)
+    b3, w3 = _sup(remainder_quotients())
     c1 = max(b1, b2, b3)
 
-    # (C3) chart residual and (C4) tangential bound
-    eps_res, w_res = 0.0, (0.0,)
-    eps_tan, w_tan = 0.0, (0.0,)
-    c2_norm, w_q = 0.0, (0.0,)
-    for s in ss:
-        x = chart.x(s)
-        res = float(np.linalg.norm(system.t(x)))
-        if res > eps_res:
-            eps_res, w_res = res, tuple(float(v) for v in _as_vec(s))
-        jac_x = fd_jacobian(chart.x, _as_vec(s), system.dim_b)
-        lx = system.jacobian(x)
-        for col in range(jac_x.shape[1]):
-            tangent = jac_x[:, col]
-            norm = float(np.linalg.norm(tangent))
-            if norm < 1e-12:
-                continue
-            tan_bound = float(np.linalg.norm(lx @ tangent)) / norm
-            if tan_bound > eps_tan:
-                eps_tan, w_tan = tan_bound, tuple(float(v) for v in _as_vec(s))
-        qn = float(np.linalg.norm(chart.q(s), 2))
-        if qn > c2_norm:
-            c2_norm, w_q = qn, tuple(float(v) for v in _as_vec(s))
-    # (C6) Lipschitz bound on Q along the chart
-    q_pairs = [(ss[i], ss[(i + 1) % len(ss)]) for i in range(len(ss))]
-    c6, w6 = 0.0, (0.0,)
-    for sa, sb in q_pairs:
-        gap = float(np.linalg.norm(chart.x(sa) - chart.x(sb)))
-        if gap < 1e-12:
-            continue
-        quotient = float(np.linalg.norm(chart.q(sa) - chart.q(sb), 2)) / gap
-        if quotient > c6:
-            c6, w6 = quotient, tuple(float(v) for v in _as_vec(sa))
+    # (C3) chart residual, (C4) tangential bound |L_x dx| / |dx| over the
+    # columns of dx/ds, (C5) right-inverse norm, (C6) its Lipschitz bound
+    def tangential_bounds():
+        for i, s in enumerate(ss):
+            for tangent in fd_jacobian(chart.x, s, system.dim_b).T:
+                norm = float(np.linalg.norm(tangent))
+                if norm >= 1e-12:
+                    yield float(np.linalg.norm(ls[i] @ tangent)) / norm, at[i]
+
+    eps_res, w_res = _sup((float(np.linalg.norm(t)), w) for t, w in zip(ts, at))
+    eps_tan, w_tan = _sup(tangential_bounds())
+    c2_norm, w_q = _sup((float(np.linalg.norm(q, 2)), w) for q, w in zip(qs, at))
+    c6, w6 = _sup((float(np.linalg.norm(qs[i] - qs[j], 2)) / gap, at[i]) for i, j, gap, _ in gaps)
 
     eps1 = max(eps_res, eps_tan)
     c2 = max(c2_norm, c6)
-    k1 = max(float(np.linalg.norm(x)) for x in xs)
     delta1 = np.sqrt(eps1 * c2) if eps1 > 1e-14 else c2 / 10.0
     ordering_ok = (10.0 * eps1 <= delta1) and (10.0 * delta1 <= c2)
     conditions = (
@@ -287,6 +289,11 @@ class ChartMapResult:
     within_bound: bool
 
 
+def _phi(chart: ApproxChart, s: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Phi(s, eta) = x(s) + Q(s) eta."""
+    return chart.x(s) + chart.q(s) @ eta
+
+
 def chart_map(system: FredholmSystem, chart: ApproxChart, s, eta) -> ChartMapResult:
     """Phi(s, eta) = x(s) + Q(s) eta with a finite-difference probe of |D Phi|.
 
@@ -295,17 +302,16 @@ def chart_map(system: FredholmSystem, chart: ApproxChart, s, eta) -> ChartMapRes
     itself; the flag reports whether the operator norm stays within 2.
     """
     s, eta = _as_vec(s), _as_vec(eta)
-    point = chart.x(s) + chart.q(s) @ eta
 
     def phi(se: np.ndarray) -> np.ndarray:
-        s_part, eta_part = se[: s.size], se[s.size:]
-        return chart.x(s_part) + chart.q(s_part) @ eta_part
+        return _phi(chart, se[: s.size], se[s.size:])
 
     packed = np.concatenate([s, eta])
+    point = phi(packed)
     jac = fd_jacobian(phi, packed, system.dim_b)
     dx = fd_jacobian(chart.x, s, system.dim_b)
     # reparameterize the s-block to unit speed: dx = T R with T orthonormal
-    t_frame, r_factor = np.linalg.qr(dx)
+    r_factor = np.linalg.qr(dx, mode="r")
     if abs(np.linalg.det(r_factor)) < 1e-12:
         norm = float(np.linalg.norm(jac, 2))
     else:
@@ -345,10 +351,8 @@ def injectivity_probe(
         s1, s2 = chart.sample(rng), chart.sample(rng)
         e1 = rng.uniform(-delta1, delta1, size=system.dim_f)
         e2 = rng.uniform(-delta1, delta1, size=system.dim_f)
-        p1 = chart.x(s1) + chart.q(s1) @ e1
-        p2 = chart.x(s2) + chart.q(s2) @ e2
         input_gap = float(np.linalg.norm(np.concatenate([s1 - s2, e1 - e2])))
-        output_gap = float(np.linalg.norm(p1 - p2))
+        output_gap = float(np.linalg.norm(_phi(chart, s1, e1) - _phi(chart, s2, e2)))
         if output_gap <= output_tol and input_gap > input_bound:
             collisions.append(tuple(float(v) for v in np.concatenate([s1, e1, s2, e2])))
     return InjectivityReport(pairs_checked=sample_pairs, collisions=tuple(collisions))

@@ -17,13 +17,13 @@ DATA = ROOT / "demos" / "data"
 GOLDEN = ROOT / "tests" / "golden"
 
 
-def python(*args):
+def python(*args, timeout=120):
     """Run a fresh interpreter with the source tree first on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, *args], capture_output=True, env=env,
-                          cwd=ROOT, timeout=120)
+                          cwd=ROOT, timeout=timeout)
 
 
 def capture(argv):
@@ -322,7 +322,8 @@ class TestMalformedInputExits1:
     @pytest.mark.parametrize("argv,setting", [
         (["sphere", "--scale", "1e200"], "--scale 1e+200"),
         (["node", "--tau", "1e300"], "--tau 1e+300"),
-    ], ids=["sphere-scale", "node-tau"])
+        (["sphere", "--scale", "0"], "--scale 0"),
+    ], ids=["sphere-scale", "node-tau", "sphere-scale-zero"])
     def test_glue_demo_out_of_float_range(self, argv, setting):
         rc, out, err = capture(["glue", "demo", *argv])
         assert rc == 1 and out == ""
@@ -340,12 +341,23 @@ class TestMalformedInputExits1:
           "--degree", "1/0"], "--degree"),
         (POSET + ["--edge-monodromies", "e,,h"], "--edge-monodromies[1]"),
         (["glue", "demo", "linear", "--probes", "-5"], "--probes"),
+        (["glue", "demo", "linear", "--samples", "5"], "--samples"),
+        (["glue", "demo", "linear", "--seed", "-1"], "--seed"),
     ], ids=["orders-not-integer", "orders-empty", "total", "c1a", "za", "shifts-empty",
-            "degree-zero-denominator", "edge-monodromies-empty", "negative-probes"])
+            "degree-zero-denominator", "edge-monodromies-empty", "negative-probes",
+            "samples-below-floor", "negative-seed"])
     def test_bad_option_value_is_named(self, argv, option):
         rc, out, err = capture(argv)
         assert rc == 1 and out == ""
         assert err.startswith(f"error: {option}") and "Traceback" not in err
+
+    @pytest.mark.parametrize("option", ["--samples", "--probes"])
+    def test_glue_count_above_cap_exits_3(self, option):
+        # refused before any sampling, so far inside the timeout
+        proc = python("-m", "orbidegen.cli", "glue", "demo", "linear", option, "100000000",
+                      timeout=30)
+        assert proc.returncode == 3 and proc.stdout == b""
+        assert proc.stderr.decode().startswith(f"error: {option} must be at most 10000")
 
     @pytest.mark.parametrize("extra,field", [
         (["--max-vertices", "0"], "max_vertices"),

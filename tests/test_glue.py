@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from orbidegen.errors import ResourceLimitError
 from orbidegen.glue import (
+    MAX_SAMPLES,
     ApproxChart,
     FredholmSystem,
     NonConvergenceError,
@@ -17,6 +19,8 @@ from orbidegen.glue import (
     node_model,
     sphere_model,
 )
+
+MODELS = {"sphere": sphere_model, "node": node_model, "linear": linear_model}
 
 
 class TestEstimateConstants:
@@ -46,6 +50,36 @@ class TestEstimateConstants:
         system, chart = sphere_model()
         with pytest.raises(ValueError):
             estimate_constants(system, chart, 5)
+
+    def test_sample_count_cap_before_any_work(self):
+        system, chart = sphere_model()
+        evaluated = []
+        counted = dataclasses.replace(chart, param=lambda s: evaluated.append(s) or chart.param(s))
+        with pytest.raises(ResourceLimitError, match=str(MAX_SAMPLES)):
+            estimate_constants(system, counted, MAX_SAMPLES + 1)
+        assert evaluated == []
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    @pytest.mark.parametrize("samples", [10, 200])
+    def test_callbacks_once_per_sample(self, model, samples):
+        system, chart = MODELS[model]()
+        calls = {"evaluate": 0, "derivative": 0, "right_inverse": 0}
+
+        def counting(name, func):
+            def wrapper(arg):
+                calls[name] += 1
+                return func(arg)
+            return wrapper
+
+        counted_system = dataclasses.replace(
+            system, evaluate=counting("evaluate", system.evaluate),
+            derivative=counting("derivative", system.derivative))
+        counted_chart = dataclasses.replace(
+            chart, right_inverse=counting("right_inverse", chart.right_inverse))
+        estimate_constants(counted_system, counted_chart, samples)
+        # t once per sample and twice per remainder probe (at most 100 probes)
+        assert calls == {"evaluate": samples + 2 * min(samples, 100),
+                         "derivative": samples, "right_inverse": samples}
 
     def test_b3_stable_across_sample_sizes(self):
         system, chart = sphere_model(1.0)
@@ -202,6 +236,17 @@ class TestJacobians:
             assert chart.check_right_inverse(system, chart.sample(
                 np.random.default_rng(0))) <= 1e-8
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_chart_caught(self):
+        system, chart = sphere_model(0.0)
+        s = np.array([1.0, 0.5])
+        assert np.all(chart.x(s) == 0.0)
+        with pytest.raises(FloatingPointError, match=r"sphere-chart\(scale=0\): Q\(s\)"):
+            chart.q(s)
+        broken = dataclasses.replace(chart, param=lambda s: np.array([np.inf, 0.0, 0.0]))
+        with pytest.raises(FloatingPointError, match=r"x\(s\) is non-finite"):
+            broken.x(s)
+
     def test_non_finite_evaluation_caught(self):
         system = FredholmSystem(dim_b=1, dim_f=1,
                                 evaluate=lambda x: np.array([np.nan]),
@@ -227,3 +272,180 @@ class TestBuiltinModels:
         system, chart = node_model(0.25)
         x = chart.x(np.array([0.7]))
         assert abs(x[0] * x[1] - 0.25) < 1e-12
+
+
+# Recorded with the estimator that ran one loop per condition; the one-pass
+# estimator must reproduce them.
+# (model, seed, samples): ((C1, C2, eps1), (delta1, K1), ordering_ok,
+#                          (estimate, witness) of B1, B2, B3, C1, C3, C4, C5, C6)
+REFERENCE = {
+    ('sphere', 0, 10): (
+        (2.0000000000000004, 0.5000000000000001, 3.24805402084093e-11),
+        (4.029921848399129e-06, 1.0), True, (
+            (1.3676360138022823e-15, (-0.7295334604474594, -0.6307334302857726)),
+            (2.0000000000000004, (0.17877890808840485, -0.4621364360552643)),
+            (0.5454560304929066, (0.17877890808840485,)),
+            (1.0, (1.0,)),
+            (2.220446049250313e-16, (2.304347617494572, 2.47653346366633)),
+            (3.24805402084093e-11, (2.421213423308049, 0.24876732149455005)),
+            (0.5000000000000001, (1.8915048076500764, -1.3812797174167781)),
+            (0.5000000000000001, (1.8915048076500764, -1.3812797174167781)),
+        )),
+    ('sphere', 0, 200): (
+        (2.0000000000000004, 0.5000000000000002, 6.526034973662975e-11),
+        (5.712282807102156e-06, 1.0), True, (
+            (1.3676360138022823e-15, (-0.7295334604474594, -0.6307334302857726)),
+            (2.0000000000000004, (0.17877890808840485, -0.4621364360552643)),
+            (0.9410817140498554, (0.5932880713284616,)),
+            (1.0, (1.0,)),
+            (3.3306690738754696e-16, (1.6301658220408028, -1.138548746646266)),
+            (6.526034973662975e-11, (0.9208952378194704, 0.3464854957278387)),
+            (0.5000000000000001, (1.8915048076500764, -1.3812797174167781)),
+            (0.5000000000000002, (1.7382900529442264, -1.0687836535443471)),
+        )),
+    ('sphere', 1, 10): (
+        (2.0, 0.5000000000000001, 4.5442243356405775e-11),
+        (4.7666677751027385e-06, 1.0), True, (
+            (7.302355749428571e-16, (0.8610424514423628, 0.5472112050576624)),
+            (2.0, (-0.9049108784455198, -0.6056272702588188)),
+            (0.9739147613371265, (-0.9468398725010344,)),
+            (1.0, (1.0,)),
+            (2.220446049250313e-16, (1.1301822371859909, -0.4600413061645461)),
+            (4.5442243356405775e-11, (2.164420759656535, 0.2288598793156691)),
+            (0.5000000000000001, (0.7138710535486682, -0.5813220813172246)),
+            (0.5000000000000001, (0.7138710535486682, -0.5813220813172246)),
+        )),
+    ('sphere', 1, 200): (
+        (2.0000000000000004, 0.5000000000000002, 8.230085171617673e-11),
+        (6.414859769167864e-06, 1.0), True, (
+            (9.354219938747768e-16, (0.99102839214874, 0.9685194429233803)),
+            (2.0000000000000004, (0.22899291634045976, -0.6645451169468491)),
+            (0.876217752544624, (0.5948236376038301,)),
+            (1.0, (1.0,)),
+            (3.3306690738754696e-16, (1.6084224086673884, -2.3048063251753783)),
+            (8.230085171617673e-11, (1.4499615038578209, -0.7938025818599606)),
+            (0.5000000000000001, (0.7138710535486682, -0.5813220813172246)),
+            (0.5000000000000002, (1.9999795993913265, 1.7225816493288058)),
+        )),
+    ('node', 0, 10): (
+        (1.0000000000000002, 1.6473648195794683, 9.891451234765923e-12),
+        (4.036685370293216e-06, 1.328621807376762), True, (
+            (4.373510992619558e-16, (0.19964786630899692, 0.19012150532544123)),
+            (1.0000000000000002, (0.9355630839289738, 1.1415237286160091)),
+            (0.43739419072246816, (0.3155072073544356,)),
+            (1.328621807376762, (1.328621807376762,)),
+            (2.7755575615628914e-17, (-0.9669447289429418,)),
+            (9.891451234765923e-12, (0.2739233746429086,)),
+            (1.4035424384690924, (0.08724998293084574,)),
+            (1.6473648195794683, (0.4589931219679968,)),
+        )),
+    ('node', 0, 200): (
+        (1.0000000000000002, 1.993100857446293, 3.1503044092325306e-11),
+        (7.923934893257385e-06, 1.3643115444482086), True, (
+            (6.148995003292226e-16, (0.49742932658769995, 0.5301884019810741)),
+            (1.0000000000000002, (0.9355630839289738, 1.1415237286160091)),
+            (0.49154046467740214, (0.9355630839289738,)),
+            (1.3643115444482086, (1.3643115444482086,)),
+            (2.7755575615628914e-17, (-0.9669447289429418,)),
+            (3.1503044092325306e-11, (-0.00020837262470596585,)),
+            (1.4142135009691463, (-0.00020837262470596585,)),
+            (1.993100857446293, (-0.005154609024762058,)),
+        )),
+    ('node', 1, 10): (
+        (1.0000000000000002, 1.917638098726575, 1.7322522464207456e-11),
+        (5.7635344228529746e-06, 1.3008565669503986), True, (
+            (0.0, (0.0,)),
+            (1.0000000000000002, (0.24540927423011547, 1.2264842138178054)),
+            (0.318709425430627, (0.4169667036132208,)),
+            (1.3008565669503986, (1.3008565669503986,)),
+            (0.0, (0.0,)),
+            (1.7322522464207456e-11, (-0.18160172726167745,)),
+            (1.4134235275986393, (0.023643249400513433,)),
+            (1.917638098726575, (-0.18160172726167745,)),
+        )),
+    ('node', 1, 200): (
+        (1.0000000000000002, 1.9983312531529147, 2.5052420447418085e-11),
+        (7.075523637668288e-06, 1.3689580453341708), True, (
+            (1.5904112300119984e-14, (0.34476943512348196, 0.34402138325347265)),
+            (1.0000000000000002, (0.24540927423011547, 1.2264842138178054)),
+            (0.4973972503332565, (1.1560743198458145,)),
+            (1.3689580453341708, (1.3689580453341708,)),
+            (2.7755575615628914e-17, (0.5768574068568086,)),
+            (2.5052420447418085e-11, (-0.023101545828952297,)),
+            (1.414212843710521, (0.0007128614737419436,)),
+            (1.9983312531529147, (0.01899176304301875,)),
+        )),
+    ('linear', 0, 10): (
+        (1.1399696325349177e-15, 1.766848464616362, 7.97643992954071e-11),
+        (1.1871461848741985e-05, 1.926029002883321), True, (
+            (1.0726908503884658e-15, (-1.2036267380436594, -1.1585541684279486)),
+            (0.0, (0.0,)),
+            (1.1399696325349177e-15, (-1.555371868156359,)),
+            (1.926029002883321, (1.926029002883321,)),
+            (6.206335383118183e-16, (-0.9180529521276106, -0.9669447289429418)),
+            (7.97643992954071e-11, (-0.9180529521276106, -0.9669447289429418)),
+            (1.766848464616362, (0.2739233746429086, -0.4604265724722594)),
+            (0.0, (0.0,)),
+        )),
+    ('linear', 0, 200): (
+        (6.7929613533755275e-15, 1.766848464616362, 1.208199106895203e-10),
+        (1.4610628791974181e-05, 1.9609859156203067), True, (
+            (2.8184742060715506e-15, (-1.0533189737845066, -1.0293346265195278)),
+            (0.0, (0.0,)),
+            (6.7929613533755275e-15, (-0.7617627404737333,)),
+            (1.9609859156203067, (1.9609859156203067,)),
+            (6.206335383118183e-16, (-0.9180529521276106, -0.9669447289429418)),
+            (1.208199106895203e-10, (0.1886000603993936, -0.3241775489857335)),
+            (1.766848464616362, (0.2739233746429086, -0.4604265724722594)),
+            (0.0, (0.0,)),
+        )),
+    ('linear', 1, 10): (
+        (1.5372817133116305e-15, 1.766848464616362, 8.549567011211805e-11),
+        (1.2290561153541475e-05, 1.8009495325390277), True, (
+            (1.0001850870166297e-15, (-1.190952513419473, -1.2752573027745777)),
+            (0.0, (0.0,)),
+            (1.5372817133116305e-15, (-0.8607819352068209,)),
+            (1.8009495325390277, (1.8009495325390277,)),
+            (5.79553433516819e-16, (-0.7116807745607325, 0.8972988942744877)),
+            (8.549567011211805e-11, (-0.7319166055056705, -0.19377402710574154)),
+            (1.766848464616362, (0.023643249400513433, 0.9009273926518706)),
+            (0.0, (0.0,)),
+        )),
+    ('linear', 1, 200): (
+        (6.507274612009085e-15, 1.766848464616362, 9.783165594211731e-11),
+        (1.3147384192005883e-05, 1.9638945901864866), True, (
+            (6.507274612009085e-15, (-0.923398713688995, -0.9147150931104003)),
+            (0.0, (0.0,)),
+            (1.3031803146017055e-15, (-0.9627492207029595,)),
+            (1.9638945901864866, (1.9638945901864866,)),
+            (6.77599954797753e-16, (-0.8495777763711911, 0.9257291568864556)),
+            (9.783165594211731e-11, (-0.011988489342716013, 0.044440055901616926)),
+            (1.766848464616362, (0.023643249400513433, 0.9009273926518706)),
+            (0.0, (0.0,)),
+        )),
+}
+
+
+def close(a: float, b: float) -> bool:
+    """The tolerance the benchmark applies to glue output floats."""
+    return abs(a - b) <= 1e-9 * max(abs(a), abs(b)) + 1e-12
+
+
+class TestReferenceValues:
+    @pytest.mark.parametrize("key", sorted(REFERENCE), ids=lambda k: "-".join(map(str, k)))
+    def test_constants_and_witnesses(self, key):
+        model, seed, samples = key
+        system, chart = MODELS[model]()
+        const = estimate_constants(system, chart, samples, seed=seed)
+        head, tail, ordering_ok, conditions = REFERENCE[key]
+        got = (const.c1, const.c2, const.eps1, const.delta1, const.k1)
+        assert all(close(a, b) for a, b in zip(got, head + tail))
+        assert const.ordering_ok is ordering_ok
+        assert len(const.conditions) == len(conditions)
+        for report, (estimate, witness) in zip(const.conditions, conditions):
+            assert close(report.estimate, estimate), report.name
+            # a round-off-level supremum may fall on another sample on
+            # another LAPACK build; witnesses of real bounds must not move
+            if estimate >= 1e-6:
+                assert len(report.witness) == len(witness), report.name
+                assert all(close(a, b) for a, b in zip(report.witness, witness)), report.name
