@@ -79,21 +79,15 @@ class ModuliSpec:
 
 
 def virdim(spec: ModuliSpec) -> Fraction:
-    """Complex virtual dimension of the moduli space described by `spec`."""
-    base = spec.c1A + (3 - spec.n) * (spec.genus - 1) + spec.m
-    if spec.flavor == ABSOLUTE_SMOOTH:
-        return base
-    if spec.flavor == RELATIVE_SMOOTH:
-        deduction = sum((t.order.value for t in spec.rel), Fraction(0))
-        return base + spec.k - deduction
-    if spec.flavor == ABSOLUTE_ORBIFOLD:
-        return base - sum(spec.shifts, Fraction(0))
-    # relative-orbifold
-    return (base
+    """Complex virtual dimension of the moduli space described by `spec`.
+
+    The relative-orbifold expression serves every flavor: a smooth spec has
+    no shifts and integral contacts (whose floor bracket is the contact), and
+    an absolute spec has no relative insertions.
+    """
+    return (spec.c1A + (3 - spec.n) * (spec.genus - 1) + spec.m + spec.k
             - sum(spec.shifts, Fraction(0))
-            + spec.k
-            - sum((t.shift for t in spec.rel), Fraction(0))
-            - sum(floor_bracket(t.order.value) for t in spec.rel))
+            - sum((t.shift + floor_bracket(t.order.value) for t in spec.rel), Fraction(0)))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ into a byte-stable order.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -151,14 +152,12 @@ class Matching:
     """One admissible splitting before basis insertions are attached.
 
     Node j is the j-th relative tail of both side graphs; plus-side tails
-    carry the node monodromy, minus-side tails its inverse.  The insertion
-    index tuples record which scenario absolute insertions went to each side.
+    carry the node monodromy, minus-side tails its inverse.  Each side's
+    absolute tails come first, in scenario order.
     """
 
     gamma_plus: RelGraph
     gamma_minus: RelGraph
-    plus_insertions: tuple[int, ...]
-    minus_insertions: tuple[int, ...]
     contacts: tuple[ContactOrder, ...]
     monodromies: tuple[str, ...]
 
@@ -218,50 +217,33 @@ def _node_multisets(
     orders = {entry.label: entry.order for entry in menu}
     for label_tuple in itertools.combinations_with_replacement(labels, n):
         for contacts in enumerate_partitions(z_total, [orders[h] for h in label_tuple]):
-            key = tuple(sorted(zip(label_tuple, contacts),
-                               key=lambda p: (p[0], p[1].k, p[1].r)))
-            out.add(key)
-    return sorted(out, key=lambda ms: [(h, c.k, c.r) for h, c in ms])
+            out.add(tuple(sorted(zip(label_tuple, contacts))))
+    return sorted(out)
 
 
-def _extract_matching(canon: RelGraph, scenario: SplittingScenario,
-                      table: MonodromyTable) -> Matching:
-    """Read the two side graphs back off the canonical glued representation."""
-    plus_ids = [i for i, v in enumerate(canon.vertices) if v.level == 0]
-    minus_ids = [i for i, v in enumerate(canon.vertices) if v.level == 1]
-    remap = {}
-    for new, old in enumerate(plus_ids):
-        remap[old] = new
-    for new, old in enumerate(minus_ids):
-        remap[old] = new
+def _extract_matching(canon: RelGraph) -> Matching:
+    """Read the two side graphs back off the canonical glued representation.
 
-    contacts = tuple(e.contact for e in canon.edges)
-    monodromies = tuple(e.halves[0] for e in canon.edges)
+    The canonical form lists the level-0 vertices first and every node edge
+    with its level-0 end first, so side `level` takes end and half `level` of
+    each edge and shifts vertex indices by the plus-side size times `level`.
+    """
+    n_plus = sum(v.level == 0 for v in canon.vertices)
 
-    plus_insertions = tuple(t for t, tail in enumerate(canon.tails)
-                            if canon.vertices[tail.vertex].level == 0)
-    minus_insertions = tuple(t for t, tail in enumerate(canon.tails)
-                             if canon.vertices[tail.vertex].level == 1)
-
-    def side_graph(ids: list[int], insertion_ids: tuple[int, ...], plus_side: bool) -> RelGraph:
-        vertices = tuple(Vertex(canon.vertices[i].genus, canon.vertices[i].cls, 0) for i in ids)
-        tails = [Tail(vertex=remap[canon.tails[t].vertex], kind=ABSOLUTE,
-                      monodromy=scenario.absolute[t].label)
-                 for t in insertion_ids]
-        for j, edge in enumerate(canon.edges):
-            end = edge.ends[0] if plus_side else edge.ends[1]
-            mono = monodromies[j] if plus_side else table.inverse_of(monodromies[j])
-            tails.append(Tail(vertex=remap[end], kind=RELATIVE,
-                              monodromy=mono, contact=contacts[j]))
+    def side_graph(level: int) -> RelGraph:
+        shift = n_plus * level
+        vertices = tuple(Vertex(v.genus, v.cls, 0) for v in canon.vertices if v.level == level)
+        tails = [Tail(t.vertex - shift, ABSOLUTE, t.monodromy) for t in canon.tails
+                 if canon.vertices[t.vertex].level == level]
+        tails += [Tail(e.ends[level] - shift, RELATIVE, e.halves[level], e.contact)
+                  for e in canon.edges]
         return RelGraph(vertices, (), tuple(tails))
 
     return Matching(
-        gamma_plus=side_graph(plus_ids, plus_insertions, True),
-        gamma_minus=side_graph(minus_ids, minus_insertions, False),
-        plus_insertions=plus_insertions,
-        minus_insertions=minus_insertions,
-        contacts=contacts,
-        monodromies=monodromies,
+        gamma_plus=side_graph(0),
+        gamma_minus=side_graph(1),
+        contacts=tuple(e.contact for e in canon.edges),
+        monodromies=tuple(e.halves[0] for e in canon.edges),
     )
 
 
@@ -321,7 +303,7 @@ def enumerate_splittings(
                                     canon = canonical_form(glued)
                                     key = encode(canon)
                                     if key not in found:
-                                        found[key] = _extract_matching(canon, scenario, table)
+                                        found[key] = _extract_matching(canon)
     return [found[key] for key in sorted(found)]
 
 
@@ -366,10 +348,11 @@ def expand(
     """Emit the term sum: one term per splitting per sector-compatible index tuple.
 
     The plus side receives the dual-basis labels (the tuple I); the minus side
-    implicitly carries the duals b_I.  The coefficient of a term is the product
-    of its node contact values times the automorphism order of the decorated
-    insertion multiset.  With `total_degree` set, only index tuples whose plus
-    side degrees sum to that value are kept.
+    implicitly carries the duals b_I.  The coefficient of a term is its
+    matching's l(Gamma), the product of the node contact values, times the
+    automorphism order of the decorated insertion multiset.  With
+    `total_degree` set, only index tuples whose plus side degrees sum to that
+    value are kept.
     """
     table = scenario.table()
     basis.check_against(table)
@@ -383,26 +366,16 @@ def expand(
                 f"menu class {entry.label!r}: inverse sector {entry.inverse!r} "
                 f"has no basis entries"
             )
-    matchings = enumerate_splittings(scenario, homology)
     terms: list[Term] = []
-    for matching in matchings:
-        supports = [basis.supported_on(h) for h in matching.monodromies]
-        for combo in itertools.product(*supports):
-            labels = tuple(entry.label for entry in combo)
-            if total_degree is not None:
-                degree_sum = sum((entry.cr_degree for entry in combo), Fraction(0))
-                if degree_sum != total_degree:
-                    continue
-            insertions = [
-                RelInsertion(order=c, monodromy=h, basis_label=lb)
-                for c, h, lb in zip(matching.contacts, matching.monodromies, labels)
-            ]
-            ell = Fraction(1)
-            for c in matching.contacts:
-                ell *= c.value
-            coefficient = ell * aut_order(insertions)
-            terms.append(Term(matching.gamma_plus, matching.gamma_minus,
-                              labels, coefficient))
+    for m in enumerate_splittings(scenario, homology):
+        ell = math.prod((c.value for c in m.contacts), start=Fraction(1))
+        for combo in itertools.product(*(basis.supported_on(h) for h in m.monodromies)):
+            if total_degree is not None and sum(e.cr_degree for e in combo) != total_degree:
+                continue
+            aut = aut_order(RelInsertion(c, h, e.label)
+                            for c, h, e in zip(m.contacts, m.monodromies, combo))
+            terms.append(Term(m.gamma_plus, m.gamma_minus,
+                              tuple(e.label for e in combo), ell * aut))
     terms.sort(key=term_record)
     return terms
 

@@ -146,7 +146,8 @@ def estimate_constants(
     approximation quality eps1, and the right-inverse bound C2, each reported
     with its witnessing sample.  delta1 is placed between eps1 and C2 and the
     ordering flag requires factor-10 separations eps1 << delta1 << C2.  Each
-    model callback runs once per sample; t also twice per remainder probe."""
+    model callback runs once per sample; t also twice per remainder probe.
+    A non-finite constant raises FloatingPointError naming the system."""
     if sample_count < MIN_SAMPLES:
         raise ValueError(f"sample_count must be >= {MIN_SAMPLES}, got {sample_count}")
     if sample_count > MAX_SAMPLES:
@@ -205,6 +206,9 @@ def estimate_constants(
     eps1 = max(eps_res, eps_tan)
     c2 = max(c2_norm, c6)
     delta1 = np.sqrt(eps1 * c2) if eps1 > 1e-14 else c2 / 10.0
+    for name, value in (("C1", c1), ("C2", c2), ("eps1", eps1), ("delta1", delta1), ("K1", k1)):
+        if not np.isfinite(value):
+            raise FloatingPointError(f"{system.name}: constant {name} is non-finite ({value})")
     ordering_ok = (10.0 * eps1 <= delta1) and (10.0 * delta1 <= c2)
     conditions = (
         ConditionReport("B1 t Lipschitz", b1, w1, True),

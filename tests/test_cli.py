@@ -285,6 +285,14 @@ class TestMalformedInputExits1:
         err = self.run_on(tmp_path, json.dumps(doc), ["sectors"])
         assert "groups[z3].cyclic" in err and "integer" in err
 
+    @pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+    def test_sectors_pairing_violation(self, tmp_path, extra):
+        doc = json.loads((DATA / "ex_z3.json").read_text())
+        doc["profiles"][0]["sectors"][1]["betti"] = {"0": 2}
+        err = self.run_on(tmp_path, json.dumps(doc), ["sectors", *extra])
+        assert err == ("error: pairing shape violated at sector c1: "
+                       "betti[0]=2 but inverse sector betti[0]=1\n")
+
     @pytest.mark.parametrize("rel,term", [
         ("3/2:1/2:h:q", "3/2:1/2:h:q"),
         ("x", "x"),
@@ -329,6 +337,19 @@ class TestMalformedInputExits1:
         assert rc == 1 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
         assert f"glue demo {argv[0]} {setting}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sphere", "--scale", "0"],
+        ["sphere", "--scale", "1e200"],
+        ["node", "--tau", "1e300"],
+        ["node", "--tau", "1e300", "--probes", "0"],
+    ], ids=["sphere-scale-zero", "sphere-scale", "node-tau", "node-tau-no-probes"])
+    def test_glue_demo_out_of_float_range_one_line(self, argv):
+        # numpy warnings would reach a child's stderr ahead of the error line
+        proc = python("-m", "orbidegen.cli", "glue", "demo", *argv)
+        lines = proc.stderr.decode().splitlines()
+        assert proc.returncode == 1 and proc.stdout == b""
+        assert len(lines) == 1 and lines[0].startswith(f"error: glue demo {argv[0]}")
 
     @pytest.mark.parametrize("argv,option", [
         (["partitions", "--total", "2", "--orders", "2,x"], "--orders[1]"),

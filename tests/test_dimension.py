@@ -3,8 +3,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from orbidegen.contact import ContactOrder, MonodromyTable
-from orbidegen.dimension import Ledger, ModuliSpec, RelTerm, splitting_ledger, virdim
+from orbidegen.contact import ContactOrder, MonodromyTable, floor_bracket
+from orbidegen.dimension import (
+    ABSOLUTE_ORBIFOLD,
+    ABSOLUTE_SMOOTH,
+    FLAVORS,
+    RELATIVE_SMOOTH,
+    Ledger,
+    ModuliSpec,
+    RelTerm,
+    splitting_ledger,
+    virdim,
+)
 from orbidegen.errors import ValidationError
 
 
@@ -99,6 +109,45 @@ class TestSmoothSpecialization:
                                   rel=base.rel + (rel(ell),),
                                   zA=base.zA + ell)
             assert virdim(extended) - virdim(base) == 1 - ell
+
+
+def per_flavor_virdim(spec):
+    """The four flavor formulas, each written out on its own."""
+    base = spec.c1A + (3 - spec.n) * (spec.genus - 1) + spec.m
+    if spec.flavor == ABSOLUTE_SMOOTH:
+        return base
+    if spec.flavor == RELATIVE_SMOOTH:
+        return base + spec.k - sum((t.order.value for t in spec.rel), F(0))
+    if spec.flavor == ABSOLUTE_ORBIFOLD:
+        return base - sum(spec.shifts, F(0))
+    return (base - sum(spec.shifts, F(0)) + spec.k
+            - sum((t.shift for t in spec.rel), F(0))
+            - sum(floor_bracket(t.order.value) for t in spec.rel))
+
+
+def random_spec(rng, flavor):
+    smooth = flavor in (ABSOLUTE_SMOOTH, RELATIVE_SMOOTH)
+    relative = flavor not in (ABSOLUTE_SMOOTH, ABSOLUTE_ORBIFOLD)
+
+    def shift():
+        return F(0) if smooth else F(rng.randint(0, 5), rng.randint(1, 6))
+
+    rel_terms = tuple(
+        rel(rng.randint(1, 7), 1 if smooth else rng.randint(1, 4), shift=shift())
+        for _ in range(rng.randint(1, 4) if relative else 0))
+    return ModuliSpec(flavor, n=rng.randint(1, 4), genus=rng.randint(0, 3),
+                      c1A=F(rng.randint(-6, 12), rng.randint(1, 3)),
+                      shifts=tuple(shift() for _ in range(rng.randint(0, 3))),
+                      rel=rel_terms, zA=sum((t.order.value for t in rel_terms), F(0)))
+
+
+class TestOneFormula:
+    @pytest.mark.parametrize("flavor", FLAVORS)
+    def test_matches_per_flavor_formula(self, flavor):
+        rng = random.Random(f"virdim-{flavor}")
+        for _ in range(300):
+            spec = random_spec(rng, flavor)
+            assert virdim(spec) == per_flavor_virdim(spec)
 
 
 def random_smooth_splitting(rng):

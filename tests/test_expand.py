@@ -1,4 +1,6 @@
+import hashlib
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,9 @@ from orbidegen.expand import (
     term_record,
 )
 from orbidegen.graph import HomologyModel, bullet_genus, validate
+from orbidegen.io import load_document
+
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
 LINE = HomologyModel(rank=1, c1=(F(3),), z_pairing=(F(1),),
                      effective=((0,), (1,), (2,)))
@@ -326,3 +331,41 @@ class TestCrossModuleConsistency:
             for c in m.contacts:
                 product *= c.value
             assert ell == product
+
+
+ZFREE = HomologyModel(rank=1, c1=(F(3),), z_pairing=(F(0),),
+                      effective=((0,), (1,), (2,)))
+
+
+def pinned_scenarios():
+    """(scenario, homology) for every scenario above, one with insertions on
+    both sides of a Z2 menu, and the scenarios of demos/data/smooth1.json."""
+    z2 = dict(splittings=(((2,), (2,)),), menu=Z2_MENU, z_total=F(1))
+    cases = [
+        (scenario(genus=1, splittings=(((0,), (0,)),), max_nodes=0, z_total=0), LINE),
+        (scenario(), LINE),
+        (scenario(max_nodes=2), LINE),
+        (scenario(genus=1, max_nodes=2), LINE),
+        (scenario(max_nodes=2, **z2), HALFLINE),
+        (scenario(absolute=(AbsInsertion("a", 0),), max_nodes=2), LINE),
+        (scenario(splittings=(((0,), (2,)), ((2,), (0,))), z_total=0), ZFREE),
+        (scenario(genus=1, absolute=(AbsInsertion("a", 0), AbsInsertion("b", 1)),
+                  max_nodes=2, **z2), HALFLINE),
+    ]
+    doc = load_document((DATA / "smooth1.json").read_text())
+    for name in sorted(doc.scenarios):
+        cases.append((doc.scenarios[name], doc.homology[doc.scenario_context[name][0]]))
+    return cases
+
+
+PINNED_SPLITTINGS = "476c24937c763c9e84ccf3e882eb81c7b5b5d4eda8d1ea442bb6cf4f9be9a73e"
+
+
+class TestSplittingsPinned:
+    def test_digest(self):
+        digest = hashlib.sha256()
+        for sc, homology in pinned_scenarios():
+            for m in enumerate_splittings(sc, homology):
+                digest.update(repr((m.gamma_plus, m.gamma_minus,
+                                    m.contacts, m.monodromies)).encode())
+        assert digest.hexdigest() == PINNED_SPLITTINGS

@@ -254,6 +254,12 @@ class TestJacobians:
         with pytest.raises(FloatingPointError, match="nan"):
             system.t(np.array([0.0]))
 
+    def test_non_finite_constant_caught(self):
+        system, chart = node_model(tau=1e300)
+        with np.errstate(all="ignore"), pytest.raises(
+                FloatingPointError, match=r"node\(tau=1e\+300\): constant C1 is non-finite"):
+            estimate_constants(system, chart, 10)
+
 
 class TestBuiltinModels:
     def test_sphere_solution_set(self):

@@ -9,6 +9,7 @@ import pytest
 from orbidegen.contact import ContactOrder, MonodromyTable
 from orbidegen.errors import ValidationError
 from orbidegen.graph import (
+    Diagnostic,
     Edge,
     HomologyModel,
     PosetBounds,
@@ -77,6 +78,37 @@ class TestValidate:
                          (Edge("relative", (0, 1), ("h", "h"), ContactOrder(1, 1)),), ())
         diags = validate(graph, ZFREE, Z2DIV)
         assert any(d.rule == "contact order" for d in diags)
+
+    @pytest.mark.parametrize("graph,expected", [
+        (RelGraph((vertex(g=-1),), (), ()),
+         ("genus", "vertex 0", "negative genus -1")),
+        (RelGraph((vertex(), vertex(level=1)), (Edge("absolute", (0, 1)),), ()),
+         ("level rule", "edge 0", "absolute edge joins levels 0 and 1")),
+        (RelGraph((vertex(), vertex()),
+                  (Edge("absolute", (0, 1), ("e", "e"), ContactOrder(1, 1)),), ()),
+         ("structure", "edge 0", "absolute edge carries a contact order")),
+        (RelGraph((vertex(), vertex(level=1)), (Edge("relative", (0, 1)),), ()),
+         ("structure", "edge 0", "relative edge missing a contact order")),
+        (RelGraph((vertex(), vertex()), (Edge("weird", (0, 1)),), ()),
+         ("structure", "edge 0", "unknown edge kind 'weird'")),
+        (RelGraph((vertex(), vertex()), (Edge("absolute", (0, 1), ("q", "e")),), ()),
+         ("balance", "edge 0", "unknown class label 'q'")),
+        (RelGraph((vertex(),), (), (Tail(3, "absolute"),)),
+         ("structure", "tail 0", "vertex index 3 out of range")),
+        (RelGraph((vertex(),), (), (Tail(0, "weird"),)),
+         ("structure", "tail 0", "unknown tail kind 'weird'")),
+        (RelGraph((vertex(),), (), (Tail(0, "absolute", "q"),)),
+         ("balance", "tail 0", "unknown class label 'q'")),
+        (RelGraph((vertex(),), (), (Tail(0, "relative"),)),
+         ("structure", "tail 0", "relative tail missing a contact order")),
+        (RelGraph((vertex(),), (), (Tail(0, "absolute", "e", ContactOrder(1, 1)),)),
+         ("structure", "tail 0", "absolute tail carries a contact order")),
+    ], ids=["negative-genus", "absolute-edge-across-levels", "absolute-edge-contact",
+            "relative-edge-no-contact", "unknown-edge-kind", "unknown-half-label",
+            "tail-out-of-range", "unknown-tail-kind", "unknown-tail-label",
+            "relative-tail-no-contact", "absolute-tail-contact"])
+    def test_one_diagnostic_per_rule(self, graph, expected):
+        assert validate(graph, ZFREE) == [Diagnostic(*expected)]
 
 
 class TestGenus:
@@ -324,6 +356,13 @@ class TestDotExport:
         assert 'label="g=0,A=(1),lvl=0"' in first
         assert "style=dashed" in first and "ℓ=1/2,(h)" in first
 
+    def test_absolute_edges(self):
+        graph = RelGraph((vertex(), vertex()),
+                         (Edge("absolute", (0, 1)), Edge("absolute", (0, 1), ("h", "h"))), ())
+        lines = to_dot(graph).splitlines()
+        assert "  v0 -- v1;" in lines
+        assert '  v0 -- v1 [label="(h)"];' in lines
+
 
 class TestResourceCaps:
     def test_automorphism_vertex_cap(self):
@@ -470,6 +509,22 @@ def pinned_graphs() -> list[RelGraph]:
 # for every pinned graph, recorded before canonical_form became the decoded
 # least encoding
 PINNED_DIGEST = "898f7f353c3e4022e1e6616b0b48f47445bb0810bebb809e473f563b8ae6ad2f"
+
+
+class TestCanonicalLayout:
+    def test_lower_level_first(self):
+        # expand reads the two sides of a splitting off this layout
+        rng = random.Random(4242)
+        relative = 0
+        for i in range(2000):
+            canon = canonical_form((random_symmetric_graph if i % 2 else random_valid_graph)(rng))
+            levels = [v.level for v in canon.vertices]
+            assert levels == sorted(levels)
+            for e in canon.edges:
+                if e.kind == "relative":
+                    relative += 1
+                    assert levels[e.ends[0]] + 1 == levels[e.ends[1]]
+        assert relative > 1000
 
 
 class TestCanonicalFormPinned:
