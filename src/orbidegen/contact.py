@@ -66,6 +66,8 @@ class MonodromyTable:
                 raise ValidationError(f"class {label!r} has no inverse entry")
             if inv not in self.orders:
                 raise ValidationError(f"inverse {inv!r} of class {label!r} is not a known class")
+            if inv not in self.inverses:
+                raise ValidationError(f"class {inv!r} has no inverse entry")
             if self.inverses[inv] != label:
                 raise ValidationError(f"inverse map is not an involution at class {label!r}")
             if self.orders[inv] != order:
@@ -188,15 +190,15 @@ def enumerate_partitions(
 
 
 def aut_order(insertions: Iterable[RelInsertion]) -> int:
-    """Order of the permutation group preserving every (l, h, beta) triple."""
-    counts: dict[tuple[Fraction, str, str], int] = {}
+    """Order of the permutation group preserving every (l, h, beta) triple; l = k/r
+    is keyed by its lowest-terms pair, equal exactly when the values are."""
+    counts: dict[tuple[int, int, str, str], int] = {}
     for ins in insertions:
-        key = ins.triple()
+        k, r = ins.order.k, ins.order.r
+        g = math.gcd(k, r)
+        key = (k // g, r // g, ins.monodromy, ins.basis_label)
         counts[key] = counts.get(key, 0) + 1
-    result = 1
-    for c in counts.values():
-        result *= math.factorial(c)
-    return result
+    return math.prod(map(math.factorial, counts.values()))
 
 
 def branch_cover_degree(r: int) -> int:

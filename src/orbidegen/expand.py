@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -331,12 +332,14 @@ def _side_record(graph: RelGraph) -> str:
     return f"V({vs})|T({';'.join(parts)})"
 
 
+def _record(coefficient: Fraction, labels: Sequence[str], plus: str, minus: str) -> str:
+    return f"coeff={coefficient} I=({','.join(labels)}) plus={plus} minus={minus}"
+
+
 def term_record(term: Term) -> str:
     """Canonical one-line record of a term; sorted fields, lowest-terms rationals."""
-    return (f"coeff={term.coefficient} "
-            f"I=({','.join(term.labels)}) "
-            f"plus={_side_record(term.gamma_plus)} "
-            f"minus={_side_record(term.gamma_minus)}")
+    return _record(term.coefficient, term.labels,
+                   _side_record(term.gamma_plus), _side_record(term.gamma_minus))
 
 
 def expand(
@@ -366,18 +369,20 @@ def expand(
                 f"menu class {entry.label!r}: inverse sector {entry.inverse!r} "
                 f"has no basis entries"
             )
-    terms: list[Term] = []
+    # (term_record(term), term) pairs; each side's record is built once per matching
+    records: list[tuple[str, Term]] = []
     for m in enumerate_splittings(scenario, homology):
         ell = math.prod((c.value for c in m.contacts), start=Fraction(1))
+        plus, minus = _side_record(m.gamma_plus), _side_record(m.gamma_minus)
         for combo in itertools.product(*(basis.supported_on(h) for h in m.monodromies)):
             if total_degree is not None and sum(e.cr_degree for e in combo) != total_degree:
                 continue
             aut = aut_order(RelInsertion(c, h, e.label)
                             for c, h, e in zip(m.contacts, m.monodromies, combo))
-            terms.append(Term(m.gamma_plus, m.gamma_minus,
-                              tuple(e.label for e in combo), ell * aut))
-    terms.sort(key=term_record)
-    return terms
+            term = Term(m.gamma_plus, m.gamma_minus, tuple(e.label for e in combo), ell * aut)
+            records.append((_record(term.coefficient, term.labels, plus, minus), term))
+    records.sort(key=operator.itemgetter(0))
+    return [term for _, term in records]
 
 
 def side_swap(terms: Sequence[Term], basis: CRBasisZ) -> list[Term]:

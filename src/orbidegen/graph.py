@@ -15,7 +15,9 @@ canonical_form is that encoding decoded.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -194,28 +196,39 @@ def validate(
     return diags
 
 
-def _components(graph: RelGraph) -> list[set[int]]:
-    nv = len(graph.vertices)
-    parent = list(range(nv))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+def _union_find(graph: RelGraph) -> tuple[list[int], int]:
+    """Union-find over the edges: the parent forest, each root its own parent,
+    and how many unions joined two components."""
+    parent = list(range(len(graph.vertices)))
+    merges = 0
     for edge in graph.edges:
-        a, b = find(edge.ends[0]), find(edge.ends[1])
+        a, b = edge.ends
+        while parent[a] != a:  # path halving
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
         if a != b:
             parent[a] = b
+            merges += 1
+    return parent, merges
+
+
+def _components(graph: RelGraph) -> list[set[int]]:
+    parent, _ = _union_find(graph)
     groups: dict[int, set[int]] = {}
-    for v in range(nv):
-        groups.setdefault(find(v), set()).add(v)
+    for v in range(len(parent)):
+        root = v
+        while parent[root] != root:
+            root = parent[root]
+        groups.setdefault(root, set()).add(v)
     return list(groups.values())
 
 
 def is_connected(graph: RelGraph) -> bool:
-    return len(_components(graph)) <= 1
+    """Whether the graph has at most one component: n - 1 unions joined its n vertices."""
+    return _union_find(graph)[1] >= len(graph.vertices) - 1
 
 
 def genus(graph: RelGraph) -> int:
@@ -329,6 +342,7 @@ def _contact_key(contact: ContactOrder | None) -> tuple[int, int]:
     return (contact.k, contact.r) if contact is not None else (0, 0)
 
 
+@functools.cache  # ContactOrder is frozen; the keys are the input's contact orders
 def _contact_of(key: tuple[int, int]) -> ContactOrder | None:
     return ContactOrder(*key) if key != (0, 0) else None
 
@@ -349,9 +363,9 @@ def _encode(graph: RelGraph, perm: Sequence[int]) -> tuple:
     vs: list = [None] * len(graph.vertices)
     for v, vertex in enumerate(graph.vertices):
         vs[perm[v]] = (vertex.level, vertex.genus, vertex.cls)
-    es = tuple(sorted(_edge_code(graph, e, perm) for e in graph.edges))
-    ts = tuple((perm[t.vertex], t.kind, t.monodromy, _contact_key(t.contact))
-               for t in graph.tails)
+    es = tuple(sorted([_edge_code(graph, e, perm) for e in graph.edges]))
+    ts = tuple([(perm[t.vertex], t.kind, t.monodromy, _contact_key(t.contact))
+                for t in graph.tails])
     return (tuple(vs), es, ts)
 
 
@@ -364,36 +378,35 @@ def _decode(code: tuple) -> RelGraph:
     """The graph an encoding describes, its edges in encoding order and orientation."""
     vs, es, ts = code
     return RelGraph(
-        tuple(Vertex(genus, cls, level) for level, genus, cls in vs),
-        tuple(Edge(kind, (a, b), (ha, hb), _contact_of(contact))
-              for kind, a, ha, b, hb, contact in es),
-        tuple(Tail(v, kind, monodromy, _contact_of(contact))
-              for v, kind, monodromy, contact in ts))
+        tuple([Vertex(genus, cls, level) for level, genus, cls in vs]),
+        tuple([Edge(kind, (a, b), (ha, hb), _contact_of(contact))
+               for kind, a, ha, b, hb, contact in es]),
+        tuple([Tail(v, kind, monodromy, _contact_of(contact))
+               for v, kind, monodromy, contact in ts]))
 
 
 def _vertex_base_keys(graph: RelGraph) -> list[tuple]:
     """Per vertex: its decoration, its sorted incident half-edges (each with the
     far end's decoration) and its tails in index order; one pass over each list."""
-    vertices = graph.vertices
-    incident: list[list[tuple]] = [[] for _ in vertices]
+    decos = [(v.level, v.genus, v.cls) for v in graph.vertices]
+    incident: list[list[tuple]] = [[] for _ in decos]
     for e in graph.edges:
-        (a, b), (ha, hb) = e.ends, e.halves
-        contact, loop = _contact_key(e.contact), a == b
-        va, vb = vertices[a], vertices[b]
-        incident[a].append((e.kind, ha, hb, contact, loop, vb.level, vb.genus, vb.cls))
-        incident[b].append((e.kind, hb, ha, contact, loop, va.level, va.genus, va.cls))
-    tails: list[list[tuple]] = [[] for _ in vertices]
+        (a, b), (ha, hb), c = e.ends, e.halves, e.contact
+        contact, loop = (c.k, c.r) if c is not None else (0, 0), a == b
+        incident[a].append((e.kind, ha, hb, contact, loop, decos[b]))
+        incident[b].append((e.kind, hb, ha, contact, loop, decos[a]))
+    tails: list[list[tuple]] = [[] for _ in decos]
     for t_index, t in enumerate(graph.tails):
         tails[t.vertex].append((t_index, t.kind, t.monodromy, _contact_key(t.contact)))
-    return [(v.level, v.genus, v.cls, tuple(sorted(inc)), tuple(ts))
-            for v, inc, ts in zip(vertices, incident, tails)]
+    return [(deco, tuple(sorted(inc)), tuple(ts))
+            for deco, inc, ts in zip(decos, incident, tails)]
 
 
 def _key_blocks(graph: RelGraph) -> list[list[int]]:
     """Vertices sorted by base key, grouped into equal-key blocks."""
     keys = _vertex_base_keys(graph)
     blocks: list[list[int]] = []
-    for v in sorted(range(len(keys)), key=lambda v: keys[v]):
+    for v in sorted(range(len(keys)), key=keys.__getitem__):
         if blocks and keys[blocks[-1][-1]] == keys[v]:
             blocks[-1].append(v)
         else:
@@ -401,41 +414,36 @@ def _key_blocks(graph: RelGraph) -> list[list[int]]:
     return blocks
 
 
-def _block_permutations(blocks: list[list[int]], nv: int) -> Iterable[list[int]]:
-    """All vertex -> new-position maps that respect the base-key order."""
-    budget = 1
-    for block in blocks:
-        for i in range(2, len(block) + 1):
-            budget *= i
-        if budget > _PERM_BUDGET:
-            raise ResourceLimitError(
-                f"canonicalization budget exceeded ({budget} > {_PERM_BUDGET} permutations)"
-            )
-    starts = []
-    pos = 0
-    for block in blocks:
-        starts.append(pos)
-        pos += len(block)
-    for arrangement in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        perm = [0] * nv
-        for block_index, block_vertices in enumerate(arrangement):
-            for offset, v in enumerate(block_vertices):
-                perm[v] = starts[block_index] + offset
-        yield perm
-
-
 def _canonical_search(graph: RelGraph) -> tuple[tuple, int]:
     """The least encoding over the base-key-respecting vertex relabelings, and
     how many relabelings reach it: two tie exactly when they differ by a
     decoration-preserving symmetry, and every symmetry respects the base keys
-    (which hold the tail index, so a symmetry fixes every tail)."""
-    if len(graph.vertices) > MAX_AUT_VERTICES:
-        raise ResourceLimitError(
-            f"graph has {len(graph.vertices)} vertices, cap is {MAX_AUT_VERTICES}"
-        )
+    (which hold the tail index, so a symmetry fixes every tail).  Only blocks
+    of two or more vertices are permuted, so all-singleton blocks cost one
+    encoding."""
+    nv = len(graph.vertices)
+    if nv > MAX_AUT_VERTICES:
+        raise ResourceLimitError(f"graph has {nv} vertices, cap is {MAX_AUT_VERTICES}")
+    perm = [0] * nv
+    shuffled = []  # (first position, block) of every multi-vertex block
+    budget, pos = 1, 0
+    for block in _key_blocks(graph):
+        for offset, v in enumerate(block):
+            perm[v] = pos + offset
+        if len(block) > 1:
+            shuffled.append((pos, block))
+            budget *= math.factorial(len(block))
+            if budget > _PERM_BUDGET:
+                raise ResourceLimitError(
+                    f"canonicalization budget exceeded ({budget} > {_PERM_BUDGET} permutations)"
+                )
+        pos += len(block)
     best: tuple | None = None
     ties = 0
-    for perm in _block_permutations(_key_blocks(graph), len(graph.vertices)):
+    for arrangement in itertools.product(*(itertools.permutations(b) for _, b in shuffled)):
+        for (start, _), block_vertices in zip(shuffled, arrangement):
+            for offset, v in enumerate(block_vertices):
+                perm[v] = start + offset
         code = _encode(graph, perm)
         if best is None or code < best:
             best, ties = code, 1

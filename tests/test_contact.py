@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -146,6 +147,33 @@ class TestAutOrder:
             identical = len({i.triple() for i in ins}) == 1
             assert (order == math.factorial(k)) == identical
 
+    def test_equal_values_with_different_raw_pairs(self):
+        # 2/2 and 1/1 are one contact value, as are 2/4 and 1/2
+        assert aut_order([RelInsertion(ContactOrder(2, 2), "e", "b"),
+                          RelInsertion(ContactOrder(1, 1), "e", "b")]) == 2
+        assert aut_order([RelInsertion(ContactOrder(2, 4), "h", "b"),
+                          RelInsertion(ContactOrder(1, 2), "h", "b"),
+                          RelInsertion(ContactOrder(3, 6), "h", "b")]) == 6
+        assert aut_order([RelInsertion(ContactOrder(2, 4), "h", "b"),
+                          RelInsertion(ContactOrder(1, 4), "h", "b")]) == 1
+
+    def test_against_value_keyed_reference(self):
+        def reference(insertions):
+            counts = Counter(ins.triple() for ins in insertions)
+            return math.prod(math.factorial(c) for c in counts.values())
+
+        rng = random.Random(2026)
+        repeated = 0
+        for _ in range(500):
+            ins = [RelInsertion(ContactOrder(rng.randint(1, 6), rng.choice((1, 2, 3, 4, 6))),
+                                rng.choice("eh"), rng.choice("ab"))
+                   for _ in range(rng.randint(0, 6))]
+            assert aut_order(ins) == reference(ins)
+            repeated += reference(ins) > 1 and len({(i.order, i.monodromy, i.basis_label)
+                                                    for i in ins}) == len(ins)
+        # some draws repeat a value only through different raw pairs
+        assert repeated > 10
+
 
 class TestBranchCover:
     @pytest.mark.parametrize("r", [1, 3, 5])
@@ -190,6 +218,10 @@ class TestMonodromyTable:
     def test_broken_involution_rejected(self):
         with pytest.raises(ValidationError):
             MonodromyTable(orders={"a": 2, "b": 2}, inverses={"a": "b", "b": "b"})
+
+    def test_missing_inverse_entry_of_an_inverse_rejected(self):
+        with pytest.raises(ValidationError, match="class 'b' has no inverse entry"):
+            MonodromyTable(orders={"a": 1, "b": 1}, inverses={"a": "b"})
 
     def test_mutually_inverse_pair_accepted(self):
         table = MonodromyTable(orders={"a": 3, "b": 3}, inverses={"a": "b", "b": "a"})

@@ -45,6 +45,16 @@ Z2_BASIS = CRBasisZ(dim_z=1, entries=(
 SMOOTH_MENU = (MenuEntry("e", 1, "e"),)
 Z2_MENU = (MenuEntry("e", 1, "e"), MenuEntry("h", 2, "h"))
 
+THIRDLINE = HomologyModel(rank=1, c1=(F(1),), z_pairing=(F(1, 3),),
+                          effective=((0,), (1,), (2,)))
+Z3_BASIS = CRBasisZ(dim_z=1, entries=(
+    BasisEntry("one", "e", F(0)),
+    BasisEntry("pt", "e", F(2)),
+    BasisEntry("tw", "w", F(2, 3)),
+    BasisEntry("tw2", "w2", F(4, 3)),
+), duality=((0, 1), (2, 3)))
+Z3_MENU = (MenuEntry("e", 1, "e"), MenuEntry("w", 3, "w2"), MenuEntry("w2", 3, "w"))
+
 
 def scenario(genus=0, absolute=(), splittings=(((2,), (2,)),), max_nodes=1,
              menu=SMOOTH_MENU, z_total=F(2)):
@@ -369,3 +379,31 @@ class TestSplittingsPinned:
                 digest.update(repr((m.gamma_plus, m.gamma_minus,
                                     m.contacts, m.monodromies)).encode())
         assert digest.hexdigest() == PINNED_SPLITTINGS
+
+
+def pinned_term_cases():
+    """(scenario, basis, homology) for every pinned splitting scenario, plus
+    one with insertions on both sides of a Z3 menu."""
+    cases = [(sc, Z2_BASIS if sc.monodromy_menu == Z2_MENU else SMOOTH_BASIS, homology)
+             for sc, homology in pinned_scenarios()]
+    z3 = scenario(genus=1, absolute=(AbsInsertion("a", 0), AbsInsertion("b", 1)),
+                  max_nodes=2, menu=Z3_MENU, z_total=F(2, 3))
+    cases.append((z3, Z3_BASIS, THIRDLINE))
+    return cases
+
+
+# sha256 over every term_record in emitted order, recorded before term
+# emission read its records off one formatter per matching
+PINNED_TERMS = "b4e0ed7ffe89316573f6850cdc5471d5ffbe558cde11db873ec89993797ff393"
+
+
+class TestTermsPinned:
+    def test_digest(self):
+        digest = hashlib.sha256()
+        count = 0
+        for sc, basis, homology in pinned_term_cases():
+            for t in expand(sc, basis, homology):
+                digest.update(term_record(t).encode() + b"\n")
+                count += 1
+        assert count == 760
+        assert digest.hexdigest() == PINNED_TERMS

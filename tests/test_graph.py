@@ -29,7 +29,7 @@ from orbidegen.graph import (
     total_class,
     validate,
 )
-from orbidegen.graph import _canonical_search, _decode
+from orbidegen.graph import _canonical_search, _components, _decode, _key_blocks
 
 LINE = HomologyModel(rank=1, c1=(F(3),), z_pairing=(F(1),),
                      effective=((0,), (1,), (2,), (3,), (4,)))
@@ -539,3 +539,69 @@ class TestCanonicalFormPinned:
         for graph in pinned_graphs():
             code = _canonical_search(graph)[0]
             assert encode(_decode(code)) == code
+
+
+def random_multigraph(rng: random.Random, nv: int) -> RelGraph:
+    """nv equal vertices joined by random edges, loops and multi-edges included."""
+    edges = tuple(Edge("absolute", (rng.randrange(nv), rng.randrange(nv)))
+                  for _ in range(rng.randint(0, 9))) if nv else ()
+    return RelGraph(tuple(vertex() for _ in range(nv)), edges, ())
+
+
+class TestIsConnectedDifferential:
+    def test_against_components_and_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(31337)
+        connected = 0
+        for _ in range(3000):
+            graph = random_multigraph(rng, rng.randint(0, 7))
+            answer = is_connected(graph)
+            assert answer == (len(_components(graph)) <= 1)
+            connected += answer
+            if graph.vertices:  # networkx has no verdict on the null graph
+                multi = nx.MultiGraph()
+                multi.add_nodes_from(range(len(graph.vertices)))
+                multi.add_edges_from(e.ends for e in graph.edges)
+                assert answer == nx.is_connected(multi)
+                # components come in order of their least vertex
+                expected = sorted(nx.connected_components(multi), key=min)
+                assert _components(graph) == expected
+        assert 500 < connected < 2500
+
+
+def blocked_graph(rng: random.Random) -> RelGraph:
+    """A graph whose equal-key vertex blocks include a 2- or 3-vertex block:
+    twins hang off hubs, with loops and parallel edges drawn at random."""
+    hubs = rng.randint(1, 2)
+    vertices = [vertex(g=1, a=h) for h in range(hubs)]
+    edges = [Edge("absolute", (0, 1))] if hubs == 2 else []
+    for _ in range(rng.randint(1, 2)):
+        hub, size, loop = rng.randrange(hubs), rng.randint(2, 3), rng.random() < 0.3
+        for _ in range(size):
+            v = len(vertices)
+            vertices.append(vertex())
+            edges.append(Edge("absolute", (hub, v)))
+            if loop:
+                edges.append(Edge("absolute", (v, v)))
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.randrange(len(vertices)), rng.randrange(len(vertices))
+        edges.append(Edge("absolute", (a, b), ("h", "h")))
+    tails = tuple(Tail(rng.randrange(len(vertices)), "absolute", "e")
+                  for _ in range(rng.choice((0, 0, 1))))
+    return RelGraph(tuple(vertices), tuple(edges), tails)
+
+
+class TestMultiVertexBlocks:
+    def test_ties_equal_brute_force_automorphisms(self):
+        rng = random.Random(99)
+        sizes: Counter = Counter()
+        symmetric = 0
+        for _ in range(150):
+            graph = blocked_graph(rng)
+            if len(graph.vertices) > 7:
+                continue
+            sizes.update(len(b) for b in _key_blocks(graph) if len(b) > 1)
+            ties = _canonical_search(graph)[1]
+            assert ties == brute_automorphism_count(graph)
+            symmetric += ties > 1
+        assert sizes[2] > 20 and sizes[3] > 20 and symmetric > 50

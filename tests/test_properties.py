@@ -1,0 +1,83 @@
+"""Property tests of the canonical form on graphs of up to 7 vertices.
+
+Hypothesis runs derandomized with a bounded example count, so every run
+draws the same graphs and the suite stays deterministic.
+"""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from orbidegen.contact import ContactOrder  # noqa: E402
+from orbidegen.graph import (  # noqa: E402
+    Edge,
+    RelGraph,
+    Tail,
+    Vertex,
+    automorphism_order,
+    canonical_form,
+)
+
+SETTINGS = hypothesis.settings(derandomize=True, max_examples=100, deadline=None,
+                               database=None)
+
+
+@st.composite
+def graphs(draw) -> RelGraph:
+    """Graphs whose vertices share one or two decorations, so that equal-key
+    blocks are common: two levels, loops, multi-edges, relative edges and
+    labeled tails."""
+    nv = draw(st.integers(1, 7))
+    palette = draw(st.lists(st.builds(Vertex, st.integers(0, 1), st.just((0,)),
+                                      st.integers(0, 1)), min_size=1, max_size=2))
+    vertices = tuple(draw(st.sampled_from(palette)) for _ in range(nv))
+    edges = []
+    for _ in range(draw(st.integers(0, 8))):
+        a, b = draw(st.integers(0, nv - 1)), draw(st.integers(0, nv - 1))
+        half = draw(st.sampled_from(("e", "e", "h")))
+        if vertices[a].level == vertices[b].level:
+            edges.append(Edge("absolute", (a, b), (half, half)))
+        else:
+            r = 1 if half == "e" else 2
+            edges.append(Edge("relative", (a, b), (half, half),
+                              ContactOrder(draw(st.integers(1, 2)), r)))
+    tails = tuple(Tail(draw(st.integers(0, nv - 1)), "absolute", draw(st.sampled_from("eh")))
+                  for _ in range(draw(st.integers(0, 2))))
+    return RelGraph(vertices, tuple(edges), tails)
+
+
+@st.composite
+def relabelings(draw):
+    """A graph and the same graph with its vertices relabeled, its edges
+    shuffled and some edges written end to start."""
+    graph = draw(graphs())
+    perm = draw(st.permutations(range(len(graph.vertices))))
+    order = draw(st.permutations(range(len(graph.edges))))
+    vertices = [None] * len(perm)
+    for v, image in enumerate(perm):
+        vertices[image] = graph.vertices[v]
+    edges = []
+    for j in order:
+        e = graph.edges[j]
+        ends, halves = (perm[e.ends[0]], perm[e.ends[1]]), e.halves
+        if draw(st.booleans()):
+            ends, halves = ends[::-1], halves[::-1]
+        edges.append(Edge(e.kind, ends, halves, e.contact))
+    tails = tuple(Tail(perm[t.vertex], t.kind, t.monodromy, t.contact) for t in graph.tails)
+    return graph, RelGraph(tuple(vertices), tuple(edges), tails)
+
+
+@SETTINGS
+@hypothesis.given(graphs())
+def test_canonical_form_idempotent(graph):
+    canon = canonical_form(graph)
+    assert canonical_form(canon) == canon
+    assert automorphism_order(canon) == automorphism_order(graph)
+
+
+@SETTINGS
+@hypothesis.given(relabelings())
+def test_canonical_form_invariant_under_relabeling(pair):
+    graph, relabeled = pair
+    assert canonical_form(relabeled) == canonical_form(graph)
