@@ -9,11 +9,14 @@ r, because downstream degree products need the raw numerators.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
+
+MAX_PARTITIONS = 100_000
 
 
 @dataclass(frozen=True, order=True)
@@ -149,7 +152,8 @@ def enumerate_partitions(
     """All ordered tuples (l_1..l_k), l_j = k_j/r_j with k_j >= 1, summing to total.
 
     Output is in lexicographic order of the value tuples; infeasible input
-    yields an empty list.
+    yields an empty list.  More than MAX_PARTITIONS tuples raise
+    ResourceLimitError before any is built.
     """
     goal = Fraction(total)
     if goal <= 0:
@@ -157,6 +161,11 @@ def enumerate_partitions(
     for r in slot_orders:
         if r < 1:
             raise ValidationError(f"slot orders must be >= 1, got {r}")
+    if slot_orders and _partition_count(goal, slot_orders, MAX_PARTITIONS) > MAX_PARTITIONS:
+        raise ResourceLimitError(
+            f"partitions of {goal} into {len(slot_orders)} slots number more than "
+            f"{MAX_PARTITIONS}"
+        )
     out: list[tuple[ContactOrder, ...]] = []
     prefix: list[ContactOrder] = []
     # later slots each need at least 1/r_j
@@ -187,6 +196,48 @@ def enumerate_partitions(
 
     fill(0, goal)
     return out
+
+
+def _partition_count(goal: Fraction, slot_orders: Sequence[int], cap: int) -> int:
+    """How many tuples enumerate_partitions(goal, slot_orders) returns, or some
+    number above `cap` once the count passes it.
+
+    Counted in units of 1/L, L = lcm(slot_orders), so a slot of order r counts
+    w = L/r units per step of k.  The m slots of one order r that take K/r
+    together split it C(K - 1, m - 1) ways, so only the per-order totals K are
+    walked, and of those only the ones whose leftover units are a multiple of
+    the gcd of the later orders' weights (nothing else can be filled).
+    """
+    lcm = math.lcm(*slot_orders)
+    units = goal * lcm
+    if units.denominator != 1:
+        return 0
+    groups = sorted(Counter(slot_orders).items())
+    weights = [lcm // r for r, _ in groups]
+    later_gcd = [0] * (len(groups) + 1)  # gcd of the weights after each group
+    reserve = [0] * (len(groups) + 1)  # units the groups after each one need
+    for i in range(len(groups) - 1, -1, -1):
+        later_gcd[i] = math.gcd(weights[i], later_gcd[i + 1])
+        reserve[i] = reserve[i + 1] + groups[i][1] * weights[i]
+
+    def count(i: int, rest: int) -> int:
+        m, w, g = groups[i][1], weights[i], later_gcd[i + 1]
+        if g == 0:  # the last group takes all the rest
+            k, left = divmod(rest, w)
+            return math.comb(k - 1, m - 1) if left == 0 and k >= m else 0
+        d = math.gcd(w, g)
+        if rest % d:
+            return 0
+        step = g // d  # K must solve K * w = rest (mod g)
+        first = rest // d * pow(w // d, -1, step) % step
+        found = 0
+        k = m + (first - m) % step
+        while k * w <= rest - reserve[i + 1] and found <= cap:
+            found += math.comb(k - 1, m - 1) * count(i + 1, rest - k * w)
+            k += step
+        return found
+
+    return count(0, units.numerator)
 
 
 def aut_order(insertions: Iterable[RelInsertion]) -> int:

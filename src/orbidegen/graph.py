@@ -286,7 +286,10 @@ def _merge_vertices(graph: RelGraph, groups: list[set[int]], extra_genus: dict[i
 
 
 def contract_edge(graph: RelGraph, edge_index: int) -> RelGraph:
-    """Contract one same-level (absolute) edge; a self-loop becomes genus + 1."""
+    """Contract one same-level (absolute) edge; a self-loop becomes genus + 1.
+
+    The merged ends of a non-loop edge become vertex 0 and the other vertices
+    keep their order; the other edges keep their order and orientation."""
     if not 0 <= edge_index < len(graph.edges):
         raise ValidationError(f"edge index {edge_index} out of range")
     edge = graph.edges[edge_index]
@@ -297,16 +300,28 @@ def contract_edge(graph: RelGraph, edge_index: int) -> RelGraph:
     a, b = edge.ends
     if graph.vertices[a].level != graph.vertices[b].level:
         raise ValidationError(f"edge {edge_index} joins different levels; not contractible")
-    remaining = tuple(e for j, e in enumerate(graph.edges) if j != edge_index)
-    stripped = RelGraph(graph.vertices, remaining, graph.tails)
-    if edge.is_loop():
-        new_vertices = tuple(
-            Vertex(v.genus + 1, v.cls, v.level) if i == a else v
-            for i, v in enumerate(stripped.vertices)
-        )
-        return RelGraph(new_vertices, stripped.edges, stripped.tails)
-    groups = [{a, b}] + [{v} for v in range(len(graph.vertices)) if v not in (a, b)]
-    return _merge_vertices(stripped, groups, extra_genus={})
+    return _decode(_contract_edge_code(_as_code(graph), edge_index))
+
+
+def _contract_edge_code(code: tuple, j: int) -> tuple:
+    """Edge j of a graph in encoding shape contracted, in the same shape: see
+    contract_edge.  Edge j must join one level."""
+    vs, es, ts = code
+    a, b = es[j][1], es[j][3]
+    rest = es[:j] + es[j + 1:]
+    if a == b:
+        level, g, cls = vs[a]
+        return (vs[:a] + ((level, g + 1, cls),) + vs[a + 1:], rest, ts)
+    (level, ga, ca), (_, gb, cb) = vs[a], vs[b]
+    merged = [(level, ga + gb, add_classes(ca, cb))]
+    remap = [0] * len(vs)
+    for v, deco in enumerate(vs):
+        if v != a and v != b:
+            remap[v] = len(merged)
+            merged.append(deco)
+    return (tuple(merged),
+            tuple([(kind, remap[x], hx, remap[y], hy, c) for kind, x, hx, y, hy, c in rest]),
+            tuple([(remap[v], kind, m, c) for v, kind, m, c in ts]))
 
 
 def contract_level(graph: RelGraph, level: int) -> RelGraph:
@@ -367,6 +382,15 @@ def _encode(graph: RelGraph, perm: Sequence[int]) -> tuple:
     ts = tuple([(perm[t.vertex], t.kind, t.monodromy, _contact_key(t.contact))
                 for t in graph.tails])
     return (tuple(vs), es, ts)
+
+
+def _as_code(graph: RelGraph) -> tuple:
+    """The graph in encoding shape, its edges in their own order and orientation."""
+    return (tuple([(v.level, v.genus, v.cls) for v in graph.vertices]),
+            tuple([(e.kind, e.ends[0], e.halves[0], e.ends[1], e.halves[1],
+                    _contact_key(e.contact)) for e in graph.edges]),
+            tuple([(t.vertex, t.kind, t.monodromy, _contact_key(t.contact))
+                   for t in graph.tails]))
 
 
 def encode(graph: RelGraph) -> tuple:
@@ -527,18 +551,41 @@ def _class_assignments(total_cls: tuple[int, ...], count: int,
             yield (first,) + rest
 
 
-def _single_contractions(graph: RelGraph) -> Iterable[RelGraph]:
-    """Each distinct absolute edge contracted once (equal edges give the same
-    graph up to edge order), then each adjacent level pair collapsed."""
-    contracted: set[Edge] = set()
-    for j, edge in enumerate(graph.edges):
-        if edge.kind == ABSOLUTE and edge not in contracted:
-            contracted.add(edge)
-            yield contract_edge(graph, j)
-    levels = sorted({v.level for v in graph.vertices})
-    for level in levels:
-        if level + 1 in levels:
-            yield contract_level(graph, level)
+def _single_contractions(code: tuple) -> Iterable[tuple]:
+    """Each distinct absolute edge of an encoding contracted once (equal edges
+    are adjacent in an encoding and give the same graph), then each adjacent
+    level pair collapsed; every result is a labeled graph in encoding shape."""
+    vs, es, _ = code
+    for j, edge in enumerate(es):
+        if edge[0] == ABSOLUTE and (j == 0 or edge != es[j - 1]):
+            yield _contract_edge_code(code, j)
+    levels = sorted({v[0] for v in vs})
+    collapsible = [level for level in levels if level + 1 in levels]
+    if collapsible:
+        graph = _decode(code)
+        for level in collapsible:
+            yield encode(contract_level(graph, level))
+
+
+def _covers(codes: list[tuple]) -> set[tuple[int, int]]:
+    """The single-contraction covers between sorted canonical codes, resolved
+    on the encodings: index_of also learns every labeled contraction it is
+    asked about, so each distinct one is searched once."""
+    index_of = {code: i for i, code in enumerate(codes)}
+    covers: set[tuple[int, int]] = set()
+    for i, code in enumerate(codes):
+        for contracted in _single_contractions(code):
+            j = index_of.get(contracted)
+            if j is None:
+                j = index_of.get(_canonical_search(_decode(contracted))[0])
+                if j is None:
+                    raise ValidationError(
+                        "a contraction left the enumerated node set; effective list is "
+                        "probably not closed under the class sums that occur"
+                    )
+                index_of[contracted] = j
+            covers.add((i, j))
+    return covers
 
 
 def stratification_poset(
@@ -555,7 +602,10 @@ def stratification_poset(
     Tail vertex assignments in `tails` are ignored; tails keep their list
     positions (marked points are labeled).  The result is flagged incomplete
     when any node touches the vertex or level cap.  Invalid inputs raise
-    ValidationError naming the one-vertex graph's first diagnostic.
+    ValidationError naming the one-vertex graph's first diagnostic; a walk of
+    more than _PERM_BUDGET edge multisets raises ResourceLimitError before it
+    starts.  Covers are resolved on the nodes' encodings: each distinct labeled
+    contraction is canonicalized once.
     """
     table = classes if classes is not None else MonodromyTable.trivial()
     if bounds.max_vertices > MAX_AUT_VERTICES:
@@ -589,13 +639,12 @@ def stratification_poset(
             for k in range(1, bounds.max_edge_contact_numerator + 1):
                 rel_decos.append((h, table.inverse_of(h), ContactOrder(k, r)))
 
-    seen: set[tuple] = set()
-    touched_cap = False
-    budget = _PERM_BUDGET
-
     # Every graph has a vertex order non-decreasing in (level, class, genus),
     # so only those decorated vertex tuples are walked; for each, every edge
-    # multiset and tail placement still is.
+    # multiset and tail placement still is.  The edge multisets of a shape
+    # are counted before any is built, so an oversized walk is refused first.
+    shapes: list[tuple] = []
+    vectors = 0
     for nv in range(1, bounds.max_vertices + 1):
         placements = [tuple(Tail(home, t.kind, t.monodromy, t.contact)
                             for home, t in zip(homes, tails))
@@ -604,8 +653,6 @@ def stratification_poset(
             occupied = set(levels)
             if occupied != set(range(max(occupied) + 1)):
                 continue
-            at_cap = nv == bounds.max_vertices or (
-                bounds.max_levels > 1 and levels[-1] == bounds.max_levels - 1)
             slots: list[Edge] = []
             for i in range(nv):
                 for j in range(i, nv):
@@ -617,47 +664,46 @@ def stratification_poset(
                     elif levels[j] == levels[i] + 1:
                         for h0, h1, contact in rel_decos:
                             slots.append(Edge(RELATIVE, (i, j), (h0, h1), contact))
+            per_shape = sum(_composition_count(total, len(slots))
+                            for total in range(nv - 1, nv + genus_total))
             for cls_assign in _class_assignments(total_cls, nv, homology.effective):
                 if not _sorted_in_runs(cls_assign, levels):
                     continue
-                keys = list(zip(levels, cls_assign))
-                genera_by_cycles = [
-                    [g for g in _compositions(genus_total - cycles, nv) if _sorted_in_runs(g, keys)]
-                    for cycles in range(genus_total + 1)]
-                for counts in _edge_multiplicities(slots, nv, nv - 1 + genus_total):
-                    budget -= 1
-                    if budget < 0:
-                        raise ResourceLimitError(
-                            f"poset enumeration exceeded the candidate budget "
-                            f"({_PERM_BUDGET}); tighten the bounds"
-                        )
-                    edges = tuple(e for e, mult in zip(slots, counts) for _ in range(mult))
-                    base = RelGraph(
-                        tuple(Vertex(0, cls_assign[v], levels[v]) for v in range(nv)), edges, ())
-                    if not is_connected(base):
-                        continue
-                    for genera in genera_by_cycles[len(edges) - nv + 1]:
-                        vertices = tuple(Vertex(genera[v], cls_assign[v], levels[v])
-                                         for v in range(nv))
-                        touched_cap = touched_cap or at_cap
-                        for placed in placements:
-                            seen.add(_canonical_search(RelGraph(vertices, edges, placed))[0])
+                vectors += per_shape
+                if vectors > _PERM_BUDGET:
+                    raise ResourceLimitError(
+                        f"poset enumeration exceeded the candidate budget "
+                        f"({_PERM_BUDGET}) at {nv} vertices; tighten the bounds"
+                    )
+                shapes.append((levels, slots, cls_assign, placements))
+
+    seen: set[tuple] = set()
+    touched_cap = False
+    for levels, slots, cls_assign, placements in shapes:
+        nv = len(levels)
+        at_cap = nv == bounds.max_vertices or (
+            bounds.max_levels > 1 and levels[-1] == bounds.max_levels - 1)
+        keys = list(zip(levels, cls_assign))
+        genera_by_cycles = [
+            [g for g in _compositions(genus_total - cycles, nv) if _sorted_in_runs(g, keys)]
+            for cycles in range(genus_total + 1)]
+        for counts in _edge_multiplicities(slots, nv, nv - 1 + genus_total):
+            edges = tuple(e for e, mult in zip(slots, counts) for _ in range(mult))
+            base = RelGraph(
+                tuple(Vertex(0, cls_assign[v], levels[v]) for v in range(nv)), edges, ())
+            if not is_connected(base):
+                continue
+            for genera in genera_by_cycles[len(edges) - nv + 1]:
+                vertices = tuple(Vertex(genera[v], cls_assign[v], levels[v])
+                                 for v in range(nv))
+                touched_cap = touched_cap or at_cap
+                for placed in placements:
+                    seen.add(_canonical_search(RelGraph(vertices, edges, placed))[0])
 
     codes = sorted(seen)
-    nodes = [_decode(code) for code in codes]
-    index_of = {code: i for i, code in enumerate(codes)}
-
-    covers: set[tuple[int, int]] = set()
-    for i, node in enumerate(nodes):
-        for contracted in _single_contractions(node):
-            j = index_of.get(_canonical_search(contracted)[0])
-            if j is None:
-                raise ValidationError(
-                    "a contraction left the enumerated node set; effective list is "
-                    "probably not closed under the class sums that occur"
-                )
-            covers.add((i, j))
-    poset = StratPoset(tuple(nodes), tuple(sorted(covers)), complete=not touched_cap)
+    covers = _covers(codes)
+    nodes = tuple(_decode(code) for code in codes)
+    poset = StratPoset(nodes, tuple(sorted(covers)), complete=not touched_cap)
     poset.maximal_index()  # unique one-vertex maximal element must exist
     return poset
 
@@ -666,6 +712,13 @@ def _edge_multiplicities(slots: list, nv: int, max_edges: int) -> Iterable[tuple
     """Multiplicity vectors over edge slots with total in [nv-1 ... max_edges]."""
     for total in range(max(0, nv - 1), max_edges + 1):
         yield from _compositions(total, len(slots))
+
+
+def _composition_count(total: int, parts: int) -> int:
+    """How many tuples _compositions(total, parts) yields."""
+    if parts == 0:
+        return int(total == 0)
+    return math.comb(total + parts - 1, parts - 1)
 
 
 def _sorted_in_runs(values: Sequence, keys: Sequence) -> bool:

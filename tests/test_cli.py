@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout, redirect_stderr
 from pathlib import Path
 
@@ -379,6 +380,19 @@ class TestMalformedInputExits1:
                       timeout=30)
         assert proc.returncode == 3 and proc.stdout == b""
         assert proc.stderr.decode().startswith(f"error: {option} must be at most 10000")
+
+    @pytest.mark.parametrize("argv,message", [
+        (POSET + ["--max-vertices", "7"], "poset enumeration exceeded the candidate budget"),
+        (POSET + ["--max-vertices", "12"], "poset enumeration exceeded the candidate budget"),
+        (["partitions", "--total", "300", "--orders", "1,1,1,1"],
+         "partitions of 300 into 4 slots number more than 100000"),
+    ], ids=["poset-v7", "poset-v12", "partitions-300"])
+    def test_oversized_enumeration_exits_3_before_the_work(self, argv, message):
+        # counted up front: the walks themselves would take minutes
+        started = time.perf_counter()
+        rc, out, err = capture(argv)
+        assert time.perf_counter() - started < 5
+        assert rc == 3 and out == "" and err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize("extra,field", [
         (["--max-vertices", "0"], "max_vertices"),

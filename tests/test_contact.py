@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from orbidegen import contact
 from orbidegen.contact import (
     ContactOrder,
     MonodromyTable,
@@ -15,7 +16,7 @@ from orbidegen.contact import (
     enumerate_partitions,
     floor_bracket,
 )
-from orbidegen.errors import ValidationError
+from orbidegen.errors import ResourceLimitError, ValidationError
 
 
 def brute_force_partitions(total, slot_orders):
@@ -118,6 +119,39 @@ class TestEnumeratePartitions:
             enumerate_partitions(0, [1])
         with pytest.raises(ValidationError):
             enumerate_partitions(2, [0])
+
+
+class TestPartitionCount:
+    """The count enumerate_partitions checks against MAX_PARTITIONS before it
+    builds a tuple."""
+
+    def test_matches_the_enumeration(self):
+        # the enumeration is itself checked against brute_force_partitions above
+        rng = random.Random(20261018)
+        for _ in range(500):
+            orders = [rng.choice([1, 2, 3, 4, 6]) for _ in range(rng.randint(1, 4))]
+            total = F(rng.randint(1, 16), rng.choice([1, 2, 3, 4, 6, 12]))
+            expected = len(enumerate_partitions(total, orders))
+            assert contact._partition_count(total, orders, 10**9) == expected, (total, orders)
+
+    @pytest.mark.parametrize("total,orders", [
+        (10**9, [63, 64]), (10**9, [2, 3, 5, 7]), (F(10**9 + 1, 6), [2, 3]),
+        (300, [1, 1, 1, 1]), (10**6, [4, 6, 10, 15]),
+    ])
+    def test_stops_above_the_cap(self, total, orders):
+        assert contact._partition_count(F(total), orders, 100) > 100
+
+    def test_refused_before_building(self):
+        with pytest.raises(ResourceLimitError, match="partitions of 300 into 4 slots"):
+            enumerate_partitions(300, [1, 1, 1, 1])
+
+    def test_cap_is_exact(self, monkeypatch):
+        # C(7, 2) = 21 tuples
+        monkeypatch.setattr(contact, "MAX_PARTITIONS", 20)
+        with pytest.raises(ResourceLimitError, match="more than 20"):
+            enumerate_partitions(8, [1, 1, 1])
+        monkeypatch.setattr(contact, "MAX_PARTITIONS", 21)
+        assert len(enumerate_partitions(8, [1, 1, 1])) == 21
 
 
 class TestAutOrder:

@@ -185,6 +185,24 @@ class TestContractEdge:
         result = contract_edge(graph, 0)
         assert result.tails[0].contact == ContactOrder(2, 1)
 
+    def test_edge_stored_high_end_first(self):
+        # edge 2 runs from vertex 2 to vertex 0: the merged pair becomes vertex
+        # 0, vertices 1 and 3 follow in order, and the other edges keep their
+        # order and the orientation of their ends and halves
+        graph = RelGraph(
+            (vertex(a=1), vertex(g=1, level=1), vertex(g=2, a=2), vertex()),
+            (Edge("absolute", (3, 0)),
+             Edge("relative", (1, 2), ("h", "h"), ContactOrder(1, 2)),
+             Edge("absolute", (2, 0), ("c1", "c2")),
+             Edge("absolute", (0, 3), ("c2", "c1"))),
+            (Tail(2, "relative", "e", ContactOrder(1, 1)), Tail(3, "absolute", "e")))
+        assert contract_edge(graph, 2) == RelGraph(
+            (vertex(g=2, a=3), vertex(g=1, level=1), vertex()),
+            (Edge("absolute", (2, 0)),
+             Edge("relative", (1, 0), ("h", "h"), ContactOrder(1, 2)),
+             Edge("absolute", (0, 2), ("c2", "c1"))),
+            (Tail(0, "relative", "e", ContactOrder(1, 1)), Tail(2, "absolute", "e")))
+
 
 class TestContractLevel:
     def test_one_relative_edge(self):

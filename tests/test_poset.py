@@ -16,7 +16,7 @@ import pytest
 
 from orbidegen import graph
 from orbidegen.contact import ContactOrder, MonodromyTable
-from orbidegen.errors import ValidationError
+from orbidegen.errors import ResourceLimitError, ValidationError
 from orbidegen.graph import (
     ABSOLUTE,
     RELATIVE,
@@ -27,6 +27,9 @@ from orbidegen.graph import (
     Tail,
     Vertex,
     automorphism_order,
+    canonical_form,
+    contract_edge,
+    contract_level,
     encode,
     stratification_poset,
     validate,
@@ -409,6 +412,64 @@ def test_sorted_walk(monkeypatch, case):
     for node in poset.nodes:
         assert validate(node, homology, table) == []
         assert graph.genus(node) == genus_total and graph.total_class(node) == cls
+
+
+# an empty edge menu leaves no edge slots: only the one-vertex graph remains
+NO_EDGES = ("no_edges_g1_v2", None, 1, 2, T11, 2, 1, (), None)
+
+
+@pytest.mark.parametrize("case", WALK_CASES + [NO_EDGES], ids=lambda c: c[0])
+def test_walk_size_counted_before_the_walk(monkeypatch, case):
+    """The edge vectors counted before the walk are the ones it makes: a budget
+    one below the count is refused before any is built, the count itself runs."""
+    made = Counter()
+    multiplicities = graph._edge_multiplicities
+
+    def counted(*args):
+        for counts in multiplicities(*args):
+            made["vectors"] += 1
+            yield counts
+
+    monkeypatch.setattr(graph, "_edge_multiplicities", counted)
+    args = walk_inputs(case)
+    stratification_poset(*args)
+    vectors = made.pop("vectors")
+    monkeypatch.setattr(graph, "_PERM_BUDGET", vectors - 1)
+    with pytest.raises(ResourceLimitError, match="candidate budget"):
+        stratification_poset(*args)
+    assert made["vectors"] == 0
+    monkeypatch.setattr(graph, "_PERM_BUDGET", vectors)
+    stratification_poset(*args)
+    assert made["vectors"] == vectors
+
+
+def public_covers(poset):
+    """The covers recomputed through the public moves: canonical_form of every
+    absolute-edge contraction and every level collapse of every node."""
+    index = {encode(node): i for i, node in enumerate(poset.nodes)}
+    covers = set()
+    for i, node in enumerate(poset.nodes):
+        moves = [contract_edge(node, j) for j, e in enumerate(node.edges) if e.kind == ABSOLUTE]
+        levels = {v.level for v in node.vertices}
+        moves += [contract_level(node, lv) for lv in levels if lv + 1 in levels]
+        covers.update((i, index[encode(canonical_form(m))]) for m in moves)
+    return tuple(sorted(covers))
+
+
+def gmax_inputs(max_vertices):
+    doc = load_document((DATA / "graphs.json").read_text())
+    g = doc.graphs["gmax"]
+    hname, cname = doc.graph_context["gmax"]
+    return (graph.genus(g), graph.total_class(g), list(g.tails), doc.homology[hname],
+            doc.classes[cname], PosetBounds(max_vertices=max_vertices))
+
+
+@pytest.mark.parametrize("inputs", [walk_inputs(case) for case in WALK_CASES]
+                         + [gmax_inputs(4), gmax_inputs(5)],
+                         ids=[case[0] for case in WALK_CASES] + ["gmax_v4", "gmax_v5"])
+def test_covers_match_the_public_moves(inputs):
+    poset = stratification_poset(*inputs)
+    assert poset.covers == public_covers(poset)
 
 
 def all_orderings_poset_codes(genus_total, total_cls, tails, homology, table, bounds):

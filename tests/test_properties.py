@@ -1,4 +1,5 @@
-"""Property tests of the canonical form on graphs of up to 7 vertices.
+"""Property tests of the canonical form and edge contraction on graphs of up
+to 7 vertices.
 
 Hypothesis runs derandomized with a bounded example count, so every run
 draws the same graphs and the suite stays deterministic.
@@ -17,6 +18,7 @@ from orbidegen.graph import (  # noqa: E402
     Vertex,
     automorphism_order,
     canonical_form,
+    contract_edge,
 )
 
 SETTINGS = hypothesis.settings(derandomize=True, max_examples=100, deadline=None,
@@ -81,3 +83,31 @@ def test_canonical_form_idempotent(graph):
 def test_canonical_form_invariant_under_relabeling(pair):
     graph, relabeled = pair
     assert canonical_form(relabeled) == canonical_form(graph)
+
+
+@st.composite
+def edge_contractions(draw):
+    """A graph, the index of one of its absolute edges, and the graph with its
+    vertices relabeled and some edges written end to start (edge order kept)."""
+    graph = draw(graphs())
+    absolute = [j for j, e in enumerate(graph.edges) if e.kind == "absolute"]
+    hypothesis.assume(absolute)
+    perm = draw(st.permutations(range(len(graph.vertices))))
+    vertices = [None] * len(perm)
+    for v, image in enumerate(perm):
+        vertices[image] = graph.vertices[v]
+    edges = []
+    for e in graph.edges:
+        ends, halves = (perm[e.ends[0]], perm[e.ends[1]]), e.halves
+        if draw(st.booleans()):
+            ends, halves = ends[::-1], halves[::-1]
+        edges.append(Edge(e.kind, ends, halves, e.contact))
+    tails = tuple(Tail(perm[t.vertex], t.kind, t.monodromy, t.contact) for t in graph.tails)
+    return graph, draw(st.sampled_from(absolute)), RelGraph(tuple(vertices), tuple(edges), tails)
+
+
+@SETTINGS
+@hypothesis.given(edge_contractions())
+def test_contract_edge_commutes_with_relabeling(case):
+    graph, j, relabeled = case
+    assert canonical_form(contract_edge(relabeled, j)) == canonical_form(contract_edge(graph, j))
