@@ -29,10 +29,11 @@ from .graph import (
     RelGraph,
     Tail,
     Vertex,
+    _as_code,
     _class_assignments,
+    _composition_count,
     _compositions,
     canonical_form,
-    encode,
     is_connected,
 )
 
@@ -263,49 +264,64 @@ def enumerate_splittings(
     scenario.check_against(homology)
     m = len(scenario.absolute)
     found: dict[tuple, Matching] = {}
-    budget = _CANDIDATE_BUDGET
-    effective = homology.effective
+    shapes = _splitting_shapes(scenario, homology)
+    if _candidate_count(shapes, m) > _CANDIDATE_BUDGET:
+        raise ResourceLimitError(
+            f"splitting enumeration exceeded the candidate budget ({_CANDIDATE_BUDGET}); "
+            "a partial term sum would be wrong, tighten the scenario bounds")
 
-    for a_plus, a_minus in sorted(set(scenario.class_splittings)):
-        for n_nodes in range(0, scenario.max_nodes + 1):
-            for nodes in _node_multisets(n_nodes, scenario.monodromy_menu, scenario.z_total):
-                for v_plus, v_minus in _side_sizes(n_nodes, a_plus, a_minus):
-                    total_v = v_plus + v_minus
-                    # each node joins a plus vertex to a minus vertex; half
-                    # decorations are the node monodromy on the plus side and
-                    # its inverse on the minus side
-                    node_edges = [
-                        [Edge(RELATIVE, (p, q), (label, table.inverse_of(label)), contact)
-                         for p in range(v_plus) for q in range(v_plus, total_v)]
-                        for label, contact in nodes]
-                    # a negative genus budget (too many cycles) has no compositions
-                    genus_budget = scenario.genus - (n_nodes - total_v + 1)
-                    for cls_plus, cls_minus in itertools.product(
-                            _class_assignments(a_plus, v_plus, effective),
-                            _class_assignments(a_minus, v_minus, effective)):
-                        classes = cls_plus + cls_minus
-                        for genera in _compositions(genus_budget, total_v):
-                            vertices = tuple(Vertex(genera[v], classes[v], int(v >= v_plus))
-                                             for v in range(total_v))
-                            for homes in itertools.product(range(total_v), repeat=m):
-                                tails = tuple(
-                                    Tail(vertex=home, kind=ABSOLUTE, monodromy=insertion.label)
-                                    for home, insertion in zip(homes, scenario.absolute))
-                                for edges in itertools.product(*node_edges):
-                                    budget -= 1
-                                    if budget < 0:
-                                        raise ResourceLimitError(
-                                            "splitting enumeration exceeded the candidate "
-                                            f"budget ({_CANDIDATE_BUDGET}); a partial term "
-                                            "sum would be wrong, tighten the scenario bounds")
-                                    glued = RelGraph(vertices, edges, tails)
-                                    if not is_connected(glued):
-                                        continue
-                                    canon = canonical_form(glued)
-                                    key = encode(canon)
-                                    if key not in found:
-                                        found[key] = _extract_matching(canon)
+    for nodes, v_plus, v_minus, class_pairs, genus_budget in shapes:
+        total_v = v_plus + v_minus
+        # each node joins a plus vertex to a minus vertex; half decorations
+        # are the node monodromy on the plus side and its inverse on the minus
+        # side
+        node_edges = [
+            [Edge(RELATIVE, (p, q), (label, table.inverse_of(label)), contact)
+             for p in range(v_plus) for q in range(v_plus, total_v)]
+            for label, contact in nodes]
+        for cls_plus, cls_minus in class_pairs:
+            classes = cls_plus + cls_minus
+            for genera in _compositions(genus_budget, total_v):
+                vertices = tuple(Vertex(genera[v], classes[v], int(v >= v_plus))
+                                 for v in range(total_v))
+                for homes in itertools.product(range(total_v), repeat=m):
+                    tails = tuple(Tail(vertex=home, kind=ABSOLUTE, monodromy=insertion.label)
+                                  for home, insertion in zip(homes, scenario.absolute))
+                    for edges in itertools.product(*node_edges):
+                        glued = RelGraph(vertices, edges, tails)
+                        if not is_connected(glued):
+                            continue
+                        canon = canonical_form(glued)
+                        # canon is a decoded canonical code, so this is that code
+                        key = _as_code(canon)
+                        if key not in found:
+                            found[key] = _extract_matching(canon)
     return [found[key] for key in sorted(found)]
+
+
+def _splitting_shapes(scenario: SplittingScenario, homology: HomologyModel) -> list[tuple]:
+    """(nodes, v_plus, v_minus, class pairs, genus budget) for every class
+    splitting, node multiset and side sizes the splitting walk visits; a
+    negative genus budget (too many cycles) has no compositions."""
+    effective = homology.effective
+    return [
+        (nodes, v_plus, v_minus,
+         list(itertools.product(_class_assignments(a_plus, v_plus, effective),
+                                _class_assignments(a_minus, v_minus, effective))),
+         scenario.genus - (n_nodes - v_plus - v_minus + 1))
+        for a_plus, a_minus in sorted(set(scenario.class_splittings))
+        for n_nodes in range(scenario.max_nodes + 1)
+        for nodes in _node_multisets(n_nodes, scenario.monodromy_menu, scenario.z_total)
+        for v_plus, v_minus in _side_sizes(n_nodes, a_plus, a_minus)]
+
+
+def _candidate_count(shapes: list[tuple], m: int) -> int:
+    """How many glued candidates the splitting walk over `shapes` builds with m
+    absolute insertions: class pairs * genus compositions * tail homes * node
+    edge choices, summed over the shapes."""
+    return sum(len(class_pairs) * _composition_count(genus_budget, v_plus + v_minus)
+               * (v_plus + v_minus) ** m * (v_plus * v_minus) ** len(nodes)
+               for nodes, v_plus, v_minus, class_pairs, genus_budget in shapes)
 
 
 def _side_sizes(n_nodes: int, a_plus: tuple[int, ...],

@@ -11,6 +11,14 @@ are distinguishable), so two graphs that differ only in which vertex carries
 tail 0 are distinct, and a symmetry counted by automorphism_order fixes every
 tail.  A graph's identity is its least encoding over vertex relabelings;
 canonical_form is that encoding decoded.
+
+Working form: the frozen RelGraph/Vertex/Edge/Tail dataclasses are the API;
+inside this module a graph is its encoding (vs, es, ts), with vs[v] =
+(level, genus, class), es[j] = (kind, end a, half a, end b, half b, contact)
+and ts[t] = (vertex, kind, monodromy, contact), a contact being (k, r) or
+(0, 0) for none.  _as_code converts a graph on the way in and _decode on the
+way out; the canonical search, both contraction moves and the poset walk run
+on encodings only.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 from .contact import ContactOrder, MonodromyTable
@@ -30,6 +39,8 @@ RELATIVE = "relative"
 
 MAX_AUT_VERTICES = 12
 _PERM_BUDGET = 2_000_000
+_ENDS = attrgetter("ends")  # of an Edge
+_SLOT_ENDS = itemgetter(1, 3)  # of an edge in encoding shape
 
 
 @dataclass(frozen=True)
@@ -196,13 +207,15 @@ def validate(
     return diags
 
 
-def _union_find(graph: RelGraph) -> tuple[list[int], int]:
-    """Union-find over the edges: the parent forest, each root its own parent,
-    and how many unions joined two components."""
-    parent = list(range(len(graph.vertices)))
+def _union_find(nv: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """Union-find over vertices 0..nv-1 joined by the end pairs: the parent
+    forest and how many unions joined two components.  A union hangs the larger
+    root under the smaller, so parent[v] <= v and each root is the least vertex
+    of its component: one ascending pass of parent[v] = parent[parent[v]] then
+    maps every vertex to that least vertex."""
+    parent = list(range(nv))
     merges = 0
-    for edge in graph.edges:
-        a, b = edge.ends
+    for a, b in pairs:
         while parent[a] != a:  # path halving
             parent[a] = parent[parent[a]]
             a = parent[a]
@@ -210,30 +223,22 @@ def _union_find(graph: RelGraph) -> tuple[list[int], int]:
             parent[b] = parent[parent[b]]
             b = parent[b]
         if a != b:
+            if a < b:
+                a, b = b, a
             parent[a] = b
             merges += 1
     return parent, merges
 
 
-def _components(graph: RelGraph) -> list[set[int]]:
-    parent, _ = _union_find(graph)
-    groups: dict[int, set[int]] = {}
-    for v in range(len(parent)):
-        root = v
-        while parent[root] != root:
-            root = parent[root]
-        groups.setdefault(root, set()).add(v)
-    return list(groups.values())
-
-
 def is_connected(graph: RelGraph) -> bool:
     """Whether the graph has at most one component: n - 1 unions joined its n vertices."""
-    return _union_find(graph)[1] >= len(graph.vertices) - 1
+    nv = len(graph.vertices)
+    return _union_find(nv, map(_ENDS, graph.edges))[1] >= nv - 1
 
 
 def genus(graph: RelGraph) -> int:
     """dim H^1 of the graph plus the vertex genera; connected graphs only."""
-    if len(_components(graph)) > 1:
+    if not is_connected(graph):
         raise ValidationError("graph is disconnected; use bullet_genus")
     if not graph.vertices:
         raise ValidationError("graph has no vertices; use bullet_genus")
@@ -258,31 +263,6 @@ def total_class(graph: RelGraph) -> tuple[int, ...]:
     for vertex in graph.vertices:
         out = add_classes(out, vertex.cls)
     return out
-
-
-def _merge_vertices(graph: RelGraph, groups: list[set[int]], extra_genus: dict[int, int],
-                    level_shift: dict[int, int] | None = None) -> RelGraph:
-    """Merge each vertex group into one vertex (genus and class added)."""
-    group_of = {}
-    for gi, group in enumerate(groups):
-        for v in group:
-            group_of[v] = gi
-    new_vertices = []
-    for gi, group in enumerate(groups):
-        members = sorted(group)
-        g = sum(graph.vertices[v].genus for v in members) + extra_genus.get(gi, 0)
-        cls = graph.vertices[members[0]].cls
-        for v in members[1:]:
-            cls = add_classes(cls, graph.vertices[v].cls)
-        level = graph.vertices[members[0]].level
-        if level_shift:
-            level = level_shift.get(gi, level)
-        new_vertices.append(Vertex(genus=g, cls=cls, level=level))
-    new_edges = tuple(Edge(e.kind, (group_of[e.ends[0]], group_of[e.ends[1]]), e.halves,
-                           e.contact) for e in graph.edges)
-    new_tails = tuple(Tail(group_of[t.vertex], t.kind, t.monodromy, t.contact)
-                      for t in graph.tails)
-    return RelGraph(tuple(new_vertices), new_edges, new_tails)
 
 
 def contract_edge(graph: RelGraph, edge_index: int) -> RelGraph:
@@ -326,31 +306,47 @@ def _contract_edge_code(code: tuple, j: int) -> tuple:
 
 def contract_level(graph: RelGraph, level: int) -> RelGraph:
     """Collapse levels `level` and `level+1`: contract every relative edge between
-    them, then lower all levels above `level` by one."""
+    them, then lower all levels above `level` by one.
+
+    The components of those edges become vertices in order of their least
+    vertex; the other edges keep their order and orientation."""
     levels = {v.level for v in graph.vertices}
     if level not in levels or level + 1 not in levels:
         raise ValidationError(f"levels {level} and {level + 1} are not both occupied")
-    between = [e.kind == RELATIVE
-               and {graph.vertices[e.ends[0]].level, graph.vertices[e.ends[1]].level}
-               == {level, level + 1}
-               for e in graph.edges]
-    # connected components of the between-edge subgraph get merged, in order
-    # of their least vertex
-    merged = RelGraph(graph.vertices,
-                      tuple(e for e, b in zip(graph.edges, between) if b), ())
-    groups = _components(merged)
-    # each merged component absorbs its internal cycles into genus
-    extra = {gi: sum(1 for e in merged.edges if e.ends[0] in group) - len(group) + 1
-             for gi, group in enumerate(groups)}
-    # merged components span {level, level+1} and land on `level`; everything
-    # strictly above `level` drops by one
-    shift: dict[int, int] = {}
-    for gi, group in enumerate(groups):
-        old = min(graph.vertices[v].level for v in group)
-        shift[gi] = old if old <= level else old - 1
-    remaining = tuple(e for e, b in zip(graph.edges, between) if not b)
-    stripped = RelGraph(graph.vertices, remaining, graph.tails)
-    return _merge_vertices(stripped, groups, extra_genus=extra, level_shift=shift)
+    return _decode(_contract_level_code(_as_code(graph), level))
+
+
+def _contract_level_code(code: tuple, level: int) -> tuple:
+    """Levels `level` and `level+1` of a graph in encoding shape collapsed, in
+    the same shape: see contract_level."""
+    vs, es, ts = code
+    pair = {level, level + 1}
+    between = [kind == RELATIVE and {vs[a][0], vs[b][0]} == pair
+               for kind, a, _, b, _, _ in es]
+    parent, _ = _union_find(len(vs), [_SLOT_ENDS(e) for e, inside in zip(es, between) if inside])
+    group_of: list[int] = []
+    merged: list[list] = []  # [level, genus, class] per component
+    for v, (lv, g, cls) in enumerate(vs):
+        root = parent[v] = parent[parent[v]]
+        if root == v:
+            # a component spans {level, level+1} and lands on `level`; every
+            # level above `level` drops by one
+            group_of.append(len(merged))
+            merged.append([lv if lv <= level else lv - 1, g, cls])
+        else:
+            # a component gains its cycles, between edges - members + 1, as
+            # genus: each further member counts -1 here, each edge +1 below
+            group = merged[group_of[root]]
+            group_of.append(group_of[root])
+            group[1] += g - 1
+            group[2] = add_classes(group[2], cls)
+    for inside, edge in zip(between, es):
+        if inside:
+            merged[group_of[edge[1]]][1] += 1
+    return (tuple([tuple(m) for m in merged]),
+            tuple([(kind, group_of[a], ha, group_of[b], hb, c)
+                   for (kind, a, ha, b, hb, c), inside in zip(es, between) if not inside]),
+            tuple([(group_of[v], kind, m, c) for v, kind, m, c in ts]))
 
 
 def _contact_key(contact: ContactOrder | None) -> tuple[int, int]:
@@ -362,26 +358,22 @@ def _contact_of(key: tuple[int, int]) -> ContactOrder | None:
     return ContactOrder(*key) if key != (0, 0) else None
 
 
-def _edge_code(graph: RelGraph, edge: Edge, perm: Sequence[int]) -> tuple:
-    """The edge with vertex v relabeled perm[v], oriented so that end 0 comes
-    first in (level, vertex, half) order."""
-    (a, b), (ha, hb) = edge.ends, edge.halves
-    la, lb = graph.vertices[a].level, graph.vertices[b].level
-    a, b = perm[a], perm[b]
-    if (la, a, ha) > (lb, b, hb):
-        a, b, ha, hb = b, a, hb, ha
-    return (edge.kind, a, ha, b, hb, _contact_key(edge.contact))
-
-
-def _encode(graph: RelGraph, perm: Sequence[int]) -> tuple:
-    """The encoding of `graph` with vertex v relabeled perm[v]."""
-    vs: list = [None] * len(graph.vertices)
-    for v, vertex in enumerate(graph.vertices):
-        vs[perm[v]] = (vertex.level, vertex.genus, vertex.cls)
-    es = tuple(sorted([_edge_code(graph, e, perm) for e in graph.edges]))
-    ts = tuple([(perm[t.vertex], t.kind, t.monodromy, _contact_key(t.contact))
-                for t in graph.tails])
-    return (tuple(vs), es, ts)
+def _relabel(code: tuple, perm: Sequence[int]) -> tuple:
+    """The encoding of a graph in encoding shape with vertex v relabeled
+    perm[v]: each edge oriented so that end 0 comes first in (level, vertex,
+    half) order, the edges sorted."""
+    vs, es, ts = code
+    out: list = [None] * len(vs)
+    for v, deco in enumerate(vs):
+        out[perm[v]] = deco
+    edges = []
+    for kind, a, ha, b, hb, c in es:
+        la, lb = vs[a][0], vs[b][0]
+        a, b = perm[a], perm[b]
+        edges.append((kind, b, hb, a, ha, c) if (la, a, ha) > (lb, b, hb)
+                     else (kind, a, ha, b, hb, c))
+    edges.sort()
+    return (tuple(out), tuple(edges), tuple([(perm[v], kind, m, c) for v, kind, m, c in ts]))
 
 
 def _as_code(graph: RelGraph) -> tuple:
@@ -395,7 +387,7 @@ def _as_code(graph: RelGraph) -> tuple:
 
 def encode(graph: RelGraph) -> tuple:
     """Index-sensitive total encoding; equal encodings mean equal decorated graphs."""
-    return _encode(graph, range(len(graph.vertices)))
+    return _relabel(_as_code(graph), range(len(graph.vertices)))
 
 
 def _decode(code: tuple) -> RelGraph:
@@ -409,26 +401,26 @@ def _decode(code: tuple) -> RelGraph:
                for v, kind, monodromy, contact in ts]))
 
 
-def _vertex_base_keys(graph: RelGraph) -> list[tuple]:
-    """Per vertex: its decoration, its sorted incident half-edges (each with the
-    far end's decoration) and its tails in index order; one pass over each list."""
-    decos = [(v.level, v.genus, v.cls) for v in graph.vertices]
-    incident: list[list[tuple]] = [[] for _ in decos]
-    for e in graph.edges:
-        (a, b), (ha, hb), c = e.ends, e.halves, e.contact
-        contact, loop = (c.k, c.r) if c is not None else (0, 0), a == b
-        incident[a].append((e.kind, ha, hb, contact, loop, decos[b]))
-        incident[b].append((e.kind, hb, ha, contact, loop, decos[a]))
-    tails: list[list[tuple]] = [[] for _ in decos]
-    for t_index, t in enumerate(graph.tails):
-        tails[t.vertex].append((t_index, t.kind, t.monodromy, _contact_key(t.contact)))
-    return [(deco, tuple(sorted(inc)), tuple(ts))
-            for deco, inc, ts in zip(decos, incident, tails)]
+def _vertex_base_keys(code: tuple) -> list[tuple]:
+    """Per vertex of an encoding: its decoration, its sorted incident half-edges
+    (each with the far end's decoration) and its tails in index order; one pass
+    over each list."""
+    vs, es, ts = code
+    incident: list[list[tuple]] = [[] for _ in vs]
+    for kind, a, ha, b, hb, contact in es:
+        loop = a == b
+        incident[a].append((kind, ha, hb, contact, loop, vs[b]))
+        incident[b].append((kind, hb, ha, contact, loop, vs[a]))
+    tails: list[list[tuple]] = [[] for _ in vs]
+    for t_index, (v, kind, monodromy, contact) in enumerate(ts):
+        tails[v].append((t_index, kind, monodromy, contact))
+    return [(deco, tuple(sorted(inc)), tuple(tl))
+            for deco, inc, tl in zip(vs, incident, tails)]
 
 
-def _key_blocks(graph: RelGraph) -> list[list[int]]:
-    """Vertices sorted by base key, grouped into equal-key blocks."""
-    keys = _vertex_base_keys(graph)
+def _key_blocks(code: tuple) -> list[list[int]]:
+    """Vertices of an encoding sorted by base key, grouped into equal-key blocks."""
+    keys = _vertex_base_keys(code)
     blocks: list[list[int]] = []
     for v in sorted(range(len(keys)), key=keys.__getitem__):
         if blocks and keys[blocks[-1][-1]] == keys[v]:
@@ -438,20 +430,20 @@ def _key_blocks(graph: RelGraph) -> list[list[int]]:
     return blocks
 
 
-def _canonical_search(graph: RelGraph) -> tuple[tuple, int]:
-    """The least encoding over the base-key-respecting vertex relabelings, and
-    how many relabelings reach it: two tie exactly when they differ by a
-    decoration-preserving symmetry, and every symmetry respects the base keys
-    (which hold the tail index, so a symmetry fixes every tail).  Only blocks
-    of two or more vertices are permuted, so all-singleton blocks cost one
-    encoding."""
-    nv = len(graph.vertices)
+def _canonical_search(code: tuple) -> tuple[tuple, int]:
+    """The least encoding of a graph in encoding shape over the
+    base-key-respecting vertex relabelings, and how many relabelings reach it:
+    two tie exactly when they differ by a decoration-preserving symmetry, and
+    every symmetry respects the base keys (which hold the tail index, so a
+    symmetry fixes every tail).  Only blocks of two or more vertices are
+    permuted, so all-singleton blocks cost one relabeling."""
+    nv = len(code[0])
     if nv > MAX_AUT_VERTICES:
         raise ResourceLimitError(f"graph has {nv} vertices, cap is {MAX_AUT_VERTICES}")
     perm = [0] * nv
     shuffled = []  # (first position, block) of every multi-vertex block
     budget, pos = 1, 0
-    for block in _key_blocks(graph):
+    for block in _key_blocks(code):
         for offset, v in enumerate(block):
             perm[v] = pos + offset
         if len(block) > 1:
@@ -468,10 +460,10 @@ def _canonical_search(graph: RelGraph) -> tuple[tuple, int]:
         for (start, _), block_vertices in zip(shuffled, arrangement):
             for offset, v in enumerate(block_vertices):
                 perm[v] = start + offset
-        code = _encode(graph, perm)
-        if best is None or code < best:
-            best, ties = code, 1
-        elif code == best:
+        candidate = _relabel(code, perm)
+        if best is None or candidate < best:
+            best, ties = candidate, 1
+        elif candidate == best:
             ties += 1
     return best, ties
 
@@ -481,7 +473,7 @@ def canonical_form(graph: RelGraph) -> RelGraph:
     labeled): the least encoding, decoded."""
     if not graph.vertices:
         return graph
-    return _decode(_canonical_search(graph)[0])
+    return _decode(_canonical_search(_as_code(graph))[0])
 
 
 def automorphism_order(graph: RelGraph) -> int:
@@ -494,7 +486,7 @@ def automorphism_order(graph: RelGraph) -> int:
     """
     if not graph.vertices:
         return 1
-    return _canonical_search(graph)[1]
+    return _canonical_search(_as_code(graph))[1]
 
 
 @dataclass(frozen=True)
@@ -559,12 +551,10 @@ def _single_contractions(code: tuple) -> Iterable[tuple]:
     for j, edge in enumerate(es):
         if edge[0] == ABSOLUTE and (j == 0 or edge != es[j - 1]):
             yield _contract_edge_code(code, j)
-    levels = sorted({v[0] for v in vs})
-    collapsible = [level for level in levels if level + 1 in levels]
-    if collapsible:
-        graph = _decode(code)
-        for level in collapsible:
-            yield encode(contract_level(graph, level))
+    levels = {v[0] for v in vs}
+    for level in sorted(levels):
+        if level + 1 in levels:
+            yield _contract_level_code(code, level)
 
 
 def _covers(codes: list[tuple]) -> set[tuple[int, int]]:
@@ -577,7 +567,7 @@ def _covers(codes: list[tuple]) -> set[tuple[int, int]]:
         for contracted in _single_contractions(code):
             j = index_of.get(contracted)
             if j is None:
-                j = index_of.get(_canonical_search(_decode(contracted))[0])
+                j = index_of.get(_canonical_search(contracted)[0])
                 if j is None:
                     raise ValidationError(
                         "a contraction left the enumerated node set; effective list is "
@@ -632,38 +622,39 @@ def stratification_poset(
     # balanced decoration menus for internal edges; an absolute edge between
     # two vertices may carry its pair of inverse halves either way round
     abs_decos = sorted({tuple(sorted((h, table.inverse_of(h)))) for h in bounds.edge_monodromies})
-    rel_decos: list[tuple[str, str, ContactOrder]] = []
+    rel_decos: list[tuple[str, str, tuple[int, int]]] = []
     if bounds.max_levels > 1:
         for h in sorted(bounds.edge_monodromies):
             r = table.order_of(h)
             for k in range(1, bounds.max_edge_contact_numerator + 1):
-                rel_decos.append((h, table.inverse_of(h), ContactOrder(k, r)))
+                rel_decos.append((h, table.inverse_of(h), (k, r)))
+    tail_decos = [(t.kind, t.monodromy, _contact_key(t.contact)) for t in tails]
 
-    # Every graph has a vertex order non-decreasing in (level, class, genus),
-    # so only those decorated vertex tuples are walked; for each, every edge
-    # multiset and tail placement still is.  The edge multisets of a shape
-    # are counted before any is built, so an oversized walk is refused first.
+    # The walk builds encodings.  Every graph has a vertex order non-decreasing
+    # in (level, class, genus), so only those decorated vertex tuples are
+    # walked; for each, every edge multiset and tail placement still is.  The
+    # edge multisets of a shape are counted before any is built, so an
+    # oversized walk is refused first.
     shapes: list[tuple] = []
     vectors = 0
     for nv in range(1, bounds.max_vertices + 1):
-        placements = [tuple(Tail(home, t.kind, t.monodromy, t.contact)
-                            for home, t in zip(homes, tails))
+        placements = [tuple([(home,) + deco for home, deco in zip(homes, tail_decos)])
                       for homes in itertools.product(range(nv), repeat=len(tails))]
         for levels in itertools.combinations_with_replacement(range(bounds.max_levels), nv):
             occupied = set(levels)
             if occupied != set(range(max(occupied) + 1)):
                 continue
-            slots: list[Edge] = []
+            slots: list[tuple] = []
             for i in range(nv):
                 for j in range(i, nv):
                     if levels[i] == levels[j]:
                         for h0, h1 in abs_decos:
-                            slots.append(Edge(ABSOLUTE, (i, j), (h0, h1)))
+                            slots.append((ABSOLUTE, i, h0, j, h1, (0, 0)))
                             if i != j and h0 != h1:
-                                slots.append(Edge(ABSOLUTE, (i, j), (h1, h0)))
+                                slots.append((ABSOLUTE, i, h1, j, h0, (0, 0)))
                     elif levels[j] == levels[i] + 1:
                         for h0, h1, contact in rel_decos:
-                            slots.append(Edge(RELATIVE, (i, j), (h0, h1), contact))
+                            slots.append((RELATIVE, i, h0, j, h1, contact))
             per_shape = sum(_composition_count(total, len(slots))
                             for total in range(nv - 1, nv + genus_total))
             for cls_assign in _class_assignments(total_cls, nv, homology.effective):
@@ -684,21 +675,17 @@ def stratification_poset(
         at_cap = nv == bounds.max_vertices or (
             bounds.max_levels > 1 and levels[-1] == bounds.max_levels - 1)
         keys = list(zip(levels, cls_assign))
-        genera_by_cycles = [
-            [g for g in _compositions(genus_total - cycles, nv) if _sorted_in_runs(g, keys)]
+        vertices_by_cycles = [
+            [tuple(zip(levels, g, cls_assign))
+             for g in _compositions(genus_total - cycles, nv) if _sorted_in_runs(g, keys)]
             for cycles in range(genus_total + 1)]
-        for counts in _edge_multiplicities(slots, nv, nv - 1 + genus_total):
-            edges = tuple(e for e, mult in zip(slots, counts) for _ in range(mult))
-            base = RelGraph(
-                tuple(Vertex(0, cls_assign[v], levels[v]) for v in range(nv)), edges, ())
-            if not is_connected(base):
+        for edges in _edge_multisets(slots, nv, nv - 1 + genus_total):
+            if _union_find(nv, map(_SLOT_ENDS, edges))[1] < nv - 1:
                 continue
-            for genera in genera_by_cycles[len(edges) - nv + 1]:
-                vertices = tuple(Vertex(genera[v], cls_assign[v], levels[v])
-                                 for v in range(nv))
+            for vertices in vertices_by_cycles[len(edges) - nv + 1]:
                 touched_cap = touched_cap or at_cap
                 for placed in placements:
-                    seen.add(_canonical_search(RelGraph(vertices, edges, placed))[0])
+                    seen.add(_canonical_search((vertices, edges, placed))[0])
 
     codes = sorted(seen)
     covers = _covers(codes)
@@ -708,14 +695,16 @@ def stratification_poset(
     return poset
 
 
-def _edge_multiplicities(slots: list, nv: int, max_edges: int) -> Iterable[tuple[int, ...]]:
-    """Multiplicity vectors over edge slots with total in [nv-1 ... max_edges]."""
-    for total in range(max(0, nv - 1), max_edges + 1):
-        yield from _compositions(total, len(slots))
+def _edge_multisets(slots: list, nv: int, max_edges: int) -> Iterable[tuple]:
+    """Multisets of edge slots, each a tuple in slot order, of size nv-1 ... max_edges."""
+    for size in range(max(0, nv - 1), max_edges + 1):
+        yield from itertools.combinations_with_replacement(slots, size)
 
 
 def _composition_count(total: int, parts: int) -> int:
     """How many tuples _compositions(total, parts) yields."""
+    if total < 0:
+        return 0
     if parts == 0:
         return int(total == 0)
     return math.comb(total + parts - 1, parts - 1)

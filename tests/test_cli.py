@@ -386,7 +386,10 @@ class TestMalformedInputExits1:
         (POSET + ["--max-vertices", "12"], "poset enumeration exceeded the candidate budget"),
         (["partitions", "--total", "300", "--orders", "1,1,1,1"],
          "partitions of 300 into 4 slots number more than 100000"),
-    ], ids=["poset-v7", "poset-v12", "partitions-300"])
+        (["expand", "--in", str(ROOT / "tests" / "data" / "expand_oversized.json"),
+          "--scenario", "g2_m4_n3_z3"],
+         "splitting enumeration exceeded the candidate budget (2000000)"),
+    ], ids=["poset-v7", "poset-v12", "partitions-300", "expand-g2-m4"])
     def test_oversized_enumeration_exits_3_before_the_work(self, argv, message):
         # counted up front: the walks themselves would take minutes
         started = time.perf_counter()

@@ -1,11 +1,13 @@
 import hashlib
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from orbidegen.contact import ContactOrder
-from orbidegen.errors import ValidationError
+from orbidegen import expand as expand_module
+from orbidegen.errors import ResourceLimitError, ValidationError
 from orbidegen.expand import (
     AbsInsertion,
     BasisEntry,
@@ -20,7 +22,8 @@ from orbidegen.expand import (
     side_swap,
     term_record,
 )
-from orbidegen.graph import HomologyModel, bullet_genus, validate
+from orbidegen.expand import _candidate_count, _splitting_shapes
+from orbidegen.graph import HomologyModel, bullet_genus, is_connected, validate
 from orbidegen.io import load_document
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
@@ -407,3 +410,59 @@ class TestTermsPinned:
                 count += 1
         assert count == 760
         assert digest.hexdigest() == PINNED_TERMS
+
+
+# the expand-ladder benchmark's first rung: one smooth node class, up to
+# three nodes, z = 3 on both sides, effective classes 0..3
+ROADMAP_LINE = HomologyModel(rank=1, c1=(F(3),), z_pairing=(F(1),),
+                             effective=tuple((c,) for c in range(4)))
+
+
+def roadmap_scenario(genus=0, insertions=2):
+    return scenario(genus=genus, absolute=[AbsInsertion(label) for label in "abcd"[:insertions]],
+                    splittings=(((3,), (3,)),), max_nodes=3, z_total=3)
+
+
+def predicted_candidates(sc, homology):
+    return _candidate_count(_splitting_shapes(sc, homology), len(sc.absolute))
+
+
+class TestCandidateCount:
+    def test_prediction_equals_connectivity_tests(self, monkeypatch):
+        """The walk tests connectivity once per candidate it builds."""
+        calls = []
+
+        def counted(graph):
+            calls.append(None)
+            return is_connected(graph)
+
+        monkeypatch.setattr(expand_module, "is_connected", counted)
+        for sc, homology in pinned_scenarios() + [(roadmap_scenario(), ROADMAP_LINE)]:
+            calls.clear()
+            enumerate_splittings(sc, homology)
+            assert len(calls) == predicted_candidates(sc, homology)
+        assert len(calls) == 25316
+
+    def test_budget_boundary(self, monkeypatch):
+        sc = scenario(genus=1, absolute=(AbsInsertion("a", 0),), max_nodes=2)
+        count = predicted_candidates(sc, LINE)
+        monkeypatch.setattr(expand_module, "_CANDIDATE_BUDGET", count - 1)
+        with pytest.raises(ResourceLimitError, match="candidate budget"):
+            enumerate_splittings(sc, LINE)
+        monkeypatch.setattr(expand_module, "_CANDIDATE_BUDGET", count)
+        assert enumerate_splittings(sc, LINE)
+
+    def test_oversized_scenario_refused_before_the_first_candidate(self, monkeypatch):
+        sc = roadmap_scenario(genus=2, insertions=4)
+        assert predicted_candidates(sc, ROADMAP_LINE) == 4_035_040
+
+        def no_candidate(graph):
+            raise AssertionError("a candidate was built")
+
+        monkeypatch.setattr(expand_module, "is_connected", no_candidate)
+        started = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=(
+                r"^splitting enumeration exceeded the candidate budget \(2000000\); a partial "
+                "term sum would be wrong, tighten the scenario bounds$")):
+            expand(sc, SMOOTH_BASIS, ROADMAP_LINE)
+        assert time.perf_counter() - started < 1

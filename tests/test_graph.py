@@ -29,7 +29,7 @@ from orbidegen.graph import (
     total_class,
     validate,
 )
-from orbidegen.graph import _canonical_search, _components, _decode, _key_blocks
+from orbidegen.graph import _as_code, _canonical_search, _decode, _key_blocks, _union_find
 
 LINE = HomologyModel(rank=1, c1=(F(3),), z_pairing=(F(1),),
                      effective=((0,), (1,), (2,), (3,), (4,)))
@@ -233,6 +233,80 @@ class TestContractLevel:
         graph = RelGraph((vertex(),), (), ())
         with pytest.raises(ValidationError, match="occupied"):
             contract_level(graph, 0)
+
+    def test_exact_layout(self):
+        # the between-edge components {0, 1}, {2}, {3, 4}, {5} become vertices
+        # 0..3 in order of their least vertex; {0, 1} absorbs its cycle; the
+        # other edges keep their order and the orientation of their ends and
+        # halves; everything above level 0 drops by one
+        graph = RelGraph(
+            (vertex(g=1, a=1, level=1), vertex(a=2), vertex(level=2), vertex(g=2, a=1),
+             vertex(level=1), vertex(a=3)),
+            (Edge("absolute", (3, 1), ("c1", "c2")),
+             Edge("relative", (4, 3), ("h", "h"), ContactOrder(1, 2)),
+             Edge("relative", (2, 0), ("e", "e"), ContactOrder(2, 1)),
+             Edge("relative", (1, 0), ("e", "e"), ContactOrder(1, 1)),
+             Edge("relative", (0, 1), ("e", "e"), ContactOrder(1, 1)),
+             Edge("absolute", (4, 4))),
+            (Tail(2, "absolute", "e"), Tail(4, "relative", "e", ContactOrder(1, 1)),
+             Tail(5, "absolute", "e")))
+        assert contract_level(graph, 0) == RelGraph(
+            (vertex(g=2, a=3), vertex(level=1), vertex(g=2, a=1), vertex(a=3)),
+            (Edge("absolute", (2, 0), ("c1", "c2")),
+             Edge("relative", (1, 0), ("e", "e"), ContactOrder(2, 1)),
+             Edge("absolute", (2, 2))),
+            (Tail(1, "absolute", "e"), Tail(2, "relative", "e", ContactOrder(1, 1)),
+             Tail(3, "absolute", "e")))
+
+
+def random_leveled_graph(rng: random.Random) -> RelGraph:
+    """Random graph on 2 to 6 vertices over three levels, neither valid nor
+    connected in general: edges between adjacent or distant levels written
+    either way round, same-level edges, loops, multi-edges and tails."""
+    nv = rng.randint(2, 6)
+    levels = [rng.randint(0, 2) for _ in range(nv)]
+    vertices = tuple(Vertex(rng.randint(0, 1), (rng.randint(0, 2),), lv) for lv in levels)
+    edges = []
+    for _ in range(rng.randint(1, 2 * nv)):
+        a, b = rng.randrange(nv), rng.randrange(nv)
+        half = rng.choice(("e", "h"))
+        if levels[a] == levels[b]:
+            edges.append(Edge("absolute", (a, b), (half, half)))
+        else:
+            edges.append(Edge("relative", (a, b), (half, half),
+                              ContactOrder(rng.randint(1, 3), 1 if half == "e" else 2)))
+    tails = tuple(Tail(rng.randrange(nv), rng.choice(("absolute", "relative")), "e")
+                  for _ in range(rng.randint(0, 3)))
+    return RelGraph(vertices, tuple(edges), tails)
+
+
+def level_collapses() -> list[tuple[RelGraph, int]]:
+    """Every collapsible level of 2,000 seeded random graphs that have one."""
+    rng = random.Random(6060)
+    cases: list[tuple[RelGraph, int]] = []
+    graphs = 0
+    while graphs < 2000:
+        graph = random_leveled_graph(rng)
+        levels = {v.level for v in graph.vertices}
+        collapsible = [lv for lv in sorted(levels) if lv + 1 in levels]
+        if collapsible:
+            graphs += 1
+            cases += [(graph, lv) for lv in collapsible]
+    return cases
+
+
+# sha256 over repr(contract_level(g, lv)) for every case of level_collapses(),
+# recorded before contract_level moved onto encodings
+LEVEL_COLLAPSE_DIGEST = "3ab2413df0e973687ea05ccb5a09e869af327facf730925b4866b19a00cbca89"
+
+
+def test_contract_level_pinned():
+    digest = hashlib.sha256()
+    cases = level_collapses()
+    for graph, lv in cases:
+        digest.update(repr(contract_level(graph, lv)).encode())
+    assert len(cases) == 3120
+    assert digest.hexdigest() == LEVEL_COLLAPSE_DIGEST
 
 
 class TestAutomorphisms:
@@ -554,9 +628,11 @@ class TestCanonicalFormPinned:
         assert digest.hexdigest() == PINNED_DIGEST
 
     def test_decode_inverts_encode(self):
+        # expand keys its matchings on _as_code of a decoded canonical code
         for graph in pinned_graphs():
-            code = _canonical_search(graph)[0]
+            code = _canonical_search(_as_code(graph))[0]
             assert encode(_decode(code)) == code
+            assert _as_code(_decode(code)) == code
 
 
 def random_multigraph(rng: random.Random, nv: int) -> RelGraph:
@@ -564,6 +640,20 @@ def random_multigraph(rng: random.Random, nv: int) -> RelGraph:
     edges = tuple(Edge("absolute", (rng.randrange(nv), rng.randrange(nv)))
                   for _ in range(rng.randint(0, 9))) if nv else ()
     return RelGraph(tuple(vertex() for _ in range(nv)), edges, ())
+
+
+def union_find_components(graph: RelGraph) -> list[set[int]]:
+    """The components _union_find groups, each keyed by its least vertex,
+    in order of that vertex."""
+    nv = len(graph.vertices)
+    parent, merges = _union_find(nv, [e.ends for e in graph.edges])
+    groups: dict[int, set[int]] = {}
+    for v in range(nv):
+        assert parent[v] <= v
+        root = parent[v] = parent[parent[v]]
+        groups.setdefault(root, set()).add(v)
+    assert len(groups) == nv - merges and all(min(c) == r for r, c in groups.items())
+    return list(groups.values())
 
 
 class TestIsConnectedDifferential:
@@ -574,7 +664,8 @@ class TestIsConnectedDifferential:
         for _ in range(3000):
             graph = random_multigraph(rng, rng.randint(0, 7))
             answer = is_connected(graph)
-            assert answer == (len(_components(graph)) <= 1)
+            components = union_find_components(graph)
+            assert answer == (len(components) <= 1)
             connected += answer
             if graph.vertices:  # networkx has no verdict on the null graph
                 multi = nx.MultiGraph()
@@ -583,7 +674,7 @@ class TestIsConnectedDifferential:
                 assert answer == nx.is_connected(multi)
                 # components come in order of their least vertex
                 expected = sorted(nx.connected_components(multi), key=min)
-                assert _components(graph) == expected
+                assert components == expected
         assert 500 < connected < 2500
 
 
@@ -618,8 +709,8 @@ class TestMultiVertexBlocks:
             graph = blocked_graph(rng)
             if len(graph.vertices) > 7:
                 continue
-            sizes.update(len(b) for b in _key_blocks(graph) if len(b) > 1)
-            ties = _canonical_search(graph)[1]
+            sizes.update(len(b) for b in _key_blocks(_as_code(graph)) if len(b) > 1)
+            ties = _canonical_search(_as_code(graph))[1]
             assert ties == brute_automorphism_count(graph)
             symmetric += ties > 1
         assert sizes[2] > 20 and sizes[3] > 20 and symmetric > 50

@@ -423,14 +423,14 @@ def test_walk_size_counted_before_the_walk(monkeypatch, case):
     """The edge vectors counted before the walk are the ones it makes: a budget
     one below the count is refused before any is built, the count itself runs."""
     made = Counter()
-    multiplicities = graph._edge_multiplicities
+    multisets = graph._edge_multisets
 
     def counted(*args):
-        for counts in multiplicities(*args):
+        for edges in multisets(*args):
             made["vectors"] += 1
-            yield counts
+            yield edges
 
-    monkeypatch.setattr(graph, "_edge_multiplicities", counted)
+    monkeypatch.setattr(graph, "_edge_multisets", counted)
     args = walk_inputs(case)
     stratification_poset(*args)
     vectors = made.pop("vectors")
@@ -472,6 +472,26 @@ def test_covers_match_the_public_moves(inputs):
     assert poset.covers == public_covers(poset)
 
 
+@pytest.mark.parametrize("case", [c for c in WALK_CASES if c[6] > 1], ids=lambda c: c[0])
+def test_graph_objects_only_at_the_boundary(monkeypatch, case):
+    """The walk and the covers run on encodings: the one-vertex graph that is
+    validated and the returned nodes are the only graph objects built."""
+    built = Counter()
+    for name in ("RelGraph", "Vertex", "Edge", "Tail"):
+        def counted(*args, _cls=getattr(graph, name), _name=name, **kwargs):
+            built[_name] += 1
+            return _cls(*args, **kwargs)
+        monkeypatch.setattr(graph, name, counted)
+    args = walk_inputs(case)
+    poset = stratification_poset(*args)
+    monkeypatch.undo()
+    assert built == Counter(
+        RelGraph=1 + len(poset.nodes),
+        Vertex=1 + sum(len(node.vertices) for node in poset.nodes),
+        Edge=sum(len(node.edges) for node in poset.nodes),
+        Tail=len(args[2]) + sum(len(node.tails) for node in poset.nodes))
+
+
 def all_orderings_poset_codes(genus_total, total_cls, tails, homology, table, bounds):
     """Every canonical code the library validates, walking every vertex order
     and both orientations of every absolute edge between two vertices."""
@@ -508,7 +528,7 @@ def all_orderings_poset_codes(genus_total, total_cls, tails, homology, table, bo
                             if (not validate(g, homology, table) and graph.is_connected(g)
                                     and graph.genus(g) == genus_total
                                     and graph.total_class(g) == total_cls):
-                                found.add(graph._canonical_search(g)[0])
+                                found.add(graph._canonical_search(graph._as_code(g))[0])
     return found
 
 

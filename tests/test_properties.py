@@ -1,5 +1,5 @@
-"""Property tests of the canonical form and edge contraction on graphs of up
-to 7 vertices.
+"""Property tests of the canonical form, edge contraction and level collapse
+on graphs of up to 7 vertices.
 
 Hypothesis runs derandomized with a bounded example count, so every run
 draws the same graphs and the suite stays deterministic.
@@ -19,6 +19,7 @@ from orbidegen.graph import (  # noqa: E402
     automorphism_order,
     canonical_form,
     contract_edge,
+    contract_level,
 )
 
 SETTINGS = hypothesis.settings(derandomize=True, max_examples=100, deadline=None,
@@ -26,14 +27,18 @@ SETTINGS = hypothesis.settings(derandomize=True, max_examples=100, deadline=None
 
 
 @st.composite
-def graphs(draw) -> RelGraph:
+def graphs(draw, both_levels: bool = False) -> RelGraph:
     """Graphs whose vertices share one or two decorations, so that equal-key
     blocks are common: two levels, loops, multi-edges, relative edges and
-    labeled tails."""
-    nv = draw(st.integers(1, 7))
+    labeled tails.  With `both_levels`, the first vertex sits on level 0 and
+    the last on level 1."""
+    nv = draw(st.integers(2 if both_levels else 1, 7))
     palette = draw(st.lists(st.builds(Vertex, st.integers(0, 1), st.just((0,)),
                                       st.integers(0, 1)), min_size=1, max_size=2))
     vertices = tuple(draw(st.sampled_from(palette)) for _ in range(nv))
+    if both_levels:
+        vertices = ((Vertex(vertices[0].genus, (0,), 0),) + vertices[1:-1]
+                    + (Vertex(vertices[-1].genus, (0,), 1),))
     edges = []
     for _ in range(draw(st.integers(0, 8))):
         a, b = draw(st.integers(0, nv - 1)), draw(st.integers(0, nv - 1))
@@ -50,10 +55,10 @@ def graphs(draw) -> RelGraph:
 
 
 @st.composite
-def relabelings(draw):
+def relabelings(draw, both_levels: bool = False):
     """A graph and the same graph with its vertices relabeled, its edges
     shuffled and some edges written end to start."""
-    graph = draw(graphs())
+    graph = draw(graphs(both_levels))
     perm = draw(st.permutations(range(len(graph.vertices))))
     order = draw(st.permutations(range(len(graph.edges))))
     vertices = [None] * len(perm)
@@ -111,3 +116,10 @@ def edge_contractions(draw):
 def test_contract_edge_commutes_with_relabeling(case):
     graph, j, relabeled = case
     assert canonical_form(contract_edge(relabeled, j)) == canonical_form(contract_edge(graph, j))
+
+
+@SETTINGS
+@hypothesis.given(relabelings(both_levels=True))
+def test_contract_level_commutes_with_relabeling(pair):
+    graph, relabeled = pair
+    assert canonical_form(contract_level(relabeled, 0)) == canonical_form(contract_level(graph, 0))
