@@ -34,8 +34,8 @@ from .graph import (
 from .io import (
     SCHEMA,
     _integer,
+    _known,
     _rational,
-    _string,
     dump_json,
     load_document,
     load_ledger,
@@ -64,7 +64,8 @@ def _load_graph(args):
 
 def _well_formed(graph, name: str, homology, table) -> None:
     """Stop at the first "structure" diagnostic: genus, total_class and the
-    contraction moves index vertices by edge and tail endpoints."""
+    contraction moves index vertices by edge and tail endpoints and add vertex
+    classes entry by entry."""
     broken = [d for d in validate(graph, homology, table) if d.rule == "structure"]
     if broken:
         raise ValidationError(f"graph {name} is malformed: {broken[0]}")
@@ -168,10 +169,16 @@ def _cmd_graphs_poset(args) -> int:
     diags = validate(graph, homology, table)
     if diags:
         raise ValidationError(f"graph {name} is invalid: {diags[0]}")
-    menu = parse_list(args.edge_monodromies, "--edge-monodromies", _string)
+
+    def known_label(item: str, where: str) -> str:
+        return _known(item, table.orders, "monodromy class", where)
+
+    # the default edge menu is the table's order-1 labels: "e" in a labels
+    # table, "c0" in one derived from a group
+    menu = (parse_list(args.edge_monodromies, "--edge-monodromies", known_label)
+            or tuple(sorted(label for label, order in table.orders.items() if order == 1)))
     bounds = PosetBounds(max_vertices=args.max_vertices, max_levels=args.max_levels,
-                         edge_monodromies=menu or ("e",),
-                         max_edge_contact_numerator=args.max_edge_contact)
+                         edge_monodromies=menu, max_edge_contact_numerator=args.max_edge_contact)
     poset = stratification_poset(genus(graph), total_class(graph), graph.tails, homology,
                                  table, bounds)
     if args.dot:
@@ -280,10 +287,8 @@ def _glue_demo(args) -> int:
         system, chart = glue.sphere_model(scale=args.scale)
     elif args.model == "node":
         system, chart = glue.node_model(tau=args.tau)
-    elif args.model == "linear":
-        system, chart = glue.linear_model()
     else:
-        raise ValidationError(f"unknown model {args.model!r}")
+        system, chart = glue.linear_model()
     const = glue.estimate_constants(system, chart, sample_count=args.samples, seed=args.seed)
 
     def e(x: float) -> str:

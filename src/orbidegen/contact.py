@@ -37,16 +37,6 @@ class ContactOrder:
     def __str__(self) -> str:
         return f"{self.k}/{self.r}"
 
-    @classmethod
-    def parse(cls, text: str) -> "ContactOrder":
-        """Parse the raw 'k/r' form ('k' alone means r=1)."""
-        parts = text.strip().split("/")
-        if len(parts) == 1:
-            return cls(int(parts[0]), 1)
-        if len(parts) == 2:
-            return cls(int(parts[0]), int(parts[1]))
-        raise ValidationError(f"cannot parse contact order {text!r}")
-
 
 @dataclass(frozen=True)
 class MonodromyTable:

@@ -129,6 +129,15 @@ class SplittingScenario:
     monodromy_menu: tuple[MenuEntry, ...]
     z_total: Fraction
 
+    def __post_init__(self) -> None:
+        for name, value in (("genus", self.genus), ("max_nodes", self.max_nodes)):
+            if value < 0:
+                raise ValidationError(f"{name} must be non-negative, got {value}")
+        labels = [entry.label for entry in self.monodromy_menu]
+        for i, label in enumerate(labels):
+            if label in labels[:i]:
+                raise ValidationError(f"monodromy_menu[{i}] repeats label {label!r}")
+
     def table(self) -> MonodromyTable:
         orders: dict[str, int] = {}
         inverses: dict[str, str] = {}
@@ -140,8 +149,13 @@ class SplittingScenario:
         return MonodromyTable(orders=orders, inverses=inverses)
 
     def check_against(self, homology: HomologyModel) -> None:
-        for plus_cls, minus_cls in self.class_splittings:
+        for i, (plus_cls, minus_cls) in enumerate(self.class_splittings):
             for side_cls, side in ((plus_cls, "+"), (minus_cls, "-")):
+                if len(side_cls) != homology.rank:
+                    raise ValidationError(
+                        f"splitting {i} side {side} class {side_cls} has {len(side_cls)} "
+                        f"entries, homology rank is {homology.rank}"
+                    )
                 if homology.z_of(side_cls) != self.z_total:
                     raise ValidationError(
                         f"splitting side {side} class {side_cls} pairs to "
@@ -302,15 +316,19 @@ def enumerate_splittings(
 def _splitting_shapes(scenario: SplittingScenario, homology: HomologyModel) -> list[tuple]:
     """(nodes, v_plus, v_minus, class pairs, genus budget) for every class
     splitting, node multiset and side sizes the splitting walk visits; a
-    negative genus budget (too many cycles) has no compositions."""
+    negative genus budget (too many cycles) has no compositions.  A node of
+    order r has contact at least 1/r, so no more than z_total * (largest menu
+    order) nodes have a multiset."""
     effective = homology.effective
+    top_order = max((entry.order for entry in scenario.monodromy_menu), default=0)
+    n_max = min(scenario.max_nodes, math.floor(scenario.z_total * top_order))
     return [
         (nodes, v_plus, v_minus,
          list(itertools.product(_class_assignments(a_plus, v_plus, effective),
                                 _class_assignments(a_minus, v_minus, effective))),
          scenario.genus - (n_nodes - v_plus - v_minus + 1))
         for a_plus, a_minus in sorted(set(scenario.class_splittings))
-        for n_nodes in range(scenario.max_nodes + 1)
+        for n_nodes in range(n_max + 1)
         for nodes in _node_multisets(n_nodes, scenario.monodromy_menu, scenario.z_total)
         for v_plus, v_minus in _side_sizes(n_nodes, a_plus, a_minus)]
 

@@ -100,7 +100,7 @@ class ApproxChart:
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.s_low, self.s_high)
 
-    def check_right_inverse(self, system: FredholmSystem, s, tol: float = 1e-8) -> float:
+    def check_right_inverse(self, system: FredholmSystem, s) -> float:
         s = _as_vec(s)
         residual = system.jacobian(self.x(s)) @ self.q(s) - np.eye(system.dim_f)
         return float(np.linalg.norm(residual, 2))

@@ -62,9 +62,6 @@ class HomologyModel:
             if len(vec) != self.rank:
                 raise ValidationError(f"effective class {vec} has wrong rank")
 
-    def c1_of(self, vec: Sequence[int]) -> Fraction:
-        return sum((c * v for c, v in zip(self.c1, vec)), Fraction(0))
-
     def z_of(self, vec: Sequence[int]) -> Fraction:
         return sum((z * v for z, v in zip(self.z_pairing, vec)), Fraction(0))
 
@@ -105,9 +102,6 @@ class RelGraph:
     edges: tuple[Edge, ...]
     tails: tuple[Tail, ...]
 
-    def degree_of(self, v: int) -> int:
-        return sum((e.ends[0] == v) + (e.ends[1] == v) for e in self.edges)
-
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -132,7 +126,11 @@ def validate(
     for i, vertex in enumerate(graph.vertices):
         if vertex.genus < 0:
             diags.append(Diagnostic("genus", f"vertex {i}", f"negative genus {vertex.genus}"))
-        if vertex.cls not in homology.effective:
+        if len(vertex.cls) != homology.rank:
+            diags.append(Diagnostic("structure", f"vertex {i}",
+                                    f"class {vertex.cls} has {len(vertex.cls)} entries, "
+                                    f"homology rank is {homology.rank}"))
+        elif vertex.cls not in homology.effective:
             diags.append(Diagnostic("effective", f"vertex {i}",
                                     f"class {vertex.cls} not in the effective list"))
 
@@ -195,7 +193,7 @@ def validate(
         elif tail.contact is not None:
             diags.append(Diagnostic("structure", name, "absolute tail carries a contact order"))
 
-    if graph.vertices:
+    if graph.vertices and all(len(v.cls) == homology.rank for v in graph.vertices):
         total = total_class(graph)
         tail_sum = sum((t.contact.value for t in graph.tails
                         if t.kind == RELATIVE and t.contact is not None), Fraction(0))
@@ -669,11 +667,8 @@ def stratification_poset(
                 shapes.append((levels, slots, cls_assign, placements))
 
     seen: set[tuple] = set()
-    touched_cap = False
     for levels, slots, cls_assign, placements in shapes:
         nv = len(levels)
-        at_cap = nv == bounds.max_vertices or (
-            bounds.max_levels > 1 and levels[-1] == bounds.max_levels - 1)
         keys = list(zip(levels, cls_assign))
         vertices_by_cycles = [
             [tuple(zip(levels, g, cls_assign))
@@ -683,14 +678,17 @@ def stratification_poset(
             if _union_find(nv, map(_SLOT_ENDS, edges))[1] < nv - 1:
                 continue
             for vertices in vertices_by_cycles[len(edges) - nv + 1]:
-                touched_cap = touched_cap or at_cap
                 for placed in placements:
                     seen.add(_canonical_search((vertices, edges, placed))[0])
 
     codes = sorted(seen)
     covers = _covers(codes)
     nodes = tuple(_decode(code) for code in codes)
-    poset = StratPoset(nodes, tuple(sorted(covers)), complete=not touched_cap)
+    # a node touches a cap with max_vertices vertices or on the top level of
+    # several (canonical codes list vertices by level, so its last vertex's)
+    complete = not any(len(vs) == bounds.max_vertices or (
+        bounds.max_levels > 1 and vs[-1][0] == bounds.max_levels - 1) for vs, _, _ in codes)
+    poset = StratPoset(nodes, tuple(sorted(covers)), complete=complete)
     poset.maximal_index()  # unique one-vertex maximal element must exist
     return poset
 

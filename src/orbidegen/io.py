@@ -110,12 +110,16 @@ def _field(mapping: Any, key: str, where: str, read, default: Any = ...) -> Any:
 
 
 def _contact(value: Any, where: str) -> ContactOrder | None:
+    """The raw 'k/r' form of a contact order ('k' alone means r=1), or None."""
     if value is None:
         return None
     if not isinstance(value, str):
         raise ValidationError(f"{where}: contact order must be a 'k/r' string")
+    parts = value.strip().split("/")
+    if len(parts) > 2:
+        raise ValidationError(f"{where}: cannot parse contact order {value!r}")
     try:
-        return ContactOrder.parse(value)
+        return ContactOrder(*map(int, parts))
     except (ValidationError, ValueError) as exc:
         raise ValidationError(f"{where}: {exc}") from None
 
@@ -300,13 +304,17 @@ def load_document(text: str) -> InputDocument:
         bname = _field(entry, "basis", where, _string, "")
         if bname:
             _known(bname, doc.basis, "basis", where)
-        doc.scenarios[name] = SplittingScenario(
+        fields = dict(
             genus=_field(entry, "genus", where, _integer),
             absolute=_field(entry, "absolute", where, _array_of(insertion), ()),
             class_splittings=_field(entry, "splittings", where, _array_of(_pair_of(_integers))),
             max_nodes=_field(entry, "max_nodes", where, _integer),
             monodromy_menu=_field(entry, "monodromy_menu", where, _array_of(menu_entry)),
             z_total=_field(entry, "z_total", where, _rational))
+        try:
+            doc.scenarios[name] = SplittingScenario(**fields)
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}") from None
         doc.scenario_context[name] = (hname, bname)
 
     return doc

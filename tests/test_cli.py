@@ -127,6 +127,35 @@ class TestExitCodes:
         assert rc == 1 and "tail sum" in out
 
 
+class TestDefaults:
+    def test_poset_edge_menu_is_the_order_one_labels(self, tmp_path):
+        # a table derived from a group has labels c0, c1, ...; no "e"
+        doc = json.loads((DATA / "graphs.json").read_text())
+        doc["groups"] = [{"name": "z2", "cyclic": 2}]
+        doc["classes"] = [{"name": "z2div", "group": "z2"}]
+        for tail in doc["graphs"][0]["tails"]:
+            tail["monodromy"] = "c0"
+        path = tmp_path / "cyclic.json"
+        path.write_text(json.dumps(doc))
+        argv = ["graphs", "poset", "--in", str(path), "--graph", "gmax", "--max-vertices", "3"]
+        rc, out, err = capture(argv)
+        assert rc == 0 and err == ""
+        assert capture(argv + ["--edge-monodromies", "c0"]) == (0, out, "")
+
+    def test_expand_node_count_bounded_by_z_total(self):
+        # a million-node cap adds nothing past z_total * (largest menu order)
+        # nodes, here 2, and runs at once
+        argv = ["expand", "--in", str(ROOT / "tests" / "data" / "expand_many_nodes.json")]
+        started = time.perf_counter()
+        rc, out, _ = capture(argv)
+        assert rc == 0 and time.perf_counter() - started < 1
+        doc = json.loads((DATA / "smooth1.json").read_text())
+        assert doc["scenarios"][1]["max_nodes"] == 2
+        _, two, _ = capture(["expand", "--in", str(DATA / "smooth1.json"),
+                             "--scenario", "dup_insertion"])
+        assert out.replace("smooth_many_nodes", "dup_insertion") == two
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["ex_z3.json", "ex_s3.json", "smooth1.json",
                                       "graphs.json"])
@@ -407,6 +436,45 @@ class TestMalformedInputExits1:
         rc, out, err = capture(POSET + extra)
         assert rc == 1 and out == ""
         assert err.startswith(f"error: PosetBounds.{field} must be at least 1")
+
+    @pytest.mark.parametrize("argv", [
+        ["graphs", "genus", "--graph", "two_level_rank2"],
+        ["graphs", "contract", "--graph", "two_level_rank2", "--level", "0", "--json"],
+    ], ids=["genus", "contract"])
+    def test_class_of_wrong_rank_stops_the_graph_commands(self, argv):
+        rc, out, err = capture(argv + ["--in", str(ROOT / "tests" / "data" /
+                                                 "graphs_wrong_rank.json")])
+        assert rc == 1 and out == ""
+        assert err == ("error: graph two_level_rank2 is malformed: [structure] vertex 0: "
+                       "class (1, 5) has 2 entries, homology rank is 1\n")
+
+    def test_total_class_of_wrong_rank_not_printed(self, tmp_path):
+        doc = json.loads((DATA / "graphs.json").read_text())
+        doc["graphs"][0]["vertices"][0]["class"] = [2, 0]
+        err = self.run_on(tmp_path, json.dumps(doc), ["graphs", "genus", "--graph", "gmax"])
+        assert "[structure] vertex 0: class (2, 0) has 2 entries, homology rank is 1" in err
+
+    @pytest.mark.parametrize("change,message", [
+        ({"splittings": [[[2], [2, 0]]]},
+         "splitting 0 side - class (2, 0) has 2 entries, homology rank is 1"),
+        ({"monodromy_menu": [{"label": "e", "order": 1, "inverse": "e"},
+                             {"label": "e", "order": 2, "inverse": "e"}]},
+         "scenarios[smooth_one_node]: monodromy_menu[1] repeats label 'e'"),
+        ({"max_nodes": -1}, "scenarios[smooth_one_node]: max_nodes must be non-negative, got -1"),
+        ({"genus": -1}, "scenarios[smooth_one_node]: genus must be non-negative, got -1"),
+    ], ids=["splitting-of-wrong-rank", "repeated-menu-label", "negative-max-nodes",
+            "negative-genus"])
+    def test_bad_scenario_field_is_named(self, tmp_path, change, message):
+        doc = json.loads((DATA / "smooth1.json").read_text())
+        doc["scenarios"][0].update(change)
+        err = self.run_on(tmp_path, json.dumps(doc),
+                          ["expand", "--scenario", "smooth_one_node"])
+        assert err == f"error: {message}\n"
+
+    def test_unknown_edge_label_names_the_option(self):
+        rc, out, err = capture(POSET + ["--edge-monodromies", "e,q"])
+        assert rc == 1 and out == ""
+        assert err == "error: --edge-monodromies[1]: unknown monodromy class 'q'\n"
 
 
 SWEEP_COMMANDS = {

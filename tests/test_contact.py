@@ -224,11 +224,6 @@ class TestContactOrder:
         order = ContactOrder(2, 2)
         assert order.value == 1 and order.k == 2 and order.r == 2
 
-    def test_parse_roundtrip(self):
-        assert ContactOrder.parse("3/2") == ContactOrder(3, 2)
-        assert ContactOrder.parse("4") == ContactOrder(4, 1)
-        assert str(ContactOrder(3, 2)) == "3/2"
-
     def test_rejects_nonpositive(self):
         with pytest.raises(ValidationError):
             ContactOrder(0, 1)
@@ -260,3 +255,25 @@ class TestMonodromyTable:
     def test_mutually_inverse_pair_accepted(self):
         table = MonodromyTable(orders={"a": 3, "b": 3}, inverses={"a": "b", "b": "a"})
         assert table.inverse_of("a") == "b"
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: MonodromyTable(orders={"a": 0}, inverses={"a": "a"}),
+     "class 'a' has non-positive order 0"),
+    (lambda: MonodromyTable(orders={"a": 1}, inverses={}), "class 'a' has no inverse entry"),
+    (lambda: MonodromyTable(orders={"a": 1}, inverses={"a": "b"}),
+     "inverse 'b' of class 'a' is not a known class"),
+    (lambda: MonodromyTable(orders={"a": 1, "b": 1, "c": 1},
+                            inverses={"a": "b", "b": "c", "c": "a"}),
+     "inverse map is not an involution at class 'a'"),
+    (lambda: MonodromyTable(orders={"a": 1, "b": 2}, inverses={"a": "b", "b": "a"}),
+     "class 'a' and its inverse differ in order"),
+    (lambda: MonodromyTable.cyclic(0), "cyclic order must be positive, got 0"),
+    (lambda: MonodromyTable.trivial().order_of("q"), "unknown monodromy class 'q'"),
+    (lambda: MonodromyTable.trivial().inverse_of("q"), "unknown monodromy class 'q'"),
+], ids=["non-positive-order", "no-inverse-entry", "unknown-inverse", "not-an-involution",
+        "orders-differ", "cyclic-0", "unknown-order", "unknown-inverse-of"])
+def test_monodromy_table_message(build, message):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value) == message

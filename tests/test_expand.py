@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import re
 import time
 from fractions import Fraction as F
 from pathlib import Path
@@ -466,3 +468,66 @@ class TestCandidateCount:
                 "term sum would be wrong, tighten the scenario bounds$")):
             expand(sc, SMOOTH_BASIS, ROADMAP_LINE)
         assert time.perf_counter() - started < 1
+
+
+class TestScenarioChecks:
+    @pytest.mark.parametrize("sc,basis,homology", [
+        (scenario(max_nodes=2), SMOOTH_BASIS, LINE),
+        (scenario(genus=1, absolute=(AbsInsertion("a", 0),), max_nodes=2, menu=Z3_MENU,
+                  z_total=F(2, 3)), Z3_BASIS, THIRDLINE),
+    ], ids=["smooth-z2", "z3-z2/3"])
+    def test_node_count_bounded_by_z_total(self, sc, basis, homology):
+        """Each node's contact is at least 1/r, so no max_nodes above
+        z_total * (largest menu order) adds a term; 10**6 costs no more."""
+        started = time.perf_counter()
+        huge = expand(dataclasses.replace(sc, max_nodes=10**6), basis, homology)
+        assert time.perf_counter() - started < 1
+        assert huge == expand(sc, basis, homology)
+
+    def test_no_node_beyond_the_bound(self):
+        # z_total 2/3 with orders up to 3 leaves room for two nodes of 1/3
+        sc = scenario(max_nodes=10**6, menu=Z3_MENU, z_total=F(2, 3))
+        counts = {len(m.contacts) for m in enumerate_splittings(sc, THIRDLINE)}
+        assert max(counts) == 2
+
+    @pytest.mark.parametrize("splittings,side,cls", [
+        ((((2,), (2, 0)),), "-", "(2, 0)"),
+        ((((2,), (2,)), ((2, 0), (2,))), "+", "(2, 0)"),
+    ], ids=["minus-side", "second-splitting-plus-side"])
+    def test_wrong_length_splitting_side_named(self, splittings, side, cls):
+        message = (f"splitting {len(splittings) - 1} side {side} class {cls} has 2 entries, "
+                   "homology rank is 1")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            enumerate_splittings(scenario(splittings=splittings), LINE)
+
+    @pytest.mark.parametrize("field", ["genus", "max_nodes"])
+    def test_negative_field_rejected(self, field):
+        with pytest.raises(ValidationError, match=rf"^{field} must be non-negative, got -1$"):
+            scenario(**{field: -1})
+
+    def test_repeated_menu_label_rejected(self):
+        menu = (MenuEntry("e", 1, "e"), MenuEntry("e", 2, "e"))
+        with pytest.raises(ValidationError, match=r"^monodromy_menu\[1\] repeats label 'e'$"):
+            scenario(menu=menu)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: CRBasisZ(1, (BasisEntry("a", "e", F(0)), BasisEntry("a", "e", F(2))), ((0, 1),)),
+     "duplicate basis labels"),
+    (lambda: CRBasisZ(1, SMOOTH_BASIS.entries, ((0, 2), (2, 1))),
+     "duality pairs an entry twice"),
+    (lambda: CRBasisZ(1, SMOOTH_BASIS.entries, ((0, 2),)),
+     "duality does not cover every entry exactly once"),
+    (lambda: CRBasisZ(1, (BasisEntry("one", "e", F(0)), BasisEntry("pt", "h", F(2))),
+                      ((0, 1),)).check_against(scenario(menu=Z2_MENU).table()),
+     "dual entries 'one', 'pt' sit on sectors 'e', 'h' which are not mutually inverse"),
+    (lambda: CRBasisZ(1, (BasisEntry("one", "e", F(0)), BasisEntry("pt", "e", F(3))),
+                      ((0, 1),)).check_against(scenario().table()),
+     "dual entries 'one', 'pt' have degrees summing to 3, expected 2"),
+    (lambda: SMOOTH_BASIS.index_of("q"), "unknown basis label 'q'"),
+], ids=["duplicate-labels", "pairs-twice", "uncovered-entry", "sectors-not-inverse",
+        "degrees-off", "unknown-label"])
+def test_basis_message(build, message):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value) == message

@@ -103,12 +103,21 @@ class TestValidate:
          ("structure", "tail 0", "relative tail missing a contact order")),
         (RelGraph((vertex(),), (), (Tail(0, "absolute", "e", ContactOrder(1, 1)),)),
          ("structure", "tail 0", "absolute tail carries a contact order")),
+        (RelGraph((vertex(), Vertex(0, (1, 5))), (Edge("absolute", (0, 1)),), ()),
+         ("structure", "vertex 1", "class (1, 5) has 2 entries, homology rank is 1")),
     ], ids=["negative-genus", "absolute-edge-across-levels", "absolute-edge-contact",
             "relative-edge-no-contact", "unknown-edge-kind", "unknown-half-label",
             "tail-out-of-range", "unknown-tail-kind", "unknown-tail-label",
-            "relative-tail-no-contact", "absolute-tail-contact"])
+            "relative-tail-no-contact", "absolute-tail-contact", "class-of-wrong-rank"])
     def test_one_diagnostic_per_rule(self, graph, expected):
         assert validate(graph, ZFREE) == [Diagnostic(*expected)]
+
+    def test_class_of_wrong_rank_is_not_summed(self):
+        # neither "effective" nor a "tail sum" against a truncated class
+        graph = RelGraph((Vertex(0, (2, 0)),), (),
+                         (Tail(0, "relative", "e", ContactOrder(1, 1)),))
+        assert validate(graph, LINE) == [Diagnostic(
+            "structure", "vertex 0", "class (2, 0) has 2 entries, homology rank is 1")]
 
 
 class TestGenus:

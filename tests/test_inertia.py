@@ -1,10 +1,12 @@
 import itertools
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from orbidegen.errors import ValidationError
 from orbidegen.inertia import (
+    ConjugacyClass,
     CRProfile,
     FiniteGroupTable,
     SectorDatum,
@@ -14,6 +16,7 @@ from orbidegen.inertia import (
     monodromy_table,
     pairing_check,
 )
+from orbidegen.io import load_document
 
 
 def s3_table() -> FiniteGroupTable:
@@ -89,8 +92,15 @@ class TestGroupTable:
         FiniteGroupTable.cyclic(6).validate()
 
     def test_non_associative_names_triple(self):
-        rows = [[0, 1], [1, 1]]  # 1*1 = 1 breaks inverses/associativity
-        with pytest.raises(ValidationError):
+        rows = [[0, 1], [1, 1]]  # 1*1 = 1 leaves 1 without an inverse
+        with pytest.raises(ValidationError, match="two-sided inverse"):
+            FiniteGroupTable.from_rows(rows)
+
+    def test_loop_with_inverses_names_the_failing_triple(self):
+        # identity 0, every element its own inverse, but (1*1)*2 != 1*(1*2)
+        rows = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+                [4, 3, 1, 2, 0]]
+        with pytest.raises(ValidationError, match=r"^associativity fails on triple \(1,1,2\)$"):
             FiniteGroupTable.from_rows(rows)
 
     def test_missing_identity_detected(self):
@@ -369,3 +379,88 @@ class TestClassDataComputedOnce:
         for _ in range(2):
             with pytest.raises(ValidationError):
                 conjugacy_classes(group)
+
+
+def z_classes(n: int) -> list:
+    return conjugacy_classes(FiniteGroupTable.cyclic(n))
+
+
+# (build, message): each rule of the group, sector and profile checks once
+VALIDATION_CASES = {
+    "order-0": (lambda: FiniteGroupTable.from_rows([]),
+                "group order 0 outside supported range 1..64"),
+    "order-65": (lambda: FiniteGroupTable.cyclic(65).validate(),
+                 "group order 65 outside supported range 1..64"),
+    "cyclic-0": (lambda: FiniteGroupTable.cyclic(0),
+                 "cyclic group order must be positive, got 0"),
+    "ragged-rows": (lambda: FiniteGroupTable.from_rows([[0, 1], [1]]),
+                    "multiplication table is not 2x2"),
+    "entry-out-of-range": (lambda: FiniteGroupTable.from_rows([[0, 2], [1, 0]]),
+                           "table entry mul[0][1]=2 out of range"),
+    "identity-out-of-range": (lambda: FiniteGroupTable.from_rows([[0, 1], [1, 0]], identity=5),
+                              "identity index 5 out of range"),
+    "unit-law": (lambda: FiniteGroupTable.from_rows([[1, 0], [0, 1]]),
+                 "element 0 breaks the two-sided unit law at identity 0"),
+    "no-inverse": (lambda: FiniteGroupTable.from_rows([[0, 1], [1, 1]]),
+                   "element 1 has no two-sided inverse"),
+    "unvalidated-inverse": (lambda: FiniteGroupTable(2, ((0, 1), (1, 1))).inverse(1),
+                            "element 1 has no two-sided inverse"),
+    "unvalidated-order": (lambda: FiniteGroupTable(2, ((0, 1), (1, 1))).element_order(1),
+                          "element 1 does not generate a finite cycle"),
+    "rotation-out-of-range": (lambda: SectorDatum(z_classes(2)[1], (F(3, 2),)),
+                              "rotation 3/2 of class of 1 outside [0,1)"),
+    "rotation-denominator": (lambda: SectorDatum(z_classes(2)[1], (F(1, 3),)),
+                             "rotation 1/3 has denominator not dividing ord=2 (class of 1)"),
+    "negative-betti": (lambda: SectorDatum(z_classes(2)[1], (F(1, 2),), {2: -1}),
+                       "negative Betti number at degree 2"),
+    "duplicate-sector": (lambda: CRProfile(FiniteGroupTable.cyclic(1), 1, (
+        SectorDatum(z_classes(1)[0], (F(0),)), SectorDatum(z_classes(1)[0], (F(0),)))),
+        "duplicate sector for a conjugacy class"),
+    "missing-sector": (lambda: CRProfile(FiniteGroupTable.cyclic(2), 1, (
+        SectorDatum(z_classes(2)[0], (F(0),)),)),
+        "no sector for the class of 1"),
+    "rotation-count": (lambda: CRProfile(FiniteGroupTable.cyclic(2), 2, (
+        SectorDatum(z_classes(2)[0], (F(0), F(0))), SectorDatum(z_classes(2)[1], (F(1, 2),)))),
+        "sector of class of 1 has 1 rotations, ambient dim is 2"),
+    # the identity class has order 1, so only a hand-built class reaches this
+    "twisted-identity": (lambda: CRProfile(FiniteGroupTable.cyclic(1), 1, (
+        SectorDatum(ConjugacyClass(0, frozenset({0}), 2), (F(1, 2),)),)),
+        "untwisted sector has a nonzero rotation"),
+    "not-complements": (lambda: CRProfile(FiniteGroupTable.cyclic(3), 1, (
+        SectorDatum(z_classes(3)[0], (F(0),)), SectorDatum(z_classes(3)[1], (F(1, 3),)),
+        SectorDatum(z_classes(3)[2], (F(1, 3),)))),
+        "rotations of the inverse of class of 1 are not the complements"),
+    "unknown-sector": (lambda: plane_profile(FiniteGroupTable.cyclic(2), Z2_PLANE).sector_of(
+        z_classes(4)[2]), "no sector for the class of 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATION_CASES))
+def test_validation_message(case):
+    build, message = VALIDATION_CASES[case]
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def subgroup_order(group: FiniteGroupTable, a: int) -> int:
+    """Order of a as the size of {a, a^2, ..., a^|G|}, the subgroup it generates."""
+    powers = itertools.accumulate([a] * group.order, lambda x, y: group.mul[x][y])
+    return len(set(powers))
+
+
+def shipped_groups():
+    data = Path(__file__).resolve().parent.parent / "demos" / "data"
+    return [(f"{path.name}:{name}", group) for path in sorted(data.glob("*.json"))
+            for name, group in load_document(path.read_text()).groups.items()]
+
+
+@pytest.mark.parametrize("name,group", [(f"z{n}", FiniteGroupTable.cyclic(n))
+                                        for n in range(1, 65)]
+                         + [("s3", s3_table()), ("d8", dihedral8_table())]
+                         + shipped_groups())
+def test_class_members_share_the_class_order(name, group):
+    """The invariant the class builder no longer re-checks: conjugate elements
+    have equal orders, and each class's `ord` is that order."""
+    for cls in conjugacy_classes(group):
+        assert {subgroup_order(group, m) for m in cls.members} == {cls.ord}

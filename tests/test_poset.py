@@ -585,3 +585,17 @@ def test_bound_below_one_is_named(kwargs, field):
     """A cap below 1 walks nothing; it is refused before any walk starts."""
     with pytest.raises(ValidationError, match=f"PosetBounds.{field} must be at least 1"):
         PosetBounds(**kwargs)
+
+
+@pytest.mark.parametrize("menu", [(), ("e",)], ids=["no-edge", "e"])
+@pytest.mark.parametrize("max_levels", [1, 2])
+@pytest.mark.parametrize("max_vertices", [1, 2, 3])
+def test_complete_only_without_edges(max_vertices, max_levels, menu):
+    """With an edge on the menu a chain of genus-0, class-0 vertices reaches the
+    vertex cap, so the poset is incomplete; without one it is the one-vertex
+    graph, complete unless that graph already fills the vertex cap."""
+    homology = HomologyModel(rank=1, c1=(F(1),), z_pairing=(F(0),), effective=((0,), (1,)))
+    bounds = PosetBounds(max_vertices, max_levels, menu, 1 if max_levels > 1 else None)
+    poset = stratification_poset(1, (1,), [Tail(0, "absolute")], homology, bounds=bounds)
+    assert poset.complete == (not menu and max_vertices > 1)
+    assert len(poset.nodes) == 1 or menu
