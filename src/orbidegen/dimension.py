@@ -53,6 +53,8 @@ class ModuliSpec:
             raise ValidationError(f"unknown flavor {self.flavor!r}")
         if self.n <= 0:
             raise ValidationError(f"ambient dimension must be positive, got {self.n}")
+        if self.genus < 0:
+            raise ValidationError(f"genus must be non-negative, got {self.genus}")
         if self.rel:
             total = sum((t.order.value for t in self.rel), Fraction(0))
             if total != self.zA:

@@ -19,6 +19,11 @@ and ts[t] = (vertex, kind, monodromy, contact), a contact being (k, r) or
 (0, 0) for none.  _as_code converts a graph on the way in and _decode on the
 way out; the canonical search, both contraction moves and the poset walk run
 on encodings only.
+
+Every poset node refines to a graph with max_vertices vertices of genus 0 (a
+loop for each unit of vertex genus, genus-0, class-0 leaves for the missing
+vertices), so the poset walk covers only that bottom layer and single
+contractions find every other node and its covers.
 """
 
 from __future__ import annotations
@@ -491,7 +496,7 @@ def automorphism_order(graph: RelGraph) -> int:
 class PosetBounds:
     """Enumeration caps, each at least 1; relative internal edges additionally need
     a numerator cap and a decoration menu because nothing else makes the search
-    space finite."""
+    space finite; the edge menu names each label once."""
 
     max_vertices: int
     max_levels: int = 1
@@ -503,6 +508,10 @@ class PosetBounds:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValidationError(f"PosetBounds.{name} must be at least 1, got {value}")
+        for i, label in enumerate(self.edge_monodromies):
+            if label in self.edge_monodromies[:i]:
+                raise ValidationError(
+                    f"PosetBounds.edge_monodromies[{i}] repeats label {label!r}")
 
 
 @dataclass(frozen=True)
@@ -555,25 +564,33 @@ def _single_contractions(code: tuple) -> Iterable[tuple]:
             yield _contract_level_code(code, level)
 
 
-def _covers(codes: list[tuple]) -> set[tuple[int, int]]:
-    """The single-contraction covers between sorted canonical codes, resolved
-    on the encodings: index_of also learns every labeled contraction it is
-    asked about, so each distinct one is searched once."""
-    index_of = {code: i for i, code in enumerate(codes)}
-    covers: set[tuple[int, int]] = set()
-    for i, code in enumerate(codes):
+def _closure(codes: Iterable[tuple], effective: Sequence) -> tuple[list, list[tuple[int, int]]]:
+    """The canonical codes that single contractions reach from the canonical
+    `codes`, sorted, and the covers between them as index pairs.  Contractions
+    are resolved on the encodings: index_of also learns every labeled
+    contraction it is asked about, so each distinct one is searched once."""
+    nodes = list(codes)
+    index_of = {code: i for i, code in enumerate(nodes)}
+    found: set[tuple[int, int]] = set()
+    for i, code in enumerate(nodes):  # a node found on the way is appended and walked too
         for contracted in _single_contractions(code):
             j = index_of.get(contracted)
             if j is None:
-                j = index_of.get(_canonical_search(contracted)[0])
+                canonical = _canonical_search(contracted)[0]
+                j = index_of.get(canonical)
                 if j is None:
-                    raise ValidationError(
-                        "a contraction left the enumerated node set; effective list is "
-                        "probably not closed under the class sums that occur"
-                    )
+                    if not all(cls in effective for _, _, cls in canonical[0]):
+                        raise ValidationError(
+                            "a contraction left the enumerated node set; effective list is "
+                            "probably not closed under the class sums that occur"
+                        )
+                    j = index_of[canonical] = len(nodes)
+                    nodes.append(canonical)
                 index_of[contracted] = j
-            covers.add((i, j))
-    return covers
+            found.add((i, j))
+    order = sorted(range(len(nodes)), key=nodes.__getitem__)
+    position = sorted(range(len(nodes)), key=order.__getitem__)  # order's inverse
+    return [nodes[i] for i in order], sorted({(position[i], position[j]) for i, j in found})
 
 
 def stratification_poset(
@@ -588,12 +605,17 @@ def stratification_poset(
     one-vertex graph with the given decorations, with single-contraction covers.
 
     Tail vertex assignments in `tails` are ignored; tails keep their list
-    positions (marked points are labeled).  The result is flagged incomplete
-    when any node touches the vertex or level cap.  Invalid inputs raise
-    ValidationError naming the one-vertex graph's first diagnostic; a walk of
-    more than _PERM_BUDGET edge multisets raises ResourceLimitError before it
-    starts.  Covers are resolved on the nodes' encodings: each distinct labeled
-    contraction is canonicalized once.
+    positions (marked points are labeled).  Only the bottom layer is walked
+    (max_vertices vertices of genus 0, max_vertices - 1 + genus_total edges).
+    Any node refines to it by trading a unit of vertex genus for a loop or
+    splitting off a genus-0, class-0 leaf on an absolute edge, so the nodes
+    and covers are that layer and the one-vertex graph closed under single
+    contractions.  With an edge on the menu a chain of leaves reaches the
+    vertex cap, so the poset is complete only with an empty menu (one node)
+    and a vertex cap above 1.  Invalid inputs raise ValidationError naming
+    the one-vertex graph's first diagnostic, as does a contraction to a class
+    outside `effective`; a walk of more than _PERM_BUDGET edge multisets
+    raises ResourceLimitError before it starts.
     """
     table = classes if classes is not None else MonodromyTable.trivial()
     if bounds.max_vertices > MAX_AUT_VERTICES:
@@ -608,9 +630,9 @@ def stratification_poset(
         )
 
     # every candidate below is valid by construction except for the inputs:
-    # classes come from `effective`, genera from _compositions, edges from the
-    # balanced level-respecting menus (MonodromyTable keeps inverses involutive
-    # with equal orders), so the one-vertex graph is the only one to check
+    # classes come from `effective`, edges from the balanced level-respecting
+    # menus (MonodromyTable keeps inverses involutive with equal orders), so
+    # the one-vertex graph is the only one to check
     top = RelGraph((Vertex(genus_total, total_cls, 0),), (),
                    tuple(Tail(0, t.kind, t.monodromy, t.contact) for t in tails))
     diags = validate(top, homology, table)
@@ -620,83 +642,64 @@ def stratification_poset(
     # balanced decoration menus for internal edges; an absolute edge between
     # two vertices may carry its pair of inverse halves either way round
     abs_decos = sorted({tuple(sorted((h, table.inverse_of(h)))) for h in bounds.edge_monodromies})
-    rel_decos: list[tuple[str, str, tuple[int, int]]] = []
-    if bounds.max_levels > 1:
-        for h in sorted(bounds.edge_monodromies):
-            r = table.order_of(h)
-            for k in range(1, bounds.max_edge_contact_numerator + 1):
-                rel_decos.append((h, table.inverse_of(h), (k, r)))
+    rel_menu = [(h, table.inverse_of(h), table.order_of(h))
+                for h in sorted(bounds.edge_monodromies)]
+    contact_cap = bounds.max_edge_contact_numerator or 0
+    nv = bounds.max_vertices
+    n_edges = nv - 1 + genus_total
     tail_decos = [(t.kind, t.monodromy, _contact_key(t.contact)) for t in tails]
+    placements = [tuple([(home,) + deco for home, deco in zip(homes, tail_decos)])
+                  for homes in itertools.product(range(nv), repeat=len(tails))]
 
-    # The walk builds encodings.  Every graph has a vertex order non-decreasing
-    # in (level, class, genus), so only those decorated vertex tuples are
-    # walked; for each, every edge multiset and tail placement still is.  The
-    # edge multisets of a shape are counted before any is built, so an
-    # oversized walk is refused first.
+    # The walk builds encodings.  Every bottom graph has a vertex order
+    # non-decreasing in (level, class), and no more levels than vertices; only
+    # those vertex tuples are walked, each with every edge multiset and tail
+    # placement.  A shape's multisets are counted from the menu sizes before
+    # its relative slots are built, so an oversized walk is refused first.
     shapes: list[tuple] = []
-    vectors = 0
-    for nv in range(1, bounds.max_vertices + 1):
-        placements = [tuple([(home,) + deco for home, deco in zip(homes, tail_decos)])
-                      for homes in itertools.product(range(nv), repeat=len(tails))]
-        for levels in itertools.combinations_with_replacement(range(bounds.max_levels), nv):
-            occupied = set(levels)
-            if occupied != set(range(max(occupied) + 1)):
-                continue
-            slots: list[tuple] = []
-            for i in range(nv):
-                for j in range(i, nv):
-                    if levels[i] == levels[j]:
-                        for h0, h1 in abs_decos:
-                            slots.append((ABSOLUTE, i, h0, j, h1, (0, 0)))
-                            if i != j and h0 != h1:
-                                slots.append((ABSOLUTE, i, h1, j, h0, (0, 0)))
-                    elif levels[j] == levels[i] + 1:
-                        for h0, h1, contact in rel_decos:
-                            slots.append((RELATIVE, i, h0, j, h1, contact))
-            per_shape = sum(_composition_count(total, len(slots))
-                            for total in range(nv - 1, nv + genus_total))
-            for cls_assign in _class_assignments(total_cls, nv, homology.effective):
-                if not _sorted_in_runs(cls_assign, levels):
-                    continue
-                vectors += per_shape
-                if vectors > _PERM_BUDGET:
-                    raise ResourceLimitError(
-                        f"poset enumeration exceeded the candidate budget "
-                        f"({_PERM_BUDGET}) at {nv} vertices; tighten the bounds"
-                    )
-                shapes.append((levels, slots, cls_assign, placements))
+    multisets = 0
+    for levels in itertools.combinations_with_replacement(range(min(bounds.max_levels, nv)), nv):
+        if len(set(levels)) != levels[-1] + 1:
+            continue
+        slots: list[tuple] = []
+        rel_pairs: list[tuple[int, int]] = []
+        for i in range(nv):
+            for j in range(i, nv):
+                if levels[i] == levels[j]:
+                    for h0, h1 in abs_decos:
+                        slots.append((ABSOLUTE, i, h0, j, h1, (0, 0)))
+                        if i != j and h0 != h1:
+                            slots.append((ABSOLUTE, i, h1, j, h0, (0, 0)))
+                elif levels[j] == levels[i] + 1:
+                    rel_pairs.append((i, j))
+        vertex_tuples = []
+        for cls_assign in _class_assignments(total_cls, nv, homology.effective):
+            vertices = tuple(zip(levels, itertools.repeat(0), cls_assign))
+            if list(vertices) == sorted(vertices):
+                vertex_tuples.append(vertices)
+        multisets += len(vertex_tuples) * _composition_count(
+            n_edges, len(slots) + len(rel_pairs) * len(rel_menu) * contact_cap)
+        if multisets > _PERM_BUDGET:
+            raise ResourceLimitError(
+                f"poset enumeration exceeded the candidate budget "
+                f"({_PERM_BUDGET}) at {nv} vertices; tighten the bounds"
+            )
+        slots += [(RELATIVE, i, h0, j, h1, (k, r)) for i, j in rel_pairs
+                  for h0, h1, r in rel_menu for k in range(1, contact_cap + 1)]
+        shapes.append((slots, vertex_tuples))
 
-    seen: set[tuple] = set()
-    for levels, slots, cls_assign, placements in shapes:
-        nv = len(levels)
-        keys = list(zip(levels, cls_assign))
-        vertices_by_cycles = [
-            [tuple(zip(levels, g, cls_assign))
-             for g in _compositions(genus_total - cycles, nv) if _sorted_in_runs(g, keys)]
-            for cycles in range(genus_total + 1)]
-        for edges in _edge_multisets(slots, nv, nv - 1 + genus_total):
-            if _union_find(nv, map(_SLOT_ENDS, edges))[1] < nv - 1:
-                continue
-            for vertices in vertices_by_cycles[len(edges) - nv + 1]:
+    seen = {_as_code(top)}  # a one-vertex encoding is canonical
+    for slots, vertex_tuples in shapes:
+        for vertices in vertex_tuples:
+            for edges in itertools.combinations_with_replacement(slots, n_edges):
+                if _union_find(nv, map(_SLOT_ENDS, edges))[1] < nv - 1:
+                    continue
                 for placed in placements:
                     seen.add(_canonical_search((vertices, edges, placed))[0])
 
-    codes = sorted(seen)
-    covers = _covers(codes)
-    nodes = tuple(_decode(code) for code in codes)
-    # a node touches a cap with max_vertices vertices or on the top level of
-    # several (canonical codes list vertices by level, so its last vertex's)
-    complete = not any(len(vs) == bounds.max_vertices or (
-        bounds.max_levels > 1 and vs[-1][0] == bounds.max_levels - 1) for vs, _, _ in codes)
-    poset = StratPoset(nodes, tuple(sorted(covers)), complete=complete)
-    poset.maximal_index()  # unique one-vertex maximal element must exist
-    return poset
-
-
-def _edge_multisets(slots: list, nv: int, max_edges: int) -> Iterable[tuple]:
-    """Multisets of edge slots, each a tuple in slot order, of size nv-1 ... max_edges."""
-    for size in range(max(0, nv - 1), max_edges + 1):
-        yield from itertools.combinations_with_replacement(slots, size)
+    codes, covers = _closure(seen, homology.effective)
+    return StratPoset(tuple(_decode(code) for code in codes), tuple(covers),
+                      complete=not bounds.edge_monodromies and nv > 1)
 
 
 def _composition_count(total: int, parts: int) -> int:
@@ -706,12 +709,6 @@ def _composition_count(total: int, parts: int) -> int:
     if parts == 0:
         return int(total == 0)
     return math.comb(total + parts - 1, parts - 1)
-
-
-def _sorted_in_runs(values: Sequence, keys: Sequence) -> bool:
-    """Whether `values` is non-decreasing inside every run of equal `keys`."""
-    return all(values[i] <= values[i + 1]
-               for i in range(len(keys) - 1) if keys[i] == keys[i + 1])
 
 
 def _vec_str(vec: tuple[int, ...]) -> str:

@@ -418,7 +418,10 @@ class TestMalformedInputExits1:
         (["expand", "--in", str(ROOT / "tests" / "data" / "expand_oversized.json"),
           "--scenario", "g2_m4_n3_z3"],
          "splitting enumeration exceeded the candidate budget (2000000)"),
-    ], ids=["poset-v7", "poset-v12", "partitions-300", "expand-g2-m4"])
+        (POSET + ["--max-vertices", "2", "--max-levels", "3", "--max-edge-contact", "99999999"],
+         "poset enumeration exceeded the candidate budget"),
+    ], ids=["poset-v7", "poset-v12", "partitions-300", "expand-g2-m4",
+            "poset-relative-menu"])
     def test_oversized_enumeration_exits_3_before_the_work(self, argv, message):
         # counted up front: the walks themselves would take minutes
         started = time.perf_counter()
@@ -436,6 +439,31 @@ class TestMalformedInputExits1:
         rc, out, err = capture(POSET + extra)
         assert rc == 1 and out == ""
         assert err.startswith(f"error: PosetBounds.{field} must be at least 1")
+
+    def test_repeated_edge_label_is_named(self):
+        rc, out, err = capture(POSET + ["--edge-monodromies", "h,h"])
+        assert rc == 1 and out == ""
+        assert err == "error: PosetBounds.edge_monodromies[1] repeats label 'h'\n"
+
+    def test_levels_beyond_the_vertices_are_empty(self):
+        # contiguous levels never outnumber the vertices, so a huge level cap
+        # walks what a cap equal to the vertex count walks
+        argv = POSET + ["--max-vertices", "2", "--max-edge-contact", "1", "--max-levels"]
+        rc, out, err = capture(argv + ["100000"])
+        assert (rc, err) == (0, "")
+        assert (rc, out, err) == capture(argv + ["2"])
+
+    def test_negative_genus_is_named(self):
+        rc, out, err = capture(VIRDIM[:-1] + ["-5", "--c1a", "3", "--rel", "1/2:1/2:h",
+                                              "--za", "1/2"])
+        assert rc == 1 and out == ""
+        assert err == "error: genus must be non-negative, got -5\n"
+
+    def test_negative_ledger_genus_is_named(self, tmp_path):
+        doc = json.loads((DATA / "ledger_smooth.json").read_text())
+        doc["minus"]["genus"] = -1
+        err = self.run_on(tmp_path, json.dumps(doc), ["dim", "ledger"])
+        assert err == "error: genus must be non-negative, got -1\n"
 
     @pytest.mark.parametrize("argv", [
         ["graphs", "genus", "--graph", "two_level_rank2"],

@@ -60,6 +60,10 @@ class TestVirdim:
         with pytest.raises(ValidationError):
             ModuliSpec("relative-smooth", n=2, genus=0, c1A=F(0))
 
+    def test_negative_genus_is_named(self):
+        with pytest.raises(ValidationError, match="genus must be non-negative, got -5"):
+            ModuliSpec("absolute-smooth", n=2, genus=-5, c1A=F(0))
+
     def test_contact_sum_consistency_enforced(self):
         with pytest.raises(ValidationError, match="zA"):
             ModuliSpec("relative-smooth", n=2, genus=0, c1A=F(0),

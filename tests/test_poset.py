@@ -321,12 +321,13 @@ def test_maximal_element_is_one_vertex():
 
 # ------------------------------------------------------- sorted-decoration walk
 #
-# The generator walks only vertex tuples that are non-decreasing in
-# (level, class, genus).  For a node G the labelings with that vertex tuple
-# are the orbit of the block permutations (one symmetric group per block of
-# equal decorations), and the stabiliser is Aut(G), so the walk must emit
-# exactly  sum over nodes of  prod(block size!) / |Aut(G)|  labeled graphs.
-# An emission missed or doubled moves that sum.
+# The generator walks only the most refined layer (max_vertices vertices, all
+# of genus 0) and only vertex tuples that are non-decreasing in
+# (level, class).  For a node G of that layer the labelings with that vertex
+# tuple are the orbit of the block permutations (one symmetric group per block
+# of equal decorations), and the stabiliser is Aut(G), so the walk must emit
+# exactly  sum over bottom nodes of  prod(block size!) / |Aut(G)|  labeled
+# graphs.  An emission missed or doubled moves that sum.
 
 DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 Z2 = MonodromyTable(orders={"e": 1, "h": 2}, inverses={"e": "e", "h": "h"})
@@ -366,10 +367,12 @@ def walk_inputs(case):
             PosetBounds(mv, levels, menu, cap))
 
 
-def sorted_mass(poset):
+def sorted_mass(poset, max_vertices):
     total = 0
     for node in poset.nodes:
-        blocks = Counter((v.level, v.cls, v.genus) for v in node.vertices)
+        if len(node.vertices) != max_vertices or any(v.genus for v in node.vertices):
+            continue
+        blocks = Counter((v.level, v.cls) for v in node.vertices)
         labelings = math.prod(math.factorial(size) for size in blocks.values())
         orbit, rest = divmod(labelings, automorphism_order(node))
         assert rest == 0
@@ -379,8 +382,9 @@ def sorted_mass(poset):
 
 @pytest.mark.parametrize("case", WALK_CASES, ids=lambda c: c[0])
 def test_sorted_walk(monkeypatch, case):
-    """Canonical searches before the first cover equal the sorted mass,
-    validate runs once per poset, and every node it returns is valid."""
+    """Canonical searches before the first contraction equal the sorted mass
+    of the bottom layer, validate runs once per poset, and every node it
+    returns is valid."""
     counts = Counter()
     search, contractions, check = (graph._canonical_search, graph._single_contractions,
                                    graph.validate)
@@ -405,10 +409,10 @@ def test_sorted_walk(monkeypatch, case):
     poset = stratification_poset(genus_total, cls, tails, homology, table, bounds)
     monkeypatch.undo()
     assert counts["validate"] == 1
-    assert counts["searches"] == sorted_mass(poset)
+    assert counts["searches"] == sorted_mass(poset, bounds.max_vertices)
     if case[0] == "g2_v3":
-        # every vertex order would give sum(nv! / |Aut|) = 19,317 searches
-        assert (len(poset.nodes), counts["searches"]) == (3351, 5341)
+        # a walk over every vertex count gave 5,341 searches
+        assert (len(poset.nodes), counts["searches"]) == (3351, 2754)
     for node in poset.nodes:
         assert validate(node, homology, table) == []
         assert graph.genus(node) == genus_total and graph.total_class(node) == cls
@@ -420,27 +424,34 @@ NO_EDGES = ("no_edges_g1_v2", None, 1, 2, T11, 2, 1, (), None)
 
 @pytest.mark.parametrize("case", WALK_CASES + [NO_EDGES], ids=lambda c: c[0])
 def test_walk_size_counted_before_the_walk(monkeypatch, case):
-    """The edge vectors counted before the walk are the ones it makes: a budget
-    one below the count is refused before any is built, the count itself runs."""
+    """The edge multisets counted before the walk are the ones it makes (one
+    connectivity test each, before the first contraction): a budget one below
+    the count is refused before any is built, the count itself runs."""
     made = Counter()
-    multisets = graph._edge_multisets
+    union_find, contractions = graph._union_find, graph._single_contractions
 
-    def counted(*args):
-        for edges in multisets(*args):
-            made["vectors"] += 1
-            yield edges
+    def counted_union_find(*args):
+        if not made["contractions"]:
+            made["multisets"] += 1
+        return union_find(*args)
 
-    monkeypatch.setattr(graph, "_edge_multisets", counted)
+    def first_contractions(code):
+        made["contractions"] += 1
+        return contractions(code)
+
+    monkeypatch.setattr(graph, "_union_find", counted_union_find)
+    monkeypatch.setattr(graph, "_single_contractions", first_contractions)
     args = walk_inputs(case)
     stratification_poset(*args)
-    vectors = made.pop("vectors")
-    monkeypatch.setattr(graph, "_PERM_BUDGET", vectors - 1)
+    multisets = made["multisets"]
+    made.clear()
+    monkeypatch.setattr(graph, "_PERM_BUDGET", multisets - 1)
     with pytest.raises(ResourceLimitError, match="candidate budget"):
         stratification_poset(*args)
-    assert made["vectors"] == 0
-    monkeypatch.setattr(graph, "_PERM_BUDGET", vectors)
+    assert made["multisets"] == 0
+    monkeypatch.setattr(graph, "_PERM_BUDGET", multisets)
     stratification_poset(*args)
-    assert made["vectors"] == vectors
+    assert made["multisets"] == multisets
 
 
 def public_covers(poset):
@@ -572,6 +583,22 @@ def test_bad_tail_sum_is_named():
     tails = [Tail(0, "relative", "e", ContactOrder(2, 1))]
     with pytest.raises(ValidationError, match=r"\[tail sum\]"):
         stratification_poset(0, (1,), tails, homology, bounds=PosetBounds(max_vertices=3))
+
+
+def test_contraction_outside_effective_is_named():
+    """Three vertices of class 1 are effective, but contracting two of them
+    gives class 2, which is not."""
+    homology = HomologyModel(rank=1, c1=(F(1),), z_pairing=(F(0),),
+                             effective=((0,), (1,), (3,)))
+    with pytest.raises(ValidationError, match="a contraction left the enumerated node set"):
+        stratification_poset(0, (3,), [], homology, bounds=PosetBounds(max_vertices=3))
+
+
+def test_repeated_edge_label_is_named():
+    """A repeated label would list every edge slot twice."""
+    with pytest.raises(ValidationError,
+                       match=r"PosetBounds.edge_monodromies\[2\] repeats label 'h'"):
+        PosetBounds(3, 2, ("h", "e", "h"), 2)
 
 
 @pytest.mark.parametrize("kwargs,field", [

@@ -1,5 +1,6 @@
 """Property tests of the canonical form, edge contraction and level collapse
-on graphs of up to 7 vertices.
+on graphs of up to 7 vertices, and of the partition count against a
+generating function.
 
 Hypothesis runs derandomized with a bounded example count, so every run
 draws the same graphs and the suite stays deterministic.
@@ -10,7 +11,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from orbidegen.contact import ContactOrder  # noqa: E402
+import math  # noqa: E402
+from fractions import Fraction  # noqa: E402
+
+from orbidegen.contact import ContactOrder, _partition_count  # noqa: E402
 from orbidegen.graph import (  # noqa: E402
     Edge,
     RelGraph,
@@ -123,3 +127,39 @@ def test_contract_edge_commutes_with_relabeling(case):
 def test_contract_level_commutes_with_relabeling(pair):
     graph, relabeled = pair
     assert canonical_form(contract_level(relabeled, 0)) == canonical_form(contract_level(graph, 0))
+
+
+def series_coefficient(units: int, weights: list[int]) -> int:
+    """The x^units coefficient of prod_j x^w_j / (1 - x^w_j), by multiplying
+    out the truncated series one factor at a time."""
+    coeffs = [1] + [0] * units
+    for w in weights:
+        product = [0] * (units + 1)
+        for degree, c in enumerate(coeffs):
+            if c:
+                for shifted in range(degree + w, units + 1, w):
+                    product[shifted] += c
+        coeffs = product
+    return coeffs[units]
+
+
+PARTITION_CAP = 200
+
+
+@SETTINGS
+@hypothesis.given(st.lists(st.integers(1, 6), min_size=1, max_size=5),
+                  st.integers(0, 40), st.integers(1, 6))
+def test_partition_count_is_a_series_coefficient(orders, numerator, denominator):
+    """Slot j of order r_j takes k_j >= 1 steps of w_j = lcm/r_j units, so the
+    tuples summing to total are the ways to write U = total * lcm as
+    sum k_j w_j: the x^U coefficient of prod_j x^w_j / (1 - x^w_j)."""
+    total = Fraction(numerator, denominator)
+    lcm = math.lcm(*orders)
+    units = total * lcm
+    expected = (series_coefficient(units.numerator, [lcm // r for r in orders])
+                if units.denominator == 1 else 0)
+    found = _partition_count(total, orders, PARTITION_CAP)
+    if expected <= PARTITION_CAP:
+        assert found == expected
+    else:
+        assert found > PARTITION_CAP
