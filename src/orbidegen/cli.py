@@ -3,6 +3,19 @@
 Exit codes: 0 success, 1 validation error, 2 usage error, 3 resource/bound
 error.  Every report is deterministic for a fixed input; --json switches a
 report to machine form.
+
+Each command imports the library modules it calls inside its own body, and
+io imports a module only for a document section that needs it.  A child
+process runs one command, so startup (compiling and executing the imported
+modules) is a large share of an exact command's time; a command pays only
+for what it runs.  Besides cli, contact, errors and io, a command loads:
+
+    partitions               nothing more
+    sectors                  inertia
+    dim virdim, dim ledger   dimension
+    graphs *                 graph (and inertia for a class table built from a group)
+    expand                   graph, expand
+    glue demo                glue and numpy, which no exact command loads
 """
 
 from __future__ import annotations
@@ -12,25 +25,8 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
-from . import inertia
 from .contact import MonodromyTable, enumerate_partitions
-from .dimension import ModuliSpec, splitting_ledger, virdim
 from .errors import NonConvergenceError, ResourceLimitError, ValidationError
-from .expand import expand as expand_terms
-from .expand import term_record
-from .graph import (
-    PosetBounds,
-    bullet_genus,
-    contract_edge,
-    contract_level,
-    genus,
-    is_connected,
-    poset_to_dot,
-    stratification_poset,
-    to_dot,
-    total_class,
-    validate,
-)
 from .io import (
     SCHEMA,
     _integer,
@@ -66,6 +62,8 @@ def _well_formed(graph, name: str, homology, table) -> None:
     """Stop at the first "structure" diagnostic: genus, total_class and the
     contraction moves index vertices by edge and tail endpoints and add vertex
     classes entry by entry."""
+    from .graph import validate
+
     broken = [d for d in validate(graph, homology, table) if d.rule == "structure"]
     if broken:
         raise ValidationError(f"graph {name} is malformed: {broken[0]}")
@@ -74,6 +72,8 @@ def _well_formed(graph, name: str, homology, table) -> None:
 # ---------------------------------------------------------------- sectors
 
 def _cmd_sectors(args) -> int:
+    from .inertia import cr_poincare_polynomial
+
     doc = load_document(read_text(args.input))
     names = [args.profile] if args.profile else sorted(doc.profiles)
     if not names:
@@ -89,7 +89,7 @@ def _cmd_sectors(args) -> int:
                 for label, sector in profile.labeled_sectors()]
         # cr_poincare_polynomial refuses a profile that fails the pairing check
         poly = [{"degree": str(d), "multiplicity": m}
-                for d, m in inertia.cr_poincare_polynomial(profile)]
+                for d, m in cr_poincare_polynomial(profile)]
         profiles.append({
             "name": name,
             "ambient_dim": profile.ambient_dim,
@@ -113,6 +113,8 @@ def _cmd_sectors(args) -> int:
 # ---------------------------------------------------------------- graphs
 
 def _cmd_graphs_validate(args) -> int:
+    from .graph import validate
+
     name, graph, homology, table = _load_graph(args)
     diags = validate(graph, homology, table)
     payload = {
@@ -129,6 +131,8 @@ def _cmd_graphs_validate(args) -> int:
 
 
 def _cmd_graphs_genus(args) -> int:
+    from .graph import bullet_genus, is_connected, total_class
+
     name, graph, homology, table = _load_graph(args)
     _well_formed(graph, name, homology, table)
     value, cls = bullet_genus(graph), total_class(graph)
@@ -139,6 +143,8 @@ def _cmd_graphs_genus(args) -> int:
 
 
 def _cmd_graphs_contract(args) -> int:
+    from .graph import bullet_genus, contract_edge, contract_level, to_dot, validate
+
     name, graph, homology, table = _load_graph(args)
     if (args.edge is None) == (args.level is None):
         raise ValidationError("pass exactly one of --edge or --level")
@@ -165,6 +171,9 @@ def _cmd_graphs_contract(args) -> int:
 
 
 def _cmd_graphs_poset(args) -> int:
+    from .graph import (PosetBounds, genus, poset_to_dot, stratification_poset,
+                        total_class, validate)
+
     name, graph, homology, table = _load_graph(args)
     diags = validate(graph, homology, table)
     if diags:
@@ -197,6 +206,8 @@ def _cmd_graphs_poset(args) -> int:
 # ---------------------------------------------------------------- dim
 
 def _cmd_dim_virdim(args) -> int:
+    from .dimension import ModuliSpec, virdim
+
     rel = parse_rel(args.rel)
     za = (_rational(args.za, "--za") if args.za
           else sum((t.order.value for t in rel), Fraction(0)))
@@ -209,6 +220,8 @@ def _cmd_dim_virdim(args) -> int:
 
 
 def _cmd_dim_ledger(args) -> int:
+    from .dimension import splitting_ledger
+
     doc = load_ledger(read_text(args.input))
     ledger = splitting_ledger(doc.plus, doc.minus, doc.sector_dims, doc.total)
     constraints = [str(d) for d in ledger.constraint_dims]
@@ -236,6 +249,9 @@ def _cmd_partitions(args) -> int:
 # ---------------------------------------------------------------- expand
 
 def _cmd_expand(args) -> int:
+    from .expand import expand as expand_terms
+    from .expand import term_record
+
     doc = load_document(read_text(args.input))
     name, scenario = doc.one("scenarios", args.scenario)
     hname, bname = doc.scenario_context[name]
@@ -256,7 +272,6 @@ def _cmd_expand(args) -> int:
 # ---------------------------------------------------------------- glue
 
 def _cmd_glue_demo(args) -> int:
-    # the only numpy user: the exact-only commands start without it
     import numpy as np
 
     try:

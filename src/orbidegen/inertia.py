@@ -48,6 +48,8 @@ class FiniteGroupTable:
     def cyclic(cls, n: int) -> "FiniteGroupTable":
         if n <= 0:
             raise ValidationError(f"cyclic group order must be positive, got {n}")
+        if n > MAX_TABLE_ORDER:  # before the n x n table is built
+            raise ValidationError(f"group order {n} outside supported range 1..{MAX_TABLE_ORDER}")
         rows = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
         return cls(order=n, mul=rows, identity=0)
 

@@ -4,6 +4,11 @@ Documents carry a top-level  "schema": "orbi-degen/1".  Rationals are strings
 "p/q" in lowest terms (integers may drop the "/q"); contact orders are the raw
 "k/r" pair and are not reduced.  Parsing resolves every cross-reference and
 rejects duplicate identifiers.
+
+Each section has its own reader, which imports the module of the types it
+builds, so a document loads only the modules its sections need: inertia for
+groups, profiles and class tables built from a group, graph for homology and
+graphs, expand for basis and scenarios, dimension for ledgers and --rel.
 """
 
 from __future__ import annotations
@@ -12,15 +17,16 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .contact import ContactOrder, MonodromyTable
-from .dimension import ModuliSpec, RelTerm
 from .errors import ValidationError
-from .expand import AbsInsertion, BasisEntry, CRBasisZ, MenuEntry, SplittingScenario
-from .graph import Edge, HomologyModel, RelGraph, Tail, Vertex
-from .inertia import CRProfile, FiniteGroupTable, SectorDatum, class_label
-from . import inertia
+
+if TYPE_CHECKING:
+    from .dimension import ModuliSpec, RelTerm
+    from .expand import CRBasisZ, SplittingScenario
+    from .graph import HomologyModel, RelGraph
+    from .inertia import CRProfile, FiniteGroupTable
 
 SCHEMA = "orbi-degen/1"
 
@@ -185,65 +191,87 @@ def _known(name: str, table: dict, what: str, where: str) -> str:
     return name
 
 
-def load_document(text: str) -> InputDocument:
-    """Parse a document; every field is read through a typed reader, so a
-    malformed value raises ValidationError naming its field."""
-    raw = _load_object(text)
-    doc = InputDocument()
-    used: set[str] = set()
+def _named(where: str, build, *args: Any, **kwargs: Any) -> Any:
+    """`build(*args, **kwargs)`; a ValidationError it raises is prefixed with `where`."""
+    try:
+        return build(*args, **kwargs)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
-    for name, where, entry in _entries(raw, "groups", used):
-        if "cyclic" in entry:
-            group = FiniteGroupTable.cyclic(_field(entry, "cyclic", where, _integer))
-        elif "table" in entry:
-            rows = _field(entry, "table", where, _array_of(_integers))
-            group = FiniteGroupTable.from_rows(rows,
-                                               _field(entry, "identity", where, _integer, 0))
-        else:
-            raise ValidationError(f"{where}: needs 'cyclic' or 'table'")
-        doc.groups[name] = group
 
-    def label_row(item: Any, at: str) -> tuple[str, int, str]:
-        return (_field(item, "label", at, _string), _field(item, "order", at, _integer),
-                _field(item, "inverse", at, _string))
+def _label_row(item: Any, at: str) -> tuple[str, int, str]:
+    return (_field(item, "label", at, _string), _field(item, "order", at, _integer),
+            _field(item, "inverse", at, _string))
 
-    for name, where, entry in _entries(raw, "classes", used):
-        if entry.get("trivial"):
-            doc.classes[name] = MonodromyTable.trivial()
-        elif "group" in entry:
-            gname = _known(_field(entry, "group", where, _string), doc.groups, "group", where)
-            doc.classes[name] = inertia.monodromy_table(doc.groups[gname])
-        elif "labels" in entry:
-            rows = _field(entry, "labels", where, _array_of(label_row))
-            doc.classes[name] = MonodromyTable(orders={lb: o for lb, o, _ in rows},
-                                               inverses={lb: inv for lb, _, inv in rows})
-        else:
-            raise ValidationError(f"{where}: needs 'trivial', 'group', or 'labels'")
 
-    for name, where, entry in _entries(raw, "profiles", used):
+def _read_group(doc: InputDocument, name: str, where: str, entry: Any) -> None:
+    from .inertia import FiniteGroupTable
+
+    if "cyclic" in entry:
+        group = _named(where, FiniteGroupTable.cyclic, _field(entry, "cyclic", where, _integer))
+    elif "table" in entry:
+        rows = _field(entry, "table", where, _array_of(_integers))
+        group = _named(where, FiniteGroupTable.from_rows, rows,
+                       _field(entry, "identity", where, _integer, 0))
+    else:
+        raise ValidationError(f"{where}: needs 'cyclic' or 'table'")
+    doc.groups[name] = group
+
+
+def _read_class_table(doc: InputDocument, name: str, where: str, entry: Any) -> None:
+    if entry.get("trivial"):
+        doc.classes[name] = MonodromyTable.trivial()
+    elif "group" in entry:
+        # a class table built from a group needs inertia; the other two do not
+        from .inertia import monodromy_table
+
         gname = _known(_field(entry, "group", where, _string), doc.groups, "group", where)
-        group = doc.groups[gname]
-        by_label = {class_label(i): cls_ for i, cls_ in enumerate(group.class_data.classes)}
+        doc.classes[name] = monodromy_table(doc.groups[gname])
+    elif "labels" in entry:
+        rows = _field(entry, "labels", where, _array_of(_label_row))
+        doc.classes[name] = _named(where, MonodromyTable,
+                                   orders={lb: o for lb, o, _ in rows},
+                                   inverses={lb: inv for lb, _, inv in rows})
+    else:
+        raise ValidationError(f"{where}: needs 'trivial', 'group', or 'labels'")
 
-        def sector(sec: Any, at: str) -> SectorDatum:
-            label = _known(_field(sec, "class", at, _string), by_label, "class label", at)
-            betti = _field(sec, "betti", at, _object, {})
-            return SectorDatum(
-                cls=by_label[label],
-                rotations=_field(sec, "rotations", at, _rationals),
-                betti={_integer(k, f"{at}.betti"): _integer(v, f"{at}.betti.{k}")
-                       for k, v in betti.items()})
 
-        doc.profiles[name] = CRProfile(
-            group=group, ambient_dim=_field(entry, "ambient_dim", where, _integer),
-            sectors=_field(entry, "sectors", where, _array_of(sector)))
+def _read_profile(doc: InputDocument, name: str, where: str, entry: Any) -> None:
+    from .inertia import CRProfile, SectorDatum, class_label
 
-    for name, where, entry in _entries(raw, "homology", used):
-        doc.homology[name] = HomologyModel(
-            rank=_field(entry, "rank", where, _integer),
-            c1=_field(entry, "c1", where, _rationals),
-            z_pairing=_field(entry, "z_pairing", where, _rationals),
-            effective=_field(entry, "effective", where, _array_of(_integers)))
+    gname = _known(_field(entry, "group", where, _string), doc.groups, "group", where)
+    group = doc.groups[gname]
+    by_label = {class_label(i): cls_ for i, cls_ in enumerate(group.class_data.classes)}
+
+    def sector(sec: Any, at: str) -> SectorDatum:
+        label = _known(_field(sec, "class", at, _string), by_label, "class label", at)
+        betti = _field(sec, "betti", at, _object, {})
+        return _named(
+            at, SectorDatum,
+            cls=by_label[label],
+            rotations=_field(sec, "rotations", at, _rationals),
+            betti={_integer(k, f"{at}.betti"): _integer(v, f"{at}.betti.{k}")
+                   for k, v in betti.items()})
+
+    doc.profiles[name] = _named(
+        where, CRProfile,
+        group=group, ambient_dim=_field(entry, "ambient_dim", where, _integer),
+        sectors=_field(entry, "sectors", where, _array_of(sector)))
+
+
+def _read_homology(doc: InputDocument, name: str, where: str, entry: Any) -> None:
+    from .graph import HomologyModel
+
+    doc.homology[name] = _named(
+        where, HomologyModel,
+        rank=_field(entry, "rank", where, _integer),
+        c1=_field(entry, "c1", where, _rationals),
+        z_pairing=_field(entry, "z_pairing", where, _rationals),
+        effective=_field(entry, "effective", where, _array_of(_integers)))
+
+
+def _read_graph(doc: InputDocument, name: str, where: str, entry: Any) -> None:
+    from .graph import Edge, RelGraph, Tail, Vertex
 
     def vertex(v: Any, at: str) -> Vertex:
         return Vertex(genus=_field(v, "genus", at, _integer),
@@ -262,61 +290,78 @@ def load_document(text: str) -> InputDocument:
                     monodromy=_field(t, "monodromy", at, _string, "e"),
                     contact=_field(t, "contact", at, _contact, None))
 
-    for name, where, entry in _entries(raw, "graphs", used):
-        hname = _known(_field(entry, "homology", where, _string), doc.homology,
-                       "homology model", where)
-        cname = entry.get("classes")
-        if cname is not None:
-            _known(_field(entry, "classes", where, _string), doc.classes, "class table", where)
-        doc.graphs[name] = RelGraph(
-            _field(entry, "vertices", where, _array_of(vertex), ()),
-            _field(entry, "edges", where, _array_of(edge), ()),
-            _field(entry, "tails", where, _array_of(tail), ()))
-        doc.graph_context[name] = (hname, cname if cname is not None else "")
+    hname = _known(_field(entry, "homology", where, _string), doc.homology,
+                   "homology model", where)
+    cname = entry.get("classes")
+    if cname is not None:
+        _known(_field(entry, "classes", where, _string), doc.classes, "class table", where)
+    doc.graphs[name] = RelGraph(
+        _field(entry, "vertices", where, _array_of(vertex), ()),
+        _field(entry, "edges", where, _array_of(edge), ()),
+        _field(entry, "tails", where, _array_of(tail), ()))
+    doc.graph_context[name] = (hname, cname if cname is not None else "")
+
+
+def _read_basis(doc: InputDocument, name: str, where: str, entry: Any) -> None:
+    from .expand import BasisEntry, CRBasisZ
 
     def basis_entry(b: Any, at: str) -> BasisEntry:
         return BasisEntry(label=_field(b, "label", at, _string),
                           sector=_field(b, "sector", at, _string),
                           cr_degree=_field(b, "degree", at, _rational))
 
-    for name, where, entry in _entries(raw, "basis", used):
-        entries = _field(entry, "entries", where, _array_of(basis_entry))
-        index = {b.label: i for i, b in enumerate(entries)}
-        duality = []
-        for pair in _field(entry, "duality", where, _array_of(_pair_of(_string))):
-            if any(label not in index for label in pair):
-                raise ValidationError(
-                    f"{where}: duality references unknown label in {list(pair)}")
-            duality.append((index[pair[0]], index[pair[1]]))
-        doc.basis[name] = CRBasisZ(dim_z=_field(entry, "dim_z", where, _integer),
-                                   entries=entries, duality=tuple(duality))
+    entries = _field(entry, "entries", where, _array_of(basis_entry))
+    index = {b.label: i for i, b in enumerate(entries)}
+    duality = []
+    for pair in _field(entry, "duality", where, _array_of(_pair_of(_string))):
+        if any(label not in index for label in pair):
+            raise ValidationError(f"{where}: duality references unknown label in {list(pair)}")
+        duality.append((index[pair[0]], index[pair[1]]))
+    doc.basis[name] = _named(where, CRBasisZ, dim_z=_field(entry, "dim_z", where, _integer),
+                             entries=entries, duality=tuple(duality))
+
+
+def _read_scenario(doc: InputDocument, name: str, where: str, entry: Any) -> None:
+    from .expand import AbsInsertion, MenuEntry, SplittingScenario
 
     def menu_entry(m: Any, at: str) -> MenuEntry:
-        return MenuEntry(*label_row(m, at))
+        return MenuEntry(*_label_row(m, at))
 
     def insertion(a: Any, at: str) -> AbsInsertion:
         return AbsInsertion(label=_field(a, "label", at, _string),
                             descendant=_field(a, "descendant", at, _integer, 0))
 
-    for name, where, entry in _entries(raw, "scenarios", used):
-        hname = _known(_field(entry, "homology", where, _string), doc.homology,
-                       "homology model", where)
-        bname = _field(entry, "basis", where, _string, "")
-        if bname:
-            _known(bname, doc.basis, "basis", where)
-        fields = dict(
-            genus=_field(entry, "genus", where, _integer),
-            absolute=_field(entry, "absolute", where, _array_of(insertion), ()),
-            class_splittings=_field(entry, "splittings", where, _array_of(_pair_of(_integers))),
-            max_nodes=_field(entry, "max_nodes", where, _integer),
-            monodromy_menu=_field(entry, "monodromy_menu", where, _array_of(menu_entry)),
-            z_total=_field(entry, "z_total", where, _rational))
-        try:
-            doc.scenarios[name] = SplittingScenario(**fields)
-        except ValidationError as exc:
-            raise ValidationError(f"{where}: {exc}") from None
-        doc.scenario_context[name] = (hname, bname)
+    hname = _known(_field(entry, "homology", where, _string), doc.homology,
+                   "homology model", where)
+    bname = _field(entry, "basis", where, _string, "")
+    if bname:
+        _known(bname, doc.basis, "basis", where)
+    doc.scenarios[name] = _named(
+        where, SplittingScenario,
+        genus=_field(entry, "genus", where, _integer),
+        absolute=_field(entry, "absolute", where, _array_of(insertion), ()),
+        class_splittings=_field(entry, "splittings", where, _array_of(_pair_of(_integers))),
+        max_nodes=_field(entry, "max_nodes", where, _integer),
+        monodromy_menu=_field(entry, "monodromy_menu", where, _array_of(menu_entry)),
+        z_total=_field(entry, "z_total", where, _rational))
+    doc.scenario_context[name] = (hname, bname)
 
+
+# sections in reading order: each may refer to the ones before it
+_SECTIONS = (("groups", _read_group), ("classes", _read_class_table),
+             ("profiles", _read_profile), ("homology", _read_homology),
+             ("graphs", _read_graph), ("basis", _read_basis), ("scenarios", _read_scenario))
+
+
+def load_document(text: str) -> InputDocument:
+    """Parse a document; every field is read through a typed reader, so a
+    malformed value raises ValidationError naming its field."""
+    raw = _load_object(text)
+    doc = InputDocument()
+    used: set[str] = set()
+    for section, read in _SECTIONS:
+        for name, where, entry in _entries(raw, section, used):
+            read(doc, name, where, entry)
     return doc
 
 
@@ -331,6 +376,8 @@ class LedgerDocument:
 
 
 def _rel_term(term: Any, at: str) -> RelTerm:
+    from .dimension import RelTerm
+
     order = _field(term, "contact", at, _contact)
     if order is None:
         raise ValidationError(f"{at}: contact order must be a 'k/r' string")
@@ -339,7 +386,10 @@ def _rel_term(term: Any, at: str) -> RelTerm:
 
 
 def _moduli_spec(data: Any, where: str) -> ModuliSpec:
-    return ModuliSpec(
+    from .dimension import ModuliSpec
+
+    return _named(
+        where, ModuliSpec,
         flavor=_field(data, "flavor", where, _string),
         n=_field(data, "n", where, _integer),
         genus=_field(data, "genus", where, _integer),
@@ -365,6 +415,8 @@ def load_ledger(text: str) -> LedgerDocument:
 
 def parse_rel(text: str) -> tuple[RelTerm, ...]:
     """The `--rel` option: comma-separated 'k/r[:shift[:monodromy]]' terms."""
+    from .dimension import RelTerm
+
     if not text:
         return ()
     terms = []

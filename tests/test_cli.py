@@ -232,23 +232,67 @@ class TestEntryPoint:
         assert proc.stdout == (GOLDEN / "sectors_z3.txt").read_bytes()
 
     def test_exact_commands_leave_numpy_unloaded(self):
-        script = f"""
+        # each command in a fresh interpreter: the orbidegen modules it loads,
+        # and whether numpy was loaded
+        script = """
 import contextlib, io, sys
 from orbidegen.cli import run
-commands = [
-    ["sectors", "--in", {str(DATA / "ex_z3.json")!r}],
-    ["partitions", "--total", "2", "--orders", "2,2"],
-    ["dim", "virdim", "--flavor", "relative-orbifold", "--n", "2", "--genus", "0",
-     "--c1a", "3", "--rel", "3/2:1/2:h", "--za", "3/2"],
-    ["expand", "--in", {str(DATA / "smooth1.json")!r}, "--scenario", "smooth_one_node"],
-]
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [run(argv) for argv in commands]
-print(codes, "numpy" in sys.modules)
+    code = run(sys.argv[1:])
+print(code, " ".join(sorted(m.split(".")[1] for m in sys.modules
+                            if m.startswith("orbidegen."))), "numpy" in sys.modules)
+"""
+        graphs = ["--in", str(DATA / "graphs.json")]
+        commands = {
+            "partitions": (["partitions", "--total", "2", "--orders", "2,2"],
+                           "cli contact errors io"),
+            "sectors": (["sectors", "--in", str(DATA / "ex_z3.json")],
+                        "cli contact errors inertia io"),
+            "dim virdim": (GOLDEN_COMMANDS["dim_virdim.txt"], "cli contact dimension errors io"),
+            "dim ledger": (["dim", "ledger", "--in", str(DATA / "ledger_smooth.json")],
+                           "cli contact dimension errors io"),
+            "graphs validate": (["graphs", "validate", *graphs, "--graph", "two_level"],
+                                "cli contact errors graph io"),
+            "graphs genus": (["graphs", "genus", *graphs, "--graph", "two_level"],
+                             "cli contact errors graph io"),
+            "graphs contract": (["graphs", "contract", *graphs, "--graph", "two_level",
+                                 "--level", "0"], "cli contact errors graph io"),
+            "graphs poset": (["graphs", "poset", *graphs, "--graph", "gmax"],
+                             "cli contact errors graph io"),
+            "expand": (["expand", "--in", str(DATA / "smooth1.json"),
+                        "--scenario", "smooth_one_node"], "cli contact errors expand graph io"),
+        }
+        loaded = {}
+        for name, (argv, _) in commands.items():
+            proc = python("-c", script, *argv)
+            assert proc.returncode == 0, proc.stderr
+            loaded[name] = proc.stdout.decode().strip()
+        assert loaded == {name: f"0 {modules} False" for name, (_, modules) in commands.items()}
+
+    def test_package_root_resolves_names_on_first_access(self):
+        script = """
+import sys
+import orbidegen
+assert not [m for m in sys.modules if m.startswith("orbidegen.")]
+names = {}
+exec("from orbidegen import *", names)
+assert sorted(set(names) - {"__builtins__"}) == sorted(orbidegen.__all__)
+from orbidegen import contact, graph
+for name, module in [("ContactOrder", contact), ("MonodromyTable", contact),
+                     ("RelInsertion", contact), ("HomologyModel", graph),
+                     ("RelGraph", graph)]:
+    assert getattr(orbidegen, name) is getattr(module, name) is names[name], name
+try:
+    orbidegen.NoSuchName
+except AttributeError as exc:
+    assert "NoSuchName" in str(exc)
+else:
+    raise AssertionError("orbidegen.NoSuchName resolved")
+print("ok")
 """
         proc = python("-c", script)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.decode().split() == ["[0,", "0,", "0,", "0]", "False"]
+        assert proc.stdout == b"ok\n"
 
     def test_glue_error_type_is_shared(self):
         from orbidegen import errors, glue
@@ -463,7 +507,17 @@ class TestMalformedInputExits1:
         doc = json.loads((DATA / "ledger_smooth.json").read_text())
         doc["minus"]["genus"] = -1
         err = self.run_on(tmp_path, json.dumps(doc), ["dim", "ledger"])
-        assert err == "error: genus must be non-negative, got -1\n"
+        assert err == "error: minus: genus must be non-negative, got -1\n"
+
+    @pytest.mark.parametrize("spec, key, value, message", [
+        ("plus", "n", 0, "ambient dimension must be positive, got 0"),
+        ("total", "flavor", "bogus", "unknown flavor 'bogus'"),
+    ])
+    def test_ledger_spec_errors_name_the_spec(self, tmp_path, spec, key, value, message):
+        doc = json.loads((DATA / "ledger_smooth.json").read_text())
+        doc[spec][key] = value
+        err = self.run_on(tmp_path, json.dumps(doc), ["dim", "ledger"])
+        assert err == f"error: {spec}: {message}\n"
 
     @pytest.mark.parametrize("argv", [
         ["graphs", "genus", "--graph", "two_level_rank2"],
@@ -562,6 +616,110 @@ class TestMistypedFieldSweep:
                     escaped.append((argv[0], where, value, f"exit {rc}"))
         assert runs > 100
         assert escaped == []
+
+
+def demo_document(name, change=None):
+    """A shipped document, with `change` applied to its parsed JSON."""
+    doc = json.loads((DATA / name).read_text())
+    if change is not None:
+        change(doc)
+    return doc
+
+
+def sections(name, *keys):
+    """Only the named sections of a shipped document, under the schema."""
+    doc = demo_document(name)
+    return {"schema": doc["schema"], **{key: doc[key] for key in keys}}
+
+
+def entry(section, index=0, **values):
+    """A change that sets `values` on one entry of a section."""
+    return lambda doc: doc[section][index].update(values)
+
+
+NOT_AN_INVOLUTION = [{"label": "e", "order": 1, "inverse": "e"},
+                     {"label": "h", "order": 2, "inverse": "k"},
+                     {"label": "k", "order": 2, "inverse": "k"}]
+
+# id -> (command, document, part of the one stderr line); each exits 1
+FUZZ_CASES = {
+    # each section alone, or without the sections it refers to
+    "groups-alone": (["sectors"], sections("ex_z3.json", "groups"),
+                     "document has no profiles"),
+    "class-table-without-groups": (
+        ["sectors"], {"schema": "orbi-degen/1", "classes": [{"name": "c", "group": "z3"}]},
+        "classes[c]: unknown group 'z3'"),
+    "class-table-alone": (["graphs", "validate"], sections("graphs.json", "classes"),
+                          "document has 0 graphs entries"),
+    "profiles-without-groups": (["sectors"], sections("ex_z3.json", "profiles"),
+                                "profiles[z3_plane]: unknown group 'z3'"),
+    "homology-alone": (["graphs", "genus"], sections("graphs.json", "homology"),
+                       "document has 0 graphs entries"),
+    "graphs-without-homology": (["graphs", "validate"], sections("graphs.json", "graphs"),
+                                "graphs[gmax]: unknown homology model 'line'"),
+    "graphs-without-classes": (["graphs", "poset"],
+                               sections("graphs.json", "homology", "graphs"),
+                               "graphs[gmax]: unknown class table 'z2div'"),
+    "basis-alone": (["expand"], sections("smooth1.json", "basis"),
+                    "document has 0 scenarios entries"),
+    "scenarios-without-homology": (["expand"], sections("smooth1.json", "scenarios"),
+                                   "scenarios[smooth_one_node]: unknown homology model"),
+    "scenarios-without-basis": (["expand"], sections("smooth1.json", "homology", "scenarios"),
+                                "scenarios[smooth_one_node]: unknown basis 'bz3'"),
+    "ledger-without-total": (["dim", "ledger"],
+                             sections("ledger_smooth.json", "plus", "minus"),
+                             "ledger document needs a 'total' spec"),
+    # right type, wrong meaning
+    "empty-effective": (["graphs", "poset", "--graph", "gmax"],
+                        demo_document("graphs.json", entry("homology", effective=[])),
+                        "homology[line]: the zero class must be in the effective list"),
+    "rank-mismatch": (["graphs", "validate", "--graph", "gmax"],
+                      demo_document("graphs.json", entry("homology", rank=2)),
+                      "homology[line]: c1 and z_pairing must have length equal to rank"),
+    "duplicate-names": (["graphs", "validate", "--graph", "gmax"],
+                        demo_document("graphs.json", entry("graphs", 1, name="gmax")),
+                        "duplicate identifier 'gmax'"),
+    "duplicate-names-across-sections": (
+        ["graphs", "validate", "--graph", "gmax"],
+        demo_document("graphs.json", entry("homology", name="gmax")),
+        "duplicate identifier 'gmax'"),
+    "non-involutive-inverse": (
+        ["graphs", "poset", "--graph", "gmax"],
+        demo_document("graphs.json", entry("classes", labels=NOT_AN_INVOLUTION)),
+        "classes[z2div]: inverse map is not an involution at class 'h'"),
+    "cyclic-65": (["sectors"], demo_document("ex_z3.json", entry("groups", cyclic=65)),
+                  "groups[z3]: group order 65 outside supported range 1..64"),
+    "cyclic-10^6": (["sectors"], demo_document("ex_z3.json", entry("groups", cyclic=10**6)),
+                    "groups[z3]: group order 1000000 outside supported range 1..64"),
+    "empty-sectors": (["sectors"], demo_document("ex_z3.json", entry("profiles", sectors=[])),
+                      "profiles[z3_plane]: no sector for the class of 0"),
+    "empty-duality": (["expand", "--scenario", "smooth_one_node"],
+                      demo_document("smooth1.json", entry("basis", duality=[])),
+                      "basis[bz3]: duality does not cover every entry exactly once"),
+    "empty-menu": (["expand", "--scenario", "smooth_one_node"],
+                   demo_document("smooth1.json", entry("scenarios", monodromy_menu=[])),
+                   "unknown monodromy class 'e'"),
+    "empty-ledger-rel": (["dim", "ledger"],
+                         demo_document("ledger_smooth.json",
+                                       lambda doc: doc["plus"].update(rel=[])),
+                         "plus: relative-smooth spec needs relative insertions"),
+}
+
+
+class TestDocumentFuzz:
+    """Each document in a fresh interpreter, so a reader runs with only the
+    modules its own sections load: exit 1, one stderr line, no traceback."""
+
+    @pytest.mark.parametrize("case", sorted(FUZZ_CASES))
+    def test_one_line_and_a_documented_exit(self, tmp_path, case):
+        argv, doc, message = FUZZ_CASES[case]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        proc = python("-m", "orbidegen.cli", *argv, "--in", str(path), timeout=30)
+        err = proc.stderr.decode()
+        assert proc.returncode == 1
+        assert proc.stdout == b"" and err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("error: ") and message in err
 
 
 def _matrix():

@@ -391,6 +391,9 @@ VALIDATION_CASES = {
                 "group order 0 outside supported range 1..64"),
     "order-65": (lambda: FiniteGroupTable.cyclic(65).validate(),
                  "group order 65 outside supported range 1..64"),
+    # refused before its n x n table is built
+    "cyclic-10^6": (lambda: FiniteGroupTable.cyclic(10**6),
+                    "group order 1000000 outside supported range 1..64"),
     "cyclic-0": (lambda: FiniteGroupTable.cyclic(0),
                  "cyclic group order must be positive, got 0"),
     "ragged-rows": (lambda: FiniteGroupTable.from_rows([[0, 1], [1]]),
