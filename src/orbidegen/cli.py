@@ -258,7 +258,8 @@ def _cmd_expand(args) -> int:
     if not bname:
         raise ValidationError(f"scenario {name!r} has no basis reference")
     degree = _rational(args.degree, "--degree") if args.degree else None
-    terms = expand_terms(scenario, doc.basis[bname], doc.homology[hname], total_degree=degree)
+    terms = expand_terms(scenario, doc.basis[bname], doc.homology[hname], total_degree=degree,
+                         where=(f"scenarios[{name}]", f"basis[{bname}]"))
     rows = [(str(t.coefficient), list(t.labels), term_record(t)) for t in terms]
     width = max((len(c) for c, _, _ in rows), default=1)
     _emit(args, {"scenario": name, "count": len(rows),

@@ -116,13 +116,19 @@ def splitting_ledger(
 ) -> Ledger:
     """Build the ledger for a splitting with matched relative insertions.
 
-    The two sides must match node by node: equal contact orders, and (when a
-    class table is supplied) mutually inverse monodromies.  A trivial splitting
-    passes minus=None (empty side, dimension 0).  The caller is trusted for
+    Both sides are pieces of the degeneration of the target of `total`, so
+    their ambient dimension n must equal its own.  The two sides must match
+    node by node: equal contact orders, and (when a class table is supplied)
+    mutually inverse monodromies.  A trivial splitting passes minus=None
+    (empty side, dimension 0).  The caller is trusted for
     the genus/class bookkeeping of `total`; the ledger reports the defect
     without judgment except in the smooth specialization, where it is 0
     exactly whenever c1A = c1A(+) + c1A(-) - 2 zA.
     """
+    for name, side in (("plus", plus), ("minus", minus)):
+        if side is not None and side.n != total.n:
+            raise ValidationError(
+                f"{name}: ambient dimension {side.n} differs from the total's {total.n}")
     minus_k = minus.k if minus is not None else 0
     if plus.k != minus_k:
         raise ValidationError(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Any
+
 
 class ValidationError(ValueError):
     """Input data violates a structural invariant; message names the offender."""
@@ -17,3 +19,11 @@ class NonConvergenceError(RuntimeError):
     def __init__(self, message: str, residuals: list[float]):
         super().__init__(message)
         self.residuals = residuals
+
+
+def named(where: str, build, *args: Any, **kwargs: Any) -> Any:
+    """`build(*args, **kwargs)`; a ValidationError it raises is prefixed with `where`."""
+    try:
+        return build(*args, **kwargs)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .contact import ContactOrder, MonodromyTable, RelInsertion, aut_order, enumerate_partitions
-from .errors import ResourceLimitError, ValidationError
+from .errors import ResourceLimitError, ValidationError, named
 from .graph import (
     ABSOLUTE,
     RELATIVE,
@@ -381,6 +381,7 @@ def expand(
     basis: CRBasisZ,
     homology: HomologyModel,
     total_degree: Fraction | None = None,
+    where: tuple[str, str] = ("scenario", "basis"),
 ) -> list[Term]:
     """Emit the term sum: one term per splitting per sector-compatible index tuple.
 
@@ -389,32 +390,46 @@ def expand(
     matching's l(Gamma), the product of the node contact values, times the
     automorphism order of the decorated insertion multiset.  With
     `total_degree` set, only index tuples whose plus side degrees sum to that
-    value are kept.
+    value are kept.  Before the walk the scenario is checked against the
+    homology model and the basis, and the basis against the scenario's menu;
+    each error starts with where[0] when the scenario is at fault and with
+    where[1] when the basis is.
     """
+    at_scenario, at_basis = where
     table = scenario.table()
-    basis.check_against(table)
+    named(at_scenario, scenario.check_against, homology)
+    for e in basis.entries:
+        if e.sector not in table:
+            raise ValidationError(
+                f"{at_scenario}: unknown monodromy class {e.sector!r}: the sector of "
+                f"basis entry {e.label!r} is not on the monodromy menu")
+    named(at_basis, basis.check_against, table)
     for entry in scenario.monodromy_menu:
         if not basis.supported_on(entry.label):
             raise ValidationError(
-                f"menu class {entry.label!r} has no basis entries on its sector"
+                f"{at_scenario}: menu class {entry.label!r} has no basis entries on its sector"
             )
         if not basis.supported_on(entry.inverse):
             raise ValidationError(
-                f"menu class {entry.label!r}: inverse sector {entry.inverse!r} "
-                f"has no basis entries"
+                f"{at_scenario}: menu class {entry.label!r}: inverse sector "
+                f"{entry.inverse!r} has no basis entries"
             )
+    degree_of = {e.label: e.cr_degree for e in basis.entries}
     # (term_record(term), term) pairs; each side's record is built once per matching
     records: list[tuple[str, Term]] = []
     for m in enumerate_splittings(scenario, homology):
         ell = math.prod((c.value for c in m.contacts), start=Fraction(1))
         plus, minus = _side_record(m.gamma_plus), _side_record(m.gamma_minus)
-        for combo in itertools.product(*(basis.supported_on(h) for h in m.monodromies)):
-            if total_degree is not None and sum(e.cr_degree for e in combo) != total_degree:
+        # node j's insertions, one per basis entry on its sector
+        menus = [[RelInsertion(c, h, e.label) for e in basis.supported_on(h)]
+                 for c, h in zip(m.contacts, m.monodromies)]
+        for combo in itertools.product(*menus):
+            labels = tuple([ins.basis_label for ins in combo])
+            if total_degree is not None and sum(map(degree_of.__getitem__, labels)) != total_degree:
                 continue
-            aut = aut_order(RelInsertion(c, h, e.label)
-                            for c, h, e in zip(m.contacts, m.monodromies, combo))
-            term = Term(m.gamma_plus, m.gamma_minus, tuple(e.label for e in combo), ell * aut)
-            records.append((_record(term.coefficient, term.labels, plus, minus), term))
+            aut = aut_order(combo)
+            term = Term(m.gamma_plus, m.gamma_minus, labels, ell * aut if aut != 1 else ell)
+            records.append((_record(term.coefficient, labels, plus, minus), term))
     records.sort(key=operator.itemgetter(0))
     return [term for _, term in records]
 

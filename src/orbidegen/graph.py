@@ -18,7 +18,9 @@ inside this module a graph is its encoding (vs, es, ts), with vs[v] =
 and ts[t] = (vertex, kind, monodromy, contact), a contact being (k, r) or
 (0, 0) for none.  _as_code converts a graph on the way in and _decode on the
 way out; the canonical search, both contraction moves and the poset walk run
-on encodings only.
+on encodings only.  _decode interns: equal vertex, edge and tail encodings
+decode to one shared frozen object, so a walk that decodes thousands of
+graphs builds only as many objects as there are distinct parts.
 
 Every poset node refines to a graph with max_vertices vertices of genus 0 (a
 loop for each unit of vertex genus, genus-0, class-0 leaves for the missing
@@ -393,15 +395,36 @@ def encode(graph: RelGraph) -> tuple:
     return _relabel(_as_code(graph), range(len(graph.vertices)))
 
 
+@functools.cache
+def _vertex_of(deco: tuple) -> Vertex:
+    level, genus, cls = deco
+    return Vertex(genus, cls, level)
+
+
+@functools.cache
+def _edge_of(edge: tuple) -> Edge:
+    kind, a, ha, b, hb, contact = edge
+    return Edge(kind, (a, b), (ha, hb), _contact_of(contact))
+
+
+@functools.cache
+def _tail_of(tail: tuple) -> Tail:
+    v, kind, monodromy, contact = tail
+    return Tail(v, kind, monodromy, _contact_of(contact))
+
+
 def _decode(code: tuple) -> RelGraph:
-    """The graph an encoding describes, its edges in encoding order and orientation."""
+    """The graph an encoding describes, its edges in encoding order and orientation.
+
+    Equal vertex, edge and tail encodings decode to one shared object: the
+    objects are frozen, so sharing is invisible to ==, hash and repr.  The
+    caches behind _vertex_of, _edge_of and _tail_of have no size cap: their
+    keys are built from the inputs' decorations (levels, genera, classes, half
+    labels, contact keys) and from vertex indices, which stay below
+    MAX_AUT_VERTICES on every graph a canonical search or the poset returns."""
     vs, es, ts = code
-    return RelGraph(
-        tuple([Vertex(genus, cls, level) for level, genus, cls in vs]),
-        tuple([Edge(kind, (a, b), (ha, hb), _contact_of(contact))
-               for kind, a, ha, b, hb, contact in es]),
-        tuple([Tail(v, kind, monodromy, _contact_of(contact))
-               for v, kind, monodromy, contact in ts]))
+    return RelGraph(tuple(map(_vertex_of, vs)), tuple(map(_edge_of, es)),
+                    tuple(map(_tail_of, ts)))
 
 
 def _vertex_base_keys(code: tuple) -> list[tuple]:
@@ -422,7 +445,14 @@ def _vertex_base_keys(code: tuple) -> list[tuple]:
 
 
 def _key_blocks(code: tuple) -> list[list[int]]:
-    """Vertices of an encoding sorted by base key, grouped into equal-key blocks."""
+    """Vertices of an encoding sorted by base key, grouped into equal-key blocks.
+
+    A base key starts with the vertex decoration, so when no two vertices
+    share a decoration the decorations alone give the order, every block is a
+    singleton, and the base keys are never built."""
+    vs = code[0]
+    if len(set(vs)) == len(vs):
+        return [[v] for v in sorted(range(len(vs)), key=vs.__getitem__)]
     keys = _vertex_base_keys(code)
     blocks: list[list[int]] = []
     for v in sorted(range(len(keys)), key=keys.__getitem__):

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from .contact import ContactOrder, MonodromyTable
-from .errors import ValidationError
+from .errors import ValidationError, named
 
 if TYPE_CHECKING:
     from .dimension import ModuliSpec, RelTerm
@@ -191,14 +191,6 @@ def _known(name: str, table: dict, what: str, where: str) -> str:
     return name
 
 
-def _named(where: str, build, *args: Any, **kwargs: Any) -> Any:
-    """`build(*args, **kwargs)`; a ValidationError it raises is prefixed with `where`."""
-    try:
-        return build(*args, **kwargs)
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
-
-
 def _label_row(item: Any, at: str) -> tuple[str, int, str]:
     return (_field(item, "label", at, _string), _field(item, "order", at, _integer),
             _field(item, "inverse", at, _string))
@@ -208,11 +200,11 @@ def _read_group(doc: InputDocument, name: str, where: str, entry: Any) -> None:
     from .inertia import FiniteGroupTable
 
     if "cyclic" in entry:
-        group = _named(where, FiniteGroupTable.cyclic, _field(entry, "cyclic", where, _integer))
+        group = named(where, FiniteGroupTable.cyclic, _field(entry, "cyclic", where, _integer))
     elif "table" in entry:
         rows = _field(entry, "table", where, _array_of(_integers))
-        group = _named(where, FiniteGroupTable.from_rows, rows,
-                       _field(entry, "identity", where, _integer, 0))
+        group = named(where, FiniteGroupTable.from_rows, rows,
+                      _field(entry, "identity", where, _integer, 0))
     else:
         raise ValidationError(f"{where}: needs 'cyclic' or 'table'")
     doc.groups[name] = group
@@ -229,9 +221,9 @@ def _read_class_table(doc: InputDocument, name: str, where: str, entry: Any) -> 
         doc.classes[name] = monodromy_table(doc.groups[gname])
     elif "labels" in entry:
         rows = _field(entry, "labels", where, _array_of(_label_row))
-        doc.classes[name] = _named(where, MonodromyTable,
-                                   orders={lb: o for lb, o, _ in rows},
-                                   inverses={lb: inv for lb, _, inv in rows})
+        doc.classes[name] = named(where, MonodromyTable,
+                                  orders={lb: o for lb, o, _ in rows},
+                                  inverses={lb: inv for lb, _, inv in rows})
     else:
         raise ValidationError(f"{where}: needs 'trivial', 'group', or 'labels'")
 
@@ -246,14 +238,14 @@ def _read_profile(doc: InputDocument, name: str, where: str, entry: Any) -> None
     def sector(sec: Any, at: str) -> SectorDatum:
         label = _known(_field(sec, "class", at, _string), by_label, "class label", at)
         betti = _field(sec, "betti", at, _object, {})
-        return _named(
+        return named(
             at, SectorDatum,
             cls=by_label[label],
             rotations=_field(sec, "rotations", at, _rationals),
             betti={_integer(k, f"{at}.betti"): _integer(v, f"{at}.betti.{k}")
                    for k, v in betti.items()})
 
-    doc.profiles[name] = _named(
+    doc.profiles[name] = named(
         where, CRProfile,
         group=group, ambient_dim=_field(entry, "ambient_dim", where, _integer),
         sectors=_field(entry, "sectors", where, _array_of(sector)))
@@ -262,7 +254,7 @@ def _read_profile(doc: InputDocument, name: str, where: str, entry: Any) -> None
 def _read_homology(doc: InputDocument, name: str, where: str, entry: Any) -> None:
     from .graph import HomologyModel
 
-    doc.homology[name] = _named(
+    doc.homology[name] = named(
         where, HomologyModel,
         rank=_field(entry, "rank", where, _integer),
         c1=_field(entry, "c1", where, _rationals),
@@ -317,8 +309,8 @@ def _read_basis(doc: InputDocument, name: str, where: str, entry: Any) -> None:
         if any(label not in index for label in pair):
             raise ValidationError(f"{where}: duality references unknown label in {list(pair)}")
         duality.append((index[pair[0]], index[pair[1]]))
-    doc.basis[name] = _named(where, CRBasisZ, dim_z=_field(entry, "dim_z", where, _integer),
-                             entries=entries, duality=tuple(duality))
+    doc.basis[name] = named(where, CRBasisZ, dim_z=_field(entry, "dim_z", where, _integer),
+                            entries=entries, duality=tuple(duality))
 
 
 def _read_scenario(doc: InputDocument, name: str, where: str, entry: Any) -> None:
@@ -336,7 +328,7 @@ def _read_scenario(doc: InputDocument, name: str, where: str, entry: Any) -> Non
     bname = _field(entry, "basis", where, _string, "")
     if bname:
         _known(bname, doc.basis, "basis", where)
-    doc.scenarios[name] = _named(
+    doc.scenarios[name] = named(
         where, SplittingScenario,
         genus=_field(entry, "genus", where, _integer),
         absolute=_field(entry, "absolute", where, _array_of(insertion), ()),
@@ -388,7 +380,7 @@ def _rel_term(term: Any, at: str) -> RelTerm:
 def _moduli_spec(data: Any, where: str) -> ModuliSpec:
     from .dimension import ModuliSpec
 
-    return _named(
+    return named(
         where, ModuliSpec,
         flavor=_field(data, "flavor", where, _string),
         n=_field(data, "n", where, _integer),

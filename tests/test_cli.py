@@ -519,6 +519,40 @@ class TestMalformedInputExits1:
         err = self.run_on(tmp_path, json.dumps(doc), ["dim", "ledger"])
         assert err == f"error: {spec}: {message}\n"
 
+    @pytest.mark.parametrize("spec", ["plus", "minus"])
+    def test_ledger_refuses_mixed_ambient_dimensions(self, tmp_path, spec):
+        # both halves of a degeneration live over the ambient space of the total
+        doc = json.loads((DATA / "ledger_smooth.json").read_text())
+        doc[spec]["n"] = 3
+        err = self.run_on(tmp_path, json.dumps(doc), ["dim", "ledger"])
+        assert err == f"error: {spec}: ambient dimension 3 differs from the total's 2\n"
+
+    @pytest.mark.parametrize("change,message", [
+        ({"monodromy_menu": []},
+         "scenarios[smooth_one_node]: unknown monodromy class 'e': the sector of basis entry "
+         "'one' is not on the monodromy menu"),
+        ({"z_total": "-2"},
+         "scenarios[smooth_one_node]: splitting side + class (2,) pairs to 2, "
+         "scenario total is -2"),
+        ({"monodromy_menu": [{"label": "e", "order": 1, "inverse": "e"},
+                             {"label": "h", "order": 2, "inverse": "h"}]},
+         "scenarios[smooth_one_node]: menu class 'h' has no basis entries on its sector"),
+    ], ids=["empty-menu", "negative-total", "unsupported-menu-class"])
+    def test_expand_checks_before_the_walk_name_the_scenario(self, tmp_path, change, message):
+        doc = json.loads((DATA / "smooth1.json").read_text())
+        doc["scenarios"][0].update(change)
+        err = self.run_on(tmp_path, json.dumps(doc),
+                          ["expand", "--scenario", "smooth_one_node"])
+        assert err == f"error: {message}\n"
+
+    def test_expand_basis_check_names_the_basis(self, tmp_path):
+        doc = json.loads((DATA / "smooth1.json").read_text())
+        doc["basis"][0]["entries"][2]["degree"] = "3"
+        err = self.run_on(tmp_path, json.dumps(doc),
+                          ["expand", "--scenario", "smooth_one_node"])
+        assert err == ("error: basis[bz3]: dual entries 'one', 'pt' have degrees summing "
+                       "to 3, expected 2\n")
+
     @pytest.mark.parametrize("argv", [
         ["graphs", "genus", "--graph", "two_level_rank2"],
         ["graphs", "contract", "--graph", "two_level_rank2", "--level", "0", "--json"],
@@ -538,7 +572,8 @@ class TestMalformedInputExits1:
 
     @pytest.mark.parametrize("change,message", [
         ({"splittings": [[[2], [2, 0]]]},
-         "splitting 0 side - class (2, 0) has 2 entries, homology rank is 1"),
+         "scenarios[smooth_one_node]: splitting 0 side - class (2, 0) has 2 entries, "
+         "homology rank is 1"),
         ({"monodromy_menu": [{"label": "e", "order": 1, "inverse": "e"},
                              {"label": "e", "order": 2, "inverse": "e"}]},
          "scenarios[smooth_one_node]: monodromy_menu[1] repeats label 'e'"),

@@ -231,3 +231,13 @@ class TestSplittingLedger:
         good_minus = ModuliSpec("relative-orbifold", n=2, genus=0, c1A=F(0),
                                 rel=(rel(1, 3, monodromy="c2"),), zA=F(1, 3))
         assert splitting_ledger(plus, good_minus, (F(1),), total, table=table)
+
+    def test_mixed_ambient_dimensions_name_the_side(self):
+        rng = random.Random(32)
+        plus, minus, dims, total = random_smooth_splitting(rng)
+        wider = ModuliSpec(minus.flavor, n=total.n + 1, genus=minus.genus, c1A=minus.c1A,
+                           shifts=minus.shifts, rel=minus.rel, zA=minus.zA)
+        with pytest.raises(ValidationError, match=rf"^minus: ambient dimension {total.n + 1} "):
+            splitting_ledger(plus, wider, dims, total)
+        with pytest.raises(ValidationError, match=r"^plus: "):
+            splitting_ledger(wider, minus, dims, total)

@@ -687,6 +687,90 @@ class TestIsConnectedDifferential:
         assert 500 < connected < 2500
 
 
+def large_graph(rng: random.Random) -> RelGraph:
+    """7 to 9 vertices drawn from two decorations, joined by a spanning tree
+    whose edges hang off the first two vertices (so that equal-key blocks are
+    common) and up to three more edges (loops and multi-edges included), each
+    edge's halves in either orientation, and up to two labeled tails."""
+    palette = [Vertex(0, (0,), 0),
+               Vertex(rng.randint(0, 1), (rng.randint(0, 1),), rng.randint(0, 1))]
+    nv = rng.randint(7, 9)
+    vertices = tuple(rng.choice(palette) for _ in range(nv))
+    pairs = [(rng.randrange(min(v, 2)), v) for v in range(1, nv)]
+    pairs += [(rng.randrange(nv), rng.randrange(nv)) for _ in range(rng.randint(0, 3))]
+    edges = []
+    for a, b in pairs:
+        halves = rng.choice((("e", "e"), ("e", "e"), ("h", "k"), ("k", "h")))
+        if vertices[a].level == vertices[b].level:
+            edges.append(Edge("absolute", (a, b), halves))
+        else:
+            edges.append(Edge("relative", (a, b), halves, ContactOrder(rng.randint(1, 2), 2)))
+    tails = tuple(Tail(rng.randrange(nv), "absolute", rng.choice("ehk"))
+                  for _ in range(rng.randint(0, 2)))
+    return RelGraph(vertices, tuple(edges), tails)
+
+
+def perturbed(graph: RelGraph, rng: random.Random) -> RelGraph:
+    """The graph with one tail moved, one edge's halves exchanged or one
+    vertex's genus raised: sometimes isomorphic to it, mostly not."""
+    vertices, edges, tails = list(graph.vertices), list(graph.edges), list(graph.tails)
+    move = rng.randrange(3) if tails else rng.randrange(1, 3)
+    if move == 0:
+        t = rng.randrange(len(tails))
+        tails[t] = Tail(rng.randrange(len(vertices)), tails[t].kind, tails[t].monodromy)
+    elif move == 1:
+        j = rng.randrange(len(edges))
+        edges[j] = Edge(edges[j].kind, edges[j].ends, edges[j].halves[::-1], edges[j].contact)
+    else:
+        v = rng.randrange(len(vertices))
+        vertices[v] = Vertex(vertices[v].genus + 1, vertices[v].cls, vertices[v].level)
+    return RelGraph(tuple(vertices), tuple(edges), tuple(tails))
+
+
+def as_multigraph(nx, graph: RelGraph):
+    """A MultiGraph with a node per vertex and per edge: a vertex node is
+    labeled by its decoration and its tails with their indices, an edge node
+    by its kind and contact, and the two links of an edge node to its ends
+    (two parallel links for a loop) by the half each end carries."""
+    tails: list[list[tuple]] = [[] for _ in graph.vertices]
+    for t, tail in enumerate(graph.tails):
+        tails[tail.vertex].append((t, tail.kind, tail.monodromy, tail.contact))
+    multi = nx.MultiGraph()
+    for v, vert in enumerate(graph.vertices):
+        multi.add_node(("v", v), label=(vert.level, vert.genus, vert.cls, tuple(tails[v])))
+    for j, e in enumerate(graph.edges):
+        multi.add_node(("e", j), label=(e.kind, e.contact))
+        for end, half in zip(e.ends, e.halves):
+            multi.add_edge(("e", j), ("v", end), half=half)
+    return multi
+
+
+class TestCanonicalFormNetworkx:
+    def test_equal_forms_exactly_when_isomorphic(self):
+        """Past the 6-vertex brute-force oracle: two graphs of 7 to 9
+        vertices have equal canonical forms exactly when networkx finds an
+        isomorphism that keeps decorations, halves and labeled tails."""
+        nx = pytest.importorskip("networkx")
+        iso = nx.algorithms.isomorphism
+        node_match = iso.categorical_node_match("label", None)
+        edge_match = iso.categorical_multiedge_match("half", None)
+        rng = random.Random(20261019)
+        verdicts: Counter = Counter()
+        symmetric = 0
+        for i in range(120):
+            graph = large_graph(rng)
+            symmetric += automorphism_order(graph) > 1
+            other = relabel(graph if i % 3 == 0 else perturbed(graph, rng), rng)
+            same = canonical_form(graph) == canonical_form(other)
+            assert same == nx.is_isomorphic(as_multigraph(nx, graph), as_multigraph(nx, other),
+                                            node_match=node_match, edge_match=edge_match)
+            verdicts[same, i % 3 == 0] += 1
+        # relabelings agree; perturbations give both verdicts
+        assert verdicts[True, True] == 40 and verdicts[False, True] == 0
+        assert verdicts[True, False] > 10 and verdicts[False, False] > 40
+        assert symmetric > 40
+
+
 def blocked_graph(rng: random.Random) -> RelGraph:
     """A graph whose equal-key vertex blocks include a 2- or 3-vertex block:
     twins hang off hubs, with loops and parallel edges drawn at random."""

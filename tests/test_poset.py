@@ -486,7 +486,10 @@ def test_covers_match_the_public_moves(inputs):
 @pytest.mark.parametrize("case", [c for c in WALK_CASES if c[6] > 1], ids=lambda c: c[0])
 def test_graph_objects_only_at_the_boundary(monkeypatch, case):
     """The walk and the covers run on encodings: the one-vertex graph that is
-    validated and the returned nodes are the only graph objects built."""
+    validated and the returned nodes are the only graph objects built, and
+    decoding builds each distinct vertex, edge and tail once."""
+    for intern in (graph._vertex_of, graph._edge_of, graph._tail_of):
+        intern.cache_clear()
     built = Counter()
     for name in ("RelGraph", "Vertex", "Edge", "Tail"):
         def counted(*args, _cls=getattr(graph, name), _name=name, **kwargs):
@@ -498,9 +501,9 @@ def test_graph_objects_only_at_the_boundary(monkeypatch, case):
     monkeypatch.undo()
     assert built == Counter(
         RelGraph=1 + len(poset.nodes),
-        Vertex=1 + sum(len(node.vertices) for node in poset.nodes),
-        Edge=sum(len(node.edges) for node in poset.nodes),
-        Tail=len(args[2]) + sum(len(node.tails) for node in poset.nodes))
+        Vertex=1 + len({v for node in poset.nodes for v in node.vertices}),
+        Edge=len({e for node in poset.nodes for e in node.edges}),
+        Tail=len(args[2]) + len({t for node in poset.nodes for t in node.tails}))
 
 
 def all_orderings_poset_codes(genus_total, total_cls, tails, homology, table, bounds):

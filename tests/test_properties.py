@@ -1,6 +1,7 @@
 """Property tests of the canonical form, edge contraction and level collapse
-on graphs of up to 7 vertices, and of the partition count against a
-generating function.
+on graphs of up to 7 vertices, of the two shortcuts of the working form
+(ordering distinct decorations without base keys, interned decoding), and of
+the partition count against a generating function.
 
 Hypothesis runs derandomized with a bounded example count, so every run
 draws the same graphs and the suite stays deterministic.
@@ -20,6 +21,11 @@ from orbidegen.graph import (  # noqa: E402
     RelGraph,
     Tail,
     Vertex,
+    _as_code,
+    _canonical_search,
+    _decode,
+    _key_blocks,
+    _vertex_base_keys,
     automorphism_order,
     canonical_form,
     contract_edge,
@@ -127,6 +133,68 @@ def test_contract_edge_commutes_with_relabeling(case):
 def test_contract_level_commutes_with_relabeling(pair):
     graph, relabeled = pair
     assert canonical_form(contract_level(relabeled, 0)) == canonical_form(contract_level(graph, 0))
+
+
+@st.composite
+def distinct_decoration_codes(draw) -> tuple:
+    """Encodings of up to 7 vertices with pairwise distinct decorations, with
+    random edges (loops and multi-edges included) and labeled tails."""
+    decorations = st.tuples(st.integers(0, 1), st.integers(0, 2), st.tuples(st.integers(0, 2)))
+    vs = tuple(draw(st.lists(decorations, min_size=1, max_size=7, unique=True)))
+    vertex = st.integers(0, len(vs) - 1)
+    half = st.sampled_from("ehk")
+    contact = st.sampled_from(((0, 0), (1, 1), (1, 2), (3, 2)))
+    es = tuple(draw(st.lists(st.tuples(st.sampled_from(("absolute", "relative")), vertex, half,
+                                       vertex, half, contact), max_size=8)))
+    ts = tuple(draw(st.lists(st.tuples(vertex, st.sampled_from(("absolute", "relative")),
+                                       half, contact), max_size=3)))
+    return vs, es, ts
+
+
+def base_key_blocks(code: tuple) -> list[list[int]]:
+    """The vertices sorted by full base key and grouped into equal-key blocks."""
+    keys = _vertex_base_keys(code)
+    blocks: list[list[int]] = []
+    for v in sorted(range(len(keys)), key=keys.__getitem__):
+        if blocks and keys[blocks[-1][-1]] == keys[v]:
+            blocks[-1].append(v)
+        else:
+            blocks.append([v])
+    return blocks
+
+
+@SETTINGS
+@hypothesis.given(distinct_decoration_codes())
+def test_distinct_decorations_order_like_base_keys(code):
+    blocks = _key_blocks(code)
+    assert blocks == base_key_blocks(code)
+    assert all(len(block) == 1 for block in blocks)
+
+
+def decoded_field_by_field(code: tuple) -> RelGraph:
+    """A fresh graph object for every vertex, edge and tail of an encoding."""
+    def contact(key):
+        return ContactOrder(*key) if key != (0, 0) else None
+
+    vs, es, ts = code
+    return RelGraph(tuple(Vertex(genus, cls, level) for level, genus, cls in vs),
+                    tuple(Edge(kind, (a, b), (ha, hb), contact(c))
+                          for kind, a, ha, b, hb, c in es),
+                    tuple(Tail(v, kind, m, contact(c)) for v, kind, m, c in ts))
+
+
+@SETTINGS
+@hypothesis.given(st.one_of(distinct_decoration_codes(), graphs().map(_as_code)))
+def test_decode_equals_the_graph_built_field_by_field(code):
+    for form in (code, _canonical_search(code)[0]):
+        decoded = _decode(form)
+        expected = decoded_field_by_field(form)
+        assert decoded == expected and hash(decoded) == hash(expected)
+        assert repr(decoded) == repr(expected)
+        # equal parts are one shared object
+        again = _decode(form)
+        assert all(a is b for a, b in zip(decoded.vertices + decoded.edges + decoded.tails,
+                                          again.vertices + again.edges + again.tails))
 
 
 def series_coefficient(units: int, weights: list[int]) -> int:
