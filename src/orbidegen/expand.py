@@ -29,15 +29,14 @@ from .graph import (
     RelGraph,
     Tail,
     Vertex,
+    _CANDIDATE_BUDGET,
     _as_code,
-    _class_assignments,
+    _class_draws,
+    _class_sums,
     _composition_count,
-    _compositions,
     canonical_form,
     is_connected,
 )
-
-_CANDIDATE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -284,7 +283,7 @@ def enumerate_splittings(
             f"splitting enumeration exceeded the candidate budget ({_CANDIDATE_BUDGET}); "
             "a partial term sum would be wrong, tighten the scenario bounds")
 
-    for nodes, v_plus, v_minus, class_pairs, genus_budget in shapes:
+    for nodes, (a_plus, a_minus), v_plus, v_minus, _, genus_budget in shapes:
         total_v = v_plus + v_minus
         # each node joins a plus vertex to a minus vertex; half decorations
         # are the node monodromy on the plus side and its inverse on the minus
@@ -293,65 +292,59 @@ def enumerate_splittings(
             [Edge(RELATIVE, (p, q), (label, table.inverse_of(label)), contact)
              for p in range(v_plus) for q in range(v_plus, total_v)]
             for label, contact in nodes]
-        for cls_plus, cls_minus in class_pairs:
-            classes = cls_plus + cls_minus
-            for genera in _compositions(genus_budget, total_v):
-                vertices = tuple(Vertex(genera[v], classes[v], int(v >= v_plus))
-                                 for v in range(total_v))
-                for homes in itertools.product(range(total_v), repeat=m):
-                    tails = tuple(Tail(vertex=home, kind=ABSOLUTE, monodromy=insertion.label)
-                                  for home, insertion in zip(homes, scenario.absolute))
-                    for edges in itertools.product(*node_edges):
-                        glued = RelGraph(vertices, edges, tails)
-                        if not is_connected(glued):
-                            continue
-                        canon = canonical_form(glued)
-                        # canon is a decoded canonical code, so this is that code
-                        key = _as_code(canon)
-                        if key not in found:
-                            found[key] = _extract_matching(canon)
+        for cls_plus in _class_draws(a_plus, range(v_plus), homology.effective):
+            for cls_minus in _class_draws(a_minus, range(v_minus), homology.effective):
+                classes = cls_plus + cls_minus
+                # genera by stars and bars: the gaps between total_v - 1 bars
+                for bars in itertools.combinations(range(genus_budget + total_v - 1), total_v - 1):
+                    ends = (-1, *bars, genus_budget + total_v - 1)
+                    vertices = tuple(Vertex(ends[v + 1] - ends[v] - 1, classes[v], int(v >= v_plus))
+                                     for v in range(total_v))
+                    for homes in itertools.product(range(total_v), repeat=m):
+                        tails = tuple(Tail(vertex=home, kind=ABSOLUTE, monodromy=insertion.label)
+                                      for home, insertion in zip(homes, scenario.absolute))
+                        for edges in itertools.product(*node_edges):
+                            glued = RelGraph(vertices, edges, tails)
+                            if not is_connected(glued):
+                                continue
+                            canon = canonical_form(glued)
+                            # canon is a decoded canonical code, so this is that code
+                            key = _as_code(canon)
+                            if key not in found:
+                                found[key] = _extract_matching(canon)
     return [found[key] for key in sorted(found)]
 
 
 def _splitting_shapes(scenario: SplittingScenario, homology: HomologyModel) -> list[tuple]:
-    """(nodes, v_plus, v_minus, class pairs, genus budget) for every class
-    splitting, node multiset and side sizes the splitting walk visits; a
-    negative genus budget (too many cycles) has no compositions.  A node of
-    order r has contact at least 1/r, so no more than z_total * (largest menu
-    order) nodes have a multiset."""
+    """(nodes, class splitting, v_plus, v_minus, class-tuple pairs, genus
+    budget) for every class splitting, node multiset and side sizes that class
+    tuples realize: at most n_nodes + 1 vertices, both sides occupied when
+    there is a node; a negative genus budget (too many cycles) has no
+    compositions.  A node of order r has contact at least 1/r, so no more
+    than z_total * (largest menu order) nodes have a multiset."""
     effective = homology.effective
     top_order = max((entry.order for entry in scenario.monodromy_menu), default=0)
     n_max = min(scenario.max_nodes, math.floor(scenario.z_total * top_order))
     return [
-        (nodes, v_plus, v_minus,
-         list(itertools.product(_class_assignments(a_plus, v_plus, effective),
-                                _class_assignments(a_minus, v_minus, effective))),
+        (nodes, (a_plus, a_minus), v_plus, v_minus, pairs,
          scenario.genus - (n_nodes - v_plus - v_minus + 1))
         for a_plus, a_minus in sorted(set(scenario.class_splittings))
         for n_nodes in range(n_max + 1)
         for nodes in _node_multisets(n_nodes, scenario.monodromy_menu, scenario.z_total)
-        for v_plus, v_minus in _side_sizes(n_nodes, a_plus, a_minus)]
+        for v_plus in range(n_nodes + 2)
+        for v_minus in range(n_nodes + 2 - v_plus)
+        if (v_plus and v_minus if n_nodes else v_plus + v_minus)
+        and (pairs := _class_sums(effective, v_plus).get(a_plus, 0)
+             * _class_sums(effective, v_minus).get(a_minus, 0))]
 
 
 def _candidate_count(shapes: list[tuple], m: int) -> int:
     """How many glued candidates the splitting walk over `shapes` builds with m
-    absolute insertions: class pairs * genus compositions * tail homes * node
-    edge choices, summed over the shapes."""
-    return sum(len(class_pairs) * _composition_count(genus_budget, v_plus + v_minus)
+    absolute insertions: class-tuple pairs * genus compositions * tail homes *
+    node edge choices, summed over the shapes."""
+    return sum(pairs * _composition_count(genus_budget, v_plus + v_minus)
                * (v_plus + v_minus) ** m * (v_plus * v_minus) ** len(nodes)
-               for nodes, v_plus, v_minus, class_pairs, genus_budget in shapes)
-
-
-def _side_sizes(n_nodes: int, a_plus: tuple[int, ...],
-                a_minus: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Vertex counts (v_plus, v_minus) of the two sides: at most n_nodes + 1
-    vertices in all, both sides occupied when there is a node, and an empty
-    side only where its class is zero."""
-    return [(v_plus, v_minus)
-            for v_plus in range(n_nodes + 2)
-            for v_minus in range(n_nodes + 2 - v_plus)
-            if (v_plus or not any(a_plus)) and (v_minus or not any(a_minus))
-            and (v_plus and v_minus if n_nodes else v_plus + v_minus)]
+               for nodes, _, v_plus, v_minus, pairs, genus_budget in shapes)
 
 
 def _side_record(graph: RelGraph) -> str:

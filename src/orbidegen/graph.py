@@ -26,6 +26,12 @@ Every poset node refines to a graph with max_vertices vertices of genus 0 (a
 loop for each unit of vertex genus, genus-0, class-0 leaves for the missing
 vertices), so the poset walk covers only that bottom layer and single
 contractions find every other node and its covers.
+
+Both walks take vertex classes from one table: _class_sums counts the
+ordered tuples of effective classes per sum, and _class_draws draws through
+it, sorted within each level run (poset) or in every order per side
+(expand).  The poset draws only the tuples it counts and expand counts its
+class tuples without drawing any, so both budgets refuse before wasted work.
 """
 
 from __future__ import annotations
@@ -45,7 +51,8 @@ ABSOLUTE = "absolute"
 RELATIVE = "relative"
 
 MAX_AUT_VERTICES = 12
-_PERM_BUDGET = 2_000_000
+_PERM_BUDGET = 2_000_000  # vertex relabelings one canonical search may try
+_CANDIDATE_BUDGET = 2_000_000  # candidates one poset or splitting walk may build
 _ENDS = attrgetter("ends")  # of an Edge
 _SLOT_ENDS = itemgetter(1, 3)  # of an edge in encoding shape
 
@@ -65,9 +72,13 @@ class HomologyModel:
         zero = (0,) * self.rank
         if zero not in self.effective:
             raise ValidationError("the zero class must be in the effective list")
-        for vec in self.effective:
+        seen: set[tuple[int, ...]] = set()
+        for i, vec in enumerate(self.effective):
             if len(vec) != self.rank:
                 raise ValidationError(f"effective class {vec} has wrong rank")
+            if vec in seen:  # a repeat would draw every class tuple through it twice
+                raise ValidationError(f"effective[{i}] repeats class {vec}")
+            seen.add(vec)
 
     def z_of(self, vec: Sequence[int]) -> Fraction:
         return sum((z * v for z, v in zip(self.z_pairing, vec)), Fraction(0))
@@ -557,27 +568,41 @@ class StratPoset:
         raise ValidationError("poset has no one-vertex node")
 
 
-def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
-    """Non-negative integer tuples of fixed length with a fixed sum."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+@functools.cache
+def _class_sums(effective: tuple[tuple[int, ...], ...], n: int) -> dict[tuple[int, ...], int]:
+    """Each class that n effective classes reach, mapped to how many ordered
+    n-tuples of them sum to it; layer n is built from layer n - 1."""
+    if n == 0:
+        return {(0,) * len(effective[0]): 1}
+    out: dict[tuple[int, ...], int] = {}
+    for total, count in _class_sums(effective, n - 1).items():
+        for cls in effective:
+            key = add_classes(total, cls)
+            out[key] = out.get(key, 0) + count
+    return out
 
 
-def _class_assignments(total_cls: tuple[int, ...], count: int,
-                       effective: tuple[tuple[int, ...], ...]) -> Iterable[tuple]:
-    if count == 0:
-        if all(x == 0 for x in total_cls):
-            yield ()
-        return
-    for first in effective:
-        remainder = tuple(t - f for t, f in zip(total_cls, first))
-        for rest in _class_assignments(remainder, count - 1, effective):
-            yield (first,) + rest
+def _class_draws(total_cls: tuple[int, ...], runs: Sequence, effective: tuple) -> Iterable[tuple]:
+    """Tuples of effective classes summing to total_cls, one class per entry of
+    runs, non-decreasing along each stretch of equal entries, in the order of
+    the effective list; a prefix grows only while its remainder stays
+    reachable by the classes left."""
+    n = len(runs)
+    reachable = [_class_sums(effective, left) for left in range(n + 1)]
+
+    def draw(prefix: tuple, remainder: tuple[int, ...]) -> Iterable[tuple]:
+        i = len(prefix)
+        if i == n:
+            yield prefix
+            return
+        floor = prefix[-1] if i and runs[i] == runs[i - 1] else None
+        for cls in effective:
+            rest = tuple(t - c for t, c in zip(remainder, cls))
+            if rest in reachable[n - 1 - i] and (floor is None or cls >= floor):
+                yield from draw(prefix + (cls,), rest)
+
+    if total_cls in reachable[n]:
+        yield from draw((), total_cls)
 
 
 def _single_contractions(code: tuple) -> Iterable[tuple]:
@@ -644,7 +669,7 @@ def stratification_poset(
     vertex cap, so the poset is complete only with an empty menu (one node)
     and a vertex cap above 1.  Invalid inputs raise ValidationError naming
     the one-vertex graph's first diagnostic, as does a contraction to a class
-    outside `effective`; a walk of more than _PERM_BUDGET edge multisets
+    outside `effective`; a walk of more than _CANDIDATE_BUDGET edge multisets
     raises ResourceLimitError before it starts.
     """
     table = classes if classes is not None else MonodromyTable.trivial()
@@ -702,17 +727,14 @@ def stratification_poset(
                             slots.append((ABSOLUTE, i, h1, j, h0, (0, 0)))
                 elif levels[j] == levels[i] + 1:
                     rel_pairs.append((i, j))
-        vertex_tuples = []
-        for cls_assign in _class_assignments(total_cls, nv, homology.effective):
-            vertices = tuple(zip(levels, itertools.repeat(0), cls_assign))
-            if list(vertices) == sorted(vertices):
-                vertex_tuples.append(vertices)
+        vertex_tuples = [tuple(zip(levels, itertools.repeat(0), cls_assign))
+                         for cls_assign in _class_draws(total_cls, levels, homology.effective)]
         multisets += len(vertex_tuples) * _composition_count(
             n_edges, len(slots) + len(rel_pairs) * len(rel_menu) * contact_cap)
-        if multisets > _PERM_BUDGET:
+        if multisets > _CANDIDATE_BUDGET:
             raise ResourceLimitError(
                 f"poset enumeration exceeded the candidate budget "
-                f"({_PERM_BUDGET}) at {nv} vertices; tighten the bounds"
+                f"({_CANDIDATE_BUDGET}) at {nv} vertices; tighten the bounds"
             )
         slots += [(RELATIVE, i, h0, j, h1, (k, r)) for i, j in rel_pairs
                   for h0, h1, r in rel_menu for k in range(1, contact_cap + 1)]
@@ -733,7 +755,7 @@ def stratification_poset(
 
 
 def _composition_count(total: int, parts: int) -> int:
-    """How many tuples _compositions(total, parts) yields."""
+    """How many tuples of `parts` non-negative integers sum to `total`."""
     if total < 0:
         return 0
     if parts == 0:

@@ -190,6 +190,13 @@ class TestGlueDemoDeterminism:
         assert out1.encode() == out2.encode()
         assert "constants:" in out1 and "correction" in out1
 
+    def test_diverging_correction_is_reported(self):
+        # the correction is a report, not an error: exit 0 with its history
+        rc, out, err = capture(["glue", "demo", "sphere", "--scale", "0.3", "--json"])
+        assert (rc, err) == (0, "")
+        correction = json.loads(out)["correction"]
+        assert correction["converged"] is False and len(correction["residual_history"]) == 6
+
 
 class TestDocumentInvariants:
     def test_duplicate_identifiers_rejected(self, tmp_path):
@@ -464,8 +471,13 @@ class TestMalformedInputExits1:
          "splitting enumeration exceeded the candidate budget (2000000)"),
         (POSET + ["--max-vertices", "2", "--max-levels", "3", "--max-edge-contact", "99999999"],
          "poset enumeration exceeded the candidate budget"),
+        (["graphs", "poset", "--in", str(ROOT / "tests" / "data" / "graphs_wide_classes.json"),
+          "--graph", "wide", "--max-vertices", "9"],
+         "poset enumeration exceeded the candidate budget"),
+        (["expand", "--in", str(ROOT / "tests" / "data" / "expand_wide_classes.json")],
+         "splitting enumeration exceeded the candidate budget (2000000)"),
     ], ids=["poset-v7", "poset-v12", "partitions-300", "expand-g2-m4",
-            "poset-relative-menu"])
+            "poset-relative-menu", "poset-wide-classes", "expand-wide-classes"])
     def test_oversized_enumeration_exits_3_before_the_work(self, argv, message):
         # counted up front: the walks themselves would take minutes
         started = time.perf_counter()
@@ -483,6 +495,11 @@ class TestMalformedInputExits1:
         rc, out, err = capture(POSET + extra)
         assert rc == 1 and out == ""
         assert err.startswith(f"error: PosetBounds.{field} must be at least 1")
+
+    def test_levels_need_a_contact_cap(self):
+        rc, out, err = capture(POSET + ["--max-levels", "2"])
+        assert rc == 1 and out == ""
+        assert err.startswith("error: max_edge_contact_numerator is required when max_levels > 1")
 
     def test_repeated_edge_label_is_named(self):
         rc, out, err = capture(POSET + ["--edge-monodromies", "h,h"])
@@ -708,6 +725,10 @@ FUZZ_CASES = {
     "empty-effective": (["graphs", "poset", "--graph", "gmax"],
                         demo_document("graphs.json", entry("homology", effective=[])),
                         "homology[line]: the zero class must be in the effective list"),
+    "repeated-effective": (["graphs", "poset", "--graph", "gmax"],
+                           demo_document("graphs.json",
+                                         entry("homology", effective=[[0], [1], [1], [2]])),
+                           "homology[line]: effective[2] repeats class (1,)"),
     "rank-mismatch": (["graphs", "validate", "--graph", "gmax"],
                       demo_document("graphs.json", entry("homology", rank=2)),
                       "homology[line]: c1 and z_pairing must have length equal to rank"),

@@ -484,6 +484,17 @@ class TestScenarioChecks:
         assert time.perf_counter() - started < 1
         assert huge == expand(sc, basis, homology)
 
+    def test_wide_node_cap_refused_at_once(self):
+        # z_total 1000 with a cap of 1000 nodes: the node multisets are refused
+        # at three nodes, and the class tuples of the sides are only counted
+        wide = HomologyModel(rank=1, c1=(F(3),), z_pairing=(F(1),),
+                             effective=tuple((c,) for c in range(17)))
+        sc = scenario(splittings=(((1000,), (1000,)),), max_nodes=1000, z_total=1000)
+        started = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="^partitions of 1000 into 3 slots"):
+            enumerate_splittings(sc, wide)
+        assert time.perf_counter() - started < 1
+
     def test_no_node_beyond_the_bound(self):
         # z_total 2/3 with orders up to 3 leaves room for two nodes of 1/3
         sc = scenario(max_nodes=10**6, menu=Z3_MENU, z_total=F(2, 3))

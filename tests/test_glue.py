@@ -128,6 +128,14 @@ class TestCorrect:
             correct(system, chart, np.array([1.0, 0.5]), tol=1e-12, max_iter=50)
         assert len(err.value.residuals) >= 2
 
+    def test_five_growing_steps_raise(self):
+        # at scale 0.3 the residual grows from the first step: 0.91, 2.30, 3.07, ...
+        system, chart = sphere_model(0.3)
+        with pytest.raises(NonConvergenceError,
+                           match="^sphere: residual grew for 5 consecutive steps$") as err:
+            correct(system, chart, np.array([1.0, 0.5]))
+        assert len(err.value.residuals) == 6
+
     def test_jacobian_once_per_call(self):
         system, chart = sphere_model(1.05)
         calls = []

@@ -42,6 +42,12 @@ def vertex(g=0, a=0, level=0):
     return Vertex(genus=g, cls=(a,), level=level)
 
 
+def test_repeated_effective_class_named():
+    # a repeat would draw every class tuple through it twice
+    with pytest.raises(ValidationError, match=r"^effective\[2\] repeats class \(1,\)$"):
+        HomologyModel(rank=1, c1=(F(3),), z_pairing=(F(1),), effective=((0,), (1,), (1,)))
+
+
 class TestValidate:
     def test_single_vertex_with_tail(self):
         graph = RelGraph((vertex(a=2),), (),
@@ -186,6 +192,15 @@ class TestContractEdge:
                          (Edge("relative", (0, 1), ("e", "e"), ContactOrder(1, 1)),), ())
         with pytest.raises(ValidationError, match="level collapse"):
             contract_edge(graph, 0)
+
+    @pytest.mark.parametrize("index,message", [
+        (99, "edge index 99 out of range"),
+        (0, "edge 0 joins different levels; not contractible"),
+    ], ids=["index-99", "absolute-across-levels"])
+    def test_refused_edge_named(self, index, message):
+        graph = RelGraph((vertex(), vertex(level=1)), (Edge("absolute", (0, 1)),), ())
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            contract_edge(graph, index)
 
     def test_tails_preserved(self):
         graph = RelGraph((vertex(a=1), vertex(a=1)),
@@ -472,6 +487,15 @@ class TestResourceCaps:
         from orbidegen.errors import ResourceLimitError
         with pytest.raises(ResourceLimitError):
             automorphism_order(big)
+
+    def test_canonical_search_permutation_budget(self):
+        # ten identical vertices on a cycle form one block of 10! relabelings
+        cycle = RelGraph(tuple(vertex() for _ in range(10)),
+                         tuple(Edge("absolute", (i, (i + 1) % 10)) for i in range(10)), ())
+        from orbidegen.errors import ResourceLimitError
+        with pytest.raises(ResourceLimitError, match=(
+                r"^canonicalization budget exceeded \(3628800 > 2000000 permutations\)$")):
+            automorphism_order(cycle)
 
     def test_poset_vertex_cap(self):
         from orbidegen.errors import ResourceLimitError

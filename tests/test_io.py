@@ -1,8 +1,10 @@
+import json
+
 import pytest
 
-from orbidegen.contact import ContactOrder
+from orbidegen.contact import ContactOrder, MonodromyTable
 from orbidegen.errors import ValidationError
-from orbidegen.io import _contact
+from orbidegen.io import _contact, load_document
 
 
 class TestContactParsing:
@@ -20,3 +22,9 @@ class TestContactParsing:
         with pytest.raises(ValidationError) as info:
             _contact(text, "edges[0].contact")
         assert str(info.value).startswith(message)
+
+
+def test_trivial_class_table_loads():
+    doc = load_document(json.dumps({"schema": "orbi-degen/1",
+                                    "classes": [{"name": "t", "trivial": True}]}))
+    assert doc.classes["t"] == MonodromyTable.trivial()

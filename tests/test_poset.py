@@ -445,11 +445,11 @@ def test_walk_size_counted_before_the_walk(monkeypatch, case):
     stratification_poset(*args)
     multisets = made["multisets"]
     made.clear()
-    monkeypatch.setattr(graph, "_PERM_BUDGET", multisets - 1)
+    monkeypatch.setattr(graph, "_CANDIDATE_BUDGET", multisets - 1)
     with pytest.raises(ResourceLimitError, match="candidate budget"):
         stratification_poset(*args)
     assert made["multisets"] == 0
-    monkeypatch.setattr(graph, "_PERM_BUDGET", multisets)
+    monkeypatch.setattr(graph, "_CANDIDATE_BUDGET", multisets)
     stratification_poset(*args)
     assert made["multisets"] == multisets
 

@@ -1,7 +1,8 @@
 """Property tests of the canonical form, edge contraction and level collapse
 on graphs of up to 7 vertices, of the two shortcuts of the working form
-(ordering distinct decorations without base keys, interned decoding), and of
-the partition count against a generating function.
+(ordering distinct decorations without base keys, interned decoding), of the
+partition count against a generating function, and of the class-draw kernel
+against brute force.
 
 Hypothesis runs derandomized with a bounded example count, so every run
 draws the same graphs and the suite stays deterministic.
@@ -12,7 +13,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
+import itertools  # noqa: E402
 import math  # noqa: E402
+from collections import Counter  # noqa: E402
 from fractions import Fraction  # noqa: E402
 
 from orbidegen.contact import ContactOrder, _partition_count  # noqa: E402
@@ -23,6 +26,8 @@ from orbidegen.graph import (  # noqa: E402
     Vertex,
     _as_code,
     _canonical_search,
+    _class_draws,
+    _class_sums,
     _decode,
     _key_blocks,
     _vertex_base_keys,
@@ -231,3 +236,49 @@ def test_partition_count_is_a_series_coefficient(orders, numerator, denominator)
         assert found == expected
     else:
         assert found > PARTITION_CAP
+
+
+@st.composite
+def class_draw_inputs(draw) -> tuple:
+    """(total, runs, effective): a rank-1 or rank-2 effective list in drawn
+    order holding the zero class and entries from -2 to 3, up to five runs
+    entries (equal neighbours form a stretch), and a total that is either the
+    sum of some drawn tuple or any class near the reachable range."""
+    rank = draw(st.integers(1, 2))
+    zero = (0,) * rank
+    others = draw(st.lists(st.tuples(*[st.integers(-2, 3)] * rank), max_size=4, unique=True))
+    effective = tuple(draw(st.permutations([zero] + [c for c in others if c != zero])))
+    runs = tuple(draw(st.lists(st.integers(0, 2), max_size=5)))
+    picks = draw(st.lists(st.sampled_from(effective), min_size=len(runs), max_size=len(runs)))
+    total = draw(st.one_of(st.just(class_sum(picks, rank)),
+                           st.tuples(*[st.integers(-6, 9)] * rank)))
+    return total, runs, effective
+
+
+def class_sum(classes, rank: int) -> tuple[int, ...]:
+    return tuple(sum(c[k] for c in classes) for k in range(rank))
+
+
+def brute_force_draws(total, runs, effective) -> list[tuple]:
+    """Every tuple of effective classes, one per runs entry, that sums to total
+    and is non-decreasing along each stretch of equal runs entries."""
+    rank = len(effective[0])
+    return [t for t in itertools.product(effective, repeat=len(runs))
+            if class_sum(t, rank) == total
+            and all(t[i - 1] <= t[i] for i in range(1, len(runs)) if runs[i] == runs[i - 1])]
+
+
+@SETTINGS
+@hypothesis.given(class_draw_inputs())
+def test_class_draws_are_the_brute_force_tuples_in_order(inputs):
+    total, runs, effective = inputs
+    assert list(_class_draws(total, runs, effective)) == brute_force_draws(total, runs, effective)
+
+
+@SETTINGS
+@hypothesis.given(class_draw_inputs(), st.integers(0, 4))
+def test_class_sums_count_the_ordered_tuples(inputs, n):
+    _, _, effective = inputs
+    rank = len(effective[0])
+    expected = Counter(class_sum(t, rank) for t in itertools.product(effective, repeat=n))
+    assert _class_sums(effective, n) == expected
