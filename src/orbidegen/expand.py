@@ -93,12 +93,9 @@ class CRBasisZ:
 
     def dual_label(self, label: str) -> str:
         i = self.index_of(label)
-        for a, b in self.duality:
-            if a == i:
-                return self.entries[b].label
-            if b == i:
-                return self.entries[a].label
-        raise ValidationError(f"basis label {label!r} is unmatched")
+        # __post_init__ proved that the duality covers every entry index
+        return next(self.entries[b if a == i else a].label
+                    for a, b in self.duality if i in (a, b))
 
     def supported_on(self, sector: str) -> list[BasisEntry]:
         return [e for e in self.entries if e.sector == sector]
@@ -222,11 +219,10 @@ def gluing_bundle_report(orders: Sequence[ContactOrder]) -> GluingBundleReport:
 def _node_multisets(
     n: int, menu: Sequence[MenuEntry], z_total: Fraction
 ) -> list[tuple[tuple[str, ContactOrder], ...]]:
-    """Distinct multisets of n (monodromy, contact) node decorations summing to z_total."""
+    """Distinct multisets of n (monodromy, contact) node decorations summing to
+    z_total; n >= 1 needs z_total > 0, which _splitting_shapes' node cap ensures."""
     if n == 0:
         return [()] if z_total == 0 else []
-    if z_total <= 0:
-        return []
     out: set[tuple[tuple[str, ContactOrder], ...]] = set()
     labels = sorted({entry.label for entry in menu})
     orders = {entry.label: entry.order for entry in menu}
@@ -292,8 +288,9 @@ def enumerate_splittings(
             [Edge(RELATIVE, (p, q), (label, table.inverse_of(label)), contact)
              for p in range(v_plus) for q in range(v_plus, total_v)]
             for label, contact in nodes]
+        minus_draws = list(_class_draws(a_minus, range(v_minus), homology.effective))
         for cls_plus in _class_draws(a_plus, range(v_plus), homology.effective):
-            for cls_minus in _class_draws(a_minus, range(v_minus), homology.effective):
+            for cls_minus in minus_draws:
                 classes = cls_plus + cls_minus
                 # genera by stars and bars: the gaps between total_v - 1 bars
                 for bars in itertools.combinations(range(genus_budget + total_v - 1), total_v - 1):
@@ -401,11 +398,6 @@ def expand(
         if not basis.supported_on(entry.label):
             raise ValidationError(
                 f"{at_scenario}: menu class {entry.label!r} has no basis entries on its sector"
-            )
-        if not basis.supported_on(entry.inverse):
-            raise ValidationError(
-                f"{at_scenario}: menu class {entry.label!r}: inverse sector "
-                f"{entry.inverse!r} has no basis entries"
             )
     degree_of = {e.label: e.cr_degree for e in basis.entries}
     # (term_record(term), term) pairs; each side's record is built once per matching

@@ -75,7 +75,7 @@ class HomologyModel:
         seen: set[tuple[int, ...]] = set()
         for i, vec in enumerate(self.effective):
             if len(vec) != self.rank:
-                raise ValidationError(f"effective class {vec} has wrong rank")
+                raise ValidationError(f"effective[{i}] class {vec} has wrong rank")
             if vec in seen:  # a repeat would draw every class tuple through it twice
                 raise ValidationError(f"effective[{i}] repeats class {vec}")
             seen.add(vec)
@@ -621,11 +621,16 @@ def _single_contractions(code: tuple) -> Iterable[tuple]:
 
 def _closure(codes: Iterable[tuple], effective: Sequence) -> tuple[list, list[tuple[int, int]]]:
     """The canonical codes that single contractions reach from the canonical
-    `codes`, sorted, and the covers between them as index pairs.  Contractions
-    are resolved on the encodings: index_of also learns every labeled
-    contraction it is asked about, so each distinct one is searched once."""
-    nodes = list(codes)
-    index_of = {code: i for i, code in enumerate(nodes)}
+    `codes`, sorted, and the covers between them as index pairs.  All seeds
+    are indexed before the first contraction, in the order `codes` yields
+    them (a repeat keeps its first index), and contracted in that order, so
+    the work does not depend on hashing.  Contractions are resolved on the
+    encodings: index_of also learns every labeled contraction it is asked
+    about, so each distinct one is searched once."""
+    index_of: dict[tuple, int] = {}
+    for code in codes:
+        index_of.setdefault(code, len(index_of))
+    nodes = list(index_of)
     found: set[tuple[int, int]] = set()
     for i, code in enumerate(nodes):  # a node found on the way is appended and walked too
         for contracted in _single_contractions(code):
@@ -665,12 +670,14 @@ def stratification_poset(
     Any node refines to it by trading a unit of vertex genus for a loop or
     splitting off a genus-0, class-0 leaf on an absolute edge, so the nodes
     and covers are that layer and the one-vertex graph closed under single
-    contractions.  With an edge on the menu a chain of leaves reaches the
-    vertex cap, so the poset is complete only with an empty menu (one node)
-    and a vertex cap above 1.  Invalid inputs raise ValidationError naming
-    the one-vertex graph's first diagnostic, as does a contraction to a class
-    outside `effective`; a walk of more than _CANDIDATE_BUDGET edge multisets
-    raises ResourceLimitError before it starts.
+    contractions, the closure taking its seeds in walk order so that its work
+    does not depend on hashing.  With an edge on the menu a chain of leaves
+    reaches the vertex cap, so the poset is complete only with an empty menu
+    (one node) and a vertex cap above 1.  Invalid inputs raise
+    ValidationError naming the one-vertex graph's first diagnostic, as does a
+    contraction to a class outside `effective`; a walk of more than
+    _CANDIDATE_BUDGET edge multisets raises ResourceLimitError before it
+    starts.
     """
     table = classes if classes is not None else MonodromyTable.trivial()
     if bounds.max_vertices > MAX_AUT_VERTICES:
@@ -740,16 +747,17 @@ def stratification_poset(
                   for h0, h1, r in rel_menu for k in range(1, contact_cap + 1)]
         shapes.append((slots, vertex_tuples))
 
-    seen = {_as_code(top)}  # a one-vertex encoding is canonical
-    for slots, vertex_tuples in shapes:
-        for vertices in vertex_tuples:
-            for edges in itertools.combinations_with_replacement(slots, n_edges):
-                if _union_find(nv, map(_SLOT_ENDS, edges))[1] < nv - 1:
-                    continue
-                for placed in placements:
-                    seen.add(_canonical_search((vertices, edges, placed))[0])
+    def walk() -> Iterable[tuple]:
+        yield _as_code(top)  # a one-vertex encoding is canonical
+        for slots, vertex_tuples in shapes:
+            for vertices in vertex_tuples:
+                for edges in itertools.combinations_with_replacement(slots, n_edges):
+                    if _union_find(nv, map(_SLOT_ENDS, edges))[1] < nv - 1:
+                        continue
+                    for placed in placements:
+                        yield _canonical_search((vertices, edges, placed))[0]
 
-    codes, covers = _closure(seen, homology.effective)
+    codes, covers = _closure(walk(), homology.effective)
     return StratPoset(tuple(_decode(code) for code in codes), tuple(covers),
                       complete=not bounds.edge_monodromies and nv > 1)
 

@@ -70,8 +70,7 @@ class FiniteGroupTable:
             if self.mul[e][a] != a or self.mul[a][e] != a:
                 raise ValidationError(f"element {a} breaks the two-sided unit law at identity {e}")
         for a in range(n):
-            if all(self.mul[a][b] != e or self.mul[b][a] != e for b in range(n)):
-                raise ValidationError(f"element {a} has no two-sided inverse")
+            self.inverse(a)
         for a in range(n):
             for b in range(n):
                 for c in range(n):

@@ -360,6 +360,15 @@ class TestMalformedInputExits1:
         err = self.run_on(tmp_path, json.dumps(doc), ["sectors"])
         assert section in err
 
+    @pytest.mark.parametrize("section,message", [
+        ("groups", "groups[g]: needs 'cyclic' or 'table'"),
+        ("classes", "classes[c]: needs 'trivial', 'group', or 'labels'"),
+    ], ids=["group", "class-table"])
+    def test_entry_without_a_defining_field(self, tmp_path, section, message):
+        doc = {"schema": "orbi-degen/1", section: [{"name": section[0]}]}
+        err = self.run_on(tmp_path, json.dumps(doc), ["sectors"])
+        assert err == f"error: {message}\n"
+
     def test_null_cyclic_order(self, tmp_path):
         doc = json.loads((DATA / "ex_z3.json").read_text())
         doc["groups"][0]["cyclic"] = None
@@ -561,6 +570,14 @@ class TestMalformedInputExits1:
         err = self.run_on(tmp_path, json.dumps(doc),
                           ["expand", "--scenario", "smooth_one_node"])
         assert err == f"error: {message}\n"
+
+    def test_expand_needs_a_basis_reference(self, tmp_path):
+        doc = json.loads((DATA / "smooth1.json").read_text())
+        for scenario in doc["scenarios"]:
+            del scenario["basis"]
+        err = self.run_on(tmp_path, json.dumps(doc),
+                          ["expand", "--scenario", "smooth_one_node"])
+        assert err == "error: scenario 'smooth_one_node' has no basis reference\n"
 
     def test_expand_basis_check_names_the_basis(self, tmp_path):
         doc = json.loads((DATA / "smooth1.json").read_text())

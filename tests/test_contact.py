@@ -76,6 +76,10 @@ class TestSumCheck:
     def test_mismatch(self):
         assert not contact_sum_check([ContactOrder(1, 2)], 1).ok
 
+    def test_negative_total_rejected(self):
+        with pytest.raises(ValidationError, match="^total must be non-negative, got -1$"):
+            contact_sum_check([], -1)
+
 
 class TestEnumeratePartitions:
     def test_two_unit_slots(self):
@@ -91,6 +95,8 @@ class TestEnumeratePartitions:
 
     def test_infeasible_is_empty(self):
         assert enumerate_partitions(1, [1, 1]) == []
+        # 1/3 is not a multiple of 1/2, so no tuple is counted or built
+        assert enumerate_partitions(F(1, 3), [2]) == []
 
     @pytest.mark.parametrize("total,orders", [
         (2, [2, 2]), (3, [1, 2]), (F(5, 2), [2, 2, 2]), (2, [3, 6]), (4, [1, 1, 1]),

@@ -60,6 +60,11 @@ class TestVirdim:
         with pytest.raises(ValidationError):
             ModuliSpec("relative-smooth", n=2, genus=0, c1A=F(0))
 
+    def test_fractional_contact_in_smooth_spec_rejected(self):
+        with pytest.raises(ValidationError,
+                           match="^relative-smooth spec carries fractional contact orders$"):
+            ModuliSpec("relative-smooth", n=2, genus=0, c1A=F(0), rel=(rel(3, 2),), zA=F(3, 2))
+
     def test_negative_genus_is_named(self):
         with pytest.raises(ValidationError, match="genus must be non-negative, got -5"):
             ModuliSpec("absolute-smooth", n=2, genus=-5, c1A=F(0))
@@ -226,7 +231,8 @@ class TestSplittingLedger:
         bad_minus = ModuliSpec("relative-orbifold", n=2, genus=0, c1A=F(0),
                                rel=(rel(1, 3, monodromy="c1"),), zA=F(1, 3))
         total = ModuliSpec("absolute-orbifold", n=2, genus=0, c1A=F(0))
-        with pytest.raises(ValidationError, match="inverse"):
+        with pytest.raises(ValidationError, match="^node 0: monodromies 'c1', 'c1' are not "
+                                                  "mutually inverse$"):
             splitting_ledger(plus, bad_minus, (F(1),), total, table=table)
         good_minus = ModuliSpec("relative-orbifold", n=2, genus=0, c1A=F(0),
                                 rel=(rel(1, 3, monodromy="c2"),), zA=F(1, 3))

@@ -236,6 +236,14 @@ class TestJacobians:
             numeric = fd_jacobian(system.t, x, system.dim_f)
             assert np.all(np.abs(numeric - analytic) <= 1e-5 * (1.0 + np.abs(analytic)))
 
+    def test_finite_difference_path_matches_the_analytic_jacobian(self):
+        system, chart = sphere_model()
+        numeric = dataclasses.replace(system, derivative=None)
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            x = chart.x(chart.sample(rng)) + rng.normal(size=system.dim_b) * 0.1
+            assert np.max(np.abs(numeric.jacobian(x) - system.jacobian(x))) <= 1e-9
+
     def test_builtin_models_all_have_analytic_jacobians(self):
         models = builtin_models()
         assert len(models) == 3
@@ -261,6 +269,12 @@ class TestJacobians:
                                 name="nan")
         with pytest.raises(FloatingPointError, match="nan"):
             system.t(np.array([0.0]))
+
+    def test_non_finite_jacobian_caught(self):
+        system = FredholmSystem(dim_b=1, dim_f=1, evaluate=lambda x: x,
+                                derivative=lambda x: np.array([[np.inf]]), name="steep")
+        with pytest.raises(FloatingPointError, match=r"^steep: Jacobian is non-finite"):
+            system.jacobian(np.array([0.0]))
 
     def test_non_finite_constant_caught(self):
         system, chart = node_model(tau=1e300)

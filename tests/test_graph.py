@@ -48,6 +48,11 @@ def test_repeated_effective_class_named():
         HomologyModel(rank=1, c1=(F(3),), z_pairing=(F(1),), effective=((0,), (1,), (1,)))
 
 
+def test_effective_class_of_wrong_rank_named():
+    with pytest.raises(ValidationError, match=r"^effective\[1\] class \(1, 2\) has wrong rank$"):
+        HomologyModel(rank=1, c1=(F(3),), z_pairing=(F(1),), effective=((0,), (1, 2)))
+
+
 class TestValidate:
     def test_single_vertex_with_tail(self):
         graph = RelGraph((vertex(a=2),), (),
@@ -84,6 +89,14 @@ class TestValidate:
                          (Edge("relative", (0, 1), ("h", "h"), ContactOrder(1, 1)),), ())
         diags = validate(graph, ZFREE, Z2DIV)
         assert any(d.rule == "contact order" for d in diags)
+
+    def test_relative_tail_contact_order_mismatch(self):
+        # z pairs class 1 to 1/2, so the tail sum holds and only r is off
+        half = HomologyModel(rank=1, c1=(F(1),), z_pairing=(F(1, 2),), effective=((0,), (1,)))
+        graph = RelGraph((vertex(a=1),), (), (Tail(0, "relative", "c1", ContactOrder(1, 2)),))
+        diags = validate(graph, half, MonodromyTable.cyclic(3))
+        assert list(map(str, diags)) == [
+            "[contact order] tail 0: contact 1/2 has r=2, class 'c1' has order 3"]
 
     @pytest.mark.parametrize("graph,expected", [
         (RelGraph((vertex(g=-1),), (), ()),
@@ -144,6 +157,10 @@ class TestGenus:
         with pytest.raises(ValidationError, match="bullet_genus"):
             genus(graph)
 
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValidationError, match="^graph has no vertices; use bullet_genus$"):
+            genus(RelGraph((), (), ()))
+
 
 class TestBulletGenus:
     def test_single_component(self):
@@ -168,6 +185,10 @@ class TestTotalClass:
 
     def test_zero(self):
         assert total_class(RelGraph((vertex(), vertex()), (), ())) == (0,)
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValidationError, match="^graph has no vertices$"):
+            total_class(RelGraph((), (), ()))
 
 
 class TestContractEdge:

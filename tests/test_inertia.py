@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from orbidegen.contact import MonodromyTable
 from orbidegen.errors import ValidationError
 from orbidegen.inertia import (
+    MAX_TABLE_ORDER,
     ConjugacyClass,
     CRProfile,
     FiniteGroupTable,
@@ -235,6 +237,13 @@ class TestCRPolynomial:
         poly = cr_poincare_polynomial(profile)
         assert sum(m for _, m in poly) == sum(s.total_rank() for s in profile.sectors)
 
+    def test_zero_multiplicity_skipped(self):
+        group = FiniteGroupTable.cyclic(1)
+        profile = CRProfile(group=group, ambient_dim=1, sectors=(
+            SectorDatum(cls=conjugacy_classes(group)[0], rotations=(F(0),),
+                        betti={0: 1, 1: 0, 2: 1}),))
+        assert cr_poincare_polynomial(profile) == [(F(0), 1), (F(2), 1)]
+
     def test_raises_on_pairing_violation(self):
         profile = _corrupted_z2()
         with pytest.raises(ValidationError, match="pairing"):
@@ -286,6 +295,11 @@ class TestMonodromyTableFromGroup:
         table = monodromy_table(s3_table())
         assert table.orders == {"c0": 1, "c1": 2, "c2": 3}
         assert table.inverse_of("c2") == "c2"
+
+    def test_cyclic_labels_agree_with_the_contact_table(self):
+        # contact and inertia each state the labeling of Z_n: cj is the class of j
+        for n in range(1, MAX_TABLE_ORDER + 1):
+            assert monodromy_table(FiniteGroupTable.cyclic(n)) == MonodromyTable.cyclic(n)
 
 
 def dihedral8_table() -> FiniteGroupTable:

@@ -8,6 +8,9 @@ moves.  Only the counts are compared against the library.
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
@@ -416,6 +419,35 @@ def test_sorted_walk(monkeypatch, case):
     for node in poset.nodes:
         assert validate(node, homology, table) == []
         assert graph.genus(node) == genus_total and graph.total_class(node) == cls
+
+
+COUNT_SEARCHES = """
+from orbidegen import graph
+from test_poset import WALK_CASES, walk_inputs
+calls = 0
+search = graph._canonical_search
+def counted(code):
+    global calls
+    calls += 1
+    return search(code)
+graph._canonical_search = counted
+graph.stratification_poset(*walk_inputs(next(c for c in WALK_CASES if c[0] == "g2_v3")))
+print(calls)
+"""
+
+
+def test_searches_independent_of_the_hash_seed():
+    """The closure contracts its seeds in walk order, so a poset's total
+    canonical searches do not depend on the string-hash seed."""
+    root = Path(__file__).resolve().parents[1]
+    counts = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+        done = subprocess.run([sys.executable, "-c", COUNT_SEARCHES], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        counts.append(int(done.stdout))
+    assert counts[0] == counts[1]
 
 
 # an empty edge menu leaves no edge slots: only the one-vertex graph remains

@@ -1,8 +1,10 @@
 """Property tests of the canonical form, edge contraction and level collapse
 on graphs of up to 7 vertices, of the two shortcuts of the working form
 (ordering distinct decorations without base keys, interned decoding), of the
-partition count against a generating function, and of the class-draw kernel
-against brute force.
+partition count against a generating function, of the class-draw kernel
+against brute force, of the basis and menu facts that expand relies on
+without checking them, of side_swap on generated scenarios, and of the
+smooth ledger defect.
 
 Hypothesis runs derandomized with a bounded example count, so every run
 draws the same graphs and the suite stays deterministic.
@@ -19,8 +21,21 @@ from collections import Counter  # noqa: E402
 from fractions import Fraction  # noqa: E402
 
 from orbidegen.contact import ContactOrder, _partition_count  # noqa: E402
+from orbidegen.dimension import ModuliSpec, RelTerm, splitting_ledger  # noqa: E402
+from orbidegen.errors import ValidationError  # noqa: E402
+from orbidegen.expand import (  # noqa: E402
+    AbsInsertion,
+    BasisEntry,
+    CRBasisZ,
+    MenuEntry,
+    SplittingScenario,
+    expand,
+    side_swap,
+    term_record,
+)
 from orbidegen.graph import (  # noqa: E402
     Edge,
+    HomologyModel,
     RelGraph,
     Tail,
     Vertex,
@@ -35,6 +50,14 @@ from orbidegen.graph import (  # noqa: E402
     canonical_form,
     contract_edge,
     contract_level,
+)
+from test_expand import (  # noqa: E402
+    SMOOTH_BASIS,
+    SMOOTH_MENU,
+    Z2_BASIS,
+    Z2_MENU,
+    Z3_BASIS,
+    Z3_MENU,
 )
 
 SETTINGS = hypothesis.settings(derandomize=True, max_examples=100, deadline=None,
@@ -282,3 +305,134 @@ def test_class_sums_count_the_ordered_tuples(inputs, n):
     rank = len(effective[0])
     expected = Counter(class_sum(t, rank) for t in itertools.product(effective, repeat=n))
     assert _class_sums(effective, n) == expected
+
+
+def matchings(n: int):
+    """Perfect matchings of range(n) as index pairs; a fixed point is paired
+    with itself."""
+    def pairs(order, fixed):
+        rest = order[fixed:]
+        return tuple((i, i) for i in order[:fixed]) + tuple(zip(rest[::2], rest[1::2]))
+    return st.builds(pairs, st.permutations(range(n)), st.sampled_from(range(n % 2, n + 1, 2)))
+
+
+@st.composite
+def menus_and_bases(draw) -> tuple:
+    """(menu, entries, duality).  The menu pairs up to four labels as inverses
+    with a drawn order per pair, lists the second label of a pair or leaves it
+    to the table, and half the time redraws one entry's order and inverse, so
+    some menu tables are not involutive.  Up to four basis entries sit on
+    labels the menu names; the duality is a perfect matching or any list of
+    index pairs.  Each pair's degrees sum to 2, and the second entry of a pair
+    sits on the first one's inverse in the menu or on any named label, so the
+    sectors decide the sector check either way."""
+    labels = draw(st.permutations("abcd"))[:draw(st.integers(1, 4))]
+    menu = []
+    for i, j in draw(matchings(len(labels))):
+        order = draw(st.integers(1, 2))
+        menu.append(MenuEntry(labels[i], order, labels[j]))
+        if i != j and draw(st.booleans()):
+            menu.append(MenuEntry(labels[j], order, labels[i]))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(menu) - 1))
+        menu[k] = MenuEntry(menu[k].label, draw(st.integers(1, 2)), draw(st.sampled_from(labels)))
+    inverses = {**{e.inverse: e.label for e in menu}, **{e.label: e.inverse for e in menu}}
+    named = sorted(inverses)
+    n = draw(st.integers(1, 4))
+    duality = draw(st.one_of(matchings(n), st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=n)))
+    sectors = [draw(st.sampled_from(named)) for _ in range(n)]
+    degrees = [Fraction(1)] * n
+    for a, b in duality:
+        if a != b:
+            degrees[a] = Fraction(draw(st.integers(0, 2)))
+            degrees[b] = 2 - degrees[a]
+            sectors[b] = draw(st.one_of(st.just(inverses[sectors[a]]), st.sampled_from(named)))
+    entries = tuple(BasisEntry(f"b{i}", sector, degree)
+                    for i, (sector, degree) in enumerate(zip(sectors, degrees)))
+    return tuple(menu), entries, tuple(duality)
+
+
+@SETTINGS
+@hypothesis.given(menus_and_bases())
+def test_dual_label_answers_every_label_of_an_accepted_basis(case):
+    _, entries, duality = case
+    try:
+        basis = CRBasisZ(1, entries, duality)
+    except ValidationError:
+        hypothesis.reject()
+    for entry in entries:
+        assert basis.dual_label(basis.dual_label(entry.label)) == entry.label
+
+
+@SETTINGS
+@hypothesis.given(menus_and_bases())
+def test_supported_menu_label_has_a_supported_inverse(case):
+    """The checks expand makes before it walks: an involutive menu table, every
+    basis sector on it, each dual pair on mutually inverse sectors.  After
+    them, a menu label with basis entries has entries on its inverse too."""
+    menu, entries, duality = case
+    try:
+        basis = CRBasisZ(1, entries, duality)
+        table = SplittingScenario(0, (), (), 0, menu, Fraction(0)).table()
+        hypothesis.assume(all(entry.sector in table for entry in entries))
+        basis.check_against(table)
+    except ValidationError:
+        hypothesis.reject()
+    assert all(basis.supported_on(entry.inverse) for entry in menu
+               if basis.supported_on(entry.label))
+
+
+# (menu, basis, z pairing of the first class coordinate) for three divisor groups
+SWAP_MENUS = [(SMOOTH_MENU, SMOOTH_BASIS, Fraction(1)), (Z2_MENU, Z2_BASIS, Fraction(1, 2)),
+              (Z3_MENU, Z3_BASIS, Fraction(1, 3))]
+
+
+@st.composite
+def swap_cases(draw) -> tuple:
+    """(scenario, basis, homology): a rank-2 target whose second class
+    coordinate pairs to 0 with the divisor, so the two sides of a splitting
+    can differ; genus up to 1, up to two labeled insertions, up to two nodes."""
+    menu, basis, z = draw(st.sampled_from(SWAP_MENUS))
+    homology = HomologyModel(rank=2, c1=(Fraction(1), Fraction(1)), z_pairing=(z, Fraction(0)),
+                             effective=tuple(itertools.product(range(3), range(2))))
+    a = draw(st.integers(0, 2))
+    sides = st.tuples(st.just(a), st.integers(0, 1))
+    scenario = SplittingScenario(
+        genus=draw(st.integers(0, 1)),
+        absolute=tuple(AbsInsertion(label, draw(st.integers(0, 1)))
+                       for label in draw(st.lists(st.sampled_from("xy"), max_size=2))),
+        class_splittings=tuple(draw(st.lists(st.tuples(sides, sides), min_size=1, max_size=2))),
+        max_nodes=draw(st.integers(0, 2)), monodromy_menu=menu, z_total=z * a)
+    return scenario, basis, homology
+
+
+@SETTINGS
+@hypothesis.given(swap_cases())
+def test_side_swap_is_an_involution(case):
+    scenario, basis, homology = case
+    terms = expand(scenario, basis, homology)
+    twice = side_swap(side_swap(terms, basis), basis)
+    assert list(map(term_record, twice)) == list(map(term_record, terms))
+
+
+def smooth_spec(flavor, n, genus, c1, marks, contacts=()) -> ModuliSpec:
+    rel = tuple(RelTerm(ContactOrder(c), Fraction(0)) for c in contacts)
+    return ModuliSpec(flavor, n=n, genus=genus, c1A=Fraction(c1), shifts=(Fraction(0),) * marks,
+                      rel=rel, zA=Fraction(sum(contacts)))
+
+
+@SETTINGS
+@hypothesis.given(st.integers(1, 4), st.lists(st.integers(1, 4), min_size=1, max_size=4),
+                  st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                  st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                  st.tuples(st.integers(-5, 10), st.integers(-5, 10)), st.integers(-3, 3))
+def test_smooth_ledger_defect_is_the_c1_offset(n, contacts, genera, marks, c1s, offset):
+    """In the smooth specialization the defect is 0 exactly when the total's
+    c1A is c1A(+) + c1A(-) - 2 zA; an offset in it comes back negated."""
+    plus, minus = (smooth_spec("relative-smooth", n, g, c1, m, contacts)
+                   for g, c1, m in zip(genera, c1s, marks))
+    total = smooth_spec("absolute-smooth", n, sum(genera) + len(contacts) - 1,
+                        sum(c1s) - 2 * sum(contacts) + offset, sum(marks))
+    ledger = splitting_ledger(plus, minus, (n - 1,) * len(contacts), total)
+    assert ledger.defect == -offset
