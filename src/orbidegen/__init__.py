@@ -21,13 +21,7 @@ _EXPORTS = {
     "RelGraph": "graph",
 }
 
-__all__ = [
-    "ContactOrder",
-    "MonodromyTable",
-    "RelInsertion",
-    "HomologyModel",
-    "RelGraph",
-]
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
 

@@ -80,8 +80,8 @@ class MonodromyTable:
         return label in self.orders
 
     @classmethod
-    def trivial(cls, label: str = "e") -> "MonodromyTable":
-        return cls(orders={label: 1}, inverses={label: label})
+    def trivial(cls) -> "MonodromyTable":
+        return cls(orders={"e": 1}, inverses={"e": "e"})
 
     @classmethod
     def cyclic(cls, n: int) -> "MonodromyTable":

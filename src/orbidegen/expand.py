@@ -213,7 +213,7 @@ def gluing_bundle_report(orders: Sequence[ContactOrder]) -> GluingBundleReport:
     for o in orders:
         quotient *= o.r
     return GluingBundleReport(kappa=kappa, exponents=exponents,
-                              quotient_order=quotient, ell=Fraction(kappa, quotient))
+                              quotient_order=quotient, ell=ell)
 
 
 def _node_multisets(

@@ -78,7 +78,6 @@ class FredholmSystem:
 class ApproxChart:
     """Approximate solutions x(s) with a right-inverse field Q(s), L x(s) Q(s) = Id."""
 
-    dim: int
     param: Callable[[np.ndarray], np.ndarray]
     right_inverse: Callable[[np.ndarray], np.ndarray]
     s_low: np.ndarray = field(default_factory=lambda: np.array([-1.0]))
@@ -341,14 +340,11 @@ def injectivity_probe(
     sample_pairs: int = 500,
     delta1: float = 0.1,
     seed: int = 0,
-    output_tol: float = 1e-9,
-    input_bound: float = 1e-6,
 ) -> InjectivityReport:
     """Search for distinct chart inputs mapping to nearly the same point.
 
-    A collision is |Phi(a) - Phi(b)| <= output_tol while the inputs are more
-    than input_bound apart (inputs within the continuity bound are allowed to
-    collide)."""
+    A collision is |Phi(a) - Phi(b)| <= 1e-9 while the inputs are more than
+    1e-6 apart (inputs within the continuity bound are allowed to collide)."""
     rng = np.random.default_rng(seed)
     collisions: list[tuple[float, ...]] = []
     for _ in range(sample_pairs):
@@ -357,7 +353,7 @@ def injectivity_probe(
         e2 = rng.uniform(-delta1, delta1, size=system.dim_f)
         input_gap = float(np.linalg.norm(np.concatenate([s1 - s2, e1 - e2])))
         output_gap = float(np.linalg.norm(_phi(chart, s1, e1) - _phi(chart, s2, e2)))
-        if output_gap <= output_tol and input_gap > input_bound:
+        if output_gap <= 1e-9 and input_gap > 1e-6:
             collisions.append(tuple(float(v) for v in np.concatenate([s1, e1, s2, e2])))
     return InjectivityReport(pairs_checked=sample_pairs, collisions=tuple(collisions))
 
@@ -385,7 +381,7 @@ def sphere_model(scale: float = 1.0) -> tuple[FredholmSystem, ApproxChart]:
         return (x / (2.0 * float(x @ x))).reshape(3, 1)
 
     chart = ApproxChart(
-        dim=2, param=param, right_inverse=right_inverse,
+        param=param, right_inverse=right_inverse,
         s_low=np.array([0.4, -3.0]), s_high=np.array([np.pi - 0.4, 3.0]),
         name=f"sphere-chart(scale={scale:g})",
     )
@@ -414,16 +410,16 @@ def node_model(tau: float = 0.25) -> tuple[FredholmSystem, ApproxChart]:
         return (grad / float(grad @ grad)).reshape(2, 1)
 
     chart = ApproxChart(
-        dim=1, param=param, right_inverse=right_inverse,
+        param=param, right_inverse=right_inverse,
         s_low=np.array([-1.0]), s_high=np.array([1.0]),
         name=f"node-chart(tau={tau:g})",
     )
     return system, chart
 
 
-def linear_model(seed: int = 7) -> tuple[FredholmSystem, ApproxChart]:
-    """A well-conditioned random affine system t(x) = A x - b on R^4 -> R^2."""
-    rng = np.random.default_rng(seed)
+def linear_model() -> tuple[FredholmSystem, ApproxChart]:
+    """A well-conditioned random affine system t(x) = A x - b on R^4 -> R^2 (seed 7)."""
+    rng = np.random.default_rng(7)
     n, f = 4, 2
     a = rng.normal(size=(f, n)) + np.hstack([np.eye(f), np.zeros((f, n - f))])
     b = rng.normal(size=f)
@@ -440,7 +436,6 @@ def linear_model(seed: int = 7) -> tuple[FredholmSystem, ApproxChart]:
         name="linear",
     )
     chart = ApproxChart(
-        dim=n - f,
         param=lambda s: x0 + null_basis @ s,
         right_inverse=lambda s: pseudo,
         s_low=-np.ones(n - f), s_high=np.ones(n - f),

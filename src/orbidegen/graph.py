@@ -53,6 +53,7 @@ RELATIVE = "relative"
 MAX_AUT_VERTICES = 12
 _PERM_BUDGET = 2_000_000  # vertex relabelings one canonical search may try
 _CANDIDATE_BUDGET = 2_000_000  # candidates one poset or splitting walk may build
+_PLACEMENT_BUDGET = 2_000_000  # connected multisets x tail placements one poset walk may search
 _ENDS = attrgetter("ends")  # of an Edge
 _SLOT_ENDS = itemgetter(1, 3)  # of an edge in encoding shape
 
@@ -537,11 +538,12 @@ def automorphism_order(graph: RelGraph) -> int:
 class PosetBounds:
     """Enumeration caps, each at least 1; relative internal edges additionally need
     a numerator cap and a decoration menu because nothing else makes the search
-    space finite; the edge menu names each label once."""
+    space finite; the edge menu names each label once.  An edge menu of None
+    means the class table's order-1 labels; () is the empty menu."""
 
     max_vertices: int
     max_levels: int = 1
-    edge_monodromies: tuple[str, ...] = ("e",)
+    edge_monodromies: tuple[str, ...] | None = None
     max_edge_contact_numerator: int | None = None
 
     def __post_init__(self) -> None:
@@ -549,7 +551,7 @@ class PosetBounds:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValidationError(f"PosetBounds.{name} must be at least 1, got {value}")
-        for i, label in enumerate(self.edge_monodromies):
+        for i, label in enumerate(self.edge_monodromies or ()):
             if label in self.edge_monodromies[:i]:
                 raise ValidationError(
                     f"PosetBounds.edge_monodromies[{i}] repeats label {label!r}")
@@ -671,13 +673,16 @@ def stratification_poset(
     splitting off a genus-0, class-0 leaf on an absolute edge, so the nodes
     and covers are that layer and the one-vertex graph closed under single
     contractions, the closure taking its seeds in walk order so that its work
-    does not depend on hashing.  With an edge on the menu a chain of leaves
-    reaches the vertex cap, so the poset is complete only with an empty menu
-    (one node) and a vertex cap above 1.  Invalid inputs raise
-    ValidationError naming the one-vertex graph's first diagnostic, as does a
-    contraction to a class outside `effective`; a walk of more than
-    _CANDIDATE_BUDGET edge multisets raises ResourceLimitError before it
-    starts.
+    does not depend on hashing.  The edge menu defaults to the class table's
+    order-1 labels.  With an edge on the menu a chain of leaves reaches the
+    vertex cap, so the poset is complete only with an empty menu (one node)
+    and a vertex cap above 1.  Invalid inputs raise ValidationError naming
+    the one-vertex graph's first diagnostic, as does a contraction to a class
+    outside `effective`.  A walk of more than _CANDIDATE_BUDGET edge
+    multisets raises ResourceLimitError before it starts; so does one whose
+    connected multisets times the max_vertices ** len(tails) tail placements
+    exceed _PLACEMENT_BUDGET, after the connectivity tests and before the
+    first canonical search.
     """
     table = classes if classes is not None else MonodromyTable.trivial()
     if bounds.max_vertices > MAX_AUT_VERTICES:
@@ -701,23 +706,23 @@ def stratification_poset(
     if diags:
         raise ValidationError(f"the one-vertex graph is invalid: {diags[0]}")
 
+    menu = bounds.edge_monodromies
+    if menu is None:
+        menu = tuple(sorted(label for label, order in table.orders.items() if order == 1))
     # balanced decoration menus for internal edges; an absolute edge between
     # two vertices may carry its pair of inverse halves either way round
-    abs_decos = sorted({tuple(sorted((h, table.inverse_of(h)))) for h in bounds.edge_monodromies})
-    rel_menu = [(h, table.inverse_of(h), table.order_of(h))
-                for h in sorted(bounds.edge_monodromies)]
+    abs_decos = sorted({tuple(sorted((h, table.inverse_of(h)))) for h in menu})
+    rel_menu = [(h, table.inverse_of(h), table.order_of(h)) for h in sorted(menu)]
     contact_cap = bounds.max_edge_contact_numerator or 0
     nv = bounds.max_vertices
     n_edges = nv - 1 + genus_total
-    tail_decos = [(t.kind, t.monodromy, _contact_key(t.contact)) for t in tails]
-    placements = [tuple([(home,) + deco for home, deco in zip(homes, tail_decos)])
-                  for homes in itertools.product(range(nv), repeat=len(tails))]
 
     # The walk builds encodings.  Every bottom graph has a vertex order
     # non-decreasing in (level, class), and no more levels than vertices; only
     # those vertex tuples are walked, each with every edge multiset and tail
     # placement.  A shape's multisets are counted from the menu sizes before
-    # its relative slots are built, so an oversized walk is refused first.
+    # its relative slots are built, and the placements are counted before
+    # they are built, so an oversized walk is refused first.
     shapes: list[tuple] = []
     multisets = 0
     for levels in itertools.combinations_with_replacement(range(min(bounds.max_levels, nv)), nv):
@@ -747,19 +752,30 @@ def stratification_poset(
                   for h0, h1, r in rel_menu for k in range(1, contact_cap + 1)]
         shapes.append((slots, vertex_tuples))
 
-    def walk() -> Iterable[tuple]:
-        yield _as_code(top)  # a one-vertex encoding is canonical
-        for slots, vertex_tuples in shapes:
-            for vertices in vertex_tuples:
-                for edges in itertools.combinations_with_replacement(slots, n_edges):
-                    if _union_find(nv, map(_SLOT_ENDS, edges))[1] < nv - 1:
-                        continue
-                    for placed in placements:
-                        yield _canonical_search((vertices, edges, placed))[0]
-
-    codes, covers = _closure(walk(), homology.effective)
+    per_multiset = nv ** len(tails)  # tail placements, counted before any is built
+    connected = ((vertices, edges) for slots, vertex_tuples in shapes
+                 for vertices in vertex_tuples
+                 for edges in itertools.combinations_with_replacement(slots, n_edges)
+                 if _union_find(nv, map(_SLOT_ENDS, edges))[1] >= nv - 1)
+    if multisets * per_multiset > _PLACEMENT_BUDGET:
+        # count the connected multisets before the first search; below this
+        # bound no count of them can exceed the budget, so the walk streams
+        connected = list(connected)
+        if len(connected) * per_multiset > _PLACEMENT_BUDGET:
+            raise ResourceLimitError(
+                f"poset enumeration exceeded the placement budget ({_PLACEMENT_BUDGET}): "
+                f"{len(connected)} connected edge multisets x {nv}^{len(tails)} tail "
+                f"placements at {nv} vertices; tighten the bounds"
+            )
+    tail_decos = [(t.kind, t.monodromy, _contact_key(t.contact)) for t in tails]
+    placements = [tuple([(home,) + deco for home, deco in zip(homes, tail_decos)])
+                  for homes in itertools.product(range(nv), repeat=len(tails))]
+    seeds = itertools.chain([_as_code(top)],  # a one-vertex encoding is canonical
+                            (_canonical_search((vertices, edges, placed))[0]
+                             for vertices, edges in connected for placed in placements))
+    codes, covers = _closure(seeds, homology.effective)
     return StratPoset(tuple(_decode(code) for code in codes), tuple(covers),
-                      complete=not bounds.edge_monodromies and nv > 1)
+                      complete=not menu and nv > 1)
 
 
 def _composition_count(total: int, parts: int) -> int:

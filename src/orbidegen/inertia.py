@@ -53,7 +53,8 @@ class FiniteGroupTable:
         rows = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
         return cls(order=n, mul=rows, identity=0)
 
-    def validate(self) -> None:
+    def validate(self) -> list[int]:
+        """Check the group axioms; return the inverse of each element by index."""
         n = self.order
         if n <= 0 or n > MAX_TABLE_ORDER:
             raise ValidationError(f"group order {n} outside supported range 1..{MAX_TABLE_ORDER}")
@@ -69,13 +70,13 @@ class FiniteGroupTable:
         for a in range(n):
             if self.mul[e][a] != a or self.mul[a][e] != a:
                 raise ValidationError(f"element {a} breaks the two-sided unit law at identity {e}")
-        for a in range(n):
-            self.inverse(a)
+        inverses = [self.inverse(a) for a in range(n)]
         for a in range(n):
             for b in range(n):
                 for c in range(n):
                     if self.mul[self.mul[a][b]][c] != self.mul[a][self.mul[b][c]]:
                         raise ValidationError(f"associativity fails on triple ({a},{b},{c})")
+        return inverses
 
     def inverse(self, a: int) -> int:
         e = self.identity
@@ -115,11 +116,10 @@ class ClassData:
 
 
 def _class_data(group: FiniteGroupTable) -> ClassData:
-    group.validate()
+    inverses = group.validate()
     n = group.order
     seen: set[int] = set()
     classes: list[ConjugacyClass] = []
-    inverses = [group.inverse(g) for g in range(n)]
     for a in range(n):
         if a in seen:
             continue

@@ -31,17 +31,6 @@ if TYPE_CHECKING:
 SCHEMA = "orbi-degen/1"
 
 
-def parse_rational(text: Any) -> Fraction:
-    if isinstance(text, int) and not isinstance(text, bool):
-        return Fraction(text)
-    if isinstance(text, str):
-        try:
-            return Fraction(text.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"cannot parse rational {text!r}: {exc}") from None
-    raise ValidationError(f"rational must be a string or integer, got {text!r}")
-
-
 def _object(value: Any, where: str) -> dict:
     if not isinstance(value, dict):
         raise ValidationError(f"{where}: must be a JSON object")
@@ -79,10 +68,14 @@ def _string(value: Any, where: str) -> str:
 
 
 def _rational(value: Any, where: str) -> Fraction:
-    try:
-        return parse_rational(value)
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"{where}: cannot parse rational {value!r}: {exc}") from None
+    raise ValidationError(f"{where}: rational must be a string or integer, got {value!r}")
 
 
 def _array_of(read):

@@ -142,6 +142,28 @@ class TestDefaults:
         assert rc == 0 and err == ""
         assert capture(argv + ["--edge-monodromies", "c0"]) == (0, out, "")
 
+    def test_poset_default_menu_matches_the_library(self, tmp_path):
+        # the command leaves the default menu to PosetBounds
+        from orbidegen.graph import PosetBounds, genus, stratification_poset, total_class
+
+        doc = json.loads((DATA / "graphs.json").read_text())
+        doc["groups"] = [{"name": "z2", "cyclic": 2}]
+        doc["classes"] = [{"name": "z2div", "group": "z2"}]
+        for tail in doc["graphs"][0]["tails"]:
+            tail["monodromy"] = "c0"
+        path = tmp_path / "cyclic.json"
+        path.write_text(json.dumps(doc))
+        rc, out, err = capture(["graphs", "poset", "--in", str(path), "--graph", "gmax",
+                                "--max-vertices", "3", "--json"])
+        assert rc == 0 and err == ""
+        loaded = load_document(path.read_text())
+        g = loaded.graphs["gmax"]
+        poset = stratification_poset(genus(g), total_class(g), g.tails, loaded.homology["line"],
+                                     loaded.classes["z2div"], PosetBounds(max_vertices=3))
+        report = json.loads(out)
+        assert report["nodes"] == len(poset.nodes)
+        assert report["covers"] == [list(c) for c in poset.covers]
+
     def test_expand_node_count_bounded_by_z_total(self):
         # a million-node cap adds nothing past z_total * (largest menu order)
         # nodes, here 2, and runs at once
@@ -493,6 +515,25 @@ class TestMalformedInputExits1:
         rc, out, err = capture(argv)
         assert time.perf_counter() - started < 5
         assert rc == 3 and out == "" and err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("tails", [10, 40])
+    def test_tail_placements_counted_before_they_are_built(self, tails):
+        # gmax at 3 vertices has 6 connected edge multisets; 10 extra absolute
+        # tails make 6 x 3^12 canonical searches, 40 make 3^42 placements.
+        # The child's address space is capped at 1 GiB, so a walk that builds
+        # the placements fails there instead of filling the machine's memory.
+        capped = ("import resource, sys; "
+                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                  "from orbidegen.cli import main; main()")
+        path = ROOT / "tests" / "data" / f"graphs_gmax_tails{tails}.json"
+        started = time.perf_counter()
+        proc = python("-c", capped, "graphs", "poset", "--in", str(path), "--max-vertices", "3",
+                      timeout=30)
+        assert time.perf_counter() - started < 10
+        assert proc.returncode == 3 and proc.stdout == b""
+        assert proc.stderr.decode() == (
+            "error: poset enumeration exceeded the placement budget (2000000): 6 connected "
+            f"edge multisets x 3^{tails + 2} tail placements at 3 vertices; tighten the bounds\n")
 
     @pytest.mark.parametrize("extra,field", [
         (["--max-vertices", "0"], "max_vertices"),

@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
+import itertools
+import math
 import re
 import time
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -25,7 +28,19 @@ from orbidegen.expand import (
     term_record,
 )
 from orbidegen.expand import _candidate_count, _splitting_shapes
-from orbidegen.graph import HomologyModel, bullet_genus, is_connected, validate
+from orbidegen.graph import (
+    ABSOLUTE,
+    RELATIVE,
+    Edge,
+    HomologyModel,
+    RelGraph,
+    Tail,
+    Vertex,
+    automorphism_order,
+    bullet_genus,
+    is_connected,
+    validate,
+)
 from orbidegen.io import load_document
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
@@ -468,6 +483,106 @@ class TestCandidateCount:
                 "term sum would be wrong, tighten the scenario bounds$")):
             expand(sc, SMOOTH_BASIS, ROADMAP_LINE)
         assert time.perf_counter() - started < 1
+
+
+def glued(m):
+    """A matching's two sides joined at its nodes, the minus side on level 1."""
+    n_plus = len(m.gamma_plus.vertices)
+    vertices = m.gamma_plus.vertices + tuple(Vertex(v.genus, v.cls, 1)
+                                             for v in m.gamma_minus.vertices)
+    plus_ends = [t.vertex for t in m.gamma_plus.tails if t.kind == RELATIVE]
+    minus_tails = [t for t in m.gamma_minus.tails if t.kind == RELATIVE]
+    edges = tuple(Edge(RELATIVE, (p, n_plus + t.vertex), (h, t.monodromy), c)
+                  for p, t, h, c in zip(plus_ends, minus_tails, m.monodromies, m.contacts))
+    tails = tuple(Tail(shift + t.vertex, ABSOLUTE, t.monodromy)
+                  for shift, side in ((0, m.gamma_plus), (n_plus, m.gamma_minus))
+                  for t in side.tails if t.kind == ABSOLUTE)
+    return RelGraph(vertices, edges, tails)
+
+
+def splitting_mass(m):
+    """v+! v-! prod_d mu_d! / (prod_e mult_e! |Aut|): mu_d counts the nodes of
+    decoration d, mult_e the copies of glued edge e."""
+    g = glued(m)
+    labelings = (math.factorial(len(m.gamma_plus.vertices))
+                 * math.factorial(len(m.gamma_minus.vertices))
+                 * math.prod(map(math.factorial,
+                                 Counter(zip(m.monodromies, m.contacts)).values())))
+    stabiliser = (math.prod(map(math.factorial, Counter(g.edges).values()))
+                  * automorphism_order(g))
+    orbit, rest = divmod(labelings, stabiliser)
+    assert rest == 0
+    return orbit
+
+
+def test_splitting_mass_counts_the_connected_candidates(monkeypatch):
+    """The connected candidates that canonicalize to one matching are an orbit
+    of the side relabelings and the permutations of equally decorated nodes;
+    its stabiliser is a symmetry of the glued graph with any permutation of
+    equal edges, so the orbits' sizes sum to the connected candidates."""
+    connected = Counter()
+
+    def counted(graph):
+        joined = is_connected(graph)
+        connected["candidates"] += joined
+        return joined
+
+    monkeypatch.setattr(expand_module, "is_connected", counted)
+    for sc, homology in pinned_scenarios() + [(roadmap_scenario(), ROADMAP_LINE)]:
+        connected.clear()
+        matchings = enumerate_splittings(sc, homology)
+        assert sum(map(splitting_mass, matchings)) == connected["candidates"]
+    assert connected["candidates"] == 8212
+
+
+def brute_force_candidates(sc, homology):
+    """The splitting walk's candidates counted one by one: for each class
+    splitting, multiset of node decorations summing to z_total, and side
+    sizes (at most nodes + 1 vertices, both sides occupied when there is a
+    node), every ordered class tuple realizing the splitting, genus tuple
+    reaching the scenario genus, tail home and node end pair."""
+    decorations = [(e.label, ContactOrder(k, e.order)) for e in sc.monodromy_menu
+                   for k in range(1, math.floor(sc.z_total * e.order) + 1)]
+
+    def total(classes):
+        return tuple(sum(c[i] for c in classes) for i in range(homology.rank))
+
+    count = 0
+    for a_plus, a_minus in set(sc.class_splittings):
+        for n in range(sc.max_nodes + 1):
+            for nodes in itertools.combinations_with_replacement(decorations, n):
+                if sum(c.value for _, c in nodes) != sc.z_total:
+                    continue
+                for v_plus, v_minus in itertools.product(range(n + 2), repeat=2):
+                    if v_plus + v_minus > n + 1 or not (
+                            v_plus and v_minus if n else v_plus + v_minus):
+                        continue
+                    n_v = v_plus + v_minus
+                    pairs = list(itertools.product(range(v_plus), range(v_plus, n_v)))
+                    for classes in itertools.product(homology.effective, repeat=n_v):
+                        if (total(classes[:v_plus]), total(classes[v_plus:])) != (a_plus, a_minus):
+                            continue
+                        for genera in itertools.product(range(sc.genus + 1), repeat=n_v):
+                            if sum(genera) + n - n_v + 1 != sc.genus:
+                                continue
+                            for _ in itertools.product(range(n_v), repeat=len(sc.absolute)):
+                                count += sum(1 for _ in itertools.product(pairs, repeat=n))
+    return count
+
+
+@pytest.mark.parametrize("sc,homology", [
+    (scenario(genus=1, absolute=(AbsInsertion("a", 0), AbsInsertion("b", 1)), max_nodes=2,
+              menu=Z2_MENU, z_total=F(1)), HALFLINE),
+    (scenario(genus=2, absolute=(AbsInsertion("a", 0),), max_nodes=3, menu=Z2_MENU,
+              z_total=F(1)), HALFLINE),
+    (scenario(genus=1, absolute=(AbsInsertion("a", 0), AbsInsertion("b", 1)), max_nodes=2,
+              menu=Z3_MENU, z_total=F(2, 3)), THIRDLINE),
+    (scenario(genus=0, absolute=(AbsInsertion("a", 0), AbsInsertion("b", 0),
+                                 AbsInsertion("c", 0)), max_nodes=3, menu=Z3_MENU,
+              z_total=F(2, 3)), THIRDLINE),
+], ids=["z2-g1-m2", "z2-g2-m1", "z3-g1-m2", "z3-g0-m3"])
+def test_candidate_count_matches_a_brute_force_walk(sc, homology):
+    assert predicted_candidates(sc, homology) == brute_force_candidates(sc, homology) > 0
 
 
 class TestScenarioChecks:

@@ -209,7 +209,7 @@ class TestInjectivity:
             derivative=lambda x: np.array([[0.0, 1.0]]),
             name="degenerate")
         chart = ApproxChart(
-            dim=1, param=param,
+            param=param,
             right_inverse=lambda s: np.zeros((2, 1)),
             s_low=np.array([0.0]), s_high=np.array([0.0]),
             name="zero-q")

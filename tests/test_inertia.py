@@ -335,7 +335,7 @@ class TestClassDataComputedOnce:
 
         def counting(self):
             calls.append(self)
-            original(self)
+            return original(self)
 
         monkeypatch.setattr(FiniteGroupTable, "validate", counting)
         rows = FiniteGroupTable.cyclic(16).mul
@@ -352,6 +352,20 @@ class TestClassDataComputedOnce:
             for cls in conjugacy_classes(group):
                 profile.sector_of(inverse_class(group, cls))
             assert calls == [group]
+
+    def test_each_inverse_found_once(self, monkeypatch):
+        # validate finds every inverse, and the class data reuses them
+        calls = []
+        original = FiniteGroupTable.inverse
+
+        def counting(self, a):
+            calls.append(a)
+            return original(self, a)
+
+        monkeypatch.setattr(FiniteGroupTable, "inverse", counting)
+        data = FiniteGroupTable.cyclic(64).class_data
+        assert sorted(calls) == list(range(64))
+        assert data.inverse_of[frozenset({5})].members == {59}
 
     @pytest.mark.parametrize("name,group", [(f"z{n}", FiniteGroupTable.cyclic(n))
                                             for n in range(1, 17)]

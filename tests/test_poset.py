@@ -37,6 +37,7 @@ from orbidegen.graph import (
     stratification_poset,
     validate,
 )
+from orbidegen.inertia import FiniteGroupTable, monodromy_table
 from orbidegen.io import load_document
 
 # oracle graph: (vertices, edges, tails)
@@ -486,6 +487,38 @@ def test_walk_size_counted_before_the_walk(monkeypatch, case):
     assert made["multisets"] == multisets
 
 
+@pytest.mark.parametrize("case", WALK_CASES, ids=lambda c: c[0])
+def test_placements_counted_before_the_search(monkeypatch, case):
+    """Connected edge multisets times tail placements is the number of
+    canonical searches before the first contraction: a placement budget one
+    below it is refused before any search, the count itself runs."""
+    made = Counter()
+    search, contractions = graph._canonical_search, graph._single_contractions
+
+    def counted_search(code):
+        if not made["contractions"]:
+            made["searches"] += 1
+        return search(code)
+
+    def first_contractions(code):
+        made["contractions"] += 1
+        return contractions(code)
+
+    monkeypatch.setattr(graph, "_canonical_search", counted_search)
+    monkeypatch.setattr(graph, "_single_contractions", first_contractions)
+    args = walk_inputs(case)
+    stratification_poset(*args)
+    searches = made["searches"]
+    made.clear()
+    monkeypatch.setattr(graph, "_PLACEMENT_BUDGET", searches - 1)
+    with pytest.raises(ResourceLimitError, match="placement budget"):
+        stratification_poset(*args)
+    assert made["searches"] == 0
+    monkeypatch.setattr(graph, "_PLACEMENT_BUDGET", searches)
+    stratification_poset(*args)
+    assert made["searches"] == searches
+
+
 def public_covers(poset):
     """The covers recomputed through the public moves: canonical_form of every
     absolute-edge contraction and every level collapse of every node."""
@@ -538,13 +571,16 @@ def test_graph_objects_only_at_the_boundary(monkeypatch, case):
         Tail=len(args[2]) + len({t for node in poset.nodes for t in node.tails}))
 
 
-def all_orderings_poset_codes(genus_total, total_cls, tails, homology, table, bounds):
-    """Every canonical code the library validates, walking every vertex order
-    and both orientations of every absolute edge between two vertices."""
+def all_orderings_graphs(genus_total, total_cls, tails, homology, table, bounds,
+                        bottom=False):
+    """Every labeled graph the library validates, walking every vertex order,
+    both orientations of every absolute edge between two vertices, and every
+    relative edge whichever of its ends has the lower index.  With `bottom`
+    only graphs with max_vertices vertices, all of genus 0, are walked."""
     halves = {(h, table.inverse_of(h)) for h in bounds.edge_monodromies}
     halves |= {(b, a) for a, b in halves}
-    found = set()
-    for nv in range(1, bounds.max_vertices + 1):
+    lowest = bounds.max_vertices if bottom else 1
+    for nv in range(lowest, bounds.max_vertices + 1):
         for levels in itertools.product(range(bounds.max_levels), repeat=nv):
             if sorted(set(levels)) != list(range(max(levels) + 1)):
                 continue
@@ -554,17 +590,19 @@ def all_orderings_poset_codes(genus_total, total_cls, tails, homology, table, bo
                     for j in range(i, nv):
                         if levels[i] == levels[j]:
                             slots += [Edge(ABSOLUTE, (i, j), pair) for pair in sorted(halves)]
-                        elif levels[j] == levels[i] + 1:
-                            slots += [Edge(RELATIVE, (i, j), (h, table.inverse_of(h)),
+                        elif abs(levels[j] - levels[i]) == 1:
+                            ends = (i, j) if levels[i] < levels[j] else (j, i)
+                            slots += [Edge(RELATIVE, ends, (h, table.inverse_of(h)),
                                            ContactOrder(k, table.order_of(h)))
                                       for h in bounds.edge_monodromies
                                       for k in range(1, (bounds.max_edge_contact_numerator
                                                          or 0) + 1)]
                 edge_sets = itertools.chain.from_iterable(
                     itertools.combinations_with_replacement(slots, k)
-                    for k in range(nv - 1, nv + genus_total))
+                    for k in range(nv - 1 + genus_total if bottom else nv - 1, nv + genus_total))
                 for edges in edge_sets:
-                    for genera in itertools.product(range(genus_total + 1), repeat=nv):
+                    for genera in itertools.product(range(1 if bottom else genus_total + 1),
+                                                    repeat=nv):
                         vertices = tuple(Vertex(g, c, lv)
                                          for g, c, lv in zip(genera, classes, levels))
                         for homes in itertools.product(range(nv), repeat=len(tails)):
@@ -574,8 +612,12 @@ def all_orderings_poset_codes(genus_total, total_cls, tails, homology, table, bo
                             if (not validate(g, homology, table) and graph.is_connected(g)
                                     and graph.genus(g) == genus_total
                                     and graph.total_class(g) == total_cls):
-                                found.add(graph._canonical_search(graph._as_code(g))[0])
-    return found
+                                yield g
+
+
+def all_orderings_poset_codes(*args):
+    """Every canonical code of a graph all_orderings_graphs walks."""
+    return {graph._canonical_search(graph._as_code(g))[0] for g in all_orderings_graphs(*args)}
 
 
 @pytest.mark.parametrize("genus_total,cls,mv,levels,menu,cap", [
@@ -592,6 +634,21 @@ def test_inverse_pair_menu_matches_all_orderings(genus_total, cls, mv, levels, m
     args = (genus_total, (cls,), [], homology, Z3, PosetBounds(mv, levels, menu, cap))
     poset = stratification_poset(*args)
     assert {encode(n) for n in poset.nodes} == all_orderings_poset_codes(*args)
+
+
+@pytest.mark.parametrize("case", [c for c in WALK_CASES if c[0] in (
+    "z2_g0_v3", "z2_g1_v2", "lvl2_g1_v2_k2", "lvl2_z2_g0_v2_k2", "z3_lvl2_g1_v2")],
+    ids=lambda c: c[0])
+def test_bottom_layer_mass(case):
+    """The vertex relabelings of a bottom node give max_vertices! / |Aut|
+    distinct labeled graphs, so the bottom layer's mass counts the labeled
+    bottom graphs that an oracle walking every vertex order finds."""
+    args = walk_inputs(case)
+    poset = stratification_poset(*args)
+    nv = args[5].max_vertices
+    mass = sum(math.factorial(nv) // automorphism_order(node) for node in poset.nodes
+               if len(node.vertices) == nv and not any(v.genus for v in node.vertices))
+    assert mass == len({encode(g) for g in all_orderings_graphs(*args, bottom=True)})
 
 
 @pytest.mark.parametrize("max_vertices,nodes,covers,digest", [
@@ -611,6 +668,20 @@ def test_gmax_poset_pinned(max_vertices, nodes, covers, digest):
     assert (len(poset.nodes), len(poset.covers)) == (nodes, covers)
     payload = repr(([encode(n) for n in poset.nodes], poset.covers, poset.complete))
     assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
+def test_default_menu_is_the_order_one_labels():
+    """A class table derived from a group names its identity class c0, not e;
+    the default bounds walk the same poset as the explicit menu ("c0",)."""
+    table = monodromy_table(FiniteGroupTable.cyclic(2))
+    homology = HomologyModel(rank=1, c1=(F(3),), z_pairing=(F(1),),
+                             effective=((0,), (1,), (2,)))
+    tails = [Tail(0, RELATIVE, "c1", ContactOrder(1, 2)),
+             Tail(0, RELATIVE, "c1", ContactOrder(3, 2))]
+    poset = stratification_poset(0, (2,), tails, homology, table)
+    assert poset == stratification_poset(0, (2,), tails, homology, table,
+                                         PosetBounds(2, 1, ("c0",)))
+    assert len(poset.nodes) == 7 and not poset.complete
 
 
 def test_bad_tail_sum_is_named():
