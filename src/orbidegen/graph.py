@@ -25,7 +25,9 @@ graphs builds only as many objects as there are distinct parts.
 Every poset node refines to a graph with max_vertices vertices of genus 0 (a
 loop for each unit of vertex genus, genus-0, class-0 leaves for the missing
 vertices), so the poset walk covers only that bottom layer and single
-contractions find every other node and its covers.
+contractions find every other node and its covers.  Tails are labeled, so
+placing them on one tail-free graph per class reaches every tailed class
+(if s maps B onto B', (B, P) is isomorphic to (B', sP)).
 
 Both walks take vertex classes from one table: _class_sums counts the
 ordered tuples of effective classes per sum, and _class_draws draws through
@@ -53,7 +55,7 @@ RELATIVE = "relative"
 MAX_AUT_VERTICES = 12
 _PERM_BUDGET = 2_000_000  # vertex relabelings one canonical search may try
 _CANDIDATE_BUDGET = 2_000_000  # candidates one poset or splitting walk may build
-_PLACEMENT_BUDGET = 2_000_000  # connected multisets x tail placements one poset walk may search
+_PLACEMENT_BUDGET = 2_000_000  # tail-free graphs x tail placements one poset walk may search
 _ENDS = attrgetter("ends")  # of an Edge
 _SLOT_ENDS = itemgetter(1, 3)  # of an edge in encoding shape
 
@@ -678,11 +680,13 @@ def stratification_poset(
     vertex cap, so the poset is complete only with an empty menu (one node)
     and a vertex cap above 1.  Invalid inputs raise ValidationError naming
     the one-vertex graph's first diagnostic, as does a contraction to a class
-    outside `effective`.  A walk of more than _CANDIDATE_BUDGET edge
-    multisets raises ResourceLimitError before it starts; so does one whose
-    connected multisets times the max_vertices ** len(tails) tail placements
-    exceed _PLACEMENT_BUDGET, after the connectivity tests and before the
-    first canonical search.
+    outside `effective`, and an edge menu label missing from the class table
+    names its PosetBounds.edge_monodromies position.  A walk of more than
+    _CANDIDATE_BUDGET edge multisets raises ResourceLimitError before it
+    starts.  Each connected multiset is searched once without tails; a walk
+    whose distinct tail-free graphs times the max_vertices ** len(tails) tail
+    placements exceed _PLACEMENT_BUDGET raises ResourceLimitError after those
+    searches and before the first placement is built.
     """
     table = classes if classes is not None else MonodromyTable.trivial()
     if bounds.max_vertices > MAX_AUT_VERTICES:
@@ -709,6 +713,10 @@ def stratification_poset(
     menu = bounds.edge_monodromies
     if menu is None:
         menu = tuple(sorted(label for label, order in table.orders.items() if order == 1))
+    for i, label in enumerate(menu):
+        if label not in table:
+            raise ValidationError(
+                f"PosetBounds.edge_monodromies[{i}]: unknown monodromy class {label!r}")
     # balanced decoration menus for internal edges; an absolute edge between
     # two vertices may carry its pair of inverse halves either way round
     abs_decos = sorted({tuple(sorted((h, table.inverse_of(h)))) for h in menu})
@@ -719,10 +727,9 @@ def stratification_poset(
 
     # The walk builds encodings.  Every bottom graph has a vertex order
     # non-decreasing in (level, class), and no more levels than vertices; only
-    # those vertex tuples are walked, each with every edge multiset and tail
-    # placement.  A shape's multisets are counted from the menu sizes before
-    # its relative slots are built, and the placements are counted before
-    # they are built, so an oversized walk is refused first.
+    # those vertex tuples are walked, each with every edge multiset.  A
+    # shape's multisets are counted from the menu sizes before its relative
+    # slots are built, so an oversized walk is refused first.
     shapes: list[tuple] = []
     multisets = 0
     for levels in itertools.combinations_with_replacement(range(min(bounds.max_levels, nv)), nv):
@@ -752,28 +759,25 @@ def stratification_poset(
                   for h0, h1, r in rel_menu for k in range(1, contact_cap + 1)]
         shapes.append((slots, vertex_tuples))
 
-    per_multiset = nv ** len(tails)  # tail placements, counted before any is built
-    connected = ((vertices, edges) for slots, vertex_tuples in shapes
-                 for vertices in vertex_tuples
-                 for edges in itertools.combinations_with_replacement(slots, n_edges)
-                 if _union_find(nv, map(_SLOT_ENDS, edges))[1] >= nv - 1)
-    if multisets * per_multiset > _PLACEMENT_BUDGET:
-        # count the connected multisets before the first search; below this
-        # bound no count of them can exceed the budget, so the walk streams
-        connected = list(connected)
-        if len(connected) * per_multiset > _PLACEMENT_BUDGET:
-            raise ResourceLimitError(
-                f"poset enumeration exceeded the placement budget ({_PLACEMENT_BUDGET}): "
-                f"{len(connected)} connected edge multisets x {nv}^{len(tails)} tail "
-                f"placements at {nv} vertices; tighten the bounds"
-            )
+    # each connected multiset is searched once without tails (the dict keeps
+    # walk order), then each tail placement once per distinct tail-free code
+    bare = dict.fromkeys(_canonical_search((vertices, edges, ()))[0]
+                         for slots, vertex_tuples in shapes for vertices in vertex_tuples
+                         for edges in itertools.combinations_with_replacement(slots, n_edges)
+                         if _union_find(nv, map(_SLOT_ENDS, edges))[1] >= nv - 1)
+    if len(bare) * nv ** len(tails) > _PLACEMENT_BUDGET:
+        raise ResourceLimitError(
+            f"poset enumeration exceeded the placement budget ({_PLACEMENT_BUDGET}): "
+            f"{len(bare)} tail-free graphs x {nv}^{len(tails)} tail placements "
+            f"at {nv} vertices; tighten the bounds")
     tail_decos = [(t.kind, t.monodromy, _contact_key(t.contact)) for t in tails]
     placements = [tuple([(home,) + deco for home, deco in zip(homes, tail_decos)])
                   for homes in itertools.product(range(nv), repeat=len(tails))]
-    seeds = itertools.chain([_as_code(top)],  # a one-vertex encoding is canonical
-                            (_canonical_search((vertices, edges, placed))[0]
-                             for vertices, edges in connected for placed in placements))
-    codes, covers = _closure(seeds, homology.effective)
+    # a one-vertex encoding is canonical; without tails so is each bare code
+    seeds = (_canonical_search((vertices, edges, tails_at))[0]
+             for vertices, edges, _ in bare for tails_at in placements) if tails else iter(bare)
+    del bare  # the closure drains its seeds first, and the drained iterator frees them
+    codes, covers = _closure(itertools.chain([_as_code(top)], seeds), homology.effective)
     return StratPoset(tuple(_decode(code) for code in codes), tuple(covers),
                       complete=not menu and nv > 1)
 

@@ -518,8 +518,8 @@ class TestMalformedInputExits1:
 
     @pytest.mark.parametrize("tails", [10, 40])
     def test_tail_placements_counted_before_they_are_built(self, tails):
-        # gmax at 3 vertices has 6 connected edge multisets; 10 extra absolute
-        # tails make 6 x 3^12 canonical searches, 40 make 3^42 placements.
+        # gmax at 3 vertices has 4 distinct tail-free graphs; 10 extra absolute
+        # tails make 4 x 3^12 canonical searches, 40 make 3^42 placements.
         # The child's address space is capped at 1 GiB, so a walk that builds
         # the placements fails there instead of filling the machine's memory.
         capped = ("import resource, sys; "
@@ -532,8 +532,8 @@ class TestMalformedInputExits1:
         assert time.perf_counter() - started < 10
         assert proc.returncode == 3 and proc.stdout == b""
         assert proc.stderr.decode() == (
-            "error: poset enumeration exceeded the placement budget (2000000): 6 connected "
-            f"edge multisets x 3^{tails + 2} tail placements at 3 vertices; tighten the bounds\n")
+            "error: poset enumeration exceeded the placement budget (2000000): 4 tail-free "
+            f"graphs x 3^{tails + 2} tail placements at 3 vertices; tighten the bounds\n")
 
     @pytest.mark.parametrize("extra,field", [
         (["--max-vertices", "0"], "max_vertices"),

@@ -327,11 +327,13 @@ def test_maximal_element_is_one_vertex():
 #
 # The generator walks only the most refined layer (max_vertices vertices, all
 # of genus 0) and only vertex tuples that are non-decreasing in
-# (level, class).  For a node G of that layer the labelings with that vertex
-# tuple are the orbit of the block permutations (one symmetric group per block
-# of equal decorations), and the stabiliser is Aut(G), so the walk must emit
-# exactly  sum over bottom nodes of  prod(block size!) / |Aut(G)|  labeled
-# graphs.  An emission missed or doubled moves that sum.
+# (level, class), first without tails.  For a tail-free graph B of that layer
+# the labelings with that vertex tuple are the orbit of the block
+# permutations (one symmetric group per block of equal decorations), and the
+# stabiliser is Aut(B), so the walk must search exactly  sum over distinct B
+# of  prod(block size!) / |Aut(B)|  labeled graphs, then each of the
+# max_vertices ** len(tails) tail placements once on each distinct B.  An
+# emission missed or doubled moves that count.
 
 DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 Z2 = MonodromyTable(orders={"e": 1, "h": 2}, inverses={"e": "e", "h": "h"})
@@ -371,24 +373,26 @@ def walk_inputs(case):
             PosetBounds(mv, levels, menu, cap))
 
 
-def sorted_mass(poset, max_vertices):
+def walk_searches(poset, max_vertices, n_tails):
+    """The sorted mass of the distinct tail-free graphs under the bottom
+    nodes, plus the tail placements on each of them when there are tails."""
+    bare = {canonical_form(RelGraph(node.vertices, node.edges, ())) for node in poset.nodes
+            if len(node.vertices) == max_vertices and not any(v.genus for v in node.vertices)}
     total = 0
-    for node in poset.nodes:
-        if len(node.vertices) != max_vertices or any(v.genus for v in node.vertices):
-            continue
-        blocks = Counter((v.level, v.cls) for v in node.vertices)
+    for g in bare:
+        blocks = Counter((v.level, v.cls) for v in g.vertices)
         labelings = math.prod(math.factorial(size) for size in blocks.values())
-        orbit, rest = divmod(labelings, automorphism_order(node))
+        orbit, rest = divmod(labelings, automorphism_order(g))
         assert rest == 0
         total += orbit
-    return total
+    return total + (len(bare) * max_vertices ** n_tails if n_tails else 0)
 
 
 @pytest.mark.parametrize("case", WALK_CASES, ids=lambda c: c[0])
 def test_sorted_walk(monkeypatch, case):
     """Canonical searches before the first contraction equal the sorted mass
-    of the bottom layer, validate runs once per poset, and every node it
-    returns is valid."""
+    of the tail-free bottom layer plus the tail placements on it, validate
+    runs once per poset, and every node it returns is valid."""
     counts = Counter()
     search, contractions, check = (graph._canonical_search, graph._single_contractions,
                                    graph.validate)
@@ -413,10 +417,10 @@ def test_sorted_walk(monkeypatch, case):
     poset = stratification_poset(genus_total, cls, tails, homology, table, bounds)
     monkeypatch.undo()
     assert counts["validate"] == 1
-    assert counts["searches"] == sorted_mass(poset, bounds.max_vertices)
+    assert counts["searches"] == walk_searches(poset, bounds.max_vertices, len(tails))
     if case[0] == "g2_v3":
         # a walk over every vertex count gave 5,341 searches
-        assert (len(poset.nodes), counts["searches"]) == (3351, 2754)
+        assert (len(poset.nodes), counts["searches"]) == (3351, 1614)
     for node in poset.nodes:
         assert validate(node, homology, table) == []
         assert graph.genus(node) == genus_total and graph.total_class(node) == cls
@@ -489,16 +493,22 @@ def test_walk_size_counted_before_the_walk(monkeypatch, case):
 
 @pytest.mark.parametrize("case", WALK_CASES, ids=lambda c: c[0])
 def test_placements_counted_before_the_search(monkeypatch, case):
-    """Connected edge multisets times tail placements is the number of
-    canonical searches before the first contraction: a placement budget one
-    below it is refused before any search, the count itself runs."""
+    """Distinct tail-free codes times tail placements is the number of
+    searches of tailed codes before the first contraction: a placement budget
+    one below it is refused before any tailed code is searched, the count
+    itself runs."""
     made = Counter()
+    bare = set()
     search, contractions = graph._canonical_search, graph._single_contractions
 
     def counted_search(code):
+        found = search(code)
         if not made["contractions"]:
-            made["searches"] += 1
-        return search(code)
+            if code[2]:
+                made["placed"] += 1
+            else:
+                bare.add(found[0])
+        return found
 
     def first_contractions(code):
         made["contractions"] += 1
@@ -508,15 +518,16 @@ def test_placements_counted_before_the_search(monkeypatch, case):
     monkeypatch.setattr(graph, "_single_contractions", first_contractions)
     args = walk_inputs(case)
     stratification_poset(*args)
-    searches = made["searches"]
+    charge = len(bare) * args[5].max_vertices ** len(args[2])
+    assert made["placed"] == charge
     made.clear()
-    monkeypatch.setattr(graph, "_PLACEMENT_BUDGET", searches - 1)
+    monkeypatch.setattr(graph, "_PLACEMENT_BUDGET", charge - 1)
     with pytest.raises(ResourceLimitError, match="placement budget"):
         stratification_poset(*args)
-    assert made["searches"] == 0
-    monkeypatch.setattr(graph, "_PLACEMENT_BUDGET", searches)
+    assert made["placed"] == 0
+    monkeypatch.setattr(graph, "_PLACEMENT_BUDGET", charge)
     stratification_poset(*args)
-    assert made["searches"] == searches
+    assert made["placed"] == charge
 
 
 def public_covers(poset):
@@ -637,6 +648,18 @@ def test_inverse_pair_menu_matches_all_orderings(genus_total, cls, mv, levels, m
 
 
 @pytest.mark.parametrize("case", [c for c in WALK_CASES if c[0] in (
+    "z2_g0_v3", "z2_g1_v2", "lvl2_g0_v3_k2", "lvl2_g1_v2_k2", "lvl2_z2_g0_v2_k2",
+    "z3_lvl2_g1_v2")], ids=lambda c: c[0])
+def test_tailed_walk_matches_all_orderings(case):
+    """Tails placed only on the distinct tail-free graphs reach every tailed
+    graph that an oracle walking every vertex order and every tail placement
+    finds, tails on both levels included."""
+    args = walk_inputs(case)
+    poset = stratification_poset(*args)
+    assert {encode(n) for n in poset.nodes} == all_orderings_poset_codes(*args)
+
+
+@pytest.mark.parametrize("case", [c for c in WALK_CASES if c[0] in (
     "z2_g0_v3", "z2_g1_v2", "lvl2_g1_v2_k2", "lvl2_z2_g0_v2_k2", "z3_lvl2_g1_v2")],
     ids=lambda c: c[0])
 def test_bottom_layer_mass(case):
@@ -705,6 +728,16 @@ def test_repeated_edge_label_is_named():
     with pytest.raises(ValidationError,
                        match=r"PosetBounds.edge_monodromies\[2\] repeats label 'h'"):
         PosetBounds(3, 2, ("h", "e", "h"), 2)
+
+
+def test_unknown_edge_label_is_named():
+    """A menu label missing from the class table names its menu position."""
+    homology = HomologyModel(rank=1, c1=(F(1),), z_pairing=(F(0),), effective=((0,), (1,)))
+    table = monodromy_table(FiniteGroupTable.cyclic(2))
+    with pytest.raises(ValidationError,
+                       match=r"^PosetBounds.edge_monodromies\[1\]: unknown monodromy class 'e'$"):
+        stratification_poset(0, (1,), [], homology, table,
+                             PosetBounds(2, edge_monodromies=("c0", "e")))
 
 
 @pytest.mark.parametrize("kwargs,field", [
