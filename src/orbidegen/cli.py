@@ -75,14 +75,11 @@ def _cmd_sectors(args) -> int:
     from .inertia import cr_poincare_polynomial
 
     doc = load_document(read_text(args.input))
-    names = [args.profile] if args.profile else sorted(doc.profiles)
-    if not names:
+    selected = [doc.one("profiles", args.profile)] if args.profile else sorted(doc.profiles.items())
+    if not selected:
         raise ValidationError("document has no profiles")
     profiles, lines = [], []
-    for name in names:
-        if name not in doc.profiles:
-            raise ValidationError(f"no profile named {name!r}")
-        profile = doc.profiles[name]
+    for name, profile in selected:
         rows = [{"class": label, "shift": str(sector.shift),
                  "sector_dim": sector.sector_dim(profile.ambient_dim),
                  "rotations": [str(r) for r in sector.rotations]}

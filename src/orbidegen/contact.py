@@ -215,9 +215,8 @@ def _partition_count(goal: Fraction, slot_orders: Sequence[int], cap: int) -> in
         if g == 0:  # the last group takes all the rest
             k, left = divmod(rest, w)
             return math.comb(k - 1, m - 1) if left == 0 and k >= m else 0
-        d = math.gcd(w, g)
-        if rest % d:
-            return 0
+        # d = gcd(w, g) divides rest: 1 at i = 0, and each K below leaves a multiple of g
+        d = later_gcd[i]
         step = g // d  # K must solve K * w = rest (mod g)
         first = rest // d * pow(w // d, -1, step) % step
         found = 0

@@ -30,11 +30,11 @@ from .graph import (
     Tail,
     Vertex,
     _CANDIDATE_BUDGET,
-    _as_code,
     _class_draws,
     _class_sums,
     _composition_count,
     canonical_form,
+    encode,
     is_connected,
 )
 
@@ -272,7 +272,7 @@ def enumerate_splittings(
     table = scenario.table()
     scenario.check_against(homology)
     m = len(scenario.absolute)
-    found: dict[tuple, Matching] = {}
+    found: dict[RelGraph, Matching] = {}
     shapes = _splitting_shapes(scenario, homology)
     if _candidate_count(shapes, m) > _CANDIDATE_BUDGET:
         raise ResourceLimitError(
@@ -305,11 +305,9 @@ def enumerate_splittings(
                             if not is_connected(glued):
                                 continue
                             canon = canonical_form(glued)
-                            # canon is a decoded canonical code, so this is that code
-                            key = _as_code(canon)
-                            if key not in found:
-                                found[key] = _extract_matching(canon)
-    return [found[key] for key in sorted(found)]
+                            if canon not in found:
+                                found[canon] = _extract_matching(canon)
+    return [found[canon] for canon in sorted(found, key=encode)]
 
 
 def _splitting_shapes(scenario: SplittingScenario, homology: HomologyModel) -> list[tuple]:

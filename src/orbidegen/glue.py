@@ -29,6 +29,13 @@ def _as_vec(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=float))
 
 
+def _finite(value: np.ndarray, owner: str, what: str, at: str, point) -> np.ndarray:
+    """`value`, or FloatingPointError naming `what` and the point it was taken at."""
+    if not np.all(np.isfinite(value)):
+        raise FloatingPointError(f"{owner}: {what} is non-finite at {at}={point}")
+    return value
+
+
 def fd_jacobian(func: Callable, x: np.ndarray, out_dim: int) -> np.ndarray:
     """Central finite differences with step 1e-6 * (1 + |x|)."""
     x = _as_vec(x)
@@ -53,10 +60,7 @@ class FredholmSystem:
     name: str = "system"
 
     def t(self, x) -> np.ndarray:
-        value = _as_vec(self.evaluate(_as_vec(x)))
-        if not np.all(np.isfinite(value)):
-            raise FloatingPointError(f"{self.name}: t(x) is non-finite at x={x}")
-        return value
+        return _finite(_as_vec(self.evaluate(_as_vec(x))), self.name, "t(x)", "x", x)
 
     def jacobian(self, x) -> np.ndarray:
         x = _as_vec(x)
@@ -64,9 +68,7 @@ class FredholmSystem:
             jac = np.asarray(self.derivative(x), dtype=float).reshape(self.dim_f, self.dim_b)
         else:
             jac = fd_jacobian(self.t, x, self.dim_f)
-        if not np.all(np.isfinite(jac)):
-            raise FloatingPointError(f"{self.name}: Jacobian is non-finite at x={x}")
-        return jac
+        return _finite(jac, self.name, "Jacobian", "x", x)
 
     def quadratic_remainder(self, x, v) -> np.ndarray:
         """N_x(v) = t(x+v) - t(x) - L_x v."""
@@ -85,16 +87,11 @@ class ApproxChart:
     name: str = "chart"
 
     def x(self, s) -> np.ndarray:
-        value = _as_vec(self.param(_as_vec(s)))
-        if not np.all(np.isfinite(value)):
-            raise FloatingPointError(f"{self.name}: x(s) is non-finite at s={s}")
-        return value
+        return _finite(_as_vec(self.param(_as_vec(s))), self.name, "x(s)", "s", s)
 
     def q(self, s) -> np.ndarray:
         value = np.asarray(self.right_inverse(_as_vec(s)), dtype=float)
-        if not np.all(np.isfinite(value)):
-            raise FloatingPointError(f"{self.name}: Q(s) is non-finite at s={s}")
-        return value
+        return _finite(value, self.name, "Q(s)", "s", s)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.s_low, self.s_high)

@@ -557,6 +557,13 @@ class PosetBounds:
             if label in self.edge_monodromies[:i]:
                 raise ValidationError(
                     f"PosetBounds.edge_monodromies[{i}] repeats label {label!r}")
+        if self.max_vertices > MAX_AUT_VERTICES:
+            raise ResourceLimitError(
+                f"vertex cap {self.max_vertices} exceeds the supported maximum {MAX_AUT_VERTICES}")
+        if self.max_levels > 1 and self.max_edge_contact_numerator is None:
+            raise ValidationError(
+                "max_edge_contact_numerator is required when max_levels > 1 "
+                "(relative edge contacts are otherwise unbounded)")
 
 
 @dataclass(frozen=True)
@@ -689,16 +696,6 @@ def stratification_poset(
     searches and before the first placement is built.
     """
     table = classes if classes is not None else MonodromyTable.trivial()
-    if bounds.max_vertices > MAX_AUT_VERTICES:
-        raise ResourceLimitError(
-            f"vertex cap {bounds.max_vertices} exceeds the supported "
-            f"maximum {MAX_AUT_VERTICES}"
-        )
-    if bounds.max_levels > 1 and bounds.max_edge_contact_numerator is None:
-        raise ValidationError(
-            "max_edge_contact_numerator is required when max_levels > 1 "
-            "(relative edge contacts are otherwise unbounded)"
-        )
 
     # every candidate below is valid by construction except for the inputs:
     # classes come from `effective`, edges from the balanced level-respecting
