@@ -182,7 +182,12 @@ def _cmd_graphs_poset(args) -> int:
     menu = parse_list(args.edge_monodromies, "--edge-monodromies", known_label) or None
     bounds = PosetBounds(max_vertices=args.max_vertices, max_levels=args.max_levels,
                          edge_monodromies=menu, max_edge_contact_numerator=args.max_edge_contact)
-    poset = stratification_poset(genus(graph), total_class(graph), graph.tails, homology,
+    try:
+        genus_total = genus(graph)
+    except ValidationError:  # genus takes connected graphs with a vertex only
+        state = "is disconnected" if graph.vertices else "has no vertices"
+        raise ValidationError(f"graph {name} {state}; a poset needs a connected graph") from None
+    poset = stratification_poset(genus_total, total_class(graph), graph.tails, homology,
                                  table, bounds)
     if args.dot:
         sys.stdout.write(poset_to_dot(poset, name=f"{name}_poset"))

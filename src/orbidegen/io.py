@@ -184,6 +184,21 @@ def _known(name: str, table: dict, what: str, where: str) -> str:
     return name
 
 
+def _true(value: Any, where: str) -> bool:
+    if value is not True:
+        raise ValidationError(f"{where}: expected true, got {value!r}")
+    return value
+
+
+def _form(entry: dict, forms: tuple[str, ...], where: str) -> str | None:
+    """The one field of `forms` that defines an entry, or None when it names none."""
+    present = [name for name in forms if name in entry]
+    if len(present) > 1:
+        raise ValidationError(
+            f"{where}: names {' and '.join(map(repr, present))}; give only one of them")
+    return present[0] if present else None
+
+
 def _label_row(item: Any, at: str) -> tuple[str, int, str]:
     return (_field(item, "label", at, _string), _field(item, "order", at, _integer),
             _field(item, "inverse", at, _string))
@@ -192,9 +207,10 @@ def _label_row(item: Any, at: str) -> tuple[str, int, str]:
 def _read_group(doc: InputDocument, name: str, where: str, entry: Any) -> None:
     from .inertia import FiniteGroupTable
 
-    if "cyclic" in entry:
+    form = _form(entry, ("cyclic", "table"), where)
+    if form == "cyclic":
         group = named(where, FiniteGroupTable.cyclic, _field(entry, "cyclic", where, _integer))
-    elif "table" in entry:
+    elif form == "table":
         rows = _field(entry, "table", where, _array_of(_integers))
         group = named(where, FiniteGroupTable.from_rows, rows,
                       _field(entry, "identity", where, _integer, 0))
@@ -204,15 +220,17 @@ def _read_group(doc: InputDocument, name: str, where: str, entry: Any) -> None:
 
 
 def _read_class_table(doc: InputDocument, name: str, where: str, entry: Any) -> None:
-    if entry.get("trivial"):
+    form = _form(entry, ("trivial", "group", "labels"), where)
+    if form == "trivial":
+        _field(entry, "trivial", where, _true)
         doc.classes[name] = MonodromyTable.trivial()
-    elif "group" in entry:
+    elif form == "group":
         # a class table built from a group needs inertia; the other two do not
         from .inertia import monodromy_table
 
         gname = _known(_field(entry, "group", where, _string), doc.groups, "group", where)
         doc.classes[name] = monodromy_table(doc.groups[gname])
-    elif "labels" in entry:
+    elif form == "labels":
         rows = _field(entry, "labels", where, _array_of(_label_row))
         doc.classes[name] = named(where, MonodromyTable,
                                   orders={lb: o for lb, o, _ in rows},

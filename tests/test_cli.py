@@ -112,6 +112,17 @@ class TestExitCodes:
                               "--max-vertices", "13"])
         assert rc == 3
 
+    @pytest.mark.parametrize("argv,code,message", [
+        (["graphs", "poset", "--in", str(DATA / "graphs.json"), "--graph", "gmax",
+          "--max-vertices", "x"], 2, "argument --max-vertices: invalid int value: 'x'"),
+        (["partitions", "--total", "2", "--orders", "2,x"], 1,
+         "error: --orders[1]: expected an integer, got 'x'"),
+    ], ids=["argparse-int", "io-reader"])
+    def test_malformed_option_value(self, argv, code, message):
+        # argparse reads the int and float options, io's readers the others
+        rc, out, err = capture(argv)
+        assert (rc, out) == (code, "") and message in err
+
     def test_invalid_graph_reported(self, tmp_path):
         doc = {
             "schema": "orbi-degen/1",
@@ -390,6 +401,18 @@ class TestMalformedInputExits1:
         doc = {"schema": "orbi-degen/1", section: [{"name": section[0]}]}
         err = self.run_on(tmp_path, json.dumps(doc), ["sectors"])
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("vertices,state", [
+        ([{"genus": 0, "class": [0]}] * 2, "is disconnected"),
+        ([], "has no vertices"),
+    ], ids=["disconnected", "no-vertices"])
+    def test_poset_needs_a_connected_graph(self, tmp_path, vertices, state):
+        doc = {"schema": "orbi-degen/1",
+               "homology": [{"name": "h", "rank": 1, "c1": ["0"], "z_pairing": ["0"],
+                             "effective": [[0]]}],
+               "graphs": [{"name": "g", "homology": "h", "vertices": vertices}]}
+        err = self.run_on(tmp_path, json.dumps(doc), ["graphs", "poset", "--graph", "g"])
+        assert err == f"error: graph g {state}; a poset needs a connected graph\n"
 
     def test_null_cyclic_order(self, tmp_path):
         doc = json.loads((DATA / "ex_z3.json").read_text())
@@ -813,6 +836,16 @@ FUZZ_CASES = {
     "empty-menu": (["expand", "--scenario", "smooth_one_node"],
                    demo_document("smooth1.json", entry("scenarios", monodromy_menu=[])),
                    "unknown monodromy class 'e'"),
+    # an entry's form: `trivial` is a JSON true, and one form per entry
+    "trivial-not-true": (["graphs", "validate", "--graph", "gmax"],
+                         demo_document("graphs.json", lambda doc: doc["classes"].__setitem__(
+                             0, {"name": "z2div", "trivial": "no"})),
+                         "classes[z2div].trivial: expected true, got 'no'"),
+    "trivial-and-labels": (["graphs", "validate", "--graph", "gmax"],
+                           demo_document("graphs.json", entry("classes", trivial=[0])),
+                           "classes[z2div]: names 'trivial' and 'labels'"),
+    "cyclic-and-table": (["sectors"], demo_document("ex_z3.json", entry("groups", table=[[0]])),
+                         "groups[z3]: names 'cyclic' and 'table'"),
     "empty-ledger-rel": (["dim", "ledger"],
                          demo_document("ledger_smooth.json",
                                        lambda doc: doc["plus"].update(rel=[])),

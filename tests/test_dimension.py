@@ -224,6 +224,13 @@ class TestSplittingLedger:
         with pytest.raises(ValidationError, match="node 1"):
             splitting_ledger(plus, minus, (F(1), F(1)), total)
 
+    def test_sector_dim_per_matched_node(self):
+        rng = random.Random(33)
+        plus, minus, dims, total = random_smooth_splitting(rng)
+        with pytest.raises(ValidationError, match=rf"^{len(dims) - 1} sector dims for "
+                                                  rf"{len(dims)} matched nodes$"):
+            splitting_ledger(plus, minus, dims[:-1], total)
+
     def test_monodromy_inverse_check_with_table(self):
         table = MonodromyTable.cyclic(3)
         plus = ModuliSpec("relative-orbifold", n=2, genus=0, c1A=F(0),

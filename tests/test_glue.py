@@ -110,6 +110,13 @@ class TestCorrect:
         assert abs(np.linalg.norm(result.xi) - 0.105) <= 1e-9
         assert 0.105 <= 2 * const.eps1
 
+    def test_correction_beyond_twice_eps1_raises(self):
+        # the radial correction has |xi| = 0.105, far above 2 * 1e-6
+        system, chart = sphere_model(1.05)
+        with pytest.raises(NonConvergenceError,
+                           match=r"^converged but \|xi\|=1\.050e-01 exceeds 2\*eps1=2\.000e-06$"):
+            correct(system, chart, np.array([0.9, -0.4]), eps1=1e-6)
+
     def test_node_point_on_hyperbola(self):
         system, chart = node_model(0.25)
         result = correct(system, chart, np.array([0.4]))
@@ -190,6 +197,17 @@ class TestChartMap:
         norms = [chart_map(system, chart, s, np.array([a, b])).derivative_norm
                  for a, b in [(0.0, 0.0), (0.05, -0.02), (-0.04, 0.01)]]
         assert max(norms) - min(norms) < 1e-6
+
+
+    def test_constant_chart_takes_the_plain_norm(self):
+        # dx/ds = 0 has no orthonormal frame, so |D Phi| is the norm of (0 | Q)
+        system = FredholmSystem(dim_b=2, dim_f=1, evaluate=lambda x: np.array([x[1]]),
+                                derivative=lambda x: np.array([[0.0, 1.0]]), name="flat")
+        chart = ApproxChart(param=lambda s: np.zeros(2),
+                            right_inverse=lambda s: np.array([[0.0], [1.0]]), name="point")
+        result = chart_map(system, chart, np.array([0.3]), np.array([0.2]))
+        assert np.allclose(result.point, [0.0, 0.2])
+        assert result.derivative_norm == pytest.approx(1.0) and result.within_bound
 
 
 class TestInjectivity:

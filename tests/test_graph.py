@@ -373,6 +373,10 @@ class TestAutomorphisms:
                           Edge("absolute", (0, 2))), ())
         assert automorphism_order(graph) == 6
 
+    def test_empty_graph(self):
+        empty = RelGraph((), (), ())
+        assert automorphism_order(empty) == 1 and canonical_form(empty) == empty
+
     def test_canonical_preserves_aut(self):
         graph = RelGraph((vertex(a=1), vertex()), (Edge("absolute", (0, 1)),), ())
         assert automorphism_order(graph) == automorphism_order(canonical_form(graph))

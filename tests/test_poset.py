@@ -308,6 +308,11 @@ def test_single_node_scenario():
     assert poset.maximal_index() == 0
 
 
+def test_poset_without_a_one_vertex_node():
+    with pytest.raises(ValidationError, match="^poset has no one-vertex node$"):
+        graph.StratPoset((), (), True).maximal_index()
+
+
 def test_maximal_element_is_one_vertex():
     homology = HomologyModel(rank=1, c1=(F(1),), z_pairing=(F(1),),
                              effective=((0,), (1,)))
