@@ -25,9 +25,14 @@ graphs builds only as many objects as there are distinct parts.
 Every poset node refines to a graph with max_vertices vertices of genus 0 (a
 loop for each unit of vertex genus, genus-0, class-0 leaves for the missing
 vertices), so the poset walk covers only that bottom layer and single
-contractions find every other node and its covers.  Tails are labeled, so
-placing them on one tail-free graph per class reaches every tailed class
-(if s maps B onto B', (B, P) is isomorphic to (B', sP)).
+contractions find every other node and its covers.  The walk takes vertex
+tuples non-decreasing in (level, class), with no more levels than vertices;
+every candidate is valid by construction, so only the one-vertex graph is
+validated.  Each connected edge multiset is searched once without tails.
+Tails are labeled, so placing them on one tail-free graph per class reaches
+every tailed class (if s maps B onto B', (B, P) is isomorphic to (B', sP)).
+The closure indexes its seeds in walk order and contracts them in that
+order, so its work does not depend on hashing.
 
 Both walks take vertex classes from one table: _class_sums counts the
 ordered tuples of effective classes per sum, and _class_draws draws through
@@ -538,10 +543,12 @@ def automorphism_order(graph: RelGraph) -> int:
 
 @dataclass(frozen=True)
 class PosetBounds:
-    """Enumeration caps, each at least 1; relative internal edges additionally need
-    a numerator cap and a decoration menu because nothing else makes the search
-    space finite; the edge menu names each label once.  An edge menu of None
-    means the class table's order-1 labels; () is the empty menu."""
+    """Enumeration caps, each at least 1; a vertex cap above MAX_AUT_VERTICES
+    raises ResourceLimitError (exit 3 from the command line).  Relative
+    internal edges (max_levels > 1) additionally need a numerator cap because
+    nothing else makes the search space finite; the edge menu names each label
+    once.  An edge menu of None means the class table's order-1 labels; () is
+    the empty menu."""
 
     max_vertices: int
     max_levels: int = 1
@@ -673,27 +680,21 @@ def stratification_poset(
     bounds: PosetBounds = PosetBounds(max_vertices=2),
 ) -> StratPoset:
     """All valid graphs (canonical, deterministic order) contracting to the
-    one-vertex graph with the given decorations, with single-contraction covers.
+    one-vertex graph with the given decorations, with single-contraction covers;
+    the module docstring says how the walk finds them.
 
     Tail vertex assignments in `tails` are ignored; tails keep their list
-    positions (marked points are labeled).  Only the bottom layer is walked
-    (max_vertices vertices of genus 0, max_vertices - 1 + genus_total edges).
-    Any node refines to it by trading a unit of vertex genus for a loop or
-    splitting off a genus-0, class-0 leaf on an absolute edge, so the nodes
-    and covers are that layer and the one-vertex graph closed under single
-    contractions, the closure taking its seeds in walk order so that its work
-    does not depend on hashing.  The edge menu defaults to the class table's
-    order-1 labels.  With an edge on the menu a chain of leaves reaches the
-    vertex cap, so the poset is complete only with an empty menu (one node)
-    and a vertex cap above 1.  Invalid inputs raise ValidationError naming
-    the one-vertex graph's first diagnostic, as does a contraction to a class
-    outside `effective`, and an edge menu label missing from the class table
-    names its PosetBounds.edge_monodromies position.  A walk of more than
+    positions (marked points are labeled).  PosetBounds checks its own caps.
+    With an edge on the menu a chain of leaves reaches the vertex cap, so the
+    poset is complete only with an empty menu (one node) and a vertex cap
+    above 1.  Invalid inputs raise ValidationError naming the one-vertex
+    graph's first diagnostic, as does a contraction to a class outside
+    `effective`, and an edge menu label missing from the class table names
+    its PosetBounds.edge_monodromies position.  A walk of more than
     _CANDIDATE_BUDGET edge multisets raises ResourceLimitError before it
-    starts.  Each connected multiset is searched once without tails; a walk
-    whose distinct tail-free graphs times the max_vertices ** len(tails) tail
-    placements exceed _PLACEMENT_BUDGET raises ResourceLimitError after those
-    searches and before the first placement is built.
+    starts; one whose distinct tail-free graphs times the
+    max_vertices ** len(tails) tail placements exceed _PLACEMENT_BUDGET
+    raises it after the tail-free searches and before the first placement.
     """
     table = classes if classes is not None else MonodromyTable.trivial()
 

@@ -198,7 +198,6 @@ class TestChartMap:
                  for a, b in [(0.0, 0.0), (0.05, -0.02), (-0.04, 0.01)]]
         assert max(norms) - min(norms) < 1e-6
 
-
     def test_constant_chart_takes_the_plain_norm(self):
         # dx/ds = 0 has no orthonormal frame, so |D Phi| is the norm of (0 | Q)
         system = FredholmSystem(dim_b=2, dim_f=1, evaluate=lambda x: np.array([x[1]]),
