@@ -75,7 +75,8 @@ def _cmd_sectors(args) -> int:
     from .inertia import cr_poincare_polynomial
 
     doc = load_document(read_text(args.input))
-    selected = [doc.one("profiles", args.profile)] if args.profile else sorted(doc.profiles.items())
+    selected = ([doc.one("profiles", args.profile)] if args.profile is not None
+                else sorted(doc.profiles.items()))
     if not selected:
         raise ValidationError("document has no profiles")
     profiles, lines = [], []
@@ -256,7 +257,7 @@ def _cmd_expand(args) -> int:
     hname, bname = doc.scenario_context[name]
     if not bname:
         raise ValidationError(f"scenario {name!r} has no basis reference")
-    degree = _rational(args.degree, "--degree") if args.degree else None
+    degree = _rational(args.degree, "--degree") if args.degree is not None else None
     terms = expand_terms(scenario, doc.basis[bname], doc.homology[hname], total_degree=degree,
                          where=(f"scenarios[{name}]", f"basis[{bname}]"))
     rows = [(str(t.coefficient), list(t.labels), term_record(t)) for t in terms]
@@ -433,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     with _command(sub, "expand", _cmd_expand,
                   help="degeneration-formula term expansion") as p:
         p.add_argument("--scenario")
-        p.add_argument("--degree", default="")
+        p.add_argument("--degree")
 
     gl = sub.add_parser("glue", help="finite-dimensional gluing sandbox")
     glsub = gl.add_subparsers(dest="glue_command", required=True)

@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ResourceLimitError, ValidationError
 
@@ -232,12 +232,20 @@ def _partition_count(goal: Fraction, slot_orders: Sequence[int], cap: int) -> in
 def aut_order(insertions: Iterable[RelInsertion]) -> int:
     """Order of the permutation group preserving every (l, h, beta) triple; l = k/r
     is keyed by its lowest-terms pair, equal exactly when the values are."""
-    counts: dict[tuple[int, int, str, str], int] = {}
+    keys = []
     for ins in insertions:
         k, r = ins.order.k, ins.order.r
         g = math.gcd(k, r)
-        key = (k // g, r // g, ins.monodromy, ins.basis_label)
-        counts[key] = counts.get(key, 0) + 1
+        keys.append((k // g, r // g, ins.monodromy, ins.basis_label))
+    return _multiset_aut(keys)
+
+
+def _multiset_aut(items: Iterable[Hashable]) -> int:
+    """Order of the permutation group of a multiset that fixes each item: the
+    product of the factorials of the multiplicities."""
+    counts: dict[Hashable, int] = {}
+    for item in items:
+        counts[item] = counts.get(item, 0) + 1
     return math.prod(map(math.factorial, counts.values()))
 
 

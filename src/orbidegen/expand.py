@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .contact import ContactOrder, MonodromyTable, RelInsertion, aut_order, enumerate_partitions
+from .contact import ContactOrder, MonodromyTable, _multiset_aut, enumerate_partitions
 from .errors import ResourceLimitError, ValidationError, named
 from .graph import (
     ABSOLUTE,
@@ -30,11 +30,14 @@ from .graph import (
     Tail,
     Vertex,
     _CANDIDATE_BUDGET,
+    _as_code,
     _class_draws,
     _class_sums,
     _composition_count,
+    _contact_of,
+    _tail_of,
+    _vertex_of,
     canonical_form,
-    encode,
     is_connected,
 )
 
@@ -232,29 +235,31 @@ def _node_multisets(
     return sorted(out)
 
 
-def _extract_matching(canon: RelGraph) -> Matching:
-    """Read the two side graphs back off the canonical glued representation.
+def _extract_matching(code: tuple) -> Matching:
+    """Read the two side graphs back off the canonical glued representation,
+    given in encoding shape; equal parts are graph.py's shared objects.
 
     The canonical form lists the level-0 vertices first and every node edge
     with its level-0 end first, so side `level` takes end and half `level` of
     each edge and shifts vertex indices by the plus-side size times `level`.
     """
-    n_plus = sum(v.level == 0 for v in canon.vertices)
+    vs, es, ts = code
+    n_plus = sum(level == 0 for level, _, _ in vs)
 
     def side_graph(level: int) -> RelGraph:
         shift = n_plus * level
-        vertices = tuple(Vertex(v.genus, v.cls, 0) for v in canon.vertices if v.level == level)
-        tails = [Tail(t.vertex - shift, ABSOLUTE, t.monodromy) for t in canon.tails
-                 if canon.vertices[t.vertex].level == level]
-        tails += [Tail(e.ends[level] - shift, RELATIVE, e.halves[level], e.contact)
-                  for e in canon.edges]
+        vertices = tuple([_vertex_of((0, g, cls)) for lv, g, cls in vs if lv == level])
+        tails = [_tail_of((v - shift, ABSOLUTE, m, (0, 0))) for v, _, m, _ in ts
+                 if vs[v][0] == level]
+        tails += [_tail_of((e[1 + 2 * level] - shift, RELATIVE, e[2 + 2 * level], e[5]))
+                  for e in es]
         return RelGraph(vertices, (), tuple(tails))
 
     return Matching(
         gamma_plus=side_graph(0),
         gamma_minus=side_graph(1),
-        contacts=tuple(e.contact for e in canon.edges),
-        monodromies=tuple(e.halves[0] for e in canon.edges),
+        contacts=tuple([_contact_of(e[5]) for e in es]),
+        monodromies=tuple([e[2] for e in es]),
     )
 
 
@@ -272,7 +277,9 @@ def enumerate_splittings(
     table = scenario.table()
     scenario.check_against(homology)
     m = len(scenario.absolute)
-    found: dict[RelGraph, Matching] = {}
+    found: dict[RelGraph, tuple[tuple, Matching]] = {}  # canonical graph -> (its code, matching)
+    # every tuple of absolute tails on total_v vertices, built once per vertex count
+    tails_on: dict[int, list[tuple[Tail, ...]]] = {}
     shapes = _splitting_shapes(scenario, homology)
     if _candidate_count(shapes, m) > _CANDIDATE_BUDGET:
         raise ResourceLimitError(
@@ -284,10 +291,10 @@ def enumerate_splittings(
         # each node joins a plus vertex to a minus vertex; half decorations
         # are the node monodromy on the plus side and its inverse on the minus
         # side
-        node_edges = [
+        edge_tuples = list(itertools.product(*(
             [Edge(RELATIVE, (p, q), (label, table.inverse_of(label)), contact)
              for p in range(v_plus) for q in range(v_plus, total_v)]
-            for label, contact in nodes]
+            for label, contact in nodes)))
         minus_draws = list(_class_draws(a_minus, range(v_minus), homology.effective))
         for cls_plus in _class_draws(a_plus, range(v_plus), homology.effective):
             for cls_minus in minus_draws:
@@ -297,17 +304,21 @@ def enumerate_splittings(
                     ends = (-1, *bars, genus_budget + total_v - 1)
                     vertices = tuple(Vertex(ends[v + 1] - ends[v] - 1, classes[v], int(v >= v_plus))
                                      for v in range(total_v))
-                    for homes in itertools.product(range(total_v), repeat=m):
-                        tails = tuple(Tail(vertex=home, kind=ABSOLUTE, monodromy=insertion.label)
-                                      for home, insertion in zip(homes, scenario.absolute))
-                        for edges in itertools.product(*node_edges):
+                    if total_v not in tails_on:
+                        tails_on[total_v] = [
+                            tuple([Tail(home, ABSOLUTE, insertion.label)
+                                   for home, insertion in zip(homes, scenario.absolute)])
+                            for homes in itertools.product(range(total_v), repeat=m)]
+                    for tails in tails_on[total_v]:
+                        for edges in edge_tuples:
                             glued = RelGraph(vertices, edges, tails)
                             if not is_connected(glued):
                                 continue
                             canon = canonical_form(glued)
                             if canon not in found:
-                                found[canon] = _extract_matching(canon)
-    return [found[canon] for canon in sorted(found, key=encode)]
+                                code = _as_code(canon)
+                                found[canon] = (code, _extract_matching(code))
+    return [matching for _, matching in sorted(found.values(), key=operator.itemgetter(0))]
 
 
 def _splitting_shapes(scenario: SplittingScenario, homology: HomologyModel) -> list[tuple]:
@@ -398,21 +409,32 @@ def expand(
                 f"{at_scenario}: menu class {entry.label!r} has no basis entries on its sector"
             )
     degree_of = {e.label: e.cr_degree for e in basis.entries}
+    labels_on = {h: tuple([e.label for e in basis.supported_on(h)]) for h in table.orders}
     # (term_record(term), term) pairs; each side's record is built once per matching
     records: list[tuple[str, Term]] = []
     for m in enumerate_splittings(scenario, homology):
-        ell = math.prod((c.value for c in m.contacts), start=Fraction(1))
+        values = [c.value for c in m.contacts]
+        ell = math.prod(values, start=Fraction(1))
         plus, minus = _side_record(m.gamma_plus), _side_record(m.gamma_minus)
-        # node j's insertions, one per basis entry on its sector
-        menus = [[RelInsertion(c, h, e.label) for e in basis.supported_on(h)]
-                 for c, h in zip(m.contacts, m.monodromies)]
-        for combo in itertools.product(*menus):
-            labels = tuple([ins.basis_label for ins in combo])
+        # two insertions tie only on nodes of equal contact value and monodromy
+        # (and so one label menu), so |Aut| of a combo is the product over
+        # each such group of its label counts' factorials
+        ties: dict[tuple[Fraction, str], list[int]] = {}
+        for j, node in enumerate(zip(values, m.monodromies)):
+            ties.setdefault(node, []).append(j)
+        groups = [group for group in ties.values() if len(group) > 1]
+        coefficient_of = {1: ell}  # |Aut| -> ell * |Aut|
+        for labels in itertools.product(*map(labels_on.__getitem__, m.monodromies)):
             if total_degree is not None and sum(map(degree_of.__getitem__, labels)) != total_degree:
                 continue
-            aut = aut_order(combo)
-            term = Term(m.gamma_plus, m.gamma_minus, labels, ell * aut if aut != 1 else ell)
-            records.append((_record(term.coefficient, labels, plus, minus), term))
+            aut = 1
+            for group in groups:
+                aut *= _multiset_aut([labels[j] for j in group])
+            coefficient = coefficient_of.get(aut)
+            if coefficient is None:
+                coefficient = coefficient_of[aut] = ell * aut
+            term = Term(m.gamma_plus, m.gamma_minus, labels, coefficient)
+            records.append((_record(coefficient, labels, plus, minus), term))
     records.sort(key=operator.itemgetter(0))
     return [term for _, term in records]
 

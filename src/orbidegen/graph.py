@@ -18,9 +18,11 @@ inside this module a graph is its encoding (vs, es, ts), with vs[v] =
 and ts[t] = (vertex, kind, monodromy, contact), a contact being (k, r) or
 (0, 0) for none.  _as_code converts a graph on the way in and _decode on the
 way out; the canonical search, both contraction moves and the poset walk run
-on encodings only.  _decode interns: equal vertex, edge and tail encodings
-decode to one shared frozen object, so a walk that decodes thousands of
-graphs builds only as many objects as there are distinct parts.
+on encodings only.  A graph whose vertex decorations are all distinct costs
+the canonical search one sort and one relabeling.  _decode interns: equal
+vertex, edge and tail encodings decode to one shared frozen object, so a
+walk that decodes thousands of graphs builds only as many objects as there
+are distinct parts.
 
 Every poset node refines to a graph with max_vertices vertices of genus 0 (a
 loop for each unit of vertex genus, genus-0, class-0 leaves for the missing
@@ -394,8 +396,10 @@ def _relabel(code: tuple, perm: Sequence[int]) -> tuple:
     for kind, a, ha, b, hb, c in es:
         la, lb = vs[a][0], vs[b][0]
         a, b = perm[a], perm[b]
-        edges.append((kind, b, hb, a, ha, c) if (la, a, ha) > (lb, b, hb)
-                     else (kind, a, ha, b, hb, c))
+        if la < lb or la == lb and (a < b or a == b and ha <= hb):
+            edges.append((kind, a, ha, b, hb, c))
+        else:
+            edges.append((kind, b, hb, a, ha, c))
     edges.sort()
     return (tuple(out), tuple(edges), tuple([(perm[v], kind, m, c) for v, kind, m, c in ts]))
 
@@ -464,14 +468,7 @@ def _vertex_base_keys(code: tuple) -> list[tuple]:
 
 
 def _key_blocks(code: tuple) -> list[list[int]]:
-    """Vertices of an encoding sorted by base key, grouped into equal-key blocks.
-
-    A base key starts with the vertex decoration, so when no two vertices
-    share a decoration the decorations alone give the order, every block is a
-    singleton, and the base keys are never built."""
-    vs = code[0]
-    if len(set(vs)) == len(vs):
-        return [[v] for v in sorted(range(len(vs)), key=vs.__getitem__)]
+    """Vertices of an encoding sorted by base key, grouped into equal-key blocks."""
     keys = _vertex_base_keys(code)
     blocks: list[list[int]] = []
     for v in sorted(range(len(keys)), key=keys.__getitem__):
@@ -488,11 +485,18 @@ def _canonical_search(code: tuple) -> tuple[tuple, int]:
     two tie exactly when they differ by a decoration-preserving symmetry, and
     every symmetry respects the base keys (which hold the tail index, so a
     symmetry fixes every tail).  Only blocks of two or more vertices are
-    permuted, so all-singleton blocks cost one relabeling."""
-    nv = len(code[0])
+    permuted, so all-singleton blocks cost one relabeling.  A base key starts
+    with the vertex decoration, so when no two vertices share a decoration
+    the decorations alone give the order and the base keys are never built."""
+    vs = code[0]
+    nv = len(vs)
     if nv > MAX_AUT_VERTICES:
         raise ResourceLimitError(f"graph has {nv} vertices, cap is {MAX_AUT_VERTICES}")
     perm = [0] * nv
+    if len(set(vs)) == nv:
+        for pos, v in enumerate(sorted(range(nv), key=vs.__getitem__)):
+            perm[v] = pos
+        return _relabel(code, perm), 1
     shuffled = []  # (first position, block) of every multi-vertex block
     budget, pos = 1, 0
     for block in _key_blocks(code):
@@ -533,8 +537,8 @@ def automorphism_order(graph: RelGraph) -> int:
 
     Marked points are labeled, so a symmetry fixes every tail; two identically
     decorated tails are never exchanged.  The multiset symmetry of equal
-    insertions enters each term's coefficient through contact.aut_order, so
-    counting it here as well would count it twice.
+    insertions enters each term's coefficient as contact.aut_order counts it,
+    so counting it here as well would count it twice.
     """
     if not graph.vertices:
         return 1

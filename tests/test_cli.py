@@ -507,6 +507,17 @@ class TestMalformedInputExits1:
         assert rc == 1 and out == ""
         assert err.startswith(f"error: {option}") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sectors", "--in", str(DATA / "ex_s3.json"), "--profile", ""],
+         "no profiles entry named ''"),
+        (["expand", "--in", str(DATA / "smooth1.json"), "--scenario", "smooth_one_node",
+          "--degree", ""], "--degree: cannot parse rational ''"),
+    ], ids=["profile", "degree"])
+    def test_empty_option_value_is_not_an_omitted_option(self, argv, message):
+        rc, out, err = capture(argv)
+        assert rc == 1 and out == ""
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
+
     @pytest.mark.parametrize("option", ["--samples", "--probes"])
     def test_glue_count_above_cap_exits_3(self, option):
         # refused before any sampling, so far inside the timeout

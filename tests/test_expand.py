@@ -38,6 +38,8 @@ from orbidegen.graph import (
     Vertex,
     automorphism_order,
     bullet_genus,
+    canonical_form,
+    encode,
     is_connected,
     validate,
 )
@@ -189,6 +191,10 @@ class TestEnumerateSplittings:
         first = enumerate_splittings(sc, LINE)
         second = enumerate_splittings(sc, LINE)
         assert [term_side_key(m) for m in first] == [term_side_key(m) for m in second]
+        # the scenario has no absolute insertions, so glued() rebuilds the
+        # graph each matching was read off
+        canonical = [canonical_form(glued(m)) for m in first]
+        assert canonical == sorted(canonical, key=encode)
 
     def test_inconsistent_splitting_rejected(self):
         sc = scenario(splittings=(((1,), (2,)),))
@@ -252,19 +258,22 @@ class TestExpand:
             assert t.coefficient.denominator == 1
 
     def test_coefficient_recomputable_from_parts(self):
-        sc = SplittingScenario(
-            genus=0, absolute=(), class_splittings=(((2,), (2,)),),
-            max_nodes=2, monodromy_menu=Z2_MENU, z_total=F(1))
         from orbidegen.contact import RelInsertion, aut_order
 
-        for t in expand(sc, Z2_BASIS, HALFLINE):
-            rel_tails = [tl for tl in t.gamma_plus.tails if tl.kind == "relative"]
-            ell = F(1)
-            for tl in rel_tails:
-                ell *= tl.contact.value
-            ins = [RelInsertion(tl.contact, tl.monodromy, lb)
-                   for tl, lb in zip(rel_tails, t.labels)]
-            assert t.coefficient == ell * aut_order(ins)
+        auts = Counter()
+        for sc, basis, homology in pinned_term_cases() + [
+                (roadmap_scenario(), SMOOTH_BASIS, ROADMAP_LINE)]:
+            for t in expand(sc, basis, homology):
+                rel_tails = [tl for tl in t.gamma_plus.tails if tl.kind == "relative"]
+                ell = F(1)
+                for tl in rel_tails:
+                    ell *= tl.contact.value
+                aut = aut_order([RelInsertion(tl.contact, tl.monodromy, lb)
+                                 for tl, lb in zip(rel_tails, t.labels)])
+                assert t.coefficient == ell * aut
+                auts[aut] += 1
+        # three tied nodes reach 3! on the roadmap scenario
+        assert {1, 2, 6} <= set(auts)
 
     def test_degree_filter(self):
         sc = scenario()

@@ -686,11 +686,19 @@ class TestCanonicalFormPinned:
         assert digest.hexdigest() == PINNED_DIGEST
 
     def test_decode_inverts_encode(self):
-        # expand keys its matchings on _as_code of a decoded canonical code
+        # expand sorts its matchings by _as_code of a decoded canonical code
         for graph in pinned_graphs():
             code = _canonical_search(_as_code(graph))[0]
             assert encode(_decode(code)) == code
             assert _as_code(_decode(code)) == code
+
+    def test_encode_writes_the_lower_level_end_first(self):
+        # vertex 0 sits above vertex 1, so level, not index, orients the edge
+        graph = RelGraph((Vertex(0, (1,), 1), Vertex(0, (1,), 0)),
+                         (Edge("relative", (0, 1), ("h", "h"), ContactOrder(1, 2)),
+                          Edge("absolute", (1, 1), ("h", "e"))), ())
+        assert encode(graph)[1] == (("absolute", 1, "e", 1, "h", (0, 0)),
+                                    ("relative", 1, "h", 0, "h", (1, 2)))
 
 
 def random_multigraph(rng: random.Random, nv: int) -> RelGraph:

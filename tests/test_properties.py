@@ -45,7 +45,7 @@ from orbidegen.graph import (  # noqa: E402
     _class_sums,
     _decode,
     _key_blocks,
-    _vertex_base_keys,
+    _relabel,
     automorphism_order,
     canonical_form,
     contract_edge,
@@ -179,24 +179,44 @@ def distinct_decoration_codes(draw) -> tuple:
     return vs, es, ts
 
 
-def base_key_blocks(code: tuple) -> list[list[int]]:
-    """The vertices sorted by full base key and grouped into equal-key blocks."""
-    keys = _vertex_base_keys(code)
-    blocks: list[list[int]] = []
-    for v in sorted(range(len(keys)), key=keys.__getitem__):
-        if blocks and keys[blocks[-1][-1]] == keys[v]:
-            blocks[-1].append(v)
-        else:
-            blocks.append([v])
-    return blocks
-
-
 @SETTINGS
 @hypothesis.given(distinct_decoration_codes())
 def test_distinct_decorations_order_like_base_keys(code):
     blocks = _key_blocks(code)
-    assert blocks == base_key_blocks(code)
     assert all(len(block) == 1 for block in blocks)
+    perm = [0] * len(blocks)
+    for pos, (v,) in enumerate(blocks):
+        perm[v] = pos
+    assert _canonical_search(code) == (_relabel(code, perm), 1)
+
+
+@st.composite
+def relabeled_distinct_codes(draw) -> tuple[tuple, tuple]:
+    """An encoding with pairwise distinct decorations and the same graph with
+    its vertices relabeled, its edges shuffled and some edges written end to
+    start, built without _relabel."""
+    code = draw(distinct_decoration_codes())
+    vs, es, ts = code
+    perm = draw(st.permutations(range(len(vs))))
+    vertices = [None] * len(vs)
+    for v, image in enumerate(perm):
+        vertices[image] = vs[v]
+    edges = []
+    for kind, a, ha, b, hb, c in draw(st.permutations(es)):
+        if draw(st.booleans()):
+            a, ha, b, hb = b, hb, a, ha
+        edges.append((kind, perm[a], ha, perm[b], hb, c))
+    tails = tuple([(perm[v], kind, m, c) for v, kind, m, c in ts])
+    return code, (tuple(vertices), tuple(edges), tails)
+
+
+@SETTINGS
+@hypothesis.given(relabeled_distinct_codes())
+def test_distinct_decorations_search_is_relabeling_invariant(pair):
+    code, relabeled = pair
+    best, ties = _canonical_search(code)
+    assert ties == 1
+    assert _canonical_search(relabeled) == (best, 1)
 
 
 def decoded_field_by_field(code: tuple) -> RelGraph:
