@@ -180,7 +180,8 @@ def _cmd_graphs_poset(args) -> int:
     def known_label(item: str, where: str) -> str:
         return _known(item, table.orders, "monodromy class", where)
 
-    menu = parse_list(args.edge_monodromies, "--edge-monodromies", known_label) or None
+    menu = (parse_list(args.edge_monodromies, "--edge-monodromies", known_label)
+            if args.edge_monodromies is not None else None)
     bounds = PosetBounds(max_vertices=args.max_vertices, max_levels=args.max_levels,
                          edge_monodromies=menu, max_edge_contact_numerator=args.max_edge_contact)
     try:
@@ -209,7 +210,7 @@ def _cmd_dim_virdim(args) -> int:
     from .dimension import ModuliSpec, virdim
 
     rel = parse_rel(args.rel)
-    za = (_rational(args.za, "--za") if args.za
+    za = (_rational(args.za, "--za") if args.za is not None
           else sum((t.order.value for t in rel), Fraction(0)))
     value = virdim(ModuliSpec(flavor=args.flavor, n=args.n, genus=args.genus,
                               c1A=_rational(args.c1a, "--c1a"),
@@ -237,7 +238,7 @@ def _cmd_dim_ledger(args) -> int:
 
 def _cmd_partitions(args) -> int:
     total = _rational(args.total, "--total")
-    orders = parse_list(args.orders, "--orders", _integer) or (1,)
+    orders = parse_list(args.orders, "--orders", _integer) if args.orders is not None else (1,)
     tuples = [[str(o) for o in tup] for tup in enumerate_partitions(total, orders)]
     _emit(args, {"total": str(total), "orders": orders, "count": len(tuples),
                  "partitions": tuples},
@@ -410,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--graph")
         p.add_argument("--max-vertices", type=int, default=2)
         p.add_argument("--max-levels", type=int, default=1)
-        p.add_argument("--edge-monodromies", default="")
+        p.add_argument("--edge-monodromies")
         p.add_argument("--max-edge-contact", type=int, default=None)
 
     dim = sub.add_parser("dim", help="virtual dimensions and the splitting ledger")
@@ -422,14 +423,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--c1a", required=True)
         p.add_argument("--shifts", default="")
         p.add_argument("--rel", default="", help="k/r[:shift[:monodromy]],...")
-        p.add_argument("--za", default="")
+        p.add_argument("--za")
     with _command(dsub, "ledger", _cmd_dim_ledger):
         pass
 
     with _command(sub, "partitions", _cmd_partitions, reads=False,
                   help="ordered contact-order partitions") as p:
         p.add_argument("--total", required=True)
-        p.add_argument("--orders", default="")
+        p.add_argument("--orders")
 
     with _command(sub, "expand", _cmd_expand,
                   help="degeneration-formula term expansion") as p:

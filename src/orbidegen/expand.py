@@ -30,14 +30,11 @@ from .graph import (
     Tail,
     Vertex,
     _CANDIDATE_BUDGET,
-    _as_code,
     _class_draws,
     _class_sums,
     _composition_count,
-    _contact_of,
-    _tail_of,
-    _vertex_of,
     canonical_form,
+    encode,
     is_connected,
 )
 
@@ -235,31 +232,28 @@ def _node_multisets(
     return sorted(out)
 
 
-def _extract_matching(code: tuple) -> Matching:
-    """Read the two side graphs back off the canonical glued representation,
-    given in encoding shape; equal parts are graph.py's shared objects.
+def _extract_matching(canon: RelGraph) -> Matching:
+    """Read the two side graphs back off a canonical glued graph.
 
-    The canonical form lists the level-0 vertices first and every node edge
-    with its level-0 end first, so side `level` takes end and half `level` of
-    each edge and shifts vertex indices by the plus-side size times `level`.
+    canonical_form lists the level-0 vertices first and every node edge with
+    its level-0 end first, so the plus side keeps the level-0 vertices and
+    their absolute tails as they are, the minus side shifts its indices down
+    by the plus-side vertex count, and side `level` takes end and half
+    `level` of each edge as its relative tail.
     """
-    vs, es, ts = code
-    n_plus = sum(level == 0 for level, _, _ in vs)
-
-    def side_graph(level: int) -> RelGraph:
-        shift = n_plus * level
-        vertices = tuple([_vertex_of((0, g, cls)) for lv, g, cls in vs if lv == level])
-        tails = [_tail_of((v - shift, ABSOLUTE, m, (0, 0))) for v, _, m, _ in ts
-                 if vs[v][0] == level]
-        tails += [_tail_of((e[1 + 2 * level] - shift, RELATIVE, e[2 + 2 * level], e[5]))
-                  for e in es]
-        return RelGraph(vertices, (), tuple(tails))
-
+    n_plus = sum(v.level == 0 for v in canon.vertices)
+    edges = canon.edges
+    plus_tails = [t for t in canon.tails if t.vertex < n_plus]
+    plus_tails += [Tail(e.ends[0], RELATIVE, e.halves[0], e.contact) for e in edges]
+    minus_tails = [Tail(t.vertex - n_plus, ABSOLUTE, t.monodromy)
+                   for t in canon.tails if t.vertex >= n_plus]
+    minus_tails += [Tail(e.ends[1] - n_plus, RELATIVE, e.halves[1], e.contact) for e in edges]
     return Matching(
-        gamma_plus=side_graph(0),
-        gamma_minus=side_graph(1),
-        contacts=tuple([_contact_of(e[5]) for e in es]),
-        monodromies=tuple([e[2] for e in es]),
+        gamma_plus=RelGraph(canon.vertices[:n_plus], (), tuple(plus_tails)),
+        gamma_minus=RelGraph(tuple([Vertex(v.genus, v.cls) for v in canon.vertices[n_plus:]]),
+                             (), tuple(minus_tails)),
+        contacts=tuple([e.contact for e in edges]),
+        monodromies=tuple([e.halves[0] for e in edges]),
     )
 
 
@@ -272,12 +266,15 @@ def enumerate_splittings(
     tail on both sides, with inverse monodromies and equal contact orders.
     The glued graph must be connected, reach the scenario genus through the
     bullet convention, distribute the labeled absolute insertions, and realize
-    one of the listed class splittings.
+    one of the listed class splittings.  Each connected candidate's canonical
+    form goes into one set; the splittings are read off those graphs in
+    encode order, a total order on distinct graphs, so the list does not
+    depend on hashing.
     """
     table = scenario.table()
     scenario.check_against(homology)
     m = len(scenario.absolute)
-    found: dict[RelGraph, tuple[tuple, Matching]] = {}  # canonical graph -> (its code, matching)
+    found: set[RelGraph] = set()  # canonical glued graphs
     # every tuple of absolute tails on total_v vertices, built once per vertex count
     tails_on: dict[int, list[tuple[Tail, ...]]] = {}
     shapes = _splitting_shapes(scenario, homology)
@@ -312,13 +309,9 @@ def enumerate_splittings(
                     for tails in tails_on[total_v]:
                         for edges in edge_tuples:
                             glued = RelGraph(vertices, edges, tails)
-                            if not is_connected(glued):
-                                continue
-                            canon = canonical_form(glued)
-                            if canon not in found:
-                                code = _as_code(canon)
-                                found[canon] = (code, _extract_matching(code))
-    return [matching for _, matching in sorted(found.values(), key=operator.itemgetter(0))]
+                            if is_connected(glued):
+                                found.add(canonical_form(glued))
+    return [_extract_matching(canon) for canon in sorted(found, key=encode)]
 
 
 def _splitting_shapes(scenario: SplittingScenario, homology: HomologyModel) -> list[tuple]:

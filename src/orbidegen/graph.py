@@ -526,7 +526,9 @@ def _canonical_search(code: tuple) -> tuple[tuple, int]:
 
 def canonical_form(graph: RelGraph) -> RelGraph:
     """Deterministic representative of the vertex-relabeling class (tails stay
-    labeled): the least encoding, decoded."""
+    labeled): the least encoding, decoded.  Its vertices come in ascending
+    level order, each edge lists its lower-level end first, and its tails
+    stay in list order."""
     if not graph.vertices:
         return graph
     return _decode(_canonical_search(_as_code(graph))[0])

@@ -512,11 +512,25 @@ class TestMalformedInputExits1:
          "no profiles entry named ''"),
         (["expand", "--in", str(DATA / "smooth1.json"), "--scenario", "smooth_one_node",
           "--degree", ""], "--degree: cannot parse rational ''"),
-    ], ids=["profile", "degree"])
+        (VIRDIM + ["--c1a", "3", "--rel", "2/1", "--za", ""], "--za: cannot parse rational ''"),
+    ], ids=["profile", "degree", "za"])
     def test_empty_option_value_is_not_an_omitted_option(self, argv, message):
         rc, out, err = capture(argv)
         assert rc == 1 and out == ""
         assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["partitions", "--total", "2", "--orders", "", "--json"],
+         {"orders": [], "count": 0, "partitions": []}),
+        (POSET + ["--edge-monodromies", "", "--json"],
+         {"nodes": 1, "covers": [], "complete": True}),
+    ], ids=["orders", "edge-monodromies"])
+    def test_empty_list_value_is_the_empty_tuple(self, argv, expected):
+        # an empty comma list is the empty tuple, not the omitted option's default
+        rc, out, err = capture(argv)
+        assert rc == 0 and err == ""
+        payload = json.loads(out)
+        assert {key: payload[key] for key in expected} == expected
 
     @pytest.mark.parametrize("option", ["--samples", "--probes"])
     def test_glue_count_above_cap_exits_3(self, option):

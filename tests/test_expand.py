@@ -2,7 +2,10 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction as F
@@ -146,6 +149,24 @@ class TestEnumerateSplittings:
         for m in enumerate_splittings(sc, LINE):
             assert validate(m.gamma_plus, LINE, sc.table()) == []
             assert validate(m.gamma_minus, LINE, sc.table()) == []
+
+    def test_z3_sides_read_off_the_glued_graph(self):
+        # w and w2 are not self-inverse, so the two sides' node halves differ
+        sc, _, homology = pinned_term_cases()[-1]
+        inverse = sc.table().inverse_of
+        ms = enumerate_splittings(sc, homology)
+        assert ms
+        for m in ms:
+            minus_halves = tuple(map(inverse, m.monodromies))
+            for side, halves in ((m.gamma_plus, m.monodromies), (m.gamma_minus, minus_halves)):
+                assert all(v.level == 0 for v in side.vertices)
+                assert all(0 <= t.vertex < len(side.vertices) for t in side.tails)
+                relative = [t for t in side.tails if t.kind == RELATIVE]
+                assert tuple(t.monodromy for t in relative) == halves
+                assert tuple(t.contact for t in relative) == m.contacts
+            absolute = [t.monodromy for side in (m.gamma_plus, m.gamma_minus)
+                        for t in side.tails if t.kind == ABSOLUTE]
+            assert sorted(absolute) == sorted(i.label for i in sc.absolute)
 
     def test_bullet_genus_gluing(self):
         sc = scenario(genus=1, max_nodes=2)
@@ -419,6 +440,30 @@ def pinned_term_cases():
                   max_nodes=2, menu=Z3_MENU, z_total=F(2, 3))
     cases.append((z3, Z3_BASIS, THIRDLINE))
     return cases
+
+
+SPLITTINGS_DIGEST = """
+import hashlib
+from orbidegen.expand import enumerate_splittings
+from test_expand import pinned_term_cases
+sc, _, homology = pinned_term_cases()[-1]
+print(hashlib.sha256(repr(enumerate_splittings(sc, homology)).encode()).hexdigest())
+"""
+
+
+def test_splittings_independent_of_the_hash_seed():
+    """The canonical glued graphs are kept in a set and read off in encode
+    order, so the splittings of the Z3 case do not depend on the string-hash
+    seed."""
+    root = Path(__file__).resolve().parents[1]
+    digests = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+        done = subprocess.run([sys.executable, "-c", SPLITTINGS_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        digests.append(done.stdout)
+    assert digests[0] == digests[1]
 
 
 # sha256 over every term_record in emitted order, recorded before term

@@ -667,9 +667,13 @@ class TestCanonicalLayout:
         rng = random.Random(4242)
         relative = 0
         for i in range(2000):
-            canon = canonical_form((random_symmetric_graph if i % 2 else random_valid_graph)(rng))
+            graph = (random_symmetric_graph if i % 2 else random_valid_graph)(rng)
+            canon = canonical_form(graph)
             levels = [v.level for v in canon.vertices]
             assert levels == sorted(levels)
+            # relabeling moves a tail's vertex, never its place in the list
+            assert ([(t.kind, t.monodromy, t.contact) for t in canon.tails]
+                    == [(t.kind, t.monodromy, t.contact) for t in graph.tails])
             for e in canon.edges:
                 if e.kind == "relative":
                     relative += 1
@@ -686,7 +690,7 @@ class TestCanonicalFormPinned:
         assert digest.hexdigest() == PINNED_DIGEST
 
     def test_decode_inverts_encode(self):
-        # expand sorts its matchings by _as_code of a decoded canonical code
+        # a canonical graph's encode is its code, so expand's encode sort orders codes
         for graph in pinned_graphs():
             code = _canonical_search(_as_code(graph))[0]
             assert encode(_decode(code)) == code
