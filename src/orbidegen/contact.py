@@ -156,35 +156,36 @@ def enumerate_partitions(
             f"partitions of {goal} into {len(slot_orders)} slots number more than "
             f"{MAX_PARTITIONS}"
         )
+    lcm = math.lcm(*slot_orders)
+    units = goal * lcm
+    if not slot_orders or units.denominator != 1:
+        return []
+    # the units of _partition_count, w = lcm/r per step of k; the later slots need
+    # a step each and can fill only multiples of the gcd of their weights
+    weights = [lcm // r for r in slot_orders]
+    last = len(slot_orders) - 1
+    reserves, gcds = [0] * (last + 1), [0] * (last + 1)
+    for j in range(last - 1, -1, -1):
+        reserves[j] = reserves[j + 1] + weights[j + 1]
+        gcds[j] = math.gcd(gcds[j + 1], weights[j + 1])
     out: list[tuple[ContactOrder, ...]] = []
-    prefix: list[ContactOrder] = []
-    # later slots each need at least 1/r_j
-    reserves = [Fraction(0)] * (len(slot_orders) + 1)
-    for j in range(len(slot_orders) - 1, -1, -1):
-        reserves[j] = reserves[j + 1] + Fraction(1, slot_orders[j])
 
-    def fill(slot: int, remaining: Fraction) -> None:
-        if slot == len(slot_orders):
-            if remaining == 0:
-                out.append(tuple(prefix))
+    def fill(slot: int, rest: int, prefix: tuple[ContactOrder, ...]) -> None:
+        r, w = slot_orders[slot], weights[slot]
+        if slot == last:
+            k, left = divmod(rest, w)
+            if left == 0 and k >= 1:
+                out.append((*prefix, ContactOrder(k, r)))
             return
-        r = slot_orders[slot]
-        if slot == len(slot_orders) - 1:
-            k = remaining * r
-            if k >= 1 and k.denominator == 1:
-                prefix.append(ContactOrder(int(k), r))
-                fill(slot + 1, Fraction(0))
-                prefix.pop()
-            return
-        cap = (remaining - reserves[slot + 1]) * r
-        k = 1
-        while k <= cap:
-            prefix.append(ContactOrder(k, r))
-            fill(slot + 1, remaining - Fraction(k, r))
-            prefix.pop()
-            k += 1
+        for k in range(1, (rest - reserves[slot]) // w + 1):
+            if (rest - k * w) % gcds[slot] == 0:
+                fill(slot + 1, rest - k * w, (*prefix, ContactOrder(k, r)))
 
-    fill(0, goal)
+    try:
+        fill(0, units.numerator, ())
+    except RecursionError:
+        raise ResourceLimitError(f"partitions of {goal} into {len(slot_orders)} slots: "
+                                 "more slots than the walk can nest") from None
     return out
 
 

@@ -103,7 +103,7 @@ class CRBasisZ:
 
 @dataclass(frozen=True)
 class AbsInsertion:
-    """A formal absolute insertion tau_l(alpha): carried, never evaluated."""
+    """A formal absolute insertion tau_l(alpha); terms carry its label, not l."""
 
     label: str
     descendant: int = 0
@@ -224,9 +224,8 @@ def _node_multisets(
     if n == 0:
         return [()] if z_total == 0 else []
     out: set[tuple[tuple[str, ContactOrder], ...]] = set()
-    labels = sorted({entry.label for entry in menu})
-    orders = {entry.label: entry.order for entry in menu}
-    for label_tuple in itertools.combinations_with_replacement(labels, n):
+    orders = {entry.label: entry.order for entry in menu}  # SplittingScenario refuses repeats
+    for label_tuple in itertools.combinations_with_replacement(sorted(orders), n):
         for contacts in enumerate_partitions(z_total, [orders[h] for h in label_tuple]):
             out.add(tuple(sorted(zip(label_tuple, contacts))))
     return sorted(out)
@@ -275,8 +274,6 @@ def enumerate_splittings(
     scenario.check_against(homology)
     m = len(scenario.absolute)
     found: set[RelGraph] = set()  # canonical glued graphs
-    # every tuple of absolute tails on total_v vertices, built once per vertex count
-    tails_on: dict[int, list[tuple[Tail, ...]]] = {}
     shapes = _splitting_shapes(scenario, homology)
     if _candidate_count(shapes, m) > _CANDIDATE_BUDGET:
         raise ResourceLimitError(
@@ -285,13 +282,15 @@ def enumerate_splittings(
 
     for nodes, (a_plus, a_minus), v_plus, v_minus, _, genus_budget in shapes:
         total_v = v_plus + v_minus
-        # each node joins a plus vertex to a minus vertex; half decorations
-        # are the node monodromy on the plus side and its inverse on the minus
-        # side
+        # each node joins a plus vertex (half: the node monodromy) to a minus
+        # vertex (half: its inverse); absolute tails go on any vertex
         edge_tuples = list(itertools.product(*(
             [Edge(RELATIVE, (p, q), (label, table.inverse_of(label)), contact)
              for p in range(v_plus) for q in range(v_plus, total_v)]
             for label, contact in nodes)))
+        tail_tuples = [tuple([Tail(home, ABSOLUTE, insertion.label)
+                              for home, insertion in zip(homes, scenario.absolute)])
+                       for homes in itertools.product(range(total_v), repeat=m)]
         minus_draws = list(_class_draws(a_minus, range(v_minus), homology.effective))
         for cls_plus in _class_draws(a_plus, range(v_plus), homology.effective):
             for cls_minus in minus_draws:
@@ -301,12 +300,7 @@ def enumerate_splittings(
                     ends = (-1, *bars, genus_budget + total_v - 1)
                     vertices = tuple(Vertex(ends[v + 1] - ends[v] - 1, classes[v], int(v >= v_plus))
                                      for v in range(total_v))
-                    if total_v not in tails_on:
-                        tails_on[total_v] = [
-                            tuple([Tail(home, ABSOLUTE, insertion.label)
-                                   for home, insertion in zip(homes, scenario.absolute)])
-                            for homes in itertools.product(range(total_v), repeat=m)]
-                    for tails in tails_on[total_v]:
+                    for tails in tail_tuples:
                         for edges in edge_tuples:
                             glued = RelGraph(vertices, edges, tails)
                             if is_connected(glued):

@@ -65,6 +65,7 @@ _CANDIDATE_BUDGET = 2_000_000  # candidates one poset or splitting walk may buil
 _PLACEMENT_BUDGET = 2_000_000  # tail-free graphs x tail placements one poset walk may search
 _ENDS = attrgetter("ends")  # of an Edge
 _SLOT_ENDS = itemgetter(1, 3)  # of an edge in encoding shape
+_LEVEL_GAP = {ABSOLUTE: 0, RELATIVE: 1}  # levels an edge of each kind spans
 
 
 @dataclass(frozen=True)
@@ -167,23 +168,14 @@ def validate(
         if any(not 0 <= v < nv for v in edge.ends):
             diags.append(Diagnostic("structure", name, f"endpoint out of range {edge.ends}"))
             continue
-        lv0 = graph.vertices[edge.ends[0]].level
-        lv1 = graph.vertices[edge.ends[1]].level
-        if edge.kind == ABSOLUTE:
-            if lv0 != lv1:
-                diags.append(Diagnostic("level rule", name,
-                                        f"absolute edge joins levels {lv0} and {lv1}"))
-            if edge.contact is not None:
-                diags.append(Diagnostic("structure", name, "absolute edge carries a contact order"))
-        elif edge.kind == RELATIVE:
-            if abs(lv0 - lv1) != 1:
-                diags.append(Diagnostic("level rule", name,
-                                        f"relative edge joins levels {lv0} and {lv1}"))
-            if edge.contact is None:
-                diags.append(Diagnostic("structure", name, "relative edge missing a contact order"))
-        else:
+        if edge.kind not in _LEVEL_GAP:
             diags.append(Diagnostic("structure", name, f"unknown edge kind {edge.kind!r}"))
             continue
+        lv0, lv1 = (graph.vertices[v].level for v in edge.ends)
+        if abs(lv0 - lv1) != _LEVEL_GAP[edge.kind]:
+            diags.append(Diagnostic("level rule", name,
+                                    f"{edge.kind} edge joins levels {lv0} and {lv1}"))
+        diags += _contact_presence(name, edge.kind, edge.contact)
         for half in edge.halves:
             if half not in table:
                 diags.append(Diagnostic("balance", name, f"unknown class label {half!r}"))
@@ -191,35 +183,21 @@ def validate(
             if table.inverse_of(edge.halves[0]) != edge.halves[1]:
                 diags.append(Diagnostic("balance", name,
                                         f"half decorations {edge.halves} are not mutually inverse"))
-            if edge.kind == RELATIVE and edge.contact is not None:
-                r = table.order_of(edge.halves[0])
-                if edge.contact.r != r:
-                    diags.append(Diagnostic("contact order", name,
-                                            f"contact {edge.contact} has r={edge.contact.r}, "
-                                            f"class {edge.halves[0]!r} has order {r}"))
+            diags += _contact_r(name, edge.kind, edge.contact, edge.halves[0], table)
 
     for t, tail in enumerate(graph.tails):
         name = f"tail {t}"
         if not 0 <= tail.vertex < nv:
             diags.append(Diagnostic("structure", name, f"vertex index {tail.vertex} out of range"))
             continue
-        if tail.kind not in (ABSOLUTE, RELATIVE):
+        if tail.kind not in _LEVEL_GAP:
             diags.append(Diagnostic("structure", name, f"unknown tail kind {tail.kind!r}"))
             continue
         if tail.monodromy not in table:
             diags.append(Diagnostic("balance", name, f"unknown class label {tail.monodromy!r}"))
             continue
-        if tail.kind == RELATIVE:
-            if tail.contact is None:
-                diags.append(Diagnostic("structure", name, "relative tail missing a contact order"))
-            else:
-                r = table.order_of(tail.monodromy)
-                if tail.contact.r != r:
-                    diags.append(Diagnostic("contact order", name,
-                                            f"contact {tail.contact} has r={tail.contact.r}, "
-                                            f"class {tail.monodromy!r} has order {r}"))
-        elif tail.contact is not None:
-            diags.append(Diagnostic("structure", name, "absolute tail carries a contact order"))
+        diags += _contact_presence(name, tail.kind, tail.contact)
+        diags += _contact_r(name, tail.kind, tail.contact, tail.monodromy, table)
 
     if graph.vertices and all(len(v.cls) == homology.rank for v in graph.vertices):
         total = total_class(graph)
@@ -231,6 +209,24 @@ def validate(
                                     f"relative tail contacts sum to {tail_sum}, "
                                     f"divisor pairing of the total class is {expected}"))
     return diags
+
+
+def _contact_presence(name: str, kind: str, contact: ContactOrder | None) -> list[Diagnostic]:
+    """A relative half (edge end or tail) carries a contact order, an absolute one none."""
+    if (kind == RELATIVE) == (contact is not None):
+        return []
+    what = "missing" if contact is None else "carries"
+    return [Diagnostic("structure", name, f"{kind} {name.split()[0]} {what} a contact order")]
+
+
+def _contact_r(name: str, kind: str, contact: ContactOrder | None, label: str,
+               table: MonodromyTable) -> list[Diagnostic]:
+    """The contact order k/r of a relative half has r = the order of its class."""
+    r = table.order_of(label)
+    if kind != RELATIVE or contact is None or contact.r == r:
+        return []
+    return [Diagnostic("contact order", name,
+                       f"contact {contact} has r={contact.r}, class {label!r} has order {r}")]
 
 
 def _union_find(nv: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:

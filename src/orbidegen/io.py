@@ -14,6 +14,7 @@ graphs, expand for basis and scenarios, dimension for ledgers and --rel.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -29,6 +30,9 @@ if TYPE_CHECKING:
     from .inertia import CRProfile, FiniteGroupTable
 
 SCHEMA = "orbi-degen/1"
+# the number forms read: sign, ASCII digits and, in a rational, one "/digits"
+_INTEGER_FORM = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+_RATIONAL_FORM = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*", re.ASCII)
 
 
 def _object(value: Any, where: str) -> dict:
@@ -53,10 +57,10 @@ def _integer(value: Any, where: str) -> int:
     """A JSON integer, or a string holding one (object keys are strings)."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str):
+    if isinstance(value, str) and _INTEGER_FORM.fullmatch(value):
         try:
             return int(value)
-        except ValueError:
+        except ValueError:  # more digits than int() converts
             pass
     raise ValidationError(f"{where}: expected an integer, got {value!r}")
 
@@ -72,6 +76,8 @@ def _rational(value: Any, where: str) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
+            if not _RATIONAL_FORM.fullmatch(value):
+                raise ValueError("not of the form p/q")
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"{where}: cannot parse rational {value!r}: {exc}") from None
@@ -164,6 +170,8 @@ def _load_object(text: str) -> dict:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"line {exc.lineno}: invalid JSON: {exc.msg}") from None
+    except (RecursionError, ValueError) as exc:  # nested too deep, or too many digits
+        raise ValidationError(f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ValidationError("top level must be a JSON object")
     if raw.get("schema") != SCHEMA:
@@ -450,7 +458,7 @@ def read_text(path: str) -> str:
     """A UTF-8 input file; an unreadable path is a validation error."""
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
 
 

@@ -446,6 +446,33 @@ class TestMalformedInputExits1:
                           ["expand", "--scenario", "smooth_one_node"])
         assert "scenarios[smooth_one_node].splittings[0]" in err
 
+    def test_rational_outside_the_documented_forms(self, tmp_path):
+        doc = json.loads((DATA / "smooth1.json").read_text())
+        doc["scenarios"][0]["z_total"] = "0.5"
+        err = self.run_on(tmp_path, json.dumps(doc),
+                          ["expand", "--scenario", "smooth_one_node"])
+        assert err.startswith("error: scenarios[smooth_one_node].z_total: "
+                              "cannot parse rational '0.5'")
+
+    @pytest.mark.parametrize("content,message", [
+        (b"[" * 200_000, "error: invalid JSON: "),
+        pytest.param(b'{"schema": "orbi-degen/1", "groups": [{"name": "g", "cyclic": '
+                     + b"7" * 5000 + b"}]}", "error: invalid JSON: ",
+                     marks=pytest.mark.skipif(
+                         getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+                         reason="this interpreter converts integers of any length")),
+        (b"\xff{}", "error: cannot read "),
+    ], ids=["nested-too-deep", "too-many-digits", "not-utf8"])
+    def test_text_the_decoder_cannot_hold(self, tmp_path, content, message):
+        # one stderr line, never a traceback or an unnamed interpreter message
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        rc, out, err = capture(["sectors", "--in", str(path)])
+        assert rc == 1 and out == ""
+        assert err.startswith(message) and err.count("\n") == 1
+        if message == "error: cannot read ":
+            assert str(path) in err
+
     def test_boolean_rational(self, tmp_path):
         doc = json.loads((DATA / "smooth1.json").read_text())
         doc["scenarios"][0]["z_total"] = True
@@ -490,8 +517,14 @@ class TestMalformedInputExits1:
         (["partitions", "--total", "2", "--orders", "2,x"], "--orders[1]"),
         (["partitions", "--total", "2", "--orders", "2,,2"], "--orders[1]"),
         (["partitions", "--total", "x"], "--total"),
+        (["partitions", "--total", "2", "--orders", "1_0,2"], "--orders[0]"),
+        (["partitions", "--total", "2", "--orders", "1,\u0662"], "--orders[1]"),
+        (["partitions", "--total", "1_000"], "--total"),
+        (["partitions", "--total", "\u0661/\u0662"], "--total"),
         (VIRDIM + ["--c1a", "q"], "--c1a"),
+        (VIRDIM + ["--c1a", "0.5"], "--c1a"),
         (VIRDIM + ["--c1a", "3", "--za", "x"], "--za"),
+        (VIRDIM + ["--c1a", "3", "--za", "1e10000000"], "--za"),
         (VIRDIM + ["--c1a", "3", "--shifts", "1,,2"], "--shifts[1]"),
         (["expand", "--in", str(DATA / "smooth1.json"), "--scenario", "smooth_one_node",
           "--degree", "1/0"], "--degree"),
@@ -499,7 +532,9 @@ class TestMalformedInputExits1:
         (["glue", "demo", "linear", "--probes", "-5"], "--probes"),
         (["glue", "demo", "linear", "--samples", "5"], "--samples"),
         (["glue", "demo", "linear", "--seed", "-1"], "--seed"),
-    ], ids=["orders-not-integer", "orders-empty", "total", "c1a", "za", "shifts-empty",
+    ], ids=["orders-not-integer", "orders-empty", "total", "orders-underscore",
+            "orders-arabic-indic", "total-underscore", "total-arabic-indic", "c1a",
+            "c1a-decimal", "za", "za-exponent", "shifts-empty",
             "degree-zero-denominator", "edge-monodromies-empty", "negative-probes",
             "samples-below-floor", "negative-seed"])
     def test_bad_option_value_is_named(self, argv, option):
@@ -555,8 +590,11 @@ class TestMalformedInputExits1:
          "poset enumeration exceeded the candidate budget"),
         (["expand", "--in", str(ROOT / "tests" / "data" / "expand_wide_classes.json")],
          "splitting enumeration exceeded the candidate budget (2000000)"),
+        (["partitions", "--total", "1200", "--orders", ",".join(["1"] * 1200)],
+         "partitions of 1200 into 1200 slots: more slots than the walk can nest"),
     ], ids=["poset-v7", "poset-v12", "partitions-300", "expand-g2-m4",
-            "poset-relative-menu", "poset-wide-classes", "expand-wide-classes"])
+            "poset-relative-menu", "poset-wide-classes", "expand-wide-classes",
+            "partitions-1200-slots"])
     def test_oversized_enumeration_exits_3_before_the_work(self, argv, message):
         # counted up front: the walks themselves would take minutes
         started = time.perf_counter()

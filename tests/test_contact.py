@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction as F
 
@@ -119,6 +120,17 @@ class TestEnumeratePartitions:
         permuted = {tuple((o.k, o.r) for o in tup)
                     for tup in enumerate_partitions(3, [orders[2], orders[0], orders[1]])}
         assert {(t[2], t[0], t[1]) for t in base} == permuted
+
+    def test_wide_orders_skip_leftovers_no_later_slot_fills(self):
+        # orders 1..12 count in units of 1/27720; a prefix whose leftover is no
+        # multiple of the later weights' gcd is dropped before it is extended
+        orders = list(range(1, 13))
+        started = time.perf_counter()
+        got = enumerate_partitions(6, orders)
+        assert time.perf_counter() - started < 5
+        assert len(got) == contact._partition_count(F(6), orders, 10**9) == 48
+        assert all(sum(o.value for o in tup) == 6 for tup in got)
+        assert got == sorted(got)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValidationError):

@@ -1,10 +1,11 @@
 import json
+from fractions import Fraction as F
 
 import pytest
 
 from orbidegen.contact import ContactOrder, MonodromyTable
 from orbidegen.errors import ValidationError
-from orbidegen.io import _contact, load_document
+from orbidegen.io import _contact, _integer, _rational, load_document
 
 
 class TestContactParsing:
@@ -22,6 +23,26 @@ class TestContactParsing:
         with pytest.raises(ValidationError) as info:
             _contact(text, "edges[0].contact")
         assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("text,value", [
+    (" 3/2 ", F(3, 2)), ("-3/2", F(-3, 2)), ("+4", F(4)), ("6/4", F(3, 2)), ("007", F(7)),
+])
+def test_rational_forms_read(text, value):
+    assert _rational(text, "x") == value
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e3", "1_000", "\u0661/\u0662", "3/-2", "1/2/3", ""])
+def test_rational_other_forms_refused(text):
+    with pytest.raises(ValidationError, match=r"^x: cannot parse rational "):
+        _rational(text, "x")
+
+
+def test_integer_forms():
+    assert [_integer(t, "x") for t in (" 12 ", "-3", "+0")] == [12, -3, 0]
+    for text in ("1_0", "\u0662", "1.0", "1/1", ""):
+        with pytest.raises(ValidationError, match=r"^x: expected an integer"):
+            _integer(text, "x")
 
 
 def test_trivial_class_table_loads():
