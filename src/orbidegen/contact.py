@@ -151,15 +151,16 @@ def enumerate_partitions(
     for r in slot_orders:
         if r < 1:
             raise ValidationError(f"slot orders must be >= 1, got {r}")
-    if slot_orders and _partition_count(goal, slot_orders, MAX_PARTITIONS) > MAX_PARTITIONS:
+    count = _partition_count(goal, slot_orders, MAX_PARTITIONS) if slot_orders else 0
+    if count > MAX_PARTITIONS:
         raise ResourceLimitError(
             f"partitions of {goal} into {len(slot_orders)} slots number more than "
             f"{MAX_PARTITIONS}"
         )
+    if count == 0:  # nothing to walk for, infeasible units included
+        return []
     lcm = math.lcm(*slot_orders)
     units = goal * lcm
-    if not slot_orders or units.denominator != 1:
-        return []
     # the units of _partition_count, w = lcm/r per step of k; the later slots need
     # a step each and can fill only multiples of the gcd of their weights
     weights = [lcm // r for r in slot_orders]

@@ -121,11 +121,11 @@ def _contact(value: Any, where: str) -> ContactOrder | None:
     if not isinstance(value, str):
         raise ValidationError(f"{where}: contact order must be a 'k/r' string")
     parts = value.strip().split("/")
-    if len(parts) > 2:
+    if len(parts) > 2 or not all(map(_INTEGER_FORM.fullmatch, parts)):
         raise ValidationError(f"{where}: cannot parse contact order {value!r}")
     try:
         return ContactOrder(*map(int, parts))
-    except (ValidationError, ValueError) as exc:
+    except (ValidationError, ValueError) as exc:  # ValueError: more digits than int() converts
         raise ValidationError(f"{where}: {exc}") from None
 
 

@@ -432,7 +432,10 @@ class TestMalformedInputExits1:
         ("3/2:1/2:h:q", "3/2:1/2:h:q"),
         ("x", "x"),
         ("3/2:1/2:h,x", "x"),
-    ], ids=["extra-field", "not-a-contact", "second-term"])
+        ("1_0/1", "1_0/1"),
+        ("\u0661/2", "\u0661/2"),
+    ], ids=["extra-field", "not-a-contact", "second-term", "contact-underscore",
+            "contact-arabic-indic"])
     def test_virdim_bad_rel_term(self, rel, term):
         rc, out, err = capture(["dim", "virdim", "--flavor", "relative-orbifold", "--n", "2",
                                 "--genus", "0", "--c1a", "3", "--rel", rel])

@@ -132,6 +132,19 @@ class TestEnumeratePartitions:
         assert all(sum(o.value for o in tup) == 6 for tup in got)
         assert got == sorted(got)
 
+    def test_zero_count_builds_nothing(self, monkeypatch):
+        # 6 into orders 1..20 counts 0 tuples, so the walk never starts
+        built = []
+
+        class Counted(ContactOrder):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(contact, "ContactOrder", Counted)
+        assert enumerate_partitions(6, list(range(1, 21))) == []
+        assert built == []
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValidationError):
             enumerate_partitions(0, [1])

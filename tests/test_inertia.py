@@ -1,9 +1,11 @@
 import itertools
+import json
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+from orbidegen import inertia
 from orbidegen.contact import MonodromyTable
 from orbidegen.errors import ValidationError
 from orbidegen.inertia import (
@@ -20,6 +22,8 @@ from orbidegen.inertia import (
 )
 from orbidegen.io import load_document
 
+DATA = Path(__file__).resolve().parent / "data"
+
 
 def s3_table() -> FiniteGroupTable:
     """S3 built here from permutation composition, independent of the module."""
@@ -27,6 +31,19 @@ def s3_table() -> FiniteGroupTable:
     index = {p: i for i, p in enumerate(perms)}
     rows = [[index[tuple(p[q[i]] for i in range(3))] for q in perms] for p in perms]
     return FiniteGroupTable.from_rows(rows, identity=index[(0, 1, 2)])
+
+
+def scan_verdict(rows, identity: int) -> str | None:
+    """The message validate gives a table that keeps the unit law, found by
+    checking inverses and then every triple in lexicographic order."""
+    n = len(rows)
+    for a in range(n):
+        if not any(rows[a][b] == identity == rows[b][a] for b in range(n)):
+            return f"element {a} has no two-sided inverse"
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
+            return f"associativity fails on triple ({a},{b},{c})"
+    return None
 
 
 def brute_force_classes(group: FiniteGroupTable):
@@ -104,6 +121,27 @@ class TestGroupTable:
                 [4, 3, 1, 2, 0]]
         with pytest.raises(ValidationError, match=r"^associativity fails on triple \(1,1,2\)$"):
             FiniteGroupTable.from_rows(rows)
+
+    def test_groups_never_reach_the_scan(self, monkeypatch):
+        # Light's test passes every group on its generating set alone
+        def scan(mul):
+            raise AssertionError("the triple scan ran on a group")
+
+        monkeypatch.setattr(inertia, "_first_failing_triple", scan)
+        for n in range(1, MAX_TABLE_ORDER + 1):
+            FiniteGroupTable.cyclic(n).validate()
+        for group in (s3_table(), dihedral8_table(), dihedral_table(16)):
+            group.validate()
+        assert inertia._generators(FiniteGroupTable.cyclic(64).mul, 0) == [1]
+
+    def test_order_64_names_the_scanned_triple(self):
+        text = (DATA / "groups_nonassoc64.json").read_text()
+        rows = json.loads(text)["groups"][0]["table"]
+        verdict = scan_verdict(rows, 0)
+        assert verdict == "associativity fails on triple (1,39,7)"
+        with pytest.raises(ValidationError) as info:
+            load_document(text)  # a table entry is validated as it is read
+        assert str(info.value) == f"groups[g]: {verdict}"
 
     def test_missing_identity_detected(self):
         rows = [[1, 0], [0, 1]]
@@ -303,19 +341,26 @@ class TestMonodromyTableFromGroup:
 
 
 def dihedral8_table() -> FiniteGroupTable:
-    """Symmetries of a square as vertex permutations, closed under composition."""
-    rotation, reflection = (1, 2, 3, 0), (0, 3, 2, 1)
-    perms = {(0, 1, 2, 3)}
+    """Symmetries of a square."""
+    return dihedral_table(4)
+
+
+def dihedral_table(m: int) -> FiniteGroupTable:
+    """Symmetries of a regular m-gon as vertex permutations, closed under composition."""
+    rotation = tuple((i + 1) % m for i in range(m))
+    reflection = tuple(-i % m for i in range(m))
+    identity = tuple(range(m))
+    perms = {identity}
     frontier = [rotation, reflection]
     while frontier:
         p = frontier.pop()
         if p not in perms:
             perms.add(p)
-            frontier.extend(tuple(p[q[i]] for i in range(4)) for q in (rotation, reflection))
+            frontier.extend(tuple(p[q[i]] for i in range(m)) for q in (rotation, reflection))
     perms = sorted(perms)
     index = {p: i for i, p in enumerate(perms)}
-    rows = [[index[tuple(p[q[i]] for i in range(4))] for q in perms] for p in perms]
-    return FiniteGroupTable.from_rows(rows, identity=index[(0, 1, 2, 3)])
+    rows = [[index[tuple(p[q[i]] for i in range(m))] for q in perms] for p in perms]
+    return FiniteGroupTable.from_rows(rows, identity=index[identity])
 
 
 def z16_profile(group: FiniteGroupTable) -> CRProfile:

@@ -17,8 +17,10 @@ class TestContactParsing:
     @pytest.mark.parametrize("text,message", [
         ("1/2/3", "edges[0].contact: cannot parse contact order '1/2/3'"),
         ("0/2", "edges[0].contact: contact order needs k>0 and r>0, got k=0, r=2"),
-        ("x/2", "edges[0].contact: invalid literal for int()"),
-    ], ids=["three-parts", "zero-numerator", "not-an-integer"])
+        ("x/2", "edges[0].contact: cannot parse contact order 'x/2'"),
+        ("1_0/1", "edges[0].contact: cannot parse contact order '1_0/1'"),
+        ("\u0661/2", "edges[0].contact: cannot parse contact order '\u0661/2'"),
+    ], ids=["three-parts", "zero-numerator", "not-an-integer", "underscore", "non-ascii-digit"])
     def test_bad_text_names_the_field(self, text, message):
         with pytest.raises(ValidationError) as info:
             _contact(text, "edges[0].contact")

@@ -1,7 +1,8 @@
 """Property tests of the canonical form, edge contraction and level collapse
 on graphs of up to 7 vertices, of the two shortcuts of the working form
 (ordering distinct decorations without base keys, interned decoding), of the
-partition count against a generating function, of the class-draw kernel
+partition count against a generating function, of associativity on a
+generating set against the full triple scan, of the class-draw kernel
 against brute force, of the basis and menu facts that expand relies on
 without checking them, of side_swap on generated scenarios, and of the
 smooth ledger defect.
@@ -51,6 +52,7 @@ from orbidegen.graph import (  # noqa: E402
     contract_edge,
     contract_level,
 )
+from orbidegen.inertia import FiniteGroupTable  # noqa: E402
 from test_expand import (  # noqa: E402
     SMOOTH_BASIS,
     SMOOTH_MENU,
@@ -59,6 +61,7 @@ from test_expand import (  # noqa: E402
     Z3_BASIS,
     Z3_MENU,
 )
+from test_inertia import s3_table, scan_verdict  # noqa: E402
 
 SETTINGS = hypothesis.settings(derandomize=True, max_examples=100, deadline=None,
                                database=None)
@@ -279,6 +282,48 @@ def test_partition_count_is_a_series_coefficient(orders, numerator, denominator)
         assert found == expected
     else:
         assert found > PARTITION_CAP
+
+
+# (rows, identity) of the groups of order 1..6 that the tables below perturb:
+# the cyclic groups, the Klein four-group and S3
+GROUP_TABLES = ([(tuple(tuple((a + b) % n for b in range(n)) for a in range(n)), 0)
+                 for n in range(1, 7)]
+                + [(tuple(tuple(a ^ b for b in range(4)) for a in range(4)), 0),
+                   (s3_table().mul, s3_table().identity)])
+
+
+@st.composite
+def perturbed_tables(draw) -> tuple:
+    """(rows, identity): a group table relabeled at random with up to three
+    entries off the identity row and column replaced, so the unit law holds
+    while inverses and associativity may fail."""
+    base, identity = draw(st.sampled_from(GROUP_TABLES))
+    n = len(base)
+    label = draw(st.permutations(range(n)))
+    rows = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            rows[label[a]][label[b]] = label[base[a][b]]
+    e = label[identity]
+    others = [x for x in range(n) if x != e]
+    for _ in range(draw(st.integers(0, 3)) if others else 0):
+        a, b = draw(st.sampled_from(others)), draw(st.sampled_from(others))
+        rows[a][b] = draw(st.integers(0, n - 1))
+    return rows, e
+
+
+@hypothesis.settings(SETTINGS, max_examples=500)
+@hypothesis.given(perturbed_tables())
+def test_lights_test_gives_the_triple_scan_verdict(case):
+    """Associativity checked on a generating set accepts exactly the tables
+    the full triple scan accepts, and names the same first failing triple."""
+    rows, e = case
+    try:
+        FiniteGroupTable.from_rows(rows, identity=e)
+        verdict = None
+    except ValidationError as exc:
+        verdict = str(exc)
+    assert verdict == scan_verdict(rows, e)
 
 
 @st.composite
