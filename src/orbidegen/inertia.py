@@ -59,11 +59,12 @@ class FiniteGroupTable:
         Associativity is checked by Light's test: (a*b)*c = a*(b*c) for every
         a and c, but only for b in a generating set S.  The b that pass are
         closed under the product ((a*bb')*c = ((a*b)*b')*c = (a*b)*(b'*c) =
-        a*(b*(b'*c)) = a*((b*b')*c)), and the identity passes by the unit law,
-        so when S with the identity generates the table every b passes.  That
-        costs |S|*n^2 lookups instead of n^3 (one generator for a cyclic
-        table).  A table that fails is scanned triple by triple, so the error
-        names the lexicographically first failing (a,b,c).
+        a*(b*(b'*c)) = a*((b*b')*c)), and the identity passes by the unit law;
+        S and the identity generate the table, so every b passes.  That costs
+        |S|*n^2 lookups instead of n^3 (one generator for a cyclic table).
+        Only a table that fails is scanned triple by triple: Light's test
+        finds some failing b, and the scan names the lexicographically first
+        failing (a,b,c), so the message does not depend on S.
         """
         n = self.order
         if n <= 0 or n > MAX_TABLE_ORDER:
@@ -85,8 +86,8 @@ class FiniteGroupTable:
         for b in _generators(mul, e):
             row_b = mul[b]
             for row_a in mul:
-                # row (a*b) against a*(b*c) for every c at once; tuple() keeps
-                # a tuple row as it is and makes a list row comparable
+                # row a*b against a*(b*c) for every c; tuple() returns a tuple
+                # row itself and makes a hand-built list row comparable
                 if tuple(mul[row_a[b]]) != tuple(map(row_a.__getitem__, row_b)):
                     a, b, c = _first_failing_triple(mul)
                     raise ValidationError(f"associativity fails on triple ({a},{b},{c})")

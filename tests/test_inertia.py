@@ -130,9 +130,12 @@ class TestGroupTable:
         monkeypatch.setattr(inertia, "_first_failing_triple", scan)
         for n in range(1, MAX_TABLE_ORDER + 1):
             FiniteGroupTable.cyclic(n).validate()
-        for group in (s3_table(), dihedral8_table(), dihedral_table(16)):
-            group.validate()
+        s3_table(), dihedral8_table()  # from_rows validates
+        d32 = dihedral_table(16)
+        FiniteGroupTable(3, [[0, 1, 2], [1, 2, 0], [2, 0, 1]]).validate()  # list rows
+        # the cost is |S| * n^2: one generator for Z64, two for the dihedral 32
         assert inertia._generators(FiniteGroupTable.cyclic(64).mul, 0) == [1]
+        assert len(inertia._generators(d32.mul, d32.identity)) == 2
 
     def test_order_64_names_the_scanned_triple(self):
         text = (DATA / "groups_nonassoc64.json").read_text()
