@@ -10,25 +10,24 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import ResourceLimitError, ValidationError
+from .errors import ResourceLimitError, ValidationError, checked_record
 
 MAX_PARTITIONS = 100_000
 
 
-@dataclass(frozen=True, order=True)
-class ContactOrder:
+class ContactOrder(checked_record("ContactOrder", "k r")):
     """A fractional contact order k/r with monodromy order r."""
 
-    k: int
-    r: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(klass, k: int, r: int = 1) -> ContactOrder:
+        self = super().__new__(klass, k, r)
         if self.k <= 0 or self.r <= 0:
             raise ValidationError(f"contact order needs k>0 and r>0, got k={self.k}, r={self.r}")
+        return self
 
     @property
     def value(self) -> Fraction:
@@ -38,8 +37,7 @@ class ContactOrder:
         return f"{self.k}/{self.r}"
 
 
-@dataclass(frozen=True)
-class MonodromyTable:
+class MonodromyTable(checked_record("MonodromyTable", "orders inverses")):
     """Conjugacy-class labels of the divisor group with orders and inverses.
 
     This is the label-level shadow of a finite group's class data: enough to
@@ -47,10 +45,10 @@ class MonodromyTable:
     tie between a contact order and its monodromy class.
     """
 
-    orders: Mapping[str, int]
-    inverses: Mapping[str, str]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(klass, orders: Mapping[str, int], inverses: Mapping[str, str]) -> MonodromyTable:
+        self = super().__new__(klass, orders, inverses)
         for label, order in self.orders.items():
             if order <= 0:
                 raise ValidationError(f"class {label!r} has non-positive order {order}")
@@ -65,6 +63,7 @@ class MonodromyTable:
                 raise ValidationError(f"inverse map is not an involution at class {label!r}")
             if self.orders[inv] != order:
                 raise ValidationError(f"class {label!r} and its inverse differ in order")
+        return self
 
     def order_of(self, label: str) -> int:
         if label not in self.orders:
@@ -93,8 +92,7 @@ class MonodromyTable:
         return cls(orders=orders, inverses=inverses)
 
 
-@dataclass(frozen=True)
-class RelInsertion:
+class RelInsertion(NamedTuple):
     """A relative insertion (contact order, monodromy class, formal basis label)."""
 
     order: ContactOrder
@@ -199,6 +197,14 @@ def _partition_count(goal: Fraction, slot_orders: Sequence[int], cap: int) -> in
     together split it C(K - 1, m - 1) ways, so only the per-order totals K are
     walked, and of those only the ones whose leftover units are a multiple of
     the gcd of the later orders' weights (nothing else can be filled).
+
+    count(i, rest) depends only on its arguments, so each pair is counted once
+    per call.  A loop stops once its count passes `cap`, so a stored count
+    above `cap` may be short of the true one.  Reusing it would still be
+    safe: a caller multiplies it by a binomial of at least 1 and adds
+    non-negative terms, so the caller's count passes `cap` as well.  In fact
+    it is never read back, since every loop up to the top then stops.  A
+    count at or below `cap` had no term cut short and is exact.
     """
     lcm = math.lcm(*slot_orders)
     units = goal * lcm
@@ -212,11 +218,16 @@ def _partition_count(goal: Fraction, slot_orders: Sequence[int], cap: int) -> in
         later_gcd[i] = math.gcd(weights[i], later_gcd[i + 1])
         reserve[i] = reserve[i + 1] + groups[i][1] * weights[i]
 
+    memo: dict[tuple[int, int], int] = {}  # (i, rest) -> count(i, rest)
+
     def count(i: int, rest: int) -> int:
         m, w, g = groups[i][1], weights[i], later_gcd[i + 1]
         if g == 0:  # the last group takes all the rest
             k, left = divmod(rest, w)
             return math.comb(k - 1, m - 1) if left == 0 and k >= m else 0
+        found = memo.get((i, rest))
+        if found is not None:
+            return found
         # d = gcd(w, g) divides rest: 1 at i = 0, and each K below leaves a multiple of g
         d = later_gcd[i]
         step = g // d  # K must solve K * w = rest (mod g)
@@ -226,6 +237,7 @@ def _partition_count(goal: Fraction, slot_orders: Sequence[int], cap: int) -> in
         while k * w <= rest - reserve[i + 1] and found <= cap:
             found += math.comb(k - 1, m - 1) * count(i + 1, rest - k * w)
             k += step
+        memo[i, rest] = found
         return found
 
     return count(0, units.numerator)

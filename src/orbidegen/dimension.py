@@ -8,11 +8,11 @@ rationals; smooth flavors come out integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .contact import ContactOrder, MonodromyTable, floor_bracket
-from .errors import ValidationError
+from .errors import ValidationError, checked_record
 
 ABSOLUTE_SMOOTH = "absolute-smooth"
 RELATIVE_SMOOTH = "relative-smooth"
@@ -22,8 +22,7 @@ RELATIVE_ORBIFOLD = "relative-orbifold"
 FLAVORS = (ABSOLUTE_SMOOTH, RELATIVE_SMOOTH, ABSOLUTE_ORBIFOLD, RELATIVE_ORBIFOLD)
 
 
-@dataclass(frozen=True)
-class RelTerm:
+class RelTerm(NamedTuple):
     """One relative insertion as the dimension formula sees it."""
 
     order: ContactOrder
@@ -31,8 +30,7 @@ class RelTerm:
     monodromy: str = "e"
 
 
-@dataclass(frozen=True)
-class ModuliSpec:
+class ModuliSpec(checked_record("ModuliSpec", "flavor n genus c1A shifts rel zA")):
     """Inputs of one moduli dimension computation.
 
     shifts are the degree shifts of the absolute insertions (m = len);
@@ -40,15 +38,12 @@ class ModuliSpec:
     of the class and must equal the contact sum when rel is nonempty.
     """
 
-    flavor: str
-    n: int
-    genus: int
-    c1A: Fraction
-    shifts: tuple[Fraction, ...] = ()
-    rel: tuple[RelTerm, ...] = ()
-    zA: Fraction = Fraction(0)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(klass, flavor: str, n: int, genus: int, c1A: Fraction,
+                shifts: tuple[Fraction, ...] = (), rel: tuple[RelTerm, ...] = (),
+                zA: Fraction = Fraction(0)) -> ModuliSpec:
+        self = super().__new__(klass, flavor, n, genus, c1A, shifts, rel, zA)
         if self.flavor not in FLAVORS:
             raise ValidationError(f"unknown flavor {self.flavor!r}")
         if self.n <= 0:
@@ -70,6 +65,7 @@ class ModuliSpec:
             raise ValidationError(f"{self.flavor} spec carries relative insertions")
         if self.flavor in (RELATIVE_SMOOTH, RELATIVE_ORBIFOLD) and not self.rel:
             raise ValidationError(f"{self.flavor} spec needs relative insertions")
+        return self
 
     @property
     def m(self) -> int:
@@ -92,8 +88,7 @@ def virdim(spec: ModuliSpec) -> Fraction:
             - sum((t.shift + floor_bracket(t.order.value) for t in spec.rel), Fraction(0)))
 
 
-@dataclass(frozen=True)
-class Ledger:
+class Ledger(NamedTuple):
     """Dimension bookkeeping of one splitting: the two halves, the fiber-product
     constraints at matched nodes, and the resulting defect against the total."""
 

@@ -1,7 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types, and the base of the records that check their fields."""
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Any
 
 
@@ -27,3 +28,12 @@ def named(where: str, build, *args: Any, **kwargs: Any) -> Any:
         return build(*args, **kwargs)
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from None
+
+
+def checked_record(typename: str, field_names: str) -> type:
+    """A namedtuple base for a record whose subclass checks its fields in
+    `__new__`.  `_make` builds through the subclass, so `_replace` (which
+    calls it) checks the new fields as well."""
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base

@@ -15,12 +15,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .contact import ContactOrder, MonodromyTable, _multiset_aut, enumerate_partitions
-from .errors import ResourceLimitError, ValidationError, named
+from .errors import ResourceLimitError, ValidationError, checked_record, named
 from .graph import (
     ABSOLUTE,
     RELATIVE,
@@ -39,26 +38,24 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True)
-class BasisEntry:
+class BasisEntry(NamedTuple):
     label: str
     sector: str
     cr_degree: Fraction
 
 
-@dataclass(frozen=True)
-class CRBasisZ:
+class CRBasisZ(checked_record("CRBasisZ", "dim_z entries duality")):
     """Formal graded basis of the divisor's sector cohomology with a dual pairing.
 
     duality is an involutive perfect matching on entry indices; paired entries
     sit on mutually inverse sectors and their degrees sum to 2*dim_z.
     """
 
-    dim_z: int
-    entries: tuple[BasisEntry, ...]
-    duality: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(klass, dim_z: int, entries: tuple[BasisEntry, ...],
+                duality: tuple[tuple[int, int], ...]) -> CRBasisZ:
+        self = super().__new__(klass, dim_z, entries, duality)
         labels = [e.label for e in self.entries]
         if len(set(labels)) != len(labels):
             raise ValidationError("duplicate basis labels")
@@ -70,6 +67,7 @@ class CRBasisZ:
             covered |= pair
         if covered != set(range(len(self.entries))):
             raise ValidationError("duality does not cover every entry exactly once")
+        return self
 
     def check_against(self, table: MonodromyTable) -> None:
         for i, j in self.duality:
@@ -93,7 +91,7 @@ class CRBasisZ:
 
     def dual_label(self, label: str) -> str:
         i = self.index_of(label)
-        # __post_init__ proved that the duality covers every entry index
+        # __new__ proved that the duality covers every entry index
         return next(self.entries[b if a == i else a].label
                     for a, b in self.duality if i in (a, b))
 
@@ -101,31 +99,29 @@ class CRBasisZ:
         return [e for e in self.entries if e.sector == sector]
 
 
-@dataclass(frozen=True)
-class AbsInsertion:
+class AbsInsertion(NamedTuple):
     """A formal absolute insertion tau_l(alpha); terms carry its label, not l."""
 
     label: str
     descendant: int = 0
 
 
-@dataclass(frozen=True)
-class MenuEntry:
+class MenuEntry(NamedTuple):
     label: str
     order: int
     inverse: str
 
 
-@dataclass(frozen=True)
-class SplittingScenario:
-    genus: int
-    absolute: tuple[AbsInsertion, ...]
-    class_splittings: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    max_nodes: int
-    monodromy_menu: tuple[MenuEntry, ...]
-    z_total: Fraction
+class SplittingScenario(checked_record("SplittingScenario", "genus absolute class_splittings "
+                                       "max_nodes monodromy_menu z_total")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(klass, genus: int, absolute: tuple[AbsInsertion, ...],
+                class_splittings: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...],
+                max_nodes: int, monodromy_menu: tuple[MenuEntry, ...],
+                z_total: Fraction) -> SplittingScenario:
+        self = super().__new__(klass, genus, absolute, class_splittings, max_nodes,
+                               monodromy_menu, z_total)
         for name, value in (("genus", self.genus), ("max_nodes", self.max_nodes)):
             if value < 0:
                 raise ValidationError(f"{name} must be non-negative, got {value}")
@@ -133,6 +129,7 @@ class SplittingScenario:
         for i, label in enumerate(labels):
             if label in labels[:i]:
                 raise ValidationError(f"monodromy_menu[{i}] repeats label {label!r}")
+        return self
 
     def table(self) -> MonodromyTable:
         orders: dict[str, int] = {}
@@ -159,8 +156,7 @@ class SplittingScenario:
                     )
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(NamedTuple):
     """One admissible splitting before basis insertions are attached.
 
     Node j is the j-th relative tail of both side graphs; plus-side tails
@@ -174,8 +170,7 @@ class Matching:
     monodromies: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     gamma_plus: RelGraph
     gamma_minus: RelGraph
     labels: tuple[str, ...]
@@ -194,8 +189,7 @@ def gluing_degrees(orders: Sequence[ContactOrder]) -> tuple[int, Fraction]:
     return kappa, ell
 
 
-@dataclass(frozen=True)
-class GluingBundleReport:
+class GluingBundleReport(NamedTuple):
     kappa: int
     exponents: tuple[int, ...]
     quotient_order: int

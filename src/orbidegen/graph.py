@@ -12,7 +12,9 @@ tail 0 are distinct, and a symmetry counted by automorphism_order fixes every
 tail.  A graph's identity is its least encoding over vertex relabelings;
 canonical_form is that encoding decoded.
 
-Working form: the frozen RelGraph/Vertex/Edge/Tail dataclasses are the API;
+Working form: the RelGraph/Vertex/Edge/Tail named tuples are the API (they
+construct, hash and compare in C, and, being tuples, a Tail with a contact
+order equals its own encoding, so records and encodings never share a dict);
 inside this module a graph is its encoding (vs, es, ts), with vs[v] =
 (level, genus, class), es[j] = (kind, end a, half a, end b, half b, contact)
 and ts[t] = (vertex, kind, monodromy, contact), a contact being (k, r) or
@@ -48,13 +50,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter, itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .contact import ContactOrder, MonodromyTable
-from .errors import ResourceLimitError, ValidationError
+from .errors import ResourceLimitError, ValidationError, checked_record
 
 ABSOLUTE = "absolute"
 RELATIVE = "relative"
@@ -68,16 +69,14 @@ _SLOT_ENDS = itemgetter(1, 3)  # of an edge in encoding shape
 _LEVEL_GAP = {ABSOLUTE: 0, RELATIVE: 1}  # levels an edge of each kind spans
 
 
-@dataclass(frozen=True)
-class HomologyModel:
+class HomologyModel(checked_record("HomologyModel", "rank c1 z_pairing effective")):
     """Finite effective-class model of H_2 with c1 and divisor-pairing functionals."""
 
-    rank: int
-    c1: tuple[Fraction, ...]
-    z_pairing: tuple[Fraction, ...]
-    effective: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(klass, rank: int, c1: tuple[Fraction, ...], z_pairing: tuple[Fraction, ...],
+                effective: tuple[tuple[int, ...], ...]) -> HomologyModel:
+        self = super().__new__(klass, rank, c1, z_pairing, effective)
         if len(self.c1) != self.rank or len(self.z_pairing) != self.rank:
             raise ValidationError("c1 and z_pairing must have length equal to rank")
         zero = (0,) * self.rank
@@ -90,6 +89,7 @@ class HomologyModel:
             if vec in seen:  # a repeat would draw every class tuple through it twice
                 raise ValidationError(f"effective[{i}] repeats class {vec}")
             seen.add(vec)
+        return self
 
     def z_of(self, vec: Sequence[int]) -> Fraction:
         return sum((z * v for z, v in zip(self.z_pairing, vec)), Fraction(0))
@@ -99,15 +99,13 @@ def add_classes(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(x + y for x, y in zip(a, b))
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     genus: int
     cls: tuple[int, ...]
     level: int = 0
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     kind: str
     ends: tuple[int, int]
     halves: tuple[str, str] = ("e", "e")
@@ -117,23 +115,20 @@ class Edge:
         return self.ends[0] == self.ends[1]
 
 
-@dataclass(frozen=True)
-class Tail:
+class Tail(NamedTuple):
     vertex: int
     kind: str
     monodromy: str = "e"
     contact: ContactOrder | None = None
 
 
-@dataclass(frozen=True)
-class RelGraph:
+class RelGraph(NamedTuple):
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
     tails: tuple[Tail, ...]
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     rule: str
     element: str
     message: str
@@ -475,27 +470,39 @@ def _key_blocks(code: tuple) -> list[list[int]]:
     return blocks
 
 
+def _distinct_decorations(vs: tuple) -> bool:
+    """Whether no two vertices of an encoding share a decoration; more than
+    MAX_AUT_VERTICES vertices raise ResourceLimitError first."""
+    if len(vs) > MAX_AUT_VERTICES:
+        raise ResourceLimitError(f"graph has {len(vs)} vertices, cap is {MAX_AUT_VERTICES}")
+    return len(set(vs)) == len(vs)
+
+
 def _canonical_search(code: tuple) -> tuple[tuple, int]:
     """The least encoding of a graph in encoding shape over the
     base-key-respecting vertex relabelings, and how many relabelings reach it:
     two tie exactly when they differ by a decoration-preserving symmetry, and
     every symmetry respects the base keys (which hold the tail index, so a
-    symmetry fixes every tail).  Only blocks of two or more vertices are
-    permuted, so all-singleton blocks cost one relabeling.  A base key starts
-    with the vertex decoration, so when no two vertices share a decoration
-    the decorations alone give the order and the base keys are never built."""
+    symmetry fixes every tail).  A base key starts with the vertex
+    decoration, so when no two vertices share a decoration the decorations
+    alone give the order and the base keys are never built."""
     vs = code[0]
-    nv = len(vs)
-    if nv > MAX_AUT_VERTICES:
-        raise ResourceLimitError(f"graph has {nv} vertices, cap is {MAX_AUT_VERTICES}")
-    perm = [0] * nv
-    if len(set(vs)) == nv:
-        for pos, v in enumerate(sorted(range(nv), key=vs.__getitem__)):
+    if _distinct_decorations(vs):
+        perm = [0] * len(vs)
+        for pos, v in enumerate(sorted(range(len(vs)), key=vs.__getitem__)):
             perm[v] = pos
         return _relabel(code, perm), 1
+    return _block_search(code, _key_blocks(code))
+
+
+def _block_search(code: tuple, blocks: list[list[int]]) -> tuple[tuple, int]:
+    """_canonical_search over the base-key blocks of `code`: each block takes
+    the next positions, and only blocks of two or more vertices are permuted,
+    so all-singleton blocks cost one relabeling."""
+    perm = [0] * len(code[0])
     shuffled = []  # (first position, block) of every multi-vertex block
     budget, pos = 1, 0
-    for block in _key_blocks(code):
+    for block in blocks:
         for offset, v in enumerate(block):
             perm[v] = pos + offset
         if len(block) > 1:
@@ -535,16 +542,24 @@ def automorphism_order(graph: RelGraph) -> int:
 
     Marked points are labeled, so a symmetry fixes every tail; two identically
     decorated tails are never exchanged.  The multiset symmetry of equal
-    insertions enters each term's coefficient as contact.aut_order counts it,
-    so counting it here as well would count it twice.
+    insertions enters each term's coefficient in expand, so counting it here
+    as well would count it twice.  A symmetry keeps each vertex in its
+    base-key block, so with distinct decorations or single-vertex blocks the
+    group is trivial and no least encoding is built.
     """
     if not graph.vertices:
         return 1
-    return _canonical_search(_as_code(graph))[1]
+    code = _as_code(graph)
+    if _distinct_decorations(code[0]):
+        return 1
+    blocks = _key_blocks(code)
+    if all(len(block) == 1 for block in blocks):
+        return 1
+    return _block_search(code, blocks)[1]
 
 
-@dataclass(frozen=True)
-class PosetBounds:
+class PosetBounds(checked_record("PosetBounds", "max_vertices max_levels edge_monodromies "
+                                 "max_edge_contact_numerator")):
     """Enumeration caps, each at least 1; a vertex cap above MAX_AUT_VERTICES
     raises ResourceLimitError (exit 3 from the command line).  Relative
     internal edges (max_levels > 1) additionally need a numerator cap because
@@ -552,12 +567,13 @@ class PosetBounds:
     once.  An edge menu of None means the class table's order-1 labels; () is
     the empty menu."""
 
-    max_vertices: int
-    max_levels: int = 1
-    edge_monodromies: tuple[str, ...] | None = None
-    max_edge_contact_numerator: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(klass, max_vertices: int, max_levels: int = 1,
+                edge_monodromies: tuple[str, ...] | None = None,
+                max_edge_contact_numerator: int | None = None) -> PosetBounds:
+        self = super().__new__(klass, max_vertices, max_levels, edge_monodromies,
+                               max_edge_contact_numerator)
         for name in ("max_vertices", "max_levels", "max_edge_contact_numerator"):
             value = getattr(self, name)
             if value is not None and value < 1:
@@ -573,10 +589,10 @@ class PosetBounds:
             raise ValidationError(
                 "max_edge_contact_numerator is required when max_levels > 1 "
                 "(relative edge contacts are otherwise unbounded)")
+        return self
 
 
-@dataclass(frozen=True)
-class StratPoset:
+class StratPoset(NamedTuple):
     nodes: tuple[RelGraph, ...]
     covers: tuple[tuple[int, int], ...]
     complete: bool

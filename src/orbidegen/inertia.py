@@ -8,24 +8,23 @@ in for the sector cohomology.  All arithmetic here is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .contact import MonodromyTable
-from .errors import ValidationError
+from .errors import ValidationError, checked_record
 
 MAX_TABLE_ORDER = 64
 
 
-@dataclass(frozen=True)
-class FiniteGroupTable:
-    """A finite group given extensionally: mul[a][b] is the product index."""
+class FiniteGroupTable(namedtuple("FiniteGroupTable", "order mul identity", defaults=(0,))):
+    """A finite group given extensionally: mul[a][b] is the product index.
 
-    order: int
-    mul: tuple[tuple[int, ...], ...]
-    identity: int = 0
+    validate checks the group axioms, and class_data runs it once per table;
+    instances keep a __dict__ for that cache.
+    """
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], identity: int = 0) -> "FiniteGroupTable":
@@ -143,15 +142,13 @@ def _first_failing_triple(mul: Sequence[Sequence[int]]) -> tuple[int, int, int]:
                 if mul[mul[a][b]][c] != mul[a][mul[b][c]])
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
+class ConjugacyClass(NamedTuple):
     representative: int
     members: frozenset[int]
     ord: int
 
 
-@dataclass(frozen=True)
-class ClassData:
+class ClassData(NamedTuple):
     """Conjugacy classes of one table: the identity class first, then by least member.
 
     Shared by every reader of the table, so treat the maps as read-only.
@@ -216,19 +213,19 @@ def monodromy_table(group: FiniteGroupTable) -> MonodromyTable:
     return MonodromyTable(orders=orders, inverses=inverses)
 
 
-@dataclass(frozen=True)
-class SectorDatum:
+class SectorDatum(checked_record("SectorDatum", "cls rotations betti")):
     """One twisted sector: rotation numbers and a formal Betti table.
 
     shift and sector_dim are always recomputed from the rotations; betti maps
-    an integer cohomology degree of the sector to a multiplicity.
+    an integer cohomology degree of the sector to a multiplicity.  A sector
+    built without betti gets a fresh empty table of its own.
     """
 
-    cls: ConjugacyClass
-    rotations: tuple[Fraction, ...]
-    betti: Mapping[int, int] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(klass, cls: ConjugacyClass, rotations: tuple[Fraction, ...],
+                betti: Mapping[int, int] | None = None) -> SectorDatum:
+        self = super().__new__(klass, cls, rotations, {} if betti is None else betti)
         for theta in self.rotations:
             if not 0 <= theta < 1:
                 raise ValidationError(
@@ -242,6 +239,7 @@ class SectorDatum:
         for degree, mult in self.betti.items():
             if mult < 0:
                 raise ValidationError(f"negative Betti number at degree {degree}")
+        return self
 
     @property
     def shift(self) -> Fraction:
@@ -255,15 +253,14 @@ class SectorDatum:
         return sum(self.betti.values())
 
 
-@dataclass(frozen=True)
-class CRProfile:
-    """Sector data covering every conjugacy class of a fixed ambient dimension."""
+class CRProfile(checked_record("CRProfile", "group ambient_dim sectors")):
+    """Sector data covering every conjugacy class of a fixed ambient dimension.
 
-    group: FiniteGroupTable
-    ambient_dim: int
-    sectors: tuple[SectorDatum, ...]
+    The class keeps an instance __dict__ for the _sector_index cache."""
 
-    def __post_init__(self) -> None:
+    def __new__(klass, group: FiniteGroupTable, ambient_dim: int,
+                sectors: tuple[SectorDatum, ...]) -> CRProfile:
+        self = super().__new__(klass, group, ambient_dim, sectors)
         by_members = self._sector_index
         if len(by_members) != len(self.sectors):
             raise ValidationError("duplicate sector for a conjugacy class")
@@ -290,6 +287,7 @@ class CRProfile:
                     f"rotations of the inverse of class of {sector.cls.representative} "
                     f"are not the complements"
                 )
+        return self
 
     @cached_property
     def _sector_index(self) -> dict[frozenset[int], SectorDatum]:
@@ -307,8 +305,7 @@ class CRProfile:
                 for i, cls_ in enumerate(self.group.class_data.classes)]
 
 
-@dataclass(frozen=True)
-class PairingViolation:
+class PairingViolation(NamedTuple):
     sector: str
     degree: int
     found: int
@@ -316,8 +313,7 @@ class PairingViolation:
     detail: str
 
 
-@dataclass(frozen=True)
-class PairingReport:
+class PairingReport(NamedTuple):
     violations: tuple[PairingViolation, ...]
     checked_pairs: int
 

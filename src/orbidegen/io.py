@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .contact import ContactOrder, MonodromyTable
 from .errors import ValidationError, named
@@ -129,17 +128,19 @@ def _contact(value: Any, where: str) -> ContactOrder | None:
         raise ValidationError(f"{where}: {exc}") from None
 
 
-@dataclass
 class InputDocument:
-    groups: dict[str, FiniteGroupTable] = field(default_factory=dict)
-    profiles: dict[str, CRProfile] = field(default_factory=dict)
-    classes: dict[str, MonodromyTable] = field(default_factory=dict)
-    homology: dict[str, HomologyModel] = field(default_factory=dict)
-    graphs: dict[str, RelGraph] = field(default_factory=dict)
-    graph_context: dict[str, tuple[str, str]] = field(default_factory=dict)
-    basis: dict[str, CRBasisZ] = field(default_factory=dict)
-    scenarios: dict[str, SplittingScenario] = field(default_factory=dict)
-    scenario_context: dict[str, tuple[str, str]] = field(default_factory=dict)
+    """The named entries of one document, section by section."""
+
+    def __init__(self) -> None:
+        self.groups: dict[str, FiniteGroupTable] = {}
+        self.profiles: dict[str, CRProfile] = {}
+        self.classes: dict[str, MonodromyTable] = {}
+        self.homology: dict[str, HomologyModel] = {}
+        self.graphs: dict[str, RelGraph] = {}
+        self.graph_context: dict[str, tuple[str, str]] = {}
+        self.basis: dict[str, CRBasisZ] = {}
+        self.scenarios: dict[str, SplittingScenario] = {}
+        self.scenario_context: dict[str, tuple[str, str]] = {}
 
     def one(self, kind: str, name: str | None):
         """Fetch a named object, or the unique one when no name is given."""
@@ -376,8 +377,7 @@ def load_document(text: str) -> InputDocument:
     return doc
 
 
-@dataclass(frozen=True)
-class LedgerDocument:
+class LedgerDocument(NamedTuple):
     """The inputs of one splitting ledger: the two halves, node sectors, the total."""
 
     plus: ModuliSpec

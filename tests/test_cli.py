@@ -273,14 +273,15 @@ class TestEntryPoint:
 
     def test_exact_commands_leave_numpy_unloaded(self):
         # each command in a fresh interpreter: the orbidegen modules it loads,
-        # and whether numpy was loaded
+        # and whether numpy and dataclasses were loaded
         script = """
 import contextlib, io, sys
 from orbidegen.cli import run
 with contextlib.redirect_stdout(io.StringIO()):
     code = run(sys.argv[1:])
 print(code, " ".join(sorted(m.split(".")[1] for m in sys.modules
-                            if m.startswith("orbidegen."))), "numpy" in sys.modules)
+                            if m.startswith("orbidegen."))), "numpy" in sys.modules,
+      "dataclasses" in sys.modules)
 """
         graphs = ["--in", str(DATA / "graphs.json")]
         commands = {
@@ -307,7 +308,8 @@ print(code, " ".join(sorted(m.split(".")[1] for m in sys.modules
             proc = python("-c", script, *argv)
             assert proc.returncode == 0, proc.stderr
             loaded[name] = proc.stdout.decode().strip()
-        assert loaded == {name: f"0 {modules} False" for name, (_, modules) in commands.items()}
+        assert loaded == {name: f"0 {modules} False False"
+                          for name, (_, modules) in commands.items()}
 
     def test_package_root_resolves_names_on_first_access(self):
         script = """

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -649,7 +648,7 @@ class TestScenarioChecks:
         """Each node's contact is at least 1/r, so no max_nodes above
         z_total * (largest menu order) adds a term; 10**6 costs no more."""
         started = time.perf_counter()
-        huge = expand(dataclasses.replace(sc, max_nodes=10**6), basis, homology)
+        huge = expand(sc._replace(max_nodes=10**6), basis, homology)
         assert time.perf_counter() - started < 1
         assert huge == expand(sc, basis, homology)
 

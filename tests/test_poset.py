@@ -679,6 +679,14 @@ def test_bottom_layer_mass(case):
     assert mass == len({encode(g) for g in all_orderings_graphs(*args, bottom=True)})
 
 
+@pytest.mark.parametrize("case", WALK_CASES, ids=lambda c: c[0])
+def test_automorphism_order_is_the_search_tie_count(case):
+    """automorphism_order skips the search when every base-key block is one
+    vertex; on every node it is the search's count of tying relabelings."""
+    for node in stratification_poset(*walk_inputs(case)).nodes:
+        assert automorphism_order(node) == graph._canonical_search(graph._as_code(node))[1]
+
+
 @pytest.mark.parametrize("max_vertices,nodes,covers,digest", [
     (4, 150, 328, "550a27fd81ab741fe0dc8a3738ddf42d4e0592defc9c26008c12b74e2d084999"),
     (5, 594, 1661, "580affe5fd024f81fb27c69452f60372c6823c6043e8acea82ba346ffe4babea"),

@@ -21,7 +21,7 @@ import math  # noqa: E402
 from collections import Counter  # noqa: E402
 from fractions import Fraction  # noqa: E402
 
-from orbidegen.contact import ContactOrder, _partition_count  # noqa: E402
+from orbidegen.contact import ContactOrder, _partition_count, enumerate_partitions  # noqa: E402
 from orbidegen.dimension import ModuliSpec, RelTerm, splitting_ledger  # noqa: E402
 from orbidegen.errors import ValidationError  # noqa: E402
 from orbidegen.expand import (  # noqa: E402
@@ -122,6 +122,12 @@ def test_canonical_form_idempotent(graph):
     canon = canonical_form(graph)
     assert canonical_form(canon) == canon
     assert automorphism_order(canon) == automorphism_order(graph)
+
+
+@SETTINGS
+@hypothesis.given(st.one_of(graphs(), graphs(both_levels=True)))
+def test_automorphism_order_is_the_search_tie_count(graph):
+    assert automorphism_order(graph) == _canonical_search(_as_code(graph))[1]
 
 
 @SETTINGS
@@ -282,6 +288,21 @@ def test_partition_count_is_a_series_coefficient(orders, numerator, denominator)
         assert found == expected
     else:
         assert found > PARTITION_CAP
+
+
+@SETTINGS
+@hypothesis.given(st.lists(st.integers(1, 6), min_size=1, max_size=4),
+                  st.integers(1, 8), st.integers(1, 6), st.integers(0, 5))
+def test_memoized_count_is_exact_up_to_the_cap(orders, numerator, denominator, cap):
+    """With count(i, rest) memoized, and loops cut short above small caps,
+    the count is still exact up to `cap` and above it past `cap`."""
+    total = Fraction(numerator, denominator)
+    expected = len(enumerate_partitions(total, orders))
+    found = _partition_count(total, orders, cap)
+    if expected <= cap:
+        assert found == expected
+    else:
+        assert found > cap
 
 
 # (rows, identity) of the groups of order 1..6 that the tables below perturb:
