@@ -3,7 +3,7 @@
 Submodules: inertia (groups, sectors, CR grading), contact (fractional contact
 orders and partitions), graph (decorated relative dual graphs), dimension
 (virtual dimensions), expand (degeneration-formula terms), glue (the
-finite-dimensional correction sandbox), cli / io (front end).
+finite-dimensional correction sandbox), cli / commands / io (front end).
 
 Importing the package loads no submodule: each name of `__all__` imports its
 module on first access (PEP 562), so `import orbidegen.cli` does not pay for

@@ -9,9 +9,9 @@ r, because downstream degree products need the raw numerators.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import ResourceLimitError, ValidationError, checked_record
 
@@ -92,12 +92,10 @@ class MonodromyTable(checked_record("MonodromyTable", "orders inverses")):
         return cls(orders=orders, inverses=inverses)
 
 
-class RelInsertion(NamedTuple):
+class RelInsertion(namedtuple("RelInsertion", "order monodromy basis_label", defaults=("e", ""))):
     """A relative insertion (contact order, monodromy class, formal basis label)."""
 
-    order: ContactOrder
-    monodromy: str = "e"
-    basis_label: str = ""
+    __slots__ = ()
 
     def triple(self) -> tuple[Fraction, str, str]:
         return (self.order.value, self.monodromy, self.basis_label)
@@ -119,10 +117,8 @@ def floor_bracket(value: Fraction | int) -> int:
     return q.numerator // q.denominator
 
 
-class SumCheck(NamedTuple):
-    ok: bool
-    computed: Fraction
-    expected: Fraction
+class SumCheck(namedtuple("SumCheck", "ok computed expected")):
+    __slots__ = ()
 
 
 def contact_sum_check(orders: Sequence[ContactOrder], total: Fraction | int) -> SumCheck:
@@ -169,15 +165,41 @@ def enumerate_partitions(
         gcds[j] = math.gcd(gcds[j + 1], weights[j + 1])
     out: list[tuple[ContactOrder, ...]] = []
 
+    def steps(slot: int, rest: int) -> range:
+        """The k of a non-last slot, ascending, that leave the later slots at
+        least their reserve and a multiple of the gcd g of their weights:
+        the solutions of k * w = rest (mod g)."""
+        w, g = weights[slot], gcds[slot]
+        d = math.gcd(w, g)  # divides rest, which is a multiple of the gcd before
+        step = g // d
+        first = rest // d * pow(w // d, -1, step) % step
+        return range(1 + (first - 1) % step, (rest - reserves[slot]) // w + 1, step)
+
+    filled: dict[tuple[int, int], bool] = {}  # (slot, rest) -> fills(slot, rest)
+
+    def fills(slot: int, rest: int) -> bool:
+        """Whether slots slot..last, one step each at least, take exactly rest
+        units, for a rest that steps() left to them."""
+        if slot == last:  # steps() left a positive multiple of its weight
+            return True
+        found = filled.get((slot, rest))
+        if found is None:
+            w, found = weights[slot], False
+            for k in steps(slot, rest):  # a loop, not any(): one frame per slot
+                if fills(slot + 1, rest - k * w):
+                    found = True
+                    break
+            filled[slot, rest] = found
+        return found
+
     def fill(slot: int, rest: int, prefix: tuple[ContactOrder, ...]) -> None:
+        # every call completes: a prefix is extended only where fills() says so
         r, w = slot_orders[slot], weights[slot]
         if slot == last:
-            k, left = divmod(rest, w)
-            if left == 0 and k >= 1:
-                out.append((*prefix, ContactOrder(k, r)))
+            out.append((*prefix, ContactOrder(rest // w, r)))
             return
-        for k in range(1, (rest - reserves[slot]) // w + 1):
-            if (rest - k * w) % gcds[slot] == 0:
+        for k in steps(slot, rest):
+            if fills(slot + 1, rest - k * w):
                 fill(slot + 1, rest - k * w, (*prefix, ContactOrder(k, r)))
 
     try:

@@ -8,10 +8,10 @@ rationals; smooth flavors come out integral.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
-from .contact import ContactOrder, MonodromyTable, floor_bracket
+from .contact import MonodromyTable, floor_bracket
 from .errors import ValidationError, checked_record
 
 ABSOLUTE_SMOOTH = "absolute-smooth"
@@ -22,12 +22,10 @@ RELATIVE_ORBIFOLD = "relative-orbifold"
 FLAVORS = (ABSOLUTE_SMOOTH, RELATIVE_SMOOTH, ABSOLUTE_ORBIFOLD, RELATIVE_ORBIFOLD)
 
 
-class RelTerm(NamedTuple):
+class RelTerm(namedtuple("RelTerm", "order shift monodromy", defaults=(Fraction(0), "e"))):
     """One relative insertion as the dimension formula sees it."""
 
-    order: ContactOrder
-    shift: Fraction = Fraction(0)
-    monodromy: str = "e"
+    __slots__ = ()
 
 
 class ModuliSpec(checked_record("ModuliSpec", "flavor n genus c1A shifts rel zA")):
@@ -88,14 +86,11 @@ def virdim(spec: ModuliSpec) -> Fraction:
             - sum((t.shift + floor_bracket(t.order.value) for t in spec.rel), Fraction(0)))
 
 
-class Ledger(NamedTuple):
+class Ledger(namedtuple("Ledger", "d_total d_plus d_minus constraint_dims")):
     """Dimension bookkeeping of one splitting: the two halves, the fiber-product
     constraints at matched nodes, and the resulting defect against the total."""
 
-    d_total: Fraction
-    d_plus: Fraction
-    d_minus: Fraction
-    constraint_dims: tuple[Fraction, ...]
+    __slots__ = ()
 
     @property
     def defect(self) -> Fraction:

@@ -15,8 +15,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .contact import ContactOrder, MonodromyTable, _multiset_aut, enumerate_partitions
 from .errors import ResourceLimitError, ValidationError, checked_record, named
@@ -38,10 +39,8 @@ from .graph import (
 )
 
 
-class BasisEntry(NamedTuple):
-    label: str
-    sector: str
-    cr_degree: Fraction
+class BasisEntry(namedtuple("BasisEntry", "label sector cr_degree")):
+    __slots__ = ()
 
 
 class CRBasisZ(checked_record("CRBasisZ", "dim_z entries duality")):
@@ -99,17 +98,14 @@ class CRBasisZ(checked_record("CRBasisZ", "dim_z entries duality")):
         return [e for e in self.entries if e.sector == sector]
 
 
-class AbsInsertion(NamedTuple):
+class AbsInsertion(namedtuple("AbsInsertion", "label descendant", defaults=(0,))):
     """A formal absolute insertion tau_l(alpha); terms carry its label, not l."""
 
-    label: str
-    descendant: int = 0
+    __slots__ = ()
 
 
-class MenuEntry(NamedTuple):
-    label: str
-    order: int
-    inverse: str
+class MenuEntry(namedtuple("MenuEntry", "label order inverse")):
+    __slots__ = ()
 
 
 class SplittingScenario(checked_record("SplittingScenario", "genus absolute class_splittings "
@@ -156,7 +152,7 @@ class SplittingScenario(checked_record("SplittingScenario", "genus absolute clas
                     )
 
 
-class Matching(NamedTuple):
+class Matching(namedtuple("Matching", "gamma_plus gamma_minus contacts monodromies")):
     """One admissible splitting before basis insertions are attached.
 
     Node j is the j-th relative tail of both side graphs; plus-side tails
@@ -164,17 +160,11 @@ class Matching(NamedTuple):
     absolute tails come first, in scenario order.
     """
 
-    gamma_plus: RelGraph
-    gamma_minus: RelGraph
-    contacts: tuple[ContactOrder, ...]
-    monodromies: tuple[str, ...]
+    __slots__ = ()
 
 
-class Term(NamedTuple):
-    gamma_plus: RelGraph
-    gamma_minus: RelGraph
-    labels: tuple[str, ...]
-    coefficient: Fraction
+class Term(namedtuple("Term", "gamma_plus gamma_minus labels coefficient")):
+    __slots__ = ()
 
 
 def gluing_degrees(orders: Sequence[ContactOrder]) -> tuple[int, Fraction]:
@@ -189,11 +179,8 @@ def gluing_degrees(orders: Sequence[ContactOrder]) -> tuple[int, Fraction]:
     return kappa, ell
 
 
-class GluingBundleReport(NamedTuple):
-    kappa: int
-    exponents: tuple[int, ...]
-    quotient_order: int
-    ell: Fraction
+class GluingBundleReport(namedtuple("GluingBundleReport", "kappa exponents quotient_order ell")):
+    __slots__ = ()
 
 
 def gluing_bundle_report(orders: Sequence[ContactOrder]) -> GluingBundleReport:

@@ -50,9 +50,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import namedtuple
 from fractions import Fraction
 from operator import attrgetter, itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .contact import ContactOrder, MonodromyTable
 from .errors import ResourceLimitError, ValidationError, checked_record
@@ -99,39 +100,27 @@ def add_classes(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(x + y for x, y in zip(a, b))
 
 
-class Vertex(NamedTuple):
-    genus: int
-    cls: tuple[int, ...]
-    level: int = 0
+class Vertex(namedtuple("Vertex", "genus cls level", defaults=(0,))):
+    __slots__ = ()
 
 
-class Edge(NamedTuple):
-    kind: str
-    ends: tuple[int, int]
-    halves: tuple[str, str] = ("e", "e")
-    contact: ContactOrder | None = None
+class Edge(namedtuple("Edge", "kind ends halves contact", defaults=(("e", "e"), None))):
+    __slots__ = ()
 
     def is_loop(self) -> bool:
         return self.ends[0] == self.ends[1]
 
 
-class Tail(NamedTuple):
-    vertex: int
-    kind: str
-    monodromy: str = "e"
-    contact: ContactOrder | None = None
+class Tail(namedtuple("Tail", "vertex kind monodromy contact", defaults=("e", None))):
+    __slots__ = ()
 
 
-class RelGraph(NamedTuple):
-    vertices: tuple[Vertex, ...]
-    edges: tuple[Edge, ...]
-    tails: tuple[Tail, ...]
+class RelGraph(namedtuple("RelGraph", "vertices edges tails")):
+    __slots__ = ()
 
 
-class Diagnostic(NamedTuple):
-    rule: str
-    element: str
-    message: str
+class Diagnostic(namedtuple("Diagnostic", "rule element message")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"[{self.rule}] {self.element}: {self.message}"
@@ -592,10 +581,8 @@ class PosetBounds(checked_record("PosetBounds", "max_vertices max_levels edge_mo
         return self
 
 
-class StratPoset(NamedTuple):
-    nodes: tuple[RelGraph, ...]
-    covers: tuple[tuple[int, int], ...]
-    complete: bool
+class StratPoset(namedtuple("StratPoset", "nodes covers complete")):
+    __slots__ = ()
 
     def maximal_index(self) -> int:
         for i, node in enumerate(self.nodes):

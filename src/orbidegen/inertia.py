@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from .contact import MonodromyTable
 from .errors import ValidationError, checked_record
@@ -142,21 +142,17 @@ def _first_failing_triple(mul: Sequence[Sequence[int]]) -> tuple[int, int, int]:
                 if mul[mul[a][b]][c] != mul[a][mul[b][c]])
 
 
-class ConjugacyClass(NamedTuple):
-    representative: int
-    members: frozenset[int]
-    ord: int
+class ConjugacyClass(namedtuple("ConjugacyClass", "representative members ord")):
+    __slots__ = ()
 
 
-class ClassData(NamedTuple):
+class ClassData(namedtuple("ClassData", "classes index_of inverse_of")):
     """Conjugacy classes of one table: the identity class first, then by least member.
 
     Shared by every reader of the table, so treat the maps as read-only.
     """
 
-    classes: tuple[ConjugacyClass, ...]
-    index_of: Mapping[frozenset[int], int]
-    inverse_of: Mapping[frozenset[int], ConjugacyClass]
+    __slots__ = ()
 
 
 def _class_data(group: FiniteGroupTable) -> ClassData:
@@ -305,17 +301,12 @@ class CRProfile(checked_record("CRProfile", "group ambient_dim sectors")):
                 for i, cls_ in enumerate(self.group.class_data.classes)]
 
 
-class PairingViolation(NamedTuple):
-    sector: str
-    degree: int
-    found: int
-    expected: int
-    detail: str
+class PairingViolation(namedtuple("PairingViolation", "sector degree found expected detail")):
+    __slots__ = ()
 
 
-class PairingReport(NamedTuple):
-    violations: tuple[PairingViolation, ...]
-    checked_pairs: int
+class PairingReport(namedtuple("PairingReport", "violations checked_pairs")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

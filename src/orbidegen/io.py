@@ -9,15 +9,20 @@ Each section has its own reader, which imports the module of the types it
 builds, so a document loads only the modules its sections need: inertia for
 groups, profiles and class tables built from a group, graph for homology and
 graphs, expand for basis and scenarios, dimension for ledgers and --rel.
+
+`emit` writes every command's report: its text lines, or under --json the
+payload with the schema as deterministic JSON (`dump_json`).
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, NamedTuple
+from typing import TYPE_CHECKING, Any
 
 from .contact import ContactOrder, MonodromyTable
 from .errors import ValidationError, named
@@ -377,13 +382,10 @@ def load_document(text: str) -> InputDocument:
     return doc
 
 
-class LedgerDocument(NamedTuple):
+class LedgerDocument(namedtuple("LedgerDocument", "plus minus sector_dims total")):
     """The inputs of one splitting ledger: the two halves, node sectors, the total."""
 
-    plus: ModuliSpec
-    minus: ModuliSpec | None
-    sector_dims: tuple[Fraction, ...]
-    total: ModuliSpec
+    __slots__ = ()
 
 
 def _rel_term(term: Any, at: str) -> RelTerm:
@@ -465,3 +467,11 @@ def read_text(path: str) -> str:
 def dump_json(payload: dict) -> str:
     """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
     return json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+
+
+def emit(args, payload: dict, lines: list[str]) -> None:
+    """Write a command's report: `payload` with the schema under --json, else the text lines."""
+    if args.json:
+        sys.stdout.write(dump_json({"schema": SCHEMA, **payload}))
+    else:
+        sys.stdout.write("".join(f"{line}\n" for line in lines))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from orbidegen.cli import run
+from orbidegen.cli import build_parser, run
 from orbidegen.io import load_document
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -279,11 +279,12 @@ import contextlib, io, sys
 from orbidegen.cli import run
 with contextlib.redirect_stdout(io.StringIO()):
     code = run(sys.argv[1:])
-print(code, " ".join(sorted(m.split(".")[1] for m in sys.modules
+print(code, " ".join(sorted(m.split(".", 1)[1] for m in sys.modules
                             if m.startswith("orbidegen."))), "numpy" in sys.modules,
       "dataclasses" in sys.modules)
 """
         graphs = ["--in", str(DATA / "graphs.json")]
+        # besides its own module of orbidegen.commands (the group, the first word)
         commands = {
             "partitions": (["partitions", "--total", "2", "--orders", "2,2"],
                            "cli contact errors io"),
@@ -303,13 +304,35 @@ print(code, " ".join(sorted(m.split(".")[1] for m in sys.modules
             "expand": (["expand", "--in", str(DATA / "smooth1.json"),
                         "--scenario", "smooth_one_node"], "cli contact errors expand graph io"),
         }
-        loaded = {}
-        for name, (argv, _) in commands.items():
+        loaded, expected = {}, {}
+        for name, (argv, modules) in commands.items():
             proc = python("-c", script, *argv)
             assert proc.returncode == 0, proc.stderr
             loaded[name] = proc.stdout.decode().strip()
-        assert loaded == {name: f"0 {modules} False False"
-                          for name, (_, modules) in commands.items()}
+            # no other group's handlers: a sectors child loads neither graphs nor glue
+            assert [m for m in loaded[name].split() if m.startswith("commands.")] == \
+                [f"commands.{argv[0]}"], (name, loaded[name])
+            own = sorted([*modules.split(), "commands", f"commands.{argv[0]}"])
+            expected[name] = f"0 {' '.join(own)} False False"
+        assert loaded == expected
+
+    def test_module_entry_point_loads_cli_once(self):
+        # `python -m orbidegen.cli` runs cli as __main__ (as run_module does
+        # here) and registers no orbidegen.cli; a command module importing
+        # orbidegen.cli would compile and run cli a second time
+        script = """
+import runpy, sys
+sys.argv = ["orbidegen", "sectors", "--in", "demos/data/ex_z3.json"]
+try:
+    runpy.run_module("orbidegen.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+sys.stdout.flush()
+print("orbidegen.cli" in sys.modules, code, file=sys.stderr)
+"""
+        proc = python("-c", script)
+        assert proc.stdout == (GOLDEN / "sectors_z3.txt").read_bytes()
+        assert proc.stderr == b"False 0\n"
 
     def test_package_root_resolves_names_on_first_access(self):
         script = """
@@ -1124,3 +1147,83 @@ class TestOutputMatrix:
     @pytest.mark.parametrize("case", sorted(OUTPUT_MATRIX), ids=str)
     def test_output_unchanged(self, case):
         assert output_digest(OUTPUT_MATRIX[case]) == OUTPUT_DIGESTS[case]
+
+
+# help and usage errors, all answered by argparse before any handler runs
+USAGE_MATRIX = {
+    "no-arguments": [],
+    "help": ["--help"],
+    "help-sectors": ["-h", "sectors"],
+    "unknown-command": ["frobnicate"],
+    "graphs": ["graphs"],
+    "graphs-help": ["graphs", "--help"],
+    "graphs-bogus": ["graphs", "bogus"],
+    "sectors-help": ["sectors", "--help"],
+    "dim-virdim-help": ["dim", "virdim", "--help"],
+    "glue-demo-help": ["glue", "demo", "--help"],
+    "partitions-no-total": ["partitions"],
+    "graphs-validate-bogus": ["graphs", "validate", "--in", "demos/data/graphs.json", "--bogus"],
+    "sectors-bogus": ["sectors", "--in", "demos/data/ex_z3.json", "--bogus"],
+    "expand-bogus": ["expand", "--in", "demos/data/smooth1.json", "--scenario",
+                     "smooth_one_node", "--bogus", "1"],
+}
+
+# sha256 of "<rc>\n<stdout>\n<stderr>" for each USAGE_MATRIX entry at 80 columns,
+# recorded on Python 3.11 while every command's parsers were built for each run
+USAGE_DIGESTS = {
+    "no-arguments":
+        "1798076adcbfc33a2cf8a1864e6d72051adde036b4654f18b129e2ca73f79662",
+    "help":
+        "88a0b174132562820b1359f63cf11665969d2db71b324069297d48d08d8adf42",
+    "help-sectors":
+        "88a0b174132562820b1359f63cf11665969d2db71b324069297d48d08d8adf42",
+    "unknown-command":
+        "90366b2609a323f15c7d7d1ae75fac88189fc444d6424e8698726f54d6ecc401",
+    "graphs":
+        "ef0186b5d1580742d910b013570372cd136a02e9f071acc3e3ef30e90f43a662",
+    "graphs-help":
+        "7d70eaed8c99bc871e42d6198305f7c7e6dde92cc4192ca115afc335d3716311",
+    "graphs-bogus":
+        "68c8bc431f33627bf516ae9a4fc6f9773646776da06ec67cff6b47ea39fa0208",
+    "sectors-help":
+        "0f4f00e38877f361f9d78bd2284bdb3fe9ef39eb8f4023f2be49d08ab40e5a5a",
+    "dim-virdim-help":
+        "b598924d8cc631a64a62e212d256ae634f7a1493871e8ad25de828d7645edc6f",
+    "glue-demo-help":
+        "c25248378e3c2fbf91b5ce004cdb2aa60a147bcfda937045f86483e9a1930b0c",
+    "partitions-no-total":
+        "c05a4cc167e1bf523431ba7e08bac18fd47ef89c791607afc5823e47f93b6497",
+    "graphs-validate-bogus":
+        "dc6d83e72d4fda280f966e86960d522a48285bc19fac2b2de153f7e527445beb",
+    "sectors-bogus":
+        "dc6d83e72d4fda280f966e86960d522a48285bc19fac2b2de153f7e527445beb",
+    "expand-bogus":
+        "03c8356dae0d521fdbfd48fd7f5777c4ef19b0a18c886d70c0ad525f59001be8",
+}
+
+
+class TestUsageMatrix:
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at the terminal width
+
+    def test_covers_the_matrix(self):
+        assert sorted(USAGE_DIGESTS) == sorted(USAGE_MATRIX)
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="argparse wording differs between Python versions; "
+                               "the digests were recorded on 3.11")
+    @pytest.mark.parametrize("case", sorted(USAGE_MATRIX), ids=str)
+    def test_usage_unchanged(self, case):
+        rc, out, err = capture(USAGE_MATRIX[case])
+        assert hashlib.sha256(f"{rc}\n{out}\n{err}".encode()).hexdigest() == USAGE_DIGESTS[case]
+
+    @pytest.mark.parametrize("case", sorted(USAGE_MATRIX), ids=str)
+    def test_same_as_the_full_parser(self, case):
+        # on any Python: run's parser for one group answers as the parser of
+        # every command does
+        argv = USAGE_MATRIX[case]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert capture(argv) == (exc.value.code or 0, out.getvalue(), err.getvalue())

@@ -145,6 +145,24 @@ class TestEnumeratePartitions:
         assert enumerate_partitions(6, list(range(1, 21))) == []
         assert built == []
 
+    def test_walk_builds_only_prefixes_that_complete(self, monkeypatch):
+        # 6 into orders 1..16 has 3 tuples, which share their first 6 entries;
+        # the walk builds no contact order outside them
+        built = []
+
+        class Counted(ContactOrder):
+            __slots__ = ()
+
+            def __new__(klass, *args):
+                built.append(args)
+                return super().__new__(klass, *args)
+
+        monkeypatch.setattr(contact, "ContactOrder", Counted)
+        got = enumerate_partitions(6, list(range(1, 17)))
+        assert len(got) == 3
+        assert all(sum(o.value for o in tup) == 6 for tup in got)
+        assert len(built) == len({tup[:j] for tup in got for j in range(1, 17)}) == 6 + 3 * 10
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValidationError):
             enumerate_partitions(0, [1])

@@ -1,11 +1,11 @@
 """Property tests of the canonical form, edge contraction and level collapse
 on graphs of up to 7 vertices, of the two shortcuts of the working form
 (ordering distinct decorations without base keys, interned decoding), of the
-partition count against a generating function, of associativity on a
-generating set against the full triple scan, of the class-draw kernel
-against brute force, of the basis and menu facts that expand relies on
-without checking them, of side_swap on generated scenarios, and of the
-smooth ledger defect.
+partition count against a generating function, of the partition walk against
+the count, of associativity on a generating set against the full triple
+scan, of the class-draw kernel against brute force, of the basis and menu
+facts that expand relies on without checking them, of side_swap on
+generated scenarios, and of the smooth ledger defect.
 
 Hypothesis runs derandomized with a bounded example count, so every run
 draws the same graphs and the suite stays deterministic.
@@ -21,6 +21,7 @@ import math  # noqa: E402
 from collections import Counter  # noqa: E402
 from fractions import Fraction  # noqa: E402
 
+from orbidegen import contact as contact_module  # noqa: E402
 from orbidegen.contact import ContactOrder, _partition_count, enumerate_partitions  # noqa: E402
 from orbidegen.dimension import ModuliSpec, RelTerm, splitting_ledger  # noqa: E402
 from orbidegen.errors import ValidationError  # noqa: E402
@@ -303,6 +304,41 @@ def test_memoized_count_is_exact_up_to_the_cap(orders, numerator, denominator, c
         assert found == expected
     else:
         assert found > cap
+
+
+
+WALK_CAP = 3000
+
+
+@SETTINGS
+@hypothesis.given(st.lists(st.integers(1, 16), min_size=1, max_size=6),
+                  st.integers(1, 12), st.integers(1, 6))
+def test_walk_builds_only_prefixes_that_complete(orders, numerator, denominator):
+    """The walk extends a prefix only when the later slots can fill what is
+    left, so it builds one contact order per distinct prefix of an output
+    tuple, and as many tuples as the uncapped count says, in value order."""
+    total = Fraction(numerator, denominator)
+    count = _partition_count(total, orders, WALK_CAP)
+    hypothesis.assume(count <= WALK_CAP)
+    built = []
+
+    class Counted(ContactOrder):
+        __slots__ = ()
+
+        def __new__(klass, *args):
+            built.append(args)
+            return super().__new__(klass, *args)
+
+    original, contact_module.ContactOrder = contact_module.ContactOrder, Counted
+    try:
+        found = enumerate_partitions(total, orders)
+    finally:
+        contact_module.ContactOrder = original
+    assert len(found) == count
+    assert all(sum(o.value for o in tup) == total for tup in found)
+    values = [tuple(o.value for o in tup) for tup in found]
+    assert values == sorted(set(values))
+    assert len(built) == len({tup[:j] for tup in found for j in range(1, len(orders) + 1)})
 
 
 # (rows, identity) of the groups of order 1..6 that the tables below perturb:
