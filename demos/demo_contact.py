@@ -11,11 +11,11 @@ from orbidegen.contact import (
     ContactOrder,
     RelInsertion,
     aut_order,
-    branch_cover_degree,
     contact_sum_check,
     enumerate_partitions,
     floor_bracket,
 )
+from orbidegen.expand import gluing_bundle_report
 
 print("floor bracket: [3/2] =", floor_bracket(F(3, 2)),
       " [2] =", floor_bracket(F(2)), " [1/3] =", floor_bracket(F(1, 3)))
@@ -34,4 +34,4 @@ triples = [RelInsertion(ContactOrder(1), "h", "b1"),
 print("\n|Aut| of ((1,h,b1), (1,h,b1), (2,h,b2)) =", aut_order(triples))
 
 print("smoothing-parameter cover degree at an order-3 orbifold node:",
-      branch_cover_degree(3))
+      gluing_bundle_report([ContactOrder(1, 3)]).quotient_order)

@@ -9,9 +9,9 @@ r, because downstream degree products need the raw numerators.
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import ResourceLimitError, ValidationError, checked_record
 
@@ -136,8 +136,9 @@ def enumerate_partitions(
     """All ordered tuples (l_1..l_k), l_j = k_j/r_j with k_j >= 1, summing to total.
 
     Output is in lexicographic order of the value tuples; infeasible input
-    yields an empty list.  More than MAX_PARTITIONS tuples raise
-    ResourceLimitError before any is built.
+    yields an empty list.  More than MAX_PARTITIONS tuples, or more than
+    MAX_PARTITIONS memoized states to count them, or more slots than the
+    interpreter can nest, raise ResourceLimitError before any tuple is built.
     """
     goal = Fraction(total)
     if goal <= 0:
@@ -145,25 +146,42 @@ def enumerate_partitions(
     for r in slot_orders:
         if r < 1:
             raise ValidationError(f"slot orders must be >= 1, got {r}")
-    count = _partition_count(goal, slot_orders, MAX_PARTITIONS) if slot_orders else 0
-    if count > MAX_PARTITIONS:
-        raise ResourceLimitError(
-            f"partitions of {goal} into {len(slot_orders)} slots number more than "
-            f"{MAX_PARTITIONS}"
-        )
-    if count == 0:  # nothing to walk for, infeasible units included
-        return []
+    try:
+        count, walk = _partitions(goal, slot_orders, MAX_PARTITIONS)
+        if count > MAX_PARTITIONS:
+            raise ResourceLimitError(
+                f"partitions of {goal} into {len(slot_orders)} slots number more than "
+                f"{MAX_PARTITIONS}"
+            )
+        return walk() if count else []
+    except RecursionError:  # the count and the walk both recurse once per slot
+        raise ResourceLimitError(f"partitions of {goal} into {len(slot_orders)} slots: "
+                                 "more slots than the walk can nest") from None
+
+
+def _partitions(
+    goal: Fraction, slot_orders: Sequence[int], cap: int
+) -> tuple[int, Callable[[], list[tuple[ContactOrder, ...]]]]:
+    """(count, walk) for the tuples enumerate_partitions(goal, slot_orders)
+    returns: count is their number, or some number above `cap` once the count
+    passes it, and walk() builds them, for a count at or below `cap`.
+
+    Counted in units of 1/L, L = lcm(slot_orders): a slot of order r takes
+    k >= 1 steps of w = L/r units, so the tuples are the ways to write
+    U = goal * L as sum k_j w_j.  A U that is no positive integer has none.
+    """
     lcm = math.lcm(*slot_orders)
     units = goal * lcm
-    # the units of _partition_count, w = lcm/r per step of k; the later slots need
-    # a step each and can fill only multiples of the gcd of their weights
+    if not slot_orders or units <= 0 or units.denominator != 1:
+        return 0, list
+    # the later slots need a step each and can fill only multiples of the gcd
+    # of their weights
     weights = [lcm // r for r in slot_orders]
     last = len(slot_orders) - 1
     reserves, gcds = [0] * (last + 1), [0] * (last + 1)
     for j in range(last - 1, -1, -1):
         reserves[j] = reserves[j + 1] + weights[j + 1]
         gcds[j] = math.gcd(gcds[j + 1], weights[j + 1])
-    out: list[tuple[ContactOrder, ...]] = []
 
     def steps(slot: int, rest: int) -> range:
         """The k of a non-last slot, ascending, that leave the later slots at
@@ -175,94 +193,54 @@ def enumerate_partitions(
         first = rest // d * pow(w // d, -1, step) % step
         return range(1 + (first - 1) % step, (rest - reserves[slot]) // w + 1, step)
 
-    filled: dict[tuple[int, int], bool] = {}  # (slot, rest) -> fills(slot, rest)
+    memo: dict[tuple[int, int], int] = {}  # (slot, rest) -> count(slot, rest)
 
-    def fills(slot: int, rest: int) -> bool:
-        """Whether slots slot..last, one step each at least, take exactly rest
-        units, for a rest that steps() left to them."""
+    def count(slot: int, rest: int) -> int:
+        """How many ways slots slot..last, one step each at least, take
+        exactly rest units, for a rest that steps() left to them.
+
+        A loop stops once its sum passes `cap`, so a count stored above `cap`
+        may be short of the true one; but it is still above `cap` and still
+        nonzero, and those are the only two things a caller reads.  A count
+        at or below `cap` had no loop cut short: it is exact, and every state
+        below it is stored.  Past MAX_PARTITIONS stored states the count
+        raises ResourceLimitError.
+        """
         if slot == last:  # steps() left a positive multiple of its weight
-            return True
-        found = filled.get((slot, rest))
+            return 1
+        found = memo.get((slot, rest))
         if found is None:
-            w, found = weights[slot], False
-            for k in steps(slot, rest):  # a loop, not any(): one frame per slot
-                if fills(slot + 1, rest - k * w):
-                    found = True
+            w, found = weights[slot], 0
+            for k in steps(slot, rest):
+                found += count(slot + 1, rest - k * w)
+                if found > cap:
                     break
-            filled[slot, rest] = found
+            memo[slot, rest] = found
+            if len(memo) > MAX_PARTITIONS:
+                raise ResourceLimitError(
+                    f"partitions of {goal} into {len(slot_orders)} slots need more than "
+                    f"{MAX_PARTITIONS} states to count"
+                )
         return found
 
+    out: list[tuple[ContactOrder, ...]] = []
+
     def fill(slot: int, rest: int, prefix: tuple[ContactOrder, ...]) -> None:
-        # every call completes: a prefix is extended only where fills() says so
+        # every call completes: a prefix is extended only where count() > 0,
+        # which under a count(0, U) at or below `cap` is a memo read
         r, w = slot_orders[slot], weights[slot]
         if slot == last:
             out.append((*prefix, ContactOrder(rest // w, r)))
             return
         for k in steps(slot, rest):
-            if fills(slot + 1, rest - k * w):
+            if count(slot + 1, rest - k * w):
                 fill(slot + 1, rest - k * w, (*prefix, ContactOrder(k, r)))
 
-    try:
+    def walk() -> list[tuple[ContactOrder, ...]]:
         fill(0, units.numerator, ())
-    except RecursionError:
-        raise ResourceLimitError(f"partitions of {goal} into {len(slot_orders)} slots: "
-                                 "more slots than the walk can nest") from None
-    return out
+        return out
 
-
-def _partition_count(goal: Fraction, slot_orders: Sequence[int], cap: int) -> int:
-    """How many tuples enumerate_partitions(goal, slot_orders) returns, or some
-    number above `cap` once the count passes it.
-
-    Counted in units of 1/L, L = lcm(slot_orders), so a slot of order r counts
-    w = L/r units per step of k.  The m slots of one order r that take K/r
-    together split it C(K - 1, m - 1) ways, so only the per-order totals K are
-    walked, and of those only the ones whose leftover units are a multiple of
-    the gcd of the later orders' weights (nothing else can be filled).
-
-    count(i, rest) depends only on its arguments, so each pair is counted once
-    per call.  A loop stops once its count passes `cap`, so a stored count
-    above `cap` may be short of the true one.  Reusing it would still be
-    safe: a caller multiplies it by a binomial of at least 1 and adds
-    non-negative terms, so the caller's count passes `cap` as well.  In fact
-    it is never read back, since every loop up to the top then stops.  A
-    count at or below `cap` had no term cut short and is exact.
-    """
-    lcm = math.lcm(*slot_orders)
-    units = goal * lcm
-    if units.denominator != 1:
-        return 0
-    groups = sorted(Counter(slot_orders).items())
-    weights = [lcm // r for r, _ in groups]
-    later_gcd = [0] * (len(groups) + 1)  # gcd of the weights after each group
-    reserve = [0] * (len(groups) + 1)  # units the groups after each one need
-    for i in range(len(groups) - 1, -1, -1):
-        later_gcd[i] = math.gcd(weights[i], later_gcd[i + 1])
-        reserve[i] = reserve[i + 1] + groups[i][1] * weights[i]
-
-    memo: dict[tuple[int, int], int] = {}  # (i, rest) -> count(i, rest)
-
-    def count(i: int, rest: int) -> int:
-        m, w, g = groups[i][1], weights[i], later_gcd[i + 1]
-        if g == 0:  # the last group takes all the rest
-            k, left = divmod(rest, w)
-            return math.comb(k - 1, m - 1) if left == 0 and k >= m else 0
-        found = memo.get((i, rest))
-        if found is not None:
-            return found
-        # d = gcd(w, g) divides rest: 1 at i = 0, and each K below leaves a multiple of g
-        d = later_gcd[i]
-        step = g // d  # K must solve K * w = rest (mod g)
-        first = rest // d * pow(w // d, -1, step) % step
-        found = 0
-        k = m + (first - m) % step
-        while k * w <= rest - reserve[i + 1] and found <= cap:
-            found += math.comb(k - 1, m - 1) * count(i + 1, rest - k * w)
-            k += step
-        memo[i, rest] = found
-        return found
-
-    return count(0, units.numerator)
+    return count(0, units.numerator), walk
 
 
 def aut_order(insertions: Iterable[RelInsertion]) -> int:
@@ -284,9 +262,3 @@ def _multiset_aut(items: Iterable[Hashable]) -> int:
         counts[item] = counts.get(item, 0) + 1
     return math.prod(map(math.factorial, counts.values()))
 
-
-def branch_cover_degree(r: int) -> int:
-    """Degree of the smoothing-parameter cover at an orbifold node of multiplicity r."""
-    if r < 1:
-        raise ValidationError(f"multiplicity must be >= 1, got {r}")
-    return r

@@ -141,9 +141,12 @@ def estimate_constants(
     """Monte-Carlo estimates of the uniform-continuity constant C1, the chart
     approximation quality eps1, and the right-inverse bound C2, each reported
     with its witnessing sample.  delta1 is placed between eps1 and C2 and the
-    ordering flag requires factor-10 separations eps1 << delta1 << C2.  Each
-    model callback runs once per sample; t also twice per remainder probe.
-    A non-finite constant raises FloatingPointError naming the system."""
+    ordering flag requires factor-10 separations eps1 << delta1 << C2.  Per
+    sample, the chart's param runs 1 + 2 dim(s) times (x(s) and the central
+    differences of the C4 tangential bound), and right_inverse, the system's
+    derivative and evaluate once; evaluate also runs twice per remainder
+    probe, one per sample up to 100.  A non-finite constant raises
+    FloatingPointError naming the system."""
     if sample_count < MIN_SAMPLES:
         raise ValueError(f"sample_count must be >= {MIN_SAMPLES}, got {sample_count}")
     if sample_count > MAX_SAMPLES:

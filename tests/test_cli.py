@@ -620,9 +620,13 @@ class TestMalformedInputExits1:
          "splitting enumeration exceeded the candidate budget (2000000)"),
         (["partitions", "--total", "1200", "--orders", ",".join(["1"] * 1200)],
          "partitions of 1200 into 1200 slots: more slots than the walk can nest"),
+        (["partitions", "--total", "1300", "--orders", ",".join(["1"] * 1200)],
+         "partitions of 1300 into 1200 slots: more slots than the walk can nest"),
+        (["partitions", "--total", "6", "--orders", ",".join(map(str, range(1, 41)))],
+         "partitions of 6 into 40 slots need more than 100000 states to count"),
     ], ids=["poset-v7", "poset-v12", "partitions-300", "expand-g2-m4",
             "poset-relative-menu", "poset-wide-classes", "expand-wide-classes",
-            "partitions-1200-slots"])
+            "partitions-1200-slots", "partitions-1300-into-1200-slots", "partitions-1..40"])
     def test_oversized_enumeration_exits_3_before_the_work(self, argv, message):
         # counted up front: the walks themselves would take minutes
         started = time.perf_counter()

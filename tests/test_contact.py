@@ -12,7 +12,6 @@ from orbidegen.contact import (
     MonodromyTable,
     RelInsertion,
     aut_order,
-    branch_cover_degree,
     contact_sum_check,
     enumerate_partitions,
     floor_bracket,
@@ -128,7 +127,7 @@ class TestEnumeratePartitions:
         started = time.perf_counter()
         got = enumerate_partitions(6, orders)
         assert time.perf_counter() - started < 5
-        assert len(got) == contact._partition_count(F(6), orders, 10**9) == 48
+        assert len(got) == contact._partitions(F(6), orders, 10**9)[0] == 48
         assert all(sum(o.value for o in tup) == 6 for tup in got)
         assert got == sorted(got)
 
@@ -181,14 +180,14 @@ class TestPartitionCount:
             orders = [rng.choice([1, 2, 3, 4, 6]) for _ in range(rng.randint(1, 4))]
             total = F(rng.randint(1, 16), rng.choice([1, 2, 3, 4, 6, 12]))
             expected = len(enumerate_partitions(total, orders))
-            assert contact._partition_count(total, orders, 10**9) == expected, (total, orders)
+            assert contact._partitions(total, orders, 10**9)[0] == expected, (total, orders)
 
     @pytest.mark.parametrize("total,orders", [
         (10**9, [63, 64]), (10**9, [2, 3, 5, 7]), (F(10**9 + 1, 6), [2, 3]),
         (300, [1, 1, 1, 1]), (10**6, [4, 6, 10, 15]),
     ])
     def test_stops_above_the_cap(self, total, orders):
-        assert contact._partition_count(F(total), orders, 100) > 100
+        assert contact._partitions(F(total), orders, 100)[0] > 100
 
     def test_refused_before_building(self):
         with pytest.raises(ResourceLimitError, match="partitions of 300 into 4 slots"):
@@ -201,6 +200,40 @@ class TestPartitionCount:
             enumerate_partitions(8, [1, 1, 1])
         monkeypatch.setattr(contact, "MAX_PARTITIONS", 21)
         assert len(enumerate_partitions(8, [1, 1, 1])) == 21
+
+    def test_state_budget_is_exact(self, monkeypatch):
+        # 6 into orders 1..11 has 24 tuples and stores 520 (slot, rest) counts
+        orders = list(range(1, 12))
+        monkeypatch.setattr(contact, "MAX_PARTITIONS", 519)
+        with pytest.raises(ResourceLimitError, match="into 11 slots need more than 519 states"):
+            enumerate_partitions(6, orders)
+        monkeypatch.setattr(contact, "MAX_PARTITIONS", 520)
+        assert len(enumerate_partitions(6, orders)) == 24
+
+    @pytest.mark.parametrize("n,refused", [(22, True), (24, False), (40, True)])
+    def test_state_budget_refuses_before_building(self, monkeypatch, n, refused):
+        # 6 into orders 1..n has no tuple; counting it stores 107,270 (slot,
+        # rest) counts at n = 22 and 99,819 at n = 24, and 1..26 would store
+        # 1,093,095; above MAX_PARTITIONS the count stops and builds nothing
+        built = []
+
+        class Counted(ContactOrder):
+            __slots__ = ()
+
+            def __new__(klass, *args):
+                built.append(args)
+                return super().__new__(klass, *args)
+
+        monkeypatch.setattr(contact, "ContactOrder", Counted)
+        started = time.process_time()
+        if refused:
+            with pytest.raises(ResourceLimitError,
+                               match=f"partitions of 6 into {n} slots need more than 100000"):
+                enumerate_partitions(6, list(range(1, n + 1)))
+        else:
+            assert enumerate_partitions(6, list(range(1, n + 1))) == []
+        assert time.process_time() - started < 5
+        assert built == []
 
 
 class TestAutOrder:
@@ -256,16 +289,6 @@ class TestAutOrder:
                                                     for i in ins}) == len(ins)
         # some draws repeat a value only through different raw pairs
         assert repeated > 10
-
-
-class TestBranchCover:
-    @pytest.mark.parametrize("r", [1, 3, 5])
-    def test_degree_is_r(self, r):
-        assert branch_cover_degree(r) == r
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValidationError):
-            branch_cover_degree(0)
 
 
 class TestContactOrder:

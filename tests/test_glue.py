@@ -63,7 +63,7 @@ class TestEstimateConstants:
     @pytest.mark.parametrize("samples", [10, 200])
     def test_callbacks_once_per_sample(self, model, samples):
         system, chart = MODELS[model]()
-        calls = {"evaluate": 0, "derivative": 0, "right_inverse": 0}
+        calls = {"evaluate": 0, "derivative": 0, "right_inverse": 0, "param": 0}
 
         def counting(name, func):
             def wrapper(arg):
@@ -75,11 +75,15 @@ class TestEstimateConstants:
             system, evaluate=counting("evaluate", system.evaluate),
             derivative=counting("derivative", system.derivative))
         counted_chart = dataclasses.replace(
-            chart, right_inverse=counting("right_inverse", chart.right_inverse))
+            chart, param=counting("param", chart.param),
+            right_inverse=counting("right_inverse", chart.right_inverse))
         estimate_constants(counted_system, counted_chart, samples)
-        # t once per sample and twice per remainder probe (at most 100 probes)
+        # t once per sample and twice per remainder probe (at most 100 probes);
+        # x(s) once per sample and twice per chart dimension for the C4 tangents
+        dims = {"sphere": 2, "node": 1, "linear": 2}
         assert calls == {"evaluate": samples + 2 * min(samples, 100),
-                         "derivative": samples, "right_inverse": samples}
+                         "derivative": samples, "right_inverse": samples,
+                         "param": samples * (1 + 2 * dims[model])}
 
     def test_b3_stable_across_sample_sizes(self):
         system, chart = sphere_model(1.0)

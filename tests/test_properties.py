@@ -22,7 +22,7 @@ from collections import Counter  # noqa: E402
 from fractions import Fraction  # noqa: E402
 
 from orbidegen import contact as contact_module  # noqa: E402
-from orbidegen.contact import ContactOrder, _partition_count, enumerate_partitions  # noqa: E402
+from orbidegen.contact import ContactOrder, _partitions, enumerate_partitions  # noqa: E402
 from orbidegen.dimension import ModuliSpec, RelTerm, splitting_ledger  # noqa: E402
 from orbidegen.errors import ValidationError  # noqa: E402
 from orbidegen.expand import (  # noqa: E402
@@ -284,7 +284,7 @@ def test_partition_count_is_a_series_coefficient(orders, numerator, denominator)
     units = total * lcm
     expected = (series_coefficient(units.numerator, [lcm // r for r in orders])
                 if units.denominator == 1 else 0)
-    found = _partition_count(total, orders, PARTITION_CAP)
+    found = _partitions(total, orders, PARTITION_CAP)[0]
     if expected <= PARTITION_CAP:
         assert found == expected
     else:
@@ -299,7 +299,7 @@ def test_memoized_count_is_exact_up_to_the_cap(orders, numerator, denominator, c
     the count is still exact up to `cap` and above it past `cap`."""
     total = Fraction(numerator, denominator)
     expected = len(enumerate_partitions(total, orders))
-    found = _partition_count(total, orders, cap)
+    found = _partitions(total, orders, cap)[0]
     if expected <= cap:
         assert found == expected
     else:
@@ -318,7 +318,7 @@ def test_walk_builds_only_prefixes_that_complete(orders, numerator, denominator)
     left, so it builds one contact order per distinct prefix of an output
     tuple, and as many tuples as the uncapped count says, in value order."""
     total = Fraction(numerator, denominator)
-    count = _partition_count(total, orders, WALK_CAP)
+    count = _partitions(total, orders, WALK_CAP)[0]
     hypothesis.assume(count <= WALK_CAP)
     built = []
 
