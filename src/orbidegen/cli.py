@@ -19,9 +19,6 @@ command loads:
     graphs *                 graph (and inertia for a class table built from a group)
     expand                   graph, expand
     glue demo                glue and numpy, which no exact command loads
-
-The records are named tuples, so no exact command loads dataclasses (and the
-inspect, ast and dis modules it imports); only glue uses them.
 """
 
 from __future__ import annotations

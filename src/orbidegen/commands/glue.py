@@ -12,20 +12,26 @@ from ..errors import NonConvergenceError, ResourceLimitError, ValidationError
 from ..io import emit
 
 
+# model -> (its builder, the one option the builder takes, if any)
+_MODELS = {"sphere": (glue.sphere_model, "scale"), "node": (glue.node_model, "tau"),
+           "linear": (glue.linear_model, None)}
+
+
 def cmd_demo(args) -> int:
+    build, option = _MODELS[args.model]
+    setting = {option: getattr(args, option)} if option else {}
     try:
         # overflow and 0/0 stay silent: the finite checks report them by model
         with np.errstate(all="ignore"):
-            return _glue_demo(args)
+            return _glue_demo(args, build, setting)
     except (FloatingPointError, OverflowError) as exc:
-        setting = {"sphere": f" --scale {args.scale:g}",
-                   "node": f" --tau {args.tau:g}"}.get(args.model, "")
+        flags = "".join(f" --{name} {value:g}" for name, value in setting.items())
         raise ValidationError(
-            f"glue demo {args.model}{setting} leaves the floating-point range: {exc}"
+            f"glue demo {args.model}{flags} leaves the floating-point range: {exc}"
         ) from None
 
 
-def _glue_demo(args) -> int:
+def _glue_demo(args, build, setting) -> int:
     for option, value, low in (("--samples", args.samples, glue.MIN_SAMPLES),
                                ("--probes", args.probes, 0), ("--seed", args.seed, 0)):
         if value < low:
@@ -33,12 +39,7 @@ def _glue_demo(args) -> int:
     for option, value in (("--samples", args.samples), ("--probes", args.probes)):
         if value > glue.MAX_SAMPLES:
             raise ResourceLimitError(f"{option} must be at most {glue.MAX_SAMPLES}, got {value}")
-    if args.model == "sphere":
-        system, chart = glue.sphere_model(scale=args.scale)
-    elif args.model == "node":
-        system, chart = glue.node_model(tau=args.tau)
-    else:
-        system, chart = glue.linear_model()
+    system, chart = build(**setting)
     const = glue.estimate_constants(system, chart, sample_count=args.samples, seed=args.seed)
 
     def e(x: float) -> str:

@@ -12,7 +12,7 @@ part of the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Callable
 
 import numpy as np
@@ -48,16 +48,12 @@ def fd_jacobian(func: Callable, x: np.ndarray, out_dim: int) -> np.ndarray:
     return jac
 
 
-@dataclass
-class FredholmSystem:
+class FredholmSystem(namedtuple("FredholmSystem",
+                                "dim_b dim_f evaluate derivative domain_bound name",
+                                defaults=(None, 10.0, "system"))):
     """(W, W x F, s) data: the section as a map t with an optional Jacobian."""
 
-    dim_b: int
-    dim_f: int
-    evaluate: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray], np.ndarray] | None = None
-    domain_bound: float = 10.0
-    name: str = "system"
+    __slots__ = ()
 
     def t(self, x) -> np.ndarray:
         return _finite(_as_vec(self.evaluate(_as_vec(x))), self.name, "t(x)", "x", x)
@@ -76,15 +72,11 @@ class FredholmSystem:
         return self.t(x + v) - self.t(x) - self.jacobian(x) @ v
 
 
-@dataclass
-class ApproxChart:
+class ApproxChart(namedtuple("ApproxChart", "param right_inverse s_low s_high name",
+                             defaults=((-1.0,), (1.0,), "chart"))):
     """Approximate solutions x(s) with a right-inverse field Q(s), L x(s) Q(s) = Id."""
 
-    param: Callable[[np.ndarray], np.ndarray]
-    right_inverse: Callable[[np.ndarray], np.ndarray]
-    s_low: np.ndarray = field(default_factory=lambda: np.array([-1.0]))
-    s_high: np.ndarray = field(default_factory=lambda: np.array([1.0]))
-    name: str = "chart"
+    __slots__ = ()
 
     def x(self, s) -> np.ndarray:
         return _finite(_as_vec(self.param(_as_vec(s))), self.name, "x(s)", "s", s)
@@ -102,24 +94,13 @@ class ApproxChart:
         return float(np.linalg.norm(residual, 2))
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    name: str
-    estimate: float
-    witness: tuple[float, ...]
-    ok: bool
-    note: str = ""
+class ConditionReport(namedtuple("ConditionReport", "name estimate witness ok note",
+                                 defaults=("",))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GlueConstants:
-    c1: float
-    c2: float
-    eps1: float
-    delta1: float
-    k1: float
-    ordering_ok: bool
-    conditions: tuple[ConditionReport, ...]
+class GlueConstants(namedtuple("GlueConstants", "c1 c2 eps1 delta1 k1 ordering_ok conditions")):
+    __slots__ = ()
 
 
 def _sup(scored) -> tuple[float, tuple[float, ...]]:
@@ -224,13 +205,9 @@ def estimate_constants(
                          ordering_ok=bool(ordering_ok), conditions=conditions)
 
 
-@dataclass(frozen=True)
-class CorrectionResult:
-    xi: np.ndarray
-    residual: float
-    iterations: int
-    residual_history: tuple[float, ...]
-    xi_history: tuple[float, ...]
+class CorrectionResult(namedtuple("CorrectionResult",
+                                  "xi residual iterations residual_history xi_history")):
+    __slots__ = ()
 
 
 def correct(
@@ -247,8 +224,10 @@ def correct(
     NonConvergenceError with the residual history; on success, when eps1 is
     supplied the contract |xi| <= 2 eps1 is verified.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be non-negative, got {max_iter}")
     x = chart.x(s)
     q = chart.q(s)
     t0 = system.t(x)
@@ -285,11 +264,8 @@ def correct(
         f"(last residual {residuals[-1]:.3e})", residuals)
 
 
-@dataclass(frozen=True)
-class ChartMapResult:
-    point: np.ndarray
-    derivative_norm: float
-    within_bound: bool
+class ChartMapResult(namedtuple("ChartMapResult", "point derivative_norm within_bound")):
+    __slots__ = ()
 
 
 def _phi(chart: ApproxChart, s: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -324,10 +300,8 @@ def chart_map(system: FredholmSystem, chart: ApproxChart, s, eta) -> ChartMapRes
     return ChartMapResult(point=point, derivative_norm=norm, within_bound=norm <= 2.0)
 
 
-@dataclass(frozen=True)
-class InjectivityReport:
-    pairs_checked: int
-    collisions: tuple[tuple[float, ...], ...]
+class InjectivityReport(namedtuple("InjectivityReport", "pairs_checked collisions")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -345,6 +319,8 @@ def injectivity_probe(
 
     A collision is |Phi(a) - Phi(b)| <= 1e-9 while the inputs are more than
     1e-6 apart (inputs within the continuity bound are allowed to collide)."""
+    if sample_pairs < 0:
+        raise ValueError(f"sample_pairs must be non-negative, got {sample_pairs}")
     rng = np.random.default_rng(seed)
     collisions: list[tuple[float, ...]] = []
     for _ in range(sample_pairs):

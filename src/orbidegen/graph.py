@@ -798,22 +798,32 @@ def _vec_str(vec: tuple[int, ...]) -> str:
     return "(" + ",".join(str(x) for x in vec) + ")"
 
 
+def _dot_string(text: str) -> str:
+    """`text` as a quoted DOT string, its backslashes and quotes escaped (for
+    labels that carry class labels from the input; numeric labels need none)."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _dot_id(name: str) -> str:
+    """`name` bare when it is a DOT ID ([A-Za-z_][A-Za-z0-9_]*), else quoted."""
+    return name if name.isascii() and name.isidentifier() else _dot_string(name)
+
+
 def to_dot(graph: RelGraph, name: str = "G") -> str:
     """DOT rendering; output is byte-stable for a fixed input graph."""
-    lines = [f"graph {name} {{"]
+    lines = [f"graph {_dot_id(name)} {{"]
     for i, v in enumerate(graph.vertices):
         lines.append(f'  v{i} [label="g={v.genus},A={_vec_str(v.cls)},lvl={v.level}"];')
     for e in graph.edges:
         a, b = e.ends
         if e.kind == RELATIVE:
             contact = e.contact if e.contact is not None else ContactOrder(1, 1)
-            label = f"ℓ={contact.k}/{contact.r},({e.halves[0]})"
-            lines.append(f'  v{a} -- v{b} [style=dashed, label="{label}"];')
+            label = _dot_string(f"ℓ={contact.k}/{contact.r},({e.halves[0]})")
+            lines.append(f"  v{a} -- v{b} [style=dashed, label={label}];")
+        elif e.halves != ("e", "e"):
+            lines.append(f"  v{a} -- v{b} [label={_dot_string(f'({e.halves[0]})')}];")
         else:
-            if e.halves != ("e", "e"):
-                lines.append(f'  v{a} -- v{b} [label="({e.halves[0]})"];')
-            else:
-                lines.append(f"  v{a} -- v{b};")
+            lines.append(f"  v{a} -- v{b};")
     for t, tail in enumerate(graph.tails):
         if tail.kind == RELATIVE and tail.contact is not None:
             label = f"ℓ={tail.contact.k}/{tail.contact.r},({tail.monodromy})"
@@ -822,14 +832,14 @@ def to_dot(graph: RelGraph, name: str = "G") -> str:
             label = f"({tail.monodromy})"
             style = ""
         lines.append(f"  t{t} [shape=point];")
-        lines.append(f'  v{tail.vertex} -- t{t} [{style}label="{label}"];')
+        lines.append(f"  v{tail.vertex} -- t{t} [{style}label={_dot_string(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def poset_to_dot(poset: StratPoset, name: str = "poset") -> str:
     """Hasse-style DOT of the contraction relation (arrows point at contractions)."""
-    lines = [f"digraph {name} {{"]
+    lines = [f"digraph {_dot_id(name)} {{"]
     for i, node in enumerate(poset.nodes):
         summary = (f"V={len(node.vertices)} E={len(node.edges)} "
                    f"g={bullet_genus(node)}")

@@ -68,6 +68,24 @@ class TestGolden:
         assert out1.encode() == out2.encode()
         assert out1.encode() == (GOLDEN / name).read_bytes()
 
+    def test_dot_escapes_labels_and_quotes_names(self):
+        # class labels h"x and a\b, and a graph name that is not a DOT ID
+        quotes = ["--in", str(ROOT / "tests" / "data" / "graphs_dot_quotes.json"), "--dot"]
+        rc, out, _ = capture(["graphs", "contract", "--edge", "1", *quotes])
+        assert rc == 0
+        assert out.splitlines() == [
+            'graph "two level_contracted" {',
+            '  v0 [label="g=0,A=(0),lvl=0"];',
+            '  v0 -- v0 [label="(h\\"x)"];',
+            "  t0 [shape=point];",
+            '  v0 -- t0 [label="(a\\\\b)"];',
+            "  t1 [shape=point];",
+            '  v0 -- t1 [label="(a\\\\b)"];',
+            "}",
+        ]
+        rc, out, _ = capture(["graphs", "poset", "--max-vertices", "2", *quotes])
+        assert rc == 0 and out.startswith('digraph "two level_poset" {\n')
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self):
@@ -271,10 +289,9 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (GOLDEN / "sectors_z3.txt").read_bytes()
 
-    def test_exact_commands_leave_numpy_unloaded(self):
-        # each command in a fresh interpreter: the orbidegen modules it loads,
-        # and whether numpy and dataclasses were loaded
-        script = """
+    # a command in a fresh interpreter: its exit code, the orbidegen modules
+    # it loads, and whether numpy and dataclasses were loaded
+    LOADED = """
 import contextlib, io, sys
 from orbidegen.cli import run
 with contextlib.redirect_stdout(io.StringIO()):
@@ -283,6 +300,8 @@ print(code, " ".join(sorted(m.split(".", 1)[1] for m in sys.modules
                             if m.startswith("orbidegen."))), "numpy" in sys.modules,
       "dataclasses" in sys.modules)
 """
+
+    def test_exact_commands_leave_numpy_unloaded(self):
         graphs = ["--in", str(DATA / "graphs.json")]
         # besides its own module of orbidegen.commands (the group, the first word)
         commands = {
@@ -306,7 +325,7 @@ print(code, " ".join(sorted(m.split(".", 1)[1] for m in sys.modules
         }
         loaded, expected = {}, {}
         for name, (argv, modules) in commands.items():
-            proc = python("-c", script, *argv)
+            proc = python("-c", self.LOADED, *argv)
             assert proc.returncode == 0, proc.stderr
             loaded[name] = proc.stdout.decode().strip()
             # no other group's handlers: a sectors child loads neither graphs nor glue
@@ -315,6 +334,13 @@ print(code, " ".join(sorted(m.split(".", 1)[1] for m in sys.modules
             own = sorted([*modules.split(), "commands", f"commands.{argv[0]}"])
             expected[name] = f"0 {' '.join(own)} False False"
         assert loaded == expected
+
+    def test_glue_demo_loads_numpy_but_not_dataclasses(self):
+        # the glue records are named tuples like every other record
+        proc = python("-c", self.LOADED, "glue", "demo", "linear", "--probes", "0")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode().strip() == \
+            "0 cli commands commands.glue contact errors glue io True False"
 
     def test_module_entry_point_loads_cli_once(self):
         # `python -m orbidegen.cli` runs cli as __main__ (as run_module does

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -54,7 +52,7 @@ class TestEstimateConstants:
     def test_sample_count_cap_before_any_work(self):
         system, chart = sphere_model()
         evaluated = []
-        counted = dataclasses.replace(chart, param=lambda s: evaluated.append(s) or chart.param(s))
+        counted = chart._replace(param=lambda s: evaluated.append(s) or chart.param(s))
         with pytest.raises(ResourceLimitError, match=str(MAX_SAMPLES)):
             estimate_constants(system, counted, MAX_SAMPLES + 1)
         assert evaluated == []
@@ -71,11 +69,11 @@ class TestEstimateConstants:
                 return func(arg)
             return wrapper
 
-        counted_system = dataclasses.replace(
-            system, evaluate=counting("evaluate", system.evaluate),
+        counted_system = system._replace(
+            evaluate=counting("evaluate", system.evaluate),
             derivative=counting("derivative", system.derivative))
-        counted_chart = dataclasses.replace(
-            chart, param=counting("param", chart.param),
+        counted_chart = chart._replace(
+            param=counting("param", chart.param),
             right_inverse=counting("right_inverse", chart.right_inverse))
         estimate_constants(counted_system, counted_chart, samples)
         # t once per sample and twice per remainder probe (at most 100 probes);
@@ -155,7 +153,7 @@ class TestCorrect:
             calls.append(x)
             return system.derivative(x)
 
-        counted = dataclasses.replace(system, derivative=derivative)
+        counted = system._replace(derivative=derivative)
         result = correct(counted, chart, np.array([1.2, 0.3]))
         assert result.iterations > 1 and len(calls) == 1
         # the iterates are those of xi <- -t(x) - N_x(Q xi), bit for bit
@@ -244,6 +242,22 @@ class TestInjectivity:
             assert report.ok
 
 
+@pytest.mark.parametrize("function,kwargs", [
+    (correct, {"s": np.array([1.0, 0.5]), "max_iter": -1}),
+    (correct, {"s": np.array([1.0, 0.5]), "tol": float("nan")}),
+    (injectivity_probe, {"sample_pairs": -3}),
+], ids=["max_iter", "tol", "sample_pairs"])
+def test_bad_argument_refused_before_any_model_call(function, kwargs):
+    *_, argument = kwargs
+    system, chart = sphere_model()
+    calls = []
+    counted_system = system._replace(evaluate=lambda x: calls.append(x) or system.evaluate(x))
+    counted_chart = chart._replace(param=lambda s: calls.append(s) or chart.param(s))
+    with pytest.raises(ValueError, match=f"^{argument} must be "):
+        function(counted_system, counted_chart, **kwargs)
+    assert calls == []
+
+
 class TestJacobians:
     @pytest.mark.parametrize("factory", [sphere_model, lambda: node_model(0.25),
                                          linear_model])
@@ -259,7 +273,7 @@ class TestJacobians:
 
     def test_finite_difference_path_matches_the_analytic_jacobian(self):
         system, chart = sphere_model()
-        numeric = dataclasses.replace(system, derivative=None)
+        numeric = system._replace(derivative=None)
         rng = np.random.default_rng(8)
         for _ in range(20):
             x = chart.x(chart.sample(rng)) + rng.normal(size=system.dim_b) * 0.1
@@ -280,7 +294,7 @@ class TestJacobians:
         assert np.all(chart.x(s) == 0.0)
         with pytest.raises(FloatingPointError, match=r"sphere-chart\(scale=0\): Q\(s\)"):
             chart.q(s)
-        broken = dataclasses.replace(chart, param=lambda s: np.array([np.inf, 0.0, 0.0]))
+        broken = chart._replace(param=lambda s: np.array([np.inf, 0.0, 0.0]))
         with pytest.raises(FloatingPointError, match=r"x\(s\) is non-finite"):
             broken.x(s)
 

@@ -1,10 +1,10 @@
 """The library's records are named tuples: construction checks, immutability,
-defaults and repr, each pinned to what the frozen dataclasses they replaced
-gave."""
+defaults and repr, each pinned to what the dataclasses they replaced gave."""
 
 import re
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from orbidegen.contact import ContactOrder, MonodromyTable, RelInsertion
@@ -19,6 +19,15 @@ from orbidegen.expand import (
     MenuEntry,
     SplittingScenario,
     Term,
+)
+from orbidegen.glue import (
+    ApproxChart,
+    ChartMapResult,
+    ConditionReport,
+    CorrectionResult,
+    FredholmSystem,
+    GlueConstants,
+    InjectivityReport,
 )
 from orbidegen.graph import (
     Diagnostic,
@@ -50,18 +59,21 @@ GRAPH = RelGraph((Vertex(0, (1,)),), (), (Tail(0, "relative", "h", ContactOrder(
 SPEC = ModuliSpec("relative-orbifold", 2, 0, F(3), (F(1, 2),),
                   (RelTerm(ContactOrder(2), F(0), "e"),), F(2))
 ENTRY = BasisEntry("one", "e", F(0))
+COND = ConditionReport("B1 t Lipschitz", 0.5, (0.25,), True)
 
 G = ("RelGraph(vertices=(Vertex(genus=0, cls=(1,), level=0),), edges=(), "
      "tails=(Tail(vertex=0, kind='relative', monodromy='h', contact=ContactOrder(k=3, r=2)),))")
 S = ("ModuliSpec(flavor='relative-orbifold', n=2, genus=0, c1A=Fraction(3, 1), "
      "shifts=(Fraction(1, 2),), rel=(RelTerm(order=ContactOrder(k=2, r=1), "
      "shift=Fraction(0, 1), monodromy='e'),), zA=Fraction(2, 1))")
+COND_REPR = ("ConditionReport(name='B1 t Lipschitz', estimate=0.5, witness=(0.25,), ok=True, "
+             "note='')")
 Z2_REPR = "FiniteGroupTable(order=2, mul=((0, 1), (1, 0)), identity=0)"
 E_REPR = "ConjugacyClass(representative=0, members=frozenset({0}), ord=1)"
 H_REPR = "ConjugacyClass(representative=1, members=frozenset({1}), ord=2)"
 SECTOR_REPR = f"SectorDatum(cls={H_REPR}, rotations=(Fraction(1, 2),), betti={{0: 1}})"
 
-# one instance of every record, and its repr as the frozen dataclass printed it
+# one instance of every record, and its repr as the dataclass printed it
 RECORDS = {
     "ContactOrder": (HALF, "ContactOrder(k=1, r=2)"),
     "MonodromyTable": (MonodromyTable.cyclic(2), "MonodromyTable(orders={'c0': 1, 'c1': 2}, "
@@ -116,7 +128,26 @@ RECORDS = {
                            "exponents=(3, 2), quotient_order=1, ell=Fraction(6, 1))"),
     "LedgerDocument": (LedgerDocument(SPEC, None, (F(0),), SPEC), f"LedgerDocument(plus={S}, "
                        f"minus=None, sector_dims=(Fraction(0, 1),), total={S})"),
+    "FredholmSystem": (FredholmSystem(1, 2, abs), "FredholmSystem(dim_b=1, dim_f=2, "
+                       "evaluate=<built-in function abs>, derivative=None, domain_bound=10.0, "
+                       "name='system')"),
+    "ApproxChart": (ApproxChart(abs, len, (0.0,), (2.0,), "unit"), "ApproxChart(param=<built-in "
+                    "function abs>, right_inverse=<built-in function len>, s_low=(0.0,), "
+                    "s_high=(2.0,), name='unit')"),
+    "ConditionReport": (COND, COND_REPR),
+    "GlueConstants": (GlueConstants(1.0, 2.0, 0.0, 0.2, 1.0, True, (COND,)), "GlueConstants("
+                      f"c1=1.0, c2=2.0, eps1=0.0, delta1=0.2, k1=1.0, ordering_ok=True, "
+                      f"conditions=({COND_REPR},))"),
+    "CorrectionResult": (CorrectionResult(np.zeros(1), 0.0, 0, (0.0,), (0.0,)),
+                         "CorrectionResult(xi=array([0.]), residual=0.0, iterations=0, "
+                         "residual_history=(0.0,), xi_history=(0.0,))"),
+    "ChartMapResult": (ChartMapResult(np.array([1.0, 0.0]), 1.0, True), "ChartMapResult("
+                       "point=array([1., 0.]), derivative_norm=1.0, within_bound=True)"),
+    "InjectivityReport": (InjectivityReport(3, ()),
+                          "InjectivityReport(pairs_checked=3, collisions=())"),
 }
+GLUE = ("FredholmSystem", "ApproxChart", "ConditionReport", "GlueConstants", "CorrectionResult",
+        "ChartMapResult", "InjectivityReport")
 
 # (record, field, bad value, the message the frozen dataclass raised)
 CHECKED = [
@@ -162,6 +193,25 @@ def test_bad_field_refused_by_the_class_and_by_replace(record, field, bad, messa
     with pytest.raises(ValidationError, match=exact):
         record._replace(**{field: bad})
     assert record._replace(**{field: getattr(record, field)}) == record
+
+
+@pytest.mark.parametrize("name", GLUE)
+def test_glue_record_replace_builds_a_changed_copy(name):
+    record, text = RECORDS[name]
+    field = record._fields[0]
+    changed = record._replace(**{field: "changed"})
+    assert type(changed) is type(record)
+    assert changed == ("changed", *record[1:]) and repr(record) == text
+
+
+def test_chart_without_bounds_samples_the_unit_interval():
+    # the default bounds are tuples, shared safely by every chart, and draw
+    # what the arrays [-1.0] and [1.0] drew
+    chart = ApproxChart(abs, len)
+    assert (chart.s_low, chart.s_high) == ((-1.0,), (1.0,))
+    drawn = chart.sample(np.random.default_rng(3))
+    assert drawn.tolist() == np.random.default_rng(3).uniform(np.array([-1.0]),
+                                                               np.array([1.0])).tolist()
 
 
 def test_group_table_checks_on_first_read_not_through_a_copied_cache():
