@@ -333,14 +333,40 @@ def _side_record(graph: RelGraph) -> str:
     return f"V({vs})|T({';'.join(parts)})"
 
 
-def _record(coefficient: Fraction, labels: Sequence[str], plus: str, minus: str) -> str:
-    return f"coeff={coefficient} I=({','.join(labels)}) plus={plus} minus={minus}"
-
-
 def term_record(term: Term) -> str:
     """Canonical one-line record of a term; sorted fields, lowest-terms rationals."""
-    return _record(term.coefficient, term.labels,
-                   _side_record(term.gamma_plus), _side_record(term.gamma_minus))
+    return (f"coeff={term.coefficient} I=({','.join(term.labels)}) "
+            f"plus={_side_record(term.gamma_plus)} minus={_side_record(term.gamma_minus)}")
+
+
+def _term_heads(contacts: tuple[ContactOrder, ...], monodromies: tuple[str, ...],
+                labels_on: dict, degree_of: dict, total_degree: Fraction | None) -> list[tuple]:
+    """(labels, coefficient, record head "coeff=... I=(labels") for each index
+    tuple kept on nodes of these contact orders and monodromies.
+
+    The coefficient is l(Gamma) = prod k / prod r times |Aut| of the labels.
+    Two insertions tie only on nodes of equal contact order and monodromy (and
+    so one label menu; r is the monodromy's order, so there equal contact
+    values are equal orders), so |Aut| is the product over each such group
+    of its label counts' factorials."""
+    ell = Fraction(math.prod(c.k for c in contacts), math.prod(c.r for c in contacts))
+    ties: dict[tuple[ContactOrder, str], list[int]] = {}
+    for j, node in enumerate(zip(contacts, monodromies)):
+        ties.setdefault(node, []).append(j)
+    groups = [group for group in ties.values() if len(group) > 1]
+    coefficient_of: dict[int, Fraction] = {}  # |Aut| -> ell * |Aut|
+    heads = []
+    for labels in itertools.product(*map(labels_on.__getitem__, monodromies)):
+        if total_degree is not None and sum(map(degree_of.__getitem__, labels)) != total_degree:
+            continue
+        aut = 1
+        for group in groups:
+            aut *= _multiset_aut([labels[j] for j in group])
+        coefficient = coefficient_of.get(aut)
+        if coefficient is None:
+            coefficient = coefficient_of[aut] = ell * aut
+        heads.append((labels, coefficient, f"coeff={coefficient} I=({','.join(labels)}"))
+    return heads
 
 
 def expand(
@@ -378,31 +404,20 @@ def expand(
             )
     degree_of = {e.label: e.cr_degree for e in basis.entries}
     labels_on = {h: tuple([e.label for e in basis.supported_on(h)]) for h in table.orders}
-    # (term_record(term), term) pairs; each side's record is built once per matching
+    # (term_record(term), term) pairs: a record is a head, made once per node
+    # signature (contact orders, monodromies), and its matching's side records
+    heads_of: dict[tuple, list[tuple]] = {}
     records: list[tuple[str, Term]] = []
     for m in enumerate_splittings(scenario, homology):
-        values = [c.value for c in m.contacts]
-        ell = math.prod(values, start=Fraction(1))
-        plus, minus = _side_record(m.gamma_plus), _side_record(m.gamma_minus)
-        # two insertions tie only on nodes of equal contact value and monodromy
-        # (and so one label menu), so |Aut| of a combo is the product over
-        # each such group of its label counts' factorials
-        ties: dict[tuple[Fraction, str], list[int]] = {}
-        for j, node in enumerate(zip(values, m.monodromies)):
-            ties.setdefault(node, []).append(j)
-        groups = [group for group in ties.values() if len(group) > 1]
-        coefficient_of = {1: ell}  # |Aut| -> ell * |Aut|
-        for labels in itertools.product(*map(labels_on.__getitem__, m.monodromies)):
-            if total_degree is not None and sum(map(degree_of.__getitem__, labels)) != total_degree:
-                continue
-            aut = 1
-            for group in groups:
-                aut *= _multiset_aut([labels[j] for j in group])
-            coefficient = coefficient_of.get(aut)
-            if coefficient is None:
-                coefficient = coefficient_of[aut] = ell * aut
-            term = Term(m.gamma_plus, m.gamma_minus, labels, coefficient)
-            records.append((_record(coefficient, labels, plus, minus), term))
+        signature = (m.contacts, m.monodromies)
+        heads = heads_of.get(signature)
+        if heads is None:
+            heads = heads_of[signature] = _term_heads(*signature, labels_on, degree_of,
+                                                      total_degree)
+        plus, minus = m.gamma_plus, m.gamma_minus
+        tail = f") plus={_side_record(plus)} minus={_side_record(minus)}"
+        records += [(head + tail, Term(plus, minus, labels, coefficient))
+                    for labels, coefficient, head in heads]
     records.sort(key=operator.itemgetter(0))
     return [term for _, term in records]
 

@@ -24,7 +24,12 @@ on encodings only.  A graph whose vertex decorations are all distinct costs
 the canonical search one sort and one relabeling.  _decode interns: equal
 vertex, edge and tail encodings decode to one shared frozen object, so a
 walk that decodes thousands of graphs builds only as many objects as there
-are distinct parts.
+are distinct parts.  _as_code reads a vertex's encoding with one itemgetter
+and encodes each Edge and Tail through a cache keyed by the part itself:
+expand builds its parts once per shape and decoded parts are shared, so
+nearly every lookup hits.  A part that cannot be hashed (a hand-built list
+for ends or halves) is encoded uncached.  _decode says why the encode and
+decode caches stay apart.
 
 Every poset node refines to a graph with max_vertices vertices of genus 0 (a
 loop for each unit of vertex genus, genus-0, class-0 leaves for the missing
@@ -67,6 +72,7 @@ _CANDIDATE_BUDGET = 2_000_000  # candidates one poset or splitting walk may buil
 _PLACEMENT_BUDGET = 2_000_000  # tail-free graphs x tail placements one poset walk may search
 _ENDS = attrgetter("ends")  # of an Edge
 _SLOT_ENDS = itemgetter(1, 3)  # of an edge in encoding shape
+_VERTEX_CODE = itemgetter(2, 0, 1)  # (level, genus, class) of a Vertex
 _LEVEL_GAP = {ABSOLUTE: 0, RELATIVE: 1}  # levels an edge of each kind spans
 
 
@@ -384,13 +390,30 @@ def _relabel(code: tuple, perm: Sequence[int]) -> tuple:
     return (tuple(out), tuple(edges), tuple([(perm[v], kind, m, c) for v, kind, m, c in ts]))
 
 
+@functools.cache
+def _edge_code(edge: Edge) -> tuple:
+    return (edge.kind, edge.ends[0], edge.halves[0], edge.ends[1], edge.halves[1],
+            _contact_key(edge.contact))
+
+
+@functools.cache
+def _tail_code(tail: Tail) -> tuple:
+    return (tail.vertex, tail.kind, tail.monodromy, _contact_key(tail.contact))
+
+
+def _parts_code(encoder, parts: Sequence) -> tuple:
+    """Each part encoded through the cached `encoder`; a part that cannot key
+    a cache (a hand-built list-valued field) sends all of them uncached."""
+    try:
+        return tuple(map(encoder, parts))
+    except TypeError:
+        return tuple(map(encoder.__wrapped__, parts))
+
+
 def _as_code(graph: RelGraph) -> tuple:
     """The graph in encoding shape, its edges in their own order and orientation."""
-    return (tuple([(v.level, v.genus, v.cls) for v in graph.vertices]),
-            tuple([(e.kind, e.ends[0], e.halves[0], e.ends[1], e.halves[1],
-                    _contact_key(e.contact)) for e in graph.edges]),
-            tuple([(t.vertex, t.kind, t.monodromy, _contact_key(t.contact))
-                   for t in graph.tails]))
+    return (tuple(map(_VERTEX_CODE, graph.vertices)), _parts_code(_edge_code, graph.edges),
+            _parts_code(_tail_code, graph.tails))
 
 
 def encode(graph: RelGraph) -> tuple:
@@ -421,10 +444,14 @@ def _decode(code: tuple) -> RelGraph:
 
     Equal vertex, edge and tail encodings decode to one shared object: the
     objects are frozen, so sharing is invisible to ==, hash and repr.  The
-    caches behind _vertex_of, _edge_of and _tail_of have no size cap: their
-    keys are built from the inputs' decorations (levels, genera, classes, half
-    labels, contact keys) and from vertex indices, which stay below
-    MAX_AUT_VERTICES on every graph a canonical search or the poset returns."""
+    caches behind _vertex_of, _edge_of and _tail_of, and the encode caches
+    behind _edge_code and _tail_code, have no size cap: their keys are built
+    from the inputs' decorations (levels, genera, classes, half labels,
+    contact orders) and from vertex indices, which stay below
+    MAX_AUT_VERTICES on every graph a canonical search or the poset returns,
+    so the inputs' distinct parts bound them.  Each direction keeps its own
+    caches: a Tail with a contact order equals its encoding, so one shared
+    cache would answer a record with a code."""
     vs, es, ts = code
     return RelGraph(tuple(map(_vertex_of, vs)), tuple(map(_edge_of, es)),
                     tuple(map(_tail_of, ts)))

@@ -83,7 +83,10 @@ def _rational(value: Any, where: str) -> Fraction:
             if not _RATIONAL_FORM.fullmatch(value):
                 raise ValueError("not of the form p/q")
             return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError:  # its text is the repr Fraction(p, 0), not a reason
+            raise ValidationError(
+                f"{where}: cannot parse rational {value!r}: zero denominator") from None
+        except ValueError as exc:
             raise ValidationError(f"{where}: cannot parse rational {value!r}: {exc}") from None
     raise ValidationError(f"{where}: rational must be a string or integer, got {value!r}")
 

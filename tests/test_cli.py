@@ -44,6 +44,10 @@ GOLDEN_COMMANDS = {
                             "--scenario", "smooth_one_node", "--json"],
     "expand_dup.txt": ["expand", "--in", str(DATA / "smooth1.json"),
                        "--scenario", "dup_insertion"],
+    # a Z3 menu: three tied nodes of contact 1/3, so coefficients are
+    # fractional and |Aut| reaches 6
+    "expand_z3.json": ["expand", "--in", str(ROOT / "tests" / "data" / "expand_z3.json"),
+                       "--json"],
     "graphs_validate.json": ["graphs", "validate", "--in", str(DATA / "graphs.json"),
                              "--graph", "two_level", "--json"],
     "graphs_poset.dot": ["graphs", "poset", "--in", str(DATA / "graphs.json"),
@@ -608,6 +612,18 @@ class TestMalformedInputExits1:
         assert rc == 1 and out == ""
         assert err.startswith(f"error: {message}") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, where", [
+        (["partitions", "--total", "1/0"], "--total"),
+        (VIRDIM + ["--c1a", "3", "--rel", "3/2:1/2:h", "--za", "1/0"], "--za"),
+        (VIRDIM + ["--c1a", "3", "--rel", "3/2:1/0:h", "--za", "3/2"], "--rel term '3/2:1/0:h'"),
+        (["expand", "--in", str(DATA / "smooth1.json"), "--scenario", "smooth_one_node",
+          "--degree", "1/0"], "--degree"),
+    ], ids=["total", "za", "rel-shift", "degree"])
+    def test_zero_denominator_says_so(self, argv, where):
+        rc, out, err = capture(argv)
+        assert rc == 1 and out == ""
+        assert err == f"error: {where}: cannot parse rational '1/0': zero denominator\n"
+
     @pytest.mark.parametrize("argv, expected", [
         (["partitions", "--total", "2", "--orders", "", "--json"],
          {"orders": [], "count": 0, "partitions": []}),
@@ -1035,6 +1051,8 @@ def _matrix():
                              "--degree", "1"], "json"),
         ("expand-degree-3", ["expand", "--in", smooth, "--scenario", "smooth_one_node",
                              "--degree", "3"], "json"),
+        ("expand-z3", ["expand", "--in", str(ROOT / "tests" / "data" / "expand_z3.json")],
+         "json"),
     ]
     for name, argv, modes in bases:
         yield f"{name}-text", argv
@@ -1089,6 +1107,10 @@ OUTPUT_DIGESTS = {
         "0265c35dedaf1dacffee637779ca745a419dffd819c99d724f02a9ac1f4c7af8",
     "expand-smooth_one_node-text":
         "dc297a9bcf39affc4c55aa7db4ef406cb2cb01a6eef43e6d1268aa6d6ecd4db8",
+    "expand-z3-json":
+        "a667bf40d3938892b68980cc95561b6a78836b27c2b1711c92a1006370416723",
+    "expand-z3-text":
+        "b1b2eff4580babcfc8ceb5cd070690e44aa787651f0a83edfd7bcaf279d39af5",
     "graphs-contract-edge-dot":
         "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
     "graphs-contract-edge-json":

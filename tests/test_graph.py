@@ -705,6 +705,93 @@ class TestCanonicalFormPinned:
                                     ("relative", 1, "h", 0, "h", (1, 2)))
 
 
+def field_code(graph: RelGraph) -> tuple:
+    """_as_code written out field by field, with no cache."""
+    def contact(c):
+        return (c.k, c.r) if c is not None else (0, 0)
+    return (tuple((v.level, v.genus, v.cls) for v in graph.vertices),
+            tuple((e.kind, e.ends[0], e.halves[0], e.ends[1], e.halves[1], contact(e.contact))
+                  for e in graph.edges),
+            tuple((t.vertex, t.kind, t.monodromy, contact(t.contact)) for t in graph.tails))
+
+
+# two level-0 twins joined twice, each tied to a genus-1 vertex on level 1;
+# edges 0, 2 and 3 carry list-valued ends or halves
+LIST_PARTS = RelGraph(
+    (Vertex(0, (1,), 0), Vertex(0, (1,), 0), Vertex(1, (0,), 1)),
+    (Edge("absolute", [0, 1], ["e", "e"]), Edge("absolute", (1, 0), ("e", "e")),
+     Edge("relative", [0, 2], ["h", "h"], ContactOrder(1, 2)),
+     Edge("relative", (1, 2), ["h", "h"], ContactOrder(1, 2))),
+    (Tail(2, "relative", "h", ContactOrder(1, 2)),))
+
+
+class TestEncodeCaches:
+    def test_matches_field_by_field_encoding(self):
+        """_as_code equals the field-by-field encoding on a first call and a
+        repeat, with parts shared within a graph and equal parts rebuilt."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        labels = st.sampled_from("ehk")
+        contacts = st.one_of(st.none(), st.builds(ContactOrder, st.integers(1, 4),
+                                                  st.integers(1, 3)))
+
+        @st.composite
+        def graphs(draw):
+            nv = draw(st.integers(1, 4))
+            ends = st.integers(0, nv - 1)
+            vertices = tuple(Vertex(draw(st.integers(0, 2)), (draw(st.integers(0, 3)),),
+                                    draw(st.integers(0, 1))) for _ in range(nv))
+            edge_pool = draw(st.lists(st.builds(
+                lambda kind, a, b, ha, hb, c: Edge(kind, (a, b), (ha, hb), c),
+                st.sampled_from(("absolute", "relative")), ends, ends, labels, labels,
+                contacts), min_size=1, max_size=4))
+            tail_pool = draw(st.lists(st.builds(
+                Tail, ends, st.sampled_from(("absolute", "relative")), labels, contacts),
+                min_size=1, max_size=3))
+            # sampling from a pool repeats one part object within a graph
+            return RelGraph(vertices, tuple(draw(st.lists(st.sampled_from(edge_pool), max_size=6))),
+                            tuple(draw(st.lists(st.sampled_from(tail_pool), max_size=4))))
+
+        @hypothesis.settings(derandomize=True, max_examples=200, deadline=None, database=None)
+        @hypothesis.given(graphs())
+        def check(graph):
+            expected = field_code(graph)
+            assert _as_code(graph) == expected
+            assert _as_code(graph) == expected
+            rebuilt = RelGraph(graph.vertices, tuple(Edge(*e) for e in graph.edges),
+                               tuple(Tail(*t) for t in graph.tails))
+            assert _as_code(rebuilt) == expected
+
+        check()
+
+    def test_list_valued_parts(self):
+        # values recorded before the encoders were cached; a list cannot key a
+        # cache, so these parts are encoded uncached
+        twins = (Vertex(0, (1,), 0), Vertex(0, (1,), 0))
+        relative = (Edge("relative", (0, 2), ("h", "h"), ContactOrder(1, 2)),
+                    Edge("relative", (1, 2), ("h", "h"), ContactOrder(1, 2)))
+        tail = Tail(2, "relative", "h", ContactOrder(1, 2))
+        code = (((0, 0, (1,)), (0, 0, (1,)), (1, 1, (0,))),
+                (("absolute", 0, "e", 1, "e", (0, 0)), ("absolute", 0, "e", 1, "e", (0, 0)),
+                 ("relative", 0, "h", 2, "h", (1, 2)), ("relative", 1, "h", 2, "h", (1, 2))),
+                ((2, "relative", "h", (1, 2)),))
+        assert _as_code(LIST_PARTS) == field_code(LIST_PARTS)
+        assert encode(LIST_PARTS) == code
+        assert canonical_form(LIST_PARTS) == RelGraph(
+            twins + (Vertex(1, (0,), 1),), (Edge("absolute", (0, 1)),) * 2 + relative, (tail,))
+        assert automorphism_order(LIST_PARTS) == 2
+        assert is_connected(LIST_PARTS)
+        assert contract_edge(LIST_PARTS, 0) == RelGraph(
+            (Vertex(0, (2,), 0), Vertex(1, (0,), 1)),
+            (Edge("absolute", (0, 0)),
+             Edge("relative", (0, 1), ("h", "h"), ContactOrder(1, 2)),
+             Edge("relative", (0, 1), ("h", "h"), ContactOrder(1, 2))),
+            (Tail(1, "relative", "h", ContactOrder(1, 2)),))
+        assert contract_level(LIST_PARTS, 0) == RelGraph(
+            (Vertex(1, (2,), 0),), (Edge("absolute", (0, 0)),) * 2, (Tail(0, "relative", "h",
+                                                                         ContactOrder(1, 2)),))
+
+
 def random_multigraph(rng: random.Random, nv: int) -> RelGraph:
     """nv equal vertices joined by random edges, loops and multi-edges included."""
     edges = tuple(Edge("absolute", (rng.randrange(nv), rng.randrange(nv)))
