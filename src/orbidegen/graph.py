@@ -21,15 +21,19 @@ and ts[t] = (vertex, kind, monodromy, contact), a contact being (k, r) or
 (0, 0) for none.  _as_code converts a graph on the way in and _decode on the
 way out; the canonical search, both contraction moves and the poset walk run
 on encodings only.  A graph whose vertex decorations are all distinct costs
-the canonical search one sort and one relabeling.  _decode interns: equal
-vertex, edge and tail encodings decode to one shared frozen object, so a
-walk that decodes thousands of graphs builds only as many objects as there
-are distinct parts.  _as_code reads a vertex's encoding with one itemgetter
-and encodes each Edge and Tail through a cache keyed by the part itself:
-expand builds its parts once per shape and decoded parts are shared, so
-nearly every lookup hits.  A part that cannot be hashed (a hand-built list
-for ends or halves) is encoded uncached.  _decode says why the encode and
-decode caches stay apart.
+the canonical search one sort and one relabeling.  A symmetry fixes every
+tail and so every vertex that carries one (the individualization step of
+McKay and Piperno, "Practical graph isomorphism, II", 2014): when the
+tail-less vertices have distinct decorations, automorphism_order is 1
+without a base key built.  This only skips work; no least code changes.
+_decode interns: equal vertex, edge and tail encodings decode to one shared
+frozen object, so a walk that decodes thousands of graphs builds only as
+many objects as there are distinct parts.  _as_code reads a vertex's
+encoding with one itemgetter and encodes each Edge and Tail through a cache
+keyed by the part itself: expand builds its parts once per shape and decoded
+parts are shared, so nearly every lookup hits.  A part that cannot be hashed
+(a hand-built list for ends or halves) is encoded uncached.  _decode says
+why the encode and decode caches stay apart.
 
 Every poset node refines to a graph with max_vertices vertices of genus 0 (a
 loop for each unit of vertex genus, genus-0, class-0 leaves for the missing
@@ -37,9 +41,12 @@ vertices), so the poset walk covers only that bottom layer and single
 contractions find every other node and its covers.  The walk takes vertex
 tuples non-decreasing in (level, class), with no more levels than vertices;
 every candidate is valid by construction, so only the one-vertex graph is
-validated.  Each connected edge multiset is searched once without tails.
-Tails are labeled, so placing them on one tail-free graph per class reaches
-every tailed class (if s maps B onto B', (B, P) is isomorphic to (B', sP)).
+validated.  Connectivity depends only on a shape's edge slots, so each
+shape's connected edge multisets are built once, by a depth-first walk that
+drops a prefix once the edges left cannot join its components, and each is
+searched once per vertex tuple without tails.  Tails are labeled, so placing
+them on one tail-free graph per class reaches every tailed class (if s maps
+B onto B', (B, P) is isomorphic to (B', sP)).
 The closure indexes its seeds in walk order and contracts them in that
 order, so its work does not depend on hashing.
 
@@ -486,11 +493,17 @@ def _key_blocks(code: tuple) -> list[list[int]]:
     return blocks
 
 
-def _distinct_decorations(vs: tuple) -> bool:
-    """Whether no two vertices of an encoding share a decoration; more than
-    MAX_AUT_VERTICES vertices raise ResourceLimitError first."""
+def _distinct_decorations(vs: Sequence, ts: Sequence = ()) -> bool:
+    """Whether no two vertices that carry none of the tails `ts` share a
+    decoration, for the vertices and tails of an encoding or of a RelGraph
+    (a Vertex is equal exactly when its encoding is, and a tail's vertex
+    comes first in both forms); more than MAX_AUT_VERTICES vertices raise
+    ResourceLimitError first."""
     if len(vs) > MAX_AUT_VERTICES:
         raise ResourceLimitError(f"graph has {len(vs)} vertices, cap is {MAX_AUT_VERTICES}")
+    if ts:
+        tailed = {t[0] for t in ts}
+        vs = [deco for v, deco in enumerate(vs) if v not in tailed]
     return len(set(vs)) == len(vs)
 
 
@@ -556,18 +569,18 @@ def canonical_form(graph: RelGraph) -> RelGraph:
 def automorphism_order(graph: RelGraph) -> int:
     """Order of the decoration-preserving vertex symmetry group.
 
-    Marked points are labeled, so a symmetry fixes every tail; two identically
-    decorated tails are never exchanged.  The multiset symmetry of equal
-    insertions enters each term's coefficient in expand, so counting it here
-    as well would count it twice.  A symmetry keeps each vertex in its
-    base-key block, so with distinct decorations or single-vertex blocks the
-    group is trivial and no least encoding is built.
+    Marked points are labeled, so a symmetry fixes every tail, and with it
+    every vertex that carries one: two identically decorated tails are never
+    exchanged, and only tail-less vertices can move.  The multiset symmetry of
+    equal insertions enters each term's coefficient in expand, so counting it
+    here as well would count it twice.  A symmetry keeps each vertex in its
+    base-key block, so when the tail-less vertices have distinct decorations,
+    or every block is one vertex, the group is trivial and no least encoding
+    is built; in the first case neither the encoding nor a base key is.
     """
-    if not graph.vertices:
+    if not graph.vertices or _distinct_decorations(graph.vertices, graph.tails):
         return 1
     code = _as_code(graph)
-    if _distinct_decorations(code[0]):
-        return 1
     blocks = _key_blocks(code)
     if all(len(block) == 1 for block in blocks):
         return 1
@@ -722,11 +735,12 @@ def stratification_poset(
     above 1.  Invalid inputs raise ValidationError naming the one-vertex
     graph's first diagnostic, as does a contraction to a class outside
     `effective`, and an edge menu label missing from the class table names
-    its PosetBounds.edge_monodromies position.  A walk of more than
-    _CANDIDATE_BUDGET edge multisets raises ResourceLimitError before it
-    starts; one whose distinct tail-free graphs times the
-    max_vertices ** len(tails) tail placements exceed _PLACEMENT_BUDGET
-    raises it after the tail-free searches and before the first placement.
+    its PosetBounds.edge_monodromies position.  A walk over more than
+    _CANDIDATE_BUDGET edge multisets, connected or not, raises
+    ResourceLimitError before it starts; one whose distinct tail-free graphs
+    times the max_vertices ** len(tails) tail placements exceed
+    _PLACEMENT_BUDGET raises it after the tail-free searches and before the
+    first placement.
     """
     table = classes if classes is not None else MonodromyTable.trivial()
 
@@ -757,9 +771,10 @@ def stratification_poset(
 
     # The walk builds encodings.  Every bottom graph has a vertex order
     # non-decreasing in (level, class), and no more levels than vertices; only
-    # those vertex tuples are walked, each with every edge multiset.  A
-    # shape's multisets are counted from the menu sizes before its relative
-    # slots are built, so an oversized walk is refused first.
+    # those vertex tuples are walked, each with every connected edge multiset.
+    # All of a shape's multisets, connected or not, are counted from the menu
+    # sizes before its relative slots are built, so an oversized walk is
+    # refused first.
     shapes: list[tuple] = []
     multisets = 0
     for levels in itertools.combinations_with_replacement(range(min(bounds.max_levels, nv)), nv):
@@ -789,12 +804,14 @@ def stratification_poset(
                   for h0, h1, r in rel_menu for k in range(1, contact_cap + 1)]
         shapes.append((slots, vertex_tuples))
 
-    # each connected multiset is searched once without tails (the dict keeps
-    # walk order), then each tail placement once per distinct tail-free code
+    # connectivity depends only on the slots, so each shape's connected
+    # multisets are built once; each is searched once per vertex tuple without
+    # tails (the dict keeps walk order), then each tail placement once per
+    # distinct tail-free code
     bare = dict.fromkeys(_canonical_search((vertices, edges, ()))[0]
-                         for slots, vertex_tuples in shapes for vertices in vertex_tuples
-                         for edges in itertools.combinations_with_replacement(slots, n_edges)
-                         if _union_find(nv, map(_SLOT_ENDS, edges))[1] >= nv - 1)
+                         for slots, vertex_tuples in shapes
+                         for connected in [_connected_multisets(slots, nv, n_edges)]
+                         for vertices in vertex_tuples for edges in connected)
     if len(bare) * nv ** len(tails) > _PLACEMENT_BUDGET:
         raise ResourceLimitError(
             f"poset enumeration exceeded the placement budget ({_PLACEMENT_BUDGET}): "
@@ -810,6 +827,35 @@ def stratification_poset(
     codes, covers = _closure(itertools.chain([_as_code(top)], seeds), homology.effective)
     return StratPoset(tuple(_decode(code) for code in codes), tuple(covers),
                       complete=not menu and nv > 1)
+
+
+def _connected_multisets(slots: Sequence[tuple], nv: int, size: int) -> list[tuple]:
+    """The `size`-multisets of `slots` (edges in encoding shape on vertices
+    0..nv-1) that join all nv vertices, in combinations_with_replacement
+    order.  A depth-first walk in that order drops a prefix once the edges
+    left are too few to join its components, an edge joining at most two."""
+    ends = [_SLOT_ENDS(slot) for slot in slots]
+    found: list[tuple] = []
+
+    def grow(start: int, prefix: tuple, root: tuple, parts: int) -> None:
+        left = size - len(prefix)
+        if not left:
+            found.append(prefix)
+            return
+        for i in range(start, len(slots)):
+            a, b = ends[i]
+            ra, rb = root[a], root[b]
+            if ra == rb:
+                if parts <= left:
+                    grow(i, prefix + (slots[i],), root, parts)
+            else:  # parts - 1 <= left holds on entry, so a merge always may
+                low, high = (ra, rb) if ra < rb else (rb, ra)
+                grow(i, prefix + (slots[i],),
+                     tuple([low if r == high else r for r in root]), parts - 1)
+
+    if nv - 1 <= size:
+        grow(0, (), tuple(range(nv)), nv)
+    return found
 
 
 def _composition_count(total: int, parts: int) -> int:

@@ -588,23 +588,23 @@ def test_splitting_mass_counts_the_connected_candidates(monkeypatch):
     assert connected["candidates"] == 8212
 
 
-def brute_force_candidates(sc, homology):
-    """The splitting walk's candidates counted one by one: for each class
+def brute_force_glued(sc, homology):
+    """The splitting walk's candidates built one by one: for each class
     splitting, multiset of node decorations summing to z_total, and side
     sizes (at most nodes + 1 vertices, both sides occupied when there is a
     node), every ordered class tuple realizing the splitting, genus tuple
-    reaching the scenario genus, tail home and node end pair."""
-    decorations = [(e.label, ContactOrder(k, e.order)) for e in sc.monodromy_menu
+    reaching the scenario genus, tail home and node end pair.  Plus vertices
+    sit on level 0, minus vertices on level 1, and tail i is insertion i."""
+    decorations = [(e.label, e.inverse, ContactOrder(k, e.order)) for e in sc.monodromy_menu
                    for k in range(1, math.floor(sc.z_total * e.order) + 1)]
 
     def total(classes):
         return tuple(sum(c[i] for c in classes) for i in range(homology.rank))
 
-    count = 0
     for a_plus, a_minus in set(sc.class_splittings):
         for n in range(sc.max_nodes + 1):
             for nodes in itertools.combinations_with_replacement(decorations, n):
-                if sum(c.value for _, c in nodes) != sc.z_total:
+                if sum(c.value for _, _, c in nodes) != sc.z_total:
                     continue
                 for v_plus, v_minus in itertools.product(range(n + 2), repeat=2):
                     if v_plus + v_minus > n + 1 or not (
@@ -618,12 +618,23 @@ def brute_force_candidates(sc, homology):
                         for genera in itertools.product(range(sc.genus + 1), repeat=n_v):
                             if sum(genera) + n - n_v + 1 != sc.genus:
                                 continue
-                            for _ in itertools.product(range(n_v), repeat=len(sc.absolute)):
-                                count += sum(1 for _ in itertools.product(pairs, repeat=n))
-    return count
+                            vertices = tuple(Vertex(g, c, int(v >= v_plus))
+                                             for v, (g, c) in enumerate(zip(genera, classes)))
+                            for homes in itertools.product(range(n_v), repeat=len(sc.absolute)):
+                                tails = tuple(Tail(home, ABSOLUTE, insertion.label)
+                                              for home, insertion in zip(homes, sc.absolute))
+                                for ends in itertools.product(pairs, repeat=n):
+                                    edges = tuple(Edge(RELATIVE, pair, (h, inverse), c)
+                                                  for pair, (h, inverse, c) in zip(ends, nodes))
+                                    yield RelGraph(vertices, edges, tails)
 
 
-@pytest.mark.parametrize("sc,homology", [
+def brute_force_candidates(sc, homology):
+    """How many candidates brute_force_glued builds."""
+    return sum(1 for _ in brute_force_glued(sc, homology))
+
+
+BRUTE_CASES = [
     (scenario(genus=1, absolute=(AbsInsertion("a", 0), AbsInsertion("b", 1)), max_nodes=2,
               menu=Z2_MENU, z_total=F(1)), HALFLINE),
     (scenario(genus=2, absolute=(AbsInsertion("a", 0),), max_nodes=3, menu=Z2_MENU,
@@ -633,9 +644,100 @@ def brute_force_candidates(sc, homology):
     (scenario(genus=0, absolute=(AbsInsertion("a", 0), AbsInsertion("b", 0),
                                  AbsInsertion("c", 0)), max_nodes=3, menu=Z3_MENU,
               z_total=F(2, 3)), THIRDLINE),
-], ids=["z2-g1-m2", "z2-g2-m1", "z3-g1-m2", "z3-g0-m3"])
+]
+BRUTE_IDS = ["z2-g1-m2", "z2-g2-m1", "z3-g1-m2", "z3-g0-m3"]
+
+
+@pytest.mark.parametrize("sc,homology", BRUTE_CASES, ids=BRUTE_IDS)
 def test_candidate_count_matches_a_brute_force_walk(sc, homology):
     assert predicted_candidates(sc, homology) == brute_force_candidates(sc, homology) > 0
+
+
+def decorated_multigraph(nx, g, labels):
+    """g as a networkx MultiGraph: a node per vertex decorated (level, genus,
+    class), an edge per node edge decorated (half, half, k, r), its level-0
+    half first, and each tail a pendant node decorated (index, label), the
+    index of its label in `labels`."""
+    multi = nx.MultiGraph()
+    for v, vert in enumerate(g.vertices):
+        multi.add_node(("v", v), deco=(vert.level, vert.genus, vert.cls))
+    for e in g.edges:
+        multi.add_edge(("v", e.ends[0]), ("v", e.ends[1]),
+                       deco=(*e.halves, e.contact.k, e.contact.r))
+    for tail in g.tails:
+        index = labels.index(tail.monodromy)
+        multi.add_node(("t", index), deco=(index, tail.monodromy))
+        multi.add_edge(("t", index), ("v", tail.vertex), deco="tail")
+    return multi
+
+
+def splitting_classes(nx, sc, homology):
+    """The connected brute-force candidates grouped by networkx isomorphism:
+    {invariant: [[representative, size], ...]} and the connected count."""
+    labels = [insertion.label for insertion in sc.absolute]
+    classes, connected = {}, 0
+    for g in brute_force_glued(sc, homology):
+        multi = decorated_multigraph(nx, g, labels)
+        if not nx.is_connected(multi):
+            continue
+        connected += 1
+        bucket = classes.setdefault(invariant(multi), [])
+        for entry in bucket:
+            if isomorphic(entry[0], multi):
+                entry[1] += 1
+                break
+        else:
+            bucket.append([multi, 1])
+    return classes, connected
+
+
+def invariant(multi):
+    """Each node's decoration with the sorted decorations of its links, sorted:
+    equal on isomorphic graphs, so only graphs that share it are matched."""
+    return repr(sorted(
+        (repr(deco), sorted(repr(d["deco"]) for _, _, d in multi.edges(node, data=True)))
+        for node, deco in multi.nodes(data="deco")))
+
+
+def isomorphic(multi_1, multi_2):
+    """Whether a MultiGraphMatcher maps one graph onto the other, keeping
+    node decorations and the multiset of decorations on each node pair
+    (networkx's categorical_multiedge_match compares sets)."""
+    from networkx.algorithms import isomorphism
+
+    def edge_match(parallel_1, parallel_2):
+        return (sorted(repr(d["deco"]) for d in parallel_1.values())
+                == sorted(repr(d["deco"]) for d in parallel_2.values()))
+
+    return isomorphism.MultiGraphMatcher(
+        multi_1, multi_2, isomorphism.categorical_node_match("deco", None),
+        edge_match).is_isomorphic()
+
+
+@pytest.mark.parametrize("sc,homology", BRUTE_CASES, ids=BRUTE_IDS)
+def test_splittings_match_an_independent_oracle(sc, homology):
+    """The matchings are the isomorphism classes of the connected labeled
+    candidates, found by networkx without the library: one matching per
+    class, its glued graph in that class and no other, and the class as
+    large as its splitting mass.  Graphs with different invariants are not
+    isomorphic, so a glued graph is matched only within its invariant."""
+    nx = pytest.importorskip("networkx")
+    labels = [insertion.label for insertion in sc.absolute]
+    assert len(set(labels)) == len(labels)  # a tail's label names its index
+    classes, connected = splitting_classes(nx, sc, homology)
+    matchings = enumerate_splittings(sc, homology)
+    assert sum(map(len, classes.values())) == len(matchings)
+    owners = []
+    for m in matchings:
+        multi = decorated_multigraph(nx, glued(m), labels)
+        key = invariant(multi)
+        hits = [i for i, (representative, _) in enumerate(classes.get(key, []))
+                if isomorphic(representative, multi)]
+        assert len(hits) == 1
+        owners.append((key, hits[0]))
+        assert classes[key][hits[0]][1] == splitting_mass(m)
+    assert len(set(owners)) == len(matchings)
+    assert sum(size for bucket in classes.values() for _, size in bucket) == connected
 
 
 class TestScenarioChecks:

@@ -629,6 +629,30 @@ class TestCanonicalSearchOracle:
         assert orders[:8] == [720, 12, 2, 2, 36, 12, 1, 2]
         assert sum(order > 1 for order in orders) > 60
 
+    def test_tails_on_tied_vertices(self):
+        """A symmetry fixes every tailed vertex, so only equally decorated
+        tail-less vertices can move: tails on every one of a tie, on one of
+        them, and on a third vertex of the same decoration beside two
+        tail-less twins."""
+        def graph(nv, ends, homes):
+            return RelGraph(tuple(vertex() for _ in range(nv)),
+                            tuple(Edge("absolute", pair) for pair in ends),
+                            tuple(Tail(v, "absolute", "e") for v in homes))
+
+        path, triangle, star = [(0, 2), (2, 1)], [(0, 1), (1, 2), (2, 0)], [(0, 1), (0, 2), (0, 3)]
+        cases = [
+            graph(3, triangle, [0, 1, 2]),  # every one tailed
+            graph(3, path, [0, 1]),
+            graph(2, [(0, 1), (0, 0), (1, 1)], [1]),  # one tailed
+            graph(3, triangle, [2, 2]),  # twins beside a tailed third
+            graph(3, path, [2]),
+            graph(4, star, [0]),
+            graph(4, star + [(1, 2)], [3]),
+        ]
+        orders = [automorphism_order(g) for g in cases]
+        assert orders == [brute_automorphism_count(g) for g in cases]
+        assert orders == [1, 1, 1, 2, 2, 6, 2]
+
     def test_canonical_form_idempotent_and_relabeling_invariant(self):
         rng = random.Random(7)
         for graph in oracle_graphs():

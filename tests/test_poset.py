@@ -39,6 +39,7 @@ from orbidegen.graph import (
 )
 from orbidegen.inertia import FiniteGroupTable, monodromy_table
 from orbidegen.io import load_document
+from test_graph import brute_automorphism_count
 
 # oracle graph: (vertices, edges, tails)
 #   vertices: tuple of (genus, class_scalar, level)
@@ -464,36 +465,93 @@ def test_searches_independent_of_the_hash_seed():
 NO_EDGES = ("no_edges_g1_v2", None, 1, 2, T11, 2, 1, (), None)
 
 
+def joins_all(nv, edges):
+    """Whether the (a, b, ...) edges join vertices 0..nv-1, by a union-find of
+    the test's own."""
+    root = list(range(nv))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    parts = nv
+    for a, b, *_ in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            root[ra] = rb
+            parts -= 1
+    return parts == 1
+
+
+def brute_bottom_multisets(case):
+    """The bottom walk's edge multisets counted by brute force: for each level
+    tuple, its vertex tuples (class tuples summing to the total, non-decreasing
+    within each level) times every multiset of its edge slots, and times the
+    multisets that join every vertex.  Returns (all, connected)."""
+    _, table, genus_total, cls, _, nv, max_levels, menu, cap = case
+    table = table or MonodromyTable.trivial()
+    effective = range(max(2, cls) + 1)
+    n_edges = nv - 1 + genus_total
+    pairs = {(h, table.inverse_of(h)) for h in menu}
+    pairs |= {(b, a) for a, b in pairs}
+    every = connected = 0
+    for levels in itertools.product(range(min(max_levels, nv)), repeat=nv):
+        if list(levels) != sorted(levels) or len(set(levels)) != levels[-1] + 1:
+            continue
+        vertex_tuples = sum(
+            1 for classes in itertools.product(effective, repeat=nv)
+            if sum(classes) == cls and all(classes[i] <= classes[i + 1] for i in range(nv - 1)
+                                            if levels[i] == levels[i + 1]))
+        slots = []
+        for i in range(nv):
+            for j in range(i, nv):
+                if levels[i] == levels[j]:  # a loop's two orientations are one edge
+                    slots += [(i, j, pair) for pair in pairs if i != j or pair <= pair[::-1]]
+                elif levels[j] == levels[i] + 1:
+                    slots += [(i, j, h, k) for h in menu for k in range(1, (cap or 0) + 1)]
+        multisets = list(itertools.combinations_with_replacement(slots, n_edges))
+        every += vertex_tuples * len(multisets)
+        connected += vertex_tuples * sum(joins_all(nv, edges) for edges in multisets)
+    return every, connected
+
+
 @pytest.mark.parametrize("case", WALK_CASES + [NO_EDGES], ids=lambda c: c[0])
 def test_walk_size_counted_before_the_walk(monkeypatch, case):
-    """The edge multisets counted before the walk are the ones it makes (one
-    connectivity test each, before the first contraction): a budget one below
-    the count is refused before any is built, the count itself runs."""
+    """The candidate budget charges every edge multiset of every vertex tuple,
+    counted in closed form before the walk: a budget one below the brute-force
+    count is refused before any multiset is built or searched, and the count
+    itself runs.  The walk then searches, before the first contraction, one
+    tail-free code per vertex tuple and connected multiset."""
     made = Counter()
-    union_find, contractions = graph._union_find, graph._single_contractions
+    walk, search, contractions = (graph._connected_multisets, graph._canonical_search,
+                                  graph._single_contractions)
 
-    def counted_union_find(*args):
+    def counted_walk(*args):
+        made["walks"] += 1
+        return walk(*args)
+
+    def counted_search(code):
         if not made["contractions"]:
-            made["multisets"] += 1
-        return union_find(*args)
+            made["placed" if code[2] else "bare"] += 1
+        return search(code)
 
     def first_contractions(code):
         made["contractions"] += 1
         return contractions(code)
 
-    monkeypatch.setattr(graph, "_union_find", counted_union_find)
+    monkeypatch.setattr(graph, "_connected_multisets", counted_walk)
+    monkeypatch.setattr(graph, "_canonical_search", counted_search)
     monkeypatch.setattr(graph, "_single_contractions", first_contractions)
     args = walk_inputs(case)
-    stratification_poset(*args)
-    multisets = made["multisets"]
-    made.clear()
+    multisets, connected = brute_bottom_multisets(case)
     monkeypatch.setattr(graph, "_CANDIDATE_BUDGET", multisets - 1)
     with pytest.raises(ResourceLimitError, match="candidate budget"):
         stratification_poset(*args)
-    assert made["multisets"] == 0
+    assert made == Counter()
     monkeypatch.setattr(graph, "_CANDIDATE_BUDGET", multisets)
     stratification_poset(*args)
-    assert made["multisets"] == multisets
+    assert made["bare"] == connected
 
 
 @pytest.mark.parametrize("case", WALK_CASES, ids=lambda c: c[0])
@@ -681,10 +739,24 @@ def test_bottom_layer_mass(case):
 
 @pytest.mark.parametrize("case", WALK_CASES, ids=lambda c: c[0])
 def test_automorphism_order_is_the_search_tie_count(case):
-    """automorphism_order skips the search when every base-key block is one
-    vertex; on every node it is the search's count of tying relabelings."""
+    """automorphism_order skips the search when the tail-less vertices have
+    distinct decorations or every base-key block is one vertex; on every node
+    (at most 4 vertices) it is the search's count of tying relabelings and
+    the brute-force count over all vertex permutations."""
     for node in stratification_poset(*walk_inputs(case)).nodes:
-        assert automorphism_order(node) == graph._canonical_search(graph._as_code(node))[1]
+        order = automorphism_order(node)
+        assert order == graph._canonical_search(graph._as_code(node))[1]
+        assert order == brute_automorphism_count(node)
+
+
+def test_automorphism_orders_pinned():
+    """Every g2_v3 node with its automorphism order, recorded before the
+    tail rule let automorphism_order skip the base keys."""
+    poset = stratification_poset(*walk_inputs(next(c for c in WALK_CASES if c[0] == "g2_v3")))
+    lines = [f"{encode(node)!r} aut={automorphism_order(node)}" for node in poset.nodes]
+    assert len(lines) == 3351
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "8e897a22ba04850397ed966dc20abe5d34e4cda457f16c277af87c5d59951849")
 
 
 @pytest.mark.parametrize("max_vertices,nodes,covers,digest", [
