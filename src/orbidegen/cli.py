@@ -18,7 +18,9 @@ command loads:
     dim virdim, dim ledger   dimension
     graphs *                 graph (and inertia for a class table built from a group)
     expand                   graph, expand
-    glue demo                glue and numpy, which no exact command loads
+    glue demo                glue and numpy, which no exact command loads; it
+                             reads no document, so its text report loads
+                             neither io nor contact (--json loads both)
 """
 
 from __future__ import annotations

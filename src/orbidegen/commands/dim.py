@@ -5,7 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..dimension import ModuliSpec, splitting_ledger, virdim
-from ..io import _rational, emit, load_ledger, parse_list, parse_rel, read_text
+from ..io import _rational, load_ledger, parse_list, parse_rel, read_text
+from . import emit
 
 
 def cmd_virdim(args) -> int:

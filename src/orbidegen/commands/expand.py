@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from ..errors import ValidationError
 from ..expand import expand, term_record
-from ..io import _rational, emit, load_document, read_text
+from ..io import _rational, load_document, read_text
+from . import emit
 
 
 def cmd_expand(args) -> int:

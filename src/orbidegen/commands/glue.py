@@ -9,7 +9,7 @@ import numpy as np
 
 from .. import glue
 from ..errors import NonConvergenceError, ResourceLimitError, ValidationError
-from ..io import emit
+from . import emit
 
 
 # model -> (its builder, the one option the builder takes, if any)
@@ -74,7 +74,7 @@ def _glue_demo(args, build, setting) -> int:
         out.append("    n    |xi_n|        residual")
         for i, (xn, rn) in enumerate(zip(result.xi_history, result.residual_history)):
             out.append(f"    {i:<4} {xn:.6e}  {rn:.6e}")
-        xi_norm = float(np.linalg.norm(result.xi))
+        xi_norm = glue._norm(result.xi)
         xi_ok = xi_norm <= 2 * const.eps1 + 1e-12
         out.append(f"  |xi| <= 2 eps1 contract: |xi|={xi_norm:.6e} vs "
                    f"2 eps1={2 * const.eps1:.6e}  [{'ok' if xi_ok else 'FLAGGED'}]")

@@ -19,7 +19,8 @@ from ..graph import (
     total_class,
     validate,
 )
-from ..io import _known, emit, load_document, parse_list, read_text
+from ..io import _known, load_document, parse_list, read_text
+from . import emit
 
 
 def _load_graph(args):

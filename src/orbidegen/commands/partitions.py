@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from ..contact import enumerate_partitions
-from ..io import _integer, _rational, emit, parse_list
+from ..io import _integer, _rational, parse_list
+from . import emit
 
 
 def cmd_partitions(args) -> int:

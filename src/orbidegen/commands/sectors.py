@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from ..errors import ValidationError
 from ..inertia import cr_poincare_polynomial
-from ..io import emit, load_document, read_text
+from ..io import load_document, read_text
+from . import emit
 
 
 def cmd_sectors(args) -> int:

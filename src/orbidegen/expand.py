@@ -12,6 +12,7 @@ into a byte-stable order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -405,8 +406,10 @@ def expand(
     degree_of = {e.label: e.cr_degree for e in basis.entries}
     labels_on = {h: tuple([e.label for e in basis.supported_on(h)]) for h in table.orders}
     # (term_record(term), term) pairs: a record is a head, made once per node
-    # signature (contact orders, monodromies), and its matching's side records
+    # signature (contact orders, monodromies), and its matching's side records,
+    # made once per distinct side graph
     heads_of: dict[tuple, list[tuple]] = {}
+    side_record = functools.cache(_side_record)
     records: list[tuple[str, Term]] = []
     for m in enumerate_splittings(scenario, homology):
         signature = (m.contacts, m.monodromies)
@@ -415,7 +418,7 @@ def expand(
             heads = heads_of[signature] = _term_heads(*signature, labels_on, degree_of,
                                                       total_degree)
         plus, minus = m.gamma_plus, m.gamma_minus
-        tail = f") plus={_side_record(plus)} minus={_side_record(minus)}"
+        tail = f") plus={side_record(plus)} minus={side_record(minus)}"
         records += [(head + tail, Term(plus, minus, labels, coefficient))
                     for labels, coefficient, head in heads]
     records.sort(key=operator.itemgetter(0))

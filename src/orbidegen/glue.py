@@ -8,10 +8,18 @@ iteration xi <- -t(x) - N_x(Q xi) with N_x(v) = t(x+v) - t(x) - L_x v, and the
 constant estimator samples the uniform-continuity and approximation bounds
 that make the iteration contract.  This module is the only floating-point
 part of the package.
+
+Each sample works on arrays of 1 to 4 entries, where a NumPy call costs more
+than its arithmetic, so the per-sample path makes few calls: a float array
+passes `_as_vec` as itself, and every norm is computed as `np.linalg.norm`
+computes it, to the bit (`_norm`: the square root of the raveled dot
+product; `_spectral`: the largest singular value, for B2, C5 and C6 from one
+stacked SVD per bound).  The model callbacks still run once per point.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from typing import Callable
 
@@ -20,18 +28,47 @@ import numpy as np
 from .errors import NonConvergenceError, ResourceLimitError
 
 FD_SCALE = 1e-6
-# estimate_constants keeps every sample in memory; 10,000 take a few seconds
+# estimate_constants keeps every sample in memory; `glue demo` with 10,000
+# samples and no probes takes about 1 s of wall time per model (0.7-1.4 s
+# on a 2-vCPU VM)
 MIN_SAMPLES = 10
 MAX_SAMPLES = 10_000
+_FLOAT = np.dtype(float)
 
 
 def _as_vec(x) -> np.ndarray:
+    """x as a float array of ndim >= 1; such an array is returned as itself,
+    as np.asarray and np.atleast_1d return it."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT and x.ndim:
+        return x
     return np.atleast_1d(np.asarray(x, dtype=float))
+
+
+def _norm(x: np.ndarray) -> float:
+    """float(np.linalg.norm(x)) of a float array, by the operations NumPy runs:
+    the square root of the dot product of x raveled in memory order."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
+def _spectral(m: np.ndarray) -> float:
+    """float(np.linalg.norm(m, 2)) of a 2-D float array: its largest singular
+    value, taken as NumPy takes it."""
+    return float(np.linalg.svd(m, compute_uv=False).max(axis=-1, initial=0))
+
+
+def _spectral_each(matrices: list) -> list[float]:
+    """float(np.linalg.norm(m, 2)) of each matrix, from one stacked SVD when
+    all are 2-D of one shape."""
+    shapes = {m.shape for m in matrices}
+    if len(shapes) != 1 or len(next(iter(shapes))) != 2:
+        return [float(np.linalg.norm(m, 2)) for m in matrices]
+    return np.linalg.svd(np.stack(matrices), compute_uv=False).max(axis=-1, initial=0).tolist()
 
 
 def _finite(value: np.ndarray, owner: str, what: str, at: str, point) -> np.ndarray:
     """`value`, or FloatingPointError naming `what` and the point it was taken at."""
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise FloatingPointError(f"{owner}: {what} is non-finite at {at}={point}")
     return value
 
@@ -39,12 +76,16 @@ def _finite(value: np.ndarray, owner: str, what: str, at: str, point) -> np.ndar
 def fd_jacobian(func: Callable, x: np.ndarray, out_dim: int) -> np.ndarray:
     """Central finite differences with step 1e-6 * (1 + |x|)."""
     x = _as_vec(x)
-    h = FD_SCALE * (1.0 + float(np.linalg.norm(x)))
+    h = FD_SCALE * (1.0 + _norm(x))
+    # row i of `steps` is h e_i, so row i of x +- steps is x +- h e_i as the
+    # sum of two vectors: x_j + 0.0 off the diagonal, as a step vector gives
+    steps = np.zeros((x.size, x.size))
+    steps.flat[::x.size + 1] = h
+    ups, downs = x + steps, x - steps
     jac = np.zeros((out_dim, x.size))
     for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        jac[:, i] = (_as_vec(func(x + step)) - _as_vec(func(x - step))) / (2.0 * h)
+        jac[:, i] = _as_vec(func(ups[i])) - _as_vec(func(downs[i]))
+    jac /= 2.0 * h
     return jac
 
 
@@ -91,7 +132,7 @@ class ApproxChart(namedtuple("ApproxChart", "param right_inverse s_low s_high na
     def check_right_inverse(self, system: FredholmSystem, s) -> float:
         s = _as_vec(s)
         residual = system.jacobian(self.x(s)) @ self.q(s) - np.eye(system.dim_f)
-        return float(np.linalg.norm(residual, 2))
+        return _spectral(residual)
 
 
 class ConditionReport(namedtuple("ConditionReport", "name estimate witness ok note",
@@ -139,18 +180,19 @@ def estimate_constants(
     ts = [system.t(x) for x in xs]
     ls = [system.jacobian(x) for x in xs]
     qs = [chart.q(s) for s in ss]
-    k1 = max(float(np.linalg.norm(x)) for x in xs)
+    k1 = max(_norm(x) for x in xs)
 
     # cyclic consecutive pairs along the chart, their gaps |x_i - x_j| and
     # the pair witness (x_i[0], x_j[0])
     gaps = []
     for i in range(sample_count):
         j = (i + 1) % sample_count
-        gap = float(np.linalg.norm(xs[i] - xs[j]))
+        gap = _norm(xs[i] - xs[j])
         if gap >= 1e-12:
             gaps.append((i, j, gap, (float(xs[i][0]), float(xs[j][0]))))
-    b1, w1 = _sup((float(np.linalg.norm(ts[i] - ts[j])) / gap, w) for i, j, gap, w in gaps)
-    b2, w2 = _sup((float(np.linalg.norm(ls[i] - ls[j], 2)) / gap, w) for i, j, gap, w in gaps)
+    b1, w1 = _sup((_norm(ts[i] - ts[j]) / gap, w) for i, j, gap, w in gaps)
+    l_gaps = _spectral_each([ls[i] - ls[j] for i, j, _, _ in gaps])
+    b2, w2 = _sup((norm / gap, w) for norm, (_, _, gap, w) in zip(l_gaps, gaps))
 
     # (B3) quadratic remainder quotient |N_x(v1)-N_x(v2)| / ((|v1|+|v2|)|v1-v2|),
     # N_x(v) = t(x+v) - t(x) - L_x v summed in quadratic_remainder's order
@@ -160,11 +202,11 @@ def estimate_constants(
         for i in range(min(sample_count, 100)):
             v1 = rng.normal(size=system.dim_b) * scale
             v2 = rng.normal(size=system.dim_b) * scale
-            denom = (np.linalg.norm(v1) + np.linalg.norm(v2)) * np.linalg.norm(v1 - v2)
+            denom = (_norm(v1) + _norm(v2)) * _norm(v1 - v2)
             if denom < 1e-12:
                 continue
             n1, n2 = (system.t(xs[i] + v) - ts[i] - ls[i] @ v for v in (v1, v2))
-            yield float(np.linalg.norm(n1 - n2)) / float(denom), (float(xs[i][0]),)
+            yield _norm(n1 - n2) / denom, (float(xs[i][0]),)
 
     b3, w3 = _sup(remainder_quotients())
     c1 = max(b1, b2, b3)
@@ -174,14 +216,15 @@ def estimate_constants(
     def tangential_bounds():
         for i, s in enumerate(ss):
             for tangent in fd_jacobian(chart.x, s, system.dim_b).T:
-                norm = float(np.linalg.norm(tangent))
+                norm = _norm(tangent)
                 if norm >= 1e-12:
-                    yield float(np.linalg.norm(ls[i] @ tangent)) / norm, at[i]
+                    yield _norm(ls[i] @ tangent) / norm, at[i]
 
-    eps_res, w_res = _sup((float(np.linalg.norm(t)), w) for t, w in zip(ts, at))
+    eps_res, w_res = _sup((_norm(t), w) for t, w in zip(ts, at))
     eps_tan, w_tan = _sup(tangential_bounds())
-    c2_norm, w_q = _sup((float(np.linalg.norm(q, 2)), w) for q, w in zip(qs, at))
-    c6, w6 = _sup((float(np.linalg.norm(qs[i] - qs[j], 2)) / gap, at[i]) for i, j, gap, _ in gaps)
+    c2_norm, w_q = _sup(zip(_spectral_each(qs), at))
+    q_gaps = _spectral_each([qs[i] - qs[j] for i, j, _, _ in gaps])
+    c6, w6 = _sup((norm / gap, at[i]) for norm, (i, _, gap, _) in zip(q_gaps, gaps))
 
     eps1 = max(eps_res, eps_tan)
     c2 = max(c2_norm, c6)
@@ -239,13 +282,13 @@ def correct(
     for iteration in range(max_iter + 1):
         v = q @ xi
         tv = system.t(x + v)
-        residual = float(np.linalg.norm(tv))
+        residual = _norm(tv)
         residuals.append(residual)
-        norms.append(float(np.linalg.norm(xi)))
+        norms.append(_norm(xi))
         if residual <= tol:
-            if eps1 is not None and np.linalg.norm(xi) > 2.0 * eps1 + 1e-12:
+            if eps1 is not None and norms[-1] > 2.0 * eps1 + 1e-12:
                 raise NonConvergenceError(
-                    f"converged but |xi|={np.linalg.norm(xi):.3e} exceeds "
+                    f"converged but |xi|={norms[-1]:.3e} exceeds "
                     f"2*eps1={2 * eps1:.3e}", residuals)
             return CorrectionResult(xi=xi, residual=residual, iterations=iteration,
                                     residual_history=tuple(residuals),
@@ -292,11 +335,11 @@ def chart_map(system: FredholmSystem, chart: ApproxChart, s, eta) -> ChartMapRes
     # reparameterize the s-block to unit speed: dx = T R with T orthonormal
     r_factor = np.linalg.qr(dx, mode="r")
     if abs(np.linalg.det(r_factor)) < 1e-12:
-        norm = float(np.linalg.norm(jac, 2))
+        norm = _spectral(jac)
     else:
         jac_s = jac[:, : s.size] @ np.linalg.inv(r_factor)
         jac_full = np.hstack([jac_s, jac[:, s.size:]])
-        norm = float(np.linalg.norm(jac_full, 2))
+        norm = _spectral(jac_full)
     return ChartMapResult(point=point, derivative_norm=norm, within_bound=norm <= 2.0)
 
 
@@ -327,8 +370,8 @@ def injectivity_probe(
         s1, s2 = chart.sample(rng), chart.sample(rng)
         e1 = rng.uniform(-delta1, delta1, size=system.dim_f)
         e2 = rng.uniform(-delta1, delta1, size=system.dim_f)
-        input_gap = float(np.linalg.norm(np.concatenate([s1 - s2, e1 - e2])))
-        output_gap = float(np.linalg.norm(_phi(chart, s1, e1) - _phi(chart, s2, e2)))
+        input_gap = _norm(np.concatenate([s1 - s2, e1 - e2]))
+        output_gap = _norm(_phi(chart, s1, e1) - _phi(chart, s2, e2))
         if output_gap <= 1e-9 and input_gap > 1e-6:
             collisions.append(tuple(float(v) for v in np.concatenate([s1, e1, s2, e2])))
     return InjectivityReport(pairs_checked=sample_pairs, collisions=tuple(collisions))

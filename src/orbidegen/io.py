@@ -10,15 +10,14 @@ builds, so a document loads only the modules its sections need: inertia for
 groups, profiles and class tables built from a group, graph for homology and
 graphs, expand for basis and scenarios, dimension for ledgers and --rel.
 
-`emit` writes every command's report: its text lines, or under --json the
-payload with the schema as deterministic JSON (`dump_json`).
+`dump_json` is the deterministic JSON of every --json report
+(`commands.emit`).
 """
 
 from __future__ import annotations
 
 import json
 import re
-import sys
 from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
@@ -470,11 +469,3 @@ def read_text(path: str) -> str:
 def dump_json(payload: dict) -> str:
     """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
     return json.dumps(payload, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
-
-
-def emit(args, payload: dict, lines: list[str]) -> None:
-    """Write a command's report: `payload` with the schema under --json, else the text lines."""
-    if args.json:
-        sys.stdout.write(dump_json({"schema": SCHEMA, **payload}))
-    else:
-        sys.stdout.write("".join(f"{line}\n" for line in lines))

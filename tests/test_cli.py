@@ -340,8 +340,14 @@ print(code, " ".join(sorted(m.split(".", 1)[1] for m in sys.modules
         assert loaded == expected
 
     def test_glue_demo_loads_numpy_but_not_dataclasses(self):
-        # the glue records are named tuples like every other record
+        # the glue records are named tuples like every other record; a text
+        # report reads no document, so neither io nor contact is loaded
         proc = python("-c", self.LOADED, "glue", "demo", "linear", "--probes", "0")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode().strip() == \
+            "0 cli commands commands.glue errors glue True False"
+        # --json writes io's deterministic JSON
+        proc = python("-c", self.LOADED, "glue", "demo", "linear", "--probes", "0", "--json")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.decode().strip() == \
             "0 cli commands commands.glue contact errors glue io True False"

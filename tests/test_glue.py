@@ -17,6 +17,7 @@ from orbidegen.glue import (
     node_model,
     sphere_model,
 )
+from orbidegen.glue import _norm, _spectral, _spectral_each
 
 MODELS = {"sphere": sphere_model, "node": node_model, "linear": linear_model}
 
@@ -210,6 +211,34 @@ class TestChartMap:
         assert np.allclose(result.point, [0.0, 0.2])
         assert result.derivative_norm == pytest.approx(1.0) and result.within_bound
 
+    # one chart_map call: Phi at the point and at 2 (dim s + dim eta) central
+    # steps, each Phi one x(s) and one Q(s), and 2 dim s steps of x(s) for the
+    # frame of dx/ds (the sphere's right_inverse calls its own param, uncounted)
+    @pytest.mark.parametrize("model, param, right_inverse",
+                             [("sphere", 11, 7), ("node", 7, 5), ("linear", 13, 9)])
+    def test_callback_counts(self, model, param, right_inverse):
+        system, chart = MODELS[model]()
+        seen = {"param": [], "right_inverse": [], "evaluate": [], "derivative": []}
+
+        def counting(name, func):
+            def wrapper(arg):
+                seen[name].append(arg)
+                return func(arg)
+            return wrapper
+
+        counted_system = system._replace(evaluate=counting("evaluate", system.evaluate),
+                                         derivative=counting("derivative", system.derivative))
+        counted_chart = chart._replace(
+            param=counting("param", chart.param),
+            right_inverse=counting("right_inverse", chart.right_inverse))
+        rng = np.random.default_rng(0)
+        s = chart.sample(rng)
+        chart_map(counted_system, counted_chart, s, rng.uniform(-0.1, 0.1, size=system.dim_f))
+        assert {name: len(args) for name, args in seen.items()} == {
+            "param": param, "right_inverse": right_inverse, "evaluate": 0, "derivative": 0}
+        # one point per call, never a batch
+        assert all(np.shape(arg) == s.shape for arg in seen["param"] + seen["right_inverse"])
+
 
 class TestInjectivity:
     def test_exact_sphere_no_collisions(self):
@@ -279,6 +308,35 @@ class TestJacobians:
             x = chart.x(chart.sample(rng)) + rng.normal(size=system.dim_b) * 0.1
             assert np.max(np.abs(numeric.jacobian(x) - system.jacobian(x))) <= 1e-9
 
+    def test_steps_are_those_of_step_vectors(self):
+        # x +- h e_i taken as vector sums: -0.0 off the step turns to 0.0 on
+        # the plus side only; each call sees those points and the quotients
+        # are bit for bit those of one step vector per column
+        def reference(func, x, out_dim):
+            h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
+            jac = np.zeros((out_dim, x.size))
+            for i in range(x.size):
+                step = np.zeros_like(x)
+                step[i] = h
+                jac[:, i] = (np.asarray(func(x + step)) - np.asarray(func(x - step))) / (2.0 * h)
+            return jac
+
+        seen = {"fd": [], "reference": []}
+
+        def func_for(key):
+            def func(p):
+                seen[key].append(p.tobytes())
+                # arctan2 tells -0.0 from 0.0
+                return np.array([np.arctan2(p[-1], p[0]), p @ p])
+            return func
+
+        for x in ([-0.0, 1.0, -2.5], [-0.0, -0.0], [3.0], [1e-300, -1e150, 0.5],
+                  [0.1, -0.0, 7.0, -3.0]):
+            x = np.array(x)
+            got = fd_jacobian(func_for("fd"), x, 2)
+            assert got.tobytes() == reference(func_for("reference"), x, 2).tobytes()
+        assert seen["fd"] == seen["reference"]
+
     def test_builtin_models_all_have_analytic_jacobians(self):
         models = builtin_models()
         assert len(models) == 3
@@ -316,6 +374,80 @@ class TestJacobians:
         with np.errstate(all="ignore"), pytest.raises(
                 FloatingPointError, match=r"node\(tau=1e\+300\): constant C1 is non-finite"):
             estimate_constants(system, chart, 10)
+
+
+class TestNormHelpers:
+    """_norm and _spectral return NumPy's norms bit for bit."""
+
+    @staticmethod
+    def settings(hypothesis):
+        return hypothesis.settings(derandomize=True, max_examples=300, deadline=None,
+                                   database=None)
+
+    @staticmethod
+    def entries(st):
+        # every float, so +-0.0 and subnormals, plus the scales 1e-300..1e300
+        scaled = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10.0, 10.0),
+                           st.integers(-300, 300))
+        return st.one_of(st.floats(allow_nan=False, allow_infinity=False), scaled,
+                         st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308]))
+
+    # entries near 1e300 overflow the dot product to inf, in both
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_norm(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+        st = hypothesis.strategies
+
+        @self.settings(hypothesis)
+        @hypothesis.given(hnp.arrays(np.float64, st.integers(1, 6), elements=self.entries(st)))
+        def check(x):
+            assert _norm(x) == float(np.linalg.norm(x))
+            # a strided column, as fd_jacobian(...).T yields
+            column = np.vstack([x, x]).T[:, 1]
+            assert _norm(column) == float(np.linalg.norm(column))
+
+        check()
+
+    def test_spectral(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+        st = hypothesis.strategies
+        shapes = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=4)
+
+        @self.settings(hypothesis)
+        @hypothesis.given(hnp.arrays(np.float64, shapes, elements=self.entries(st)))
+        @hypothesis.example(np.zeros((3, 2)))
+        def check(m):
+            assert _spectral(m) == float(np.linalg.norm(m, 2))
+
+        check()
+
+    def test_stacked_spectral(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        hnp = pytest.importorskip("hypothesis.extra.numpy")
+        st = hypothesis.strategies
+        shapes = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=4)
+
+        @st.composite
+        def stacks(draw):
+            shape = draw(shapes)
+            matrices = hnp.arrays(np.float64, shape, elements=self.entries(st))
+            return draw(st.lists(matrices, min_size=1, max_size=8))
+
+        @self.settings(hypothesis)
+        @hypothesis.given(stacks())
+        @hypothesis.example([np.zeros((2, 2)), np.eye(2)])
+        def check(matrices):
+            assert _spectral_each(matrices) == [float(np.linalg.norm(m, 2)) for m in matrices]
+
+        check()
+
+    def test_stacked_spectral_mixed_shapes(self):
+        # matrices of two shapes and 1-D arrays take NumPy's norm one by one
+        mixed = [np.ones((2, 3)), np.ones((3, 2)), np.array([3.0, 4.0])]
+        assert _spectral_each(mixed) == [float(np.linalg.norm(m, 2)) for m in mixed]
+        assert _spectral_each([]) == []
 
 
 class TestBuiltinModels:
