@@ -82,15 +82,6 @@ class MonodromyTable(checked_record("MonodromyTable", "orders inverses")):
     def trivial(cls) -> "MonodromyTable":
         return cls(orders={"e": 1}, inverses={"e": "e"})
 
-    @classmethod
-    def cyclic(cls, n: int) -> "MonodromyTable":
-        """Class table of Z_n with labels 'c0'..'c{n-1}', cj the singleton {j}."""
-        if n <= 0:
-            raise ValidationError(f"cyclic order must be positive, got {n}")
-        orders = {f"c{j}": n // math.gcd(n, j) if j else 1 for j in range(n)}
-        inverses = {f"c{j}": f"c{(n - j) % n}" for j in range(n)}
-        return cls(orders=orders, inverses=inverses)
-
 
 class RelInsertion(namedtuple("RelInsertion", "order monodromy basis_label", defaults=("e", ""))):
     """A relative insertion (contact order, monodromy class, formal basis label)."""
@@ -100,14 +91,6 @@ class RelInsertion(namedtuple("RelInsertion", "order monodromy basis_label", def
     def triple(self) -> tuple[Fraction, str, str]:
         return (self.order.value, self.monodromy, self.basis_label)
 
-    def check_order(self, table: MonodromyTable) -> None:
-        r = table.order_of(self.monodromy)
-        if self.order.r != r:
-            raise ValidationError(
-                f"contact order {self.order} has r={self.order.r} but class "
-                f"{self.monodromy!r} has order {r}"
-            )
-
 
 def floor_bracket(value: Fraction | int) -> int:
     """Floor of a positive rational; at integers this returns the integer itself."""
@@ -115,19 +98,6 @@ def floor_bracket(value: Fraction | int) -> int:
     if q <= 0:
         raise ValidationError(f"floor bracket needs a positive argument, got {q}")
     return q.numerator // q.denominator
-
-
-class SumCheck(namedtuple("SumCheck", "ok computed expected")):
-    __slots__ = ()
-
-
-def contact_sum_check(orders: Sequence[ContactOrder], total: Fraction | int) -> SumCheck:
-    """Exact check that the contact orders sum to the divisor pairing total."""
-    expected = Fraction(total)
-    if expected < 0:
-        raise ValidationError(f"total must be non-negative, got {expected}")
-    computed = sum((o.value for o in orders), Fraction(0))
-    return SumCheck(computed == expected, computed, expected)
 
 
 def enumerate_partitions(
@@ -244,14 +214,11 @@ def _partitions(
 
 
 def aut_order(insertions: Iterable[RelInsertion]) -> int:
-    """Order of the permutation group preserving every (l, h, beta) triple; l = k/r
-    is keyed by its lowest-terms pair, equal exactly when the values are."""
-    keys = []
-    for ins in insertions:
-        k, r = ins.order.k, ins.order.r
-        g = math.gcd(k, r)
-        keys.append((k // g, r // g, ins.monodromy, ins.basis_label))
-    return _multiset_aut(keys)
+    """Order of the permutation group preserving every (l, h, beta) triple: the
+    multiset automorphisms of the triples, with l = k/r keyed by its value, so
+    2/4 and 1/2 tie (Fractions are equal exactly when their lowest-terms pairs
+    are)."""
+    return _multiset_aut(ins.triple() for ins in insertions)
 
 
 def _multiset_aut(items: Iterable[Hashable]) -> int:

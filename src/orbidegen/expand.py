@@ -126,6 +126,7 @@ class SplittingScenario(checked_record("SplittingScenario", "genus absolute clas
         for i, label in enumerate(labels):
             if label in labels[:i]:
                 raise ValidationError(f"monodromy_menu[{i}] repeats label {label!r}")
+        self.table()  # a menu no class table can hold is refused here, not in the walk
         return self
 
     def table(self) -> MonodromyTable:
@@ -345,12 +346,13 @@ def _term_heads(contacts: tuple[ContactOrder, ...], monodromies: tuple[str, ...]
     """(labels, coefficient, record head "coeff=... I=(labels") for each index
     tuple kept on nodes of these contact orders and monodromies.
 
-    The coefficient is l(Gamma) = prod k / prod r times |Aut| of the labels.
-    Two insertions tie only on nodes of equal contact order and monodromy (and
+    The coefficient is l(Gamma) times |Aut| of the labels, with l(Gamma) =
+    prod k / prod r as gluing_degrees states it, and 1 with no nodes.  Two
+    insertions tie only on nodes of equal contact order and monodromy (and
     so one label menu; r is the monodromy's order, so there equal contact
     values are equal orders), so |Aut| is the product over each such group
-    of its label counts' factorials."""
-    ell = Fraction(math.prod(c.k for c in contacts), math.prod(c.r for c in contacts))
+    of its label counts' factorials, as _multiset_aut counts them."""
+    ell = gluing_degrees(contacts)[1] if contacts else Fraction(1)
     ties: dict[tuple[ContactOrder, str], list[int]] = {}
     for j, node in enumerate(zip(contacts, monodromies)):
         ties.setdefault(node, []).append(j)

@@ -461,8 +461,3 @@ def linear_model() -> tuple[FredholmSystem, ApproxChart]:
         name="linear-chart",
     )
     return system, chart
-
-
-def builtin_models() -> list[tuple[FredholmSystem, ApproxChart]]:
-    """The shipped sandbox models: sphere, node smoothing, and a linear system."""
-    return [sphere_model(), node_model(0.25), linear_model()]

@@ -120,9 +120,6 @@ class Vertex(namedtuple("Vertex", "genus cls level", defaults=(0,))):
 class Edge(namedtuple("Edge", "kind ends halves contact", defaults=(("e", "e"), None))):
     __slots__ = ()
 
-    def is_loop(self) -> bool:
-        return self.ends[0] == self.ends[1]
-
 
 class Tail(namedtuple("Tail", "vertex kind monodromy contact", defaults=("e", None))):
     __slots__ = ()
@@ -740,7 +737,8 @@ def stratification_poset(
     ResourceLimitError before it starts; one whose distinct tail-free graphs
     times the max_vertices ** len(tails) tail placements exceed
     _PLACEMENT_BUDGET raises it after the tail-free searches and before the
-    first placement.
+    first placement.  More edges per graph than the edge walk can nest raise
+    it as well.
     """
     table = classes if classes is not None else MonodromyTable.trivial()
 
@@ -854,7 +852,12 @@ def _connected_multisets(slots: Sequence[tuple], nv: int, size: int) -> list[tup
                      tuple([low if r == high else r for r in root]), parts - 1)
 
     if nv - 1 <= size:
-        grow(0, (), tuple(range(nv)), nv)
+        try:
+            grow(0, (), tuple(range(nv)), nv)
+        except RecursionError:  # grow recurses once per edge
+            raise ResourceLimitError(
+                f"poset enumeration at {nv} vertices: {size} edges per graph, "
+                "more than the edge walk can nest") from None
     return found
 
 

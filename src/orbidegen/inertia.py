@@ -245,9 +245,6 @@ class SectorDatum(checked_record("SectorDatum", "cls rotations betti")):
     def sector_dim(self, ambient_dim: int) -> int:
         return ambient_dim - sum(1 for t in self.rotations if t != 0)
 
-    def total_rank(self) -> int:
-        return sum(self.betti.values())
-
 
 class CRProfile(checked_record("CRProfile", "group ambient_dim sectors")):
     """Sector data covering every conjugacy class of a fixed ambient dimension.

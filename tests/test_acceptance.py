@@ -246,7 +246,7 @@ def test_09_gluing_sandbox():
         probe = glue.chart_map(node_system, node_chart, s, eta)
         ok = ok and probe.derivative_norm <= 2.0
 
-    for sys_, chart_ in glue.builtin_models():
+    for sys_, chart_ in (glue.sphere_model(), glue.node_model(), glue.linear_model()):
         for _ in range(20):
             s = chart_.sample(rng)
             x = chart_.x(s) + rng.normal(size=sys_.dim_b) * 0.1

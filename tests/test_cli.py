@@ -403,6 +403,8 @@ print("ok")
 
 VIRDIM = ["dim", "virdim", "--flavor", "relative-orbifold", "--n", "2", "--genus", "0"]
 POSET = ["graphs", "poset", "--in", str(DATA / "graphs.json"), "--graph", "gmax"]
+DEEP_POSET = ["graphs", "poset", "--in",
+              str(ROOT / "tests" / "data" / "graphs_gmax_genus1200.json")]
 
 
 class TestMalformedInputExits1:
@@ -509,6 +511,24 @@ class TestMalformedInputExits1:
         err = self.run_on(tmp_path, json.dumps(doc),
                           ["expand", "--scenario", "smooth_one_node"])
         assert "scenarios[smooth_one_node].splittings[0]" in err
+
+    def test_menu_order_0_is_named(self):
+        # the scenario's class table is built on load, where io names the entry
+        rc, out, err = capture(["expand", "--in",
+                                str(ROOT / "tests" / "data" / "expand_menu_order0.json")])
+        assert (rc, out) == (1, "")
+        assert err == "error: scenarios[menu_order0]: class 'e' has non-positive order 0\n"
+
+    def test_menu_inverse_not_an_involution_is_named(self, tmp_path):
+        doc = json.loads((DATA / "smooth1.json").read_text())
+        doc["scenarios"][0]["monodromy_menu"] = [
+            {"label": "e", "order": 1, "inverse": "e"},
+            {"label": "h", "order": 2, "inverse": "k"},
+            {"label": "k", "order": 2, "inverse": "j"}]
+        err = self.run_on(tmp_path, json.dumps(doc),
+                          ["expand", "--scenario", "smooth_one_node"])
+        assert err == ("error: scenarios[smooth_one_node]: "
+                       "inverse map is not an involution at class 'h'\n")
 
     def test_rational_outside_the_documented_forms(self, tmp_path):
         doc = json.loads((DATA / "smooth1.json").read_text())
@@ -672,9 +692,17 @@ class TestMalformedInputExits1:
          "partitions of 1300 into 1200 slots: more slots than the walk can nest"),
         (["partitions", "--total", "6", "--orders", ",".join(map(str, range(1, 41)))],
          "partitions of 6 into 40 slots need more than 100000 states to count"),
+        # the connected edge walk recurses once per edge
+        (DEEP_POSET + ["--max-vertices", "1"],
+         "poset enumeration at 1 vertices: 1200 edges per graph, "
+         "more than the edge walk can nest\n"),
+        (DEEP_POSET + ["--max-vertices", "2"],
+         "poset enumeration at 2 vertices: 1201 edges per graph, "
+         "more than the edge walk can nest\n"),
     ], ids=["poset-v7", "poset-v12", "partitions-300", "expand-g2-m4",
             "poset-relative-menu", "poset-wide-classes", "expand-wide-classes",
-            "partitions-1200-slots", "partitions-1300-into-1200-slots", "partitions-1..40"])
+            "partitions-1200-slots", "partitions-1300-into-1200-slots", "partitions-1..40",
+            "poset-genus-1200-v1", "poset-genus-1200-v2"])
     def test_oversized_enumeration_exits_3_before_the_work(self, argv, message):
         # counted up front: the walks themselves would take minutes
         started = time.perf_counter()

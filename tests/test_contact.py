@@ -12,11 +12,11 @@ from orbidegen.contact import (
     MonodromyTable,
     RelInsertion,
     aut_order,
-    contact_sum_check,
     enumerate_partitions,
     floor_bracket,
 )
 from orbidegen.errors import ResourceLimitError, ValidationError
+from orbidegen.inertia import FiniteGroupTable, monodromy_table
 
 
 def brute_force_partitions(total, slot_orders):
@@ -61,24 +61,6 @@ class TestFloorBracket:
             frac = q - floor_bracket(q)
             assert 0 <= frac < 1
             assert floor_bracket(q) + frac == q
-
-
-class TestSumCheck:
-    def test_matching_integers(self):
-        orders = [ContactOrder(1, 1), ContactOrder(1, 1)]
-        assert contact_sum_check(orders, 2).ok
-
-    def test_matching_halves(self):
-        orders = [ContactOrder(1, 2), ContactOrder(3, 2)]
-        report = contact_sum_check(orders, 2)
-        assert report.ok and report.computed == 2
-
-    def test_mismatch(self):
-        assert not contact_sum_check([ContactOrder(1, 2)], 1).ok
-
-    def test_negative_total_rejected(self):
-        with pytest.raises(ValidationError, match="^total must be non-negative, got -1$"):
-            contact_sum_check([], -1)
 
 
 class TestEnumeratePartitions:
@@ -303,18 +285,12 @@ class TestContactOrder:
 
 class TestMonodromyTable:
     def test_cyclic_orders_and_inverses(self):
-        table = MonodromyTable.cyclic(6)
+        table = monodromy_table(FiniteGroupTable.cyclic(6))
         assert table.order_of("c2") == 3
         assert table.order_of("c3") == 2
         assert table.inverse_of("c1") == "c5"
         for label in table.orders:
             assert table.inverse_of(table.inverse_of(label)) == label
-
-    def test_rel_insertion_order_check(self):
-        table = MonodromyTable.cyclic(2)
-        RelInsertion(ContactOrder(1, 2), "c1").check_order(table)
-        with pytest.raises(ValidationError):
-            RelInsertion(ContactOrder(1, 3), "c1").check_order(table)
 
     def test_broken_involution_rejected(self):
         with pytest.raises(ValidationError):
@@ -340,11 +316,10 @@ class TestMonodromyTable:
      "inverse map is not an involution at class 'a'"),
     (lambda: MonodromyTable(orders={"a": 1, "b": 2}, inverses={"a": "b", "b": "a"}),
      "class 'a' and its inverse differ in order"),
-    (lambda: MonodromyTable.cyclic(0), "cyclic order must be positive, got 0"),
     (lambda: MonodromyTable.trivial().order_of("q"), "unknown monodromy class 'q'"),
     (lambda: MonodromyTable.trivial().inverse_of("q"), "unknown monodromy class 'q'"),
 ], ids=["non-positive-order", "no-inverse-entry", "unknown-inverse", "not-an-involution",
-        "orders-differ", "cyclic-0", "unknown-order", "unknown-inverse-of"])
+        "orders-differ", "unknown-order", "unknown-inverse-of"])
 def test_monodromy_table_message(build, message):
     with pytest.raises(ValidationError) as info:
         build()

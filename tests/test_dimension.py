@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from orbidegen.contact import ContactOrder, MonodromyTable, floor_bracket
+from orbidegen.contact import ContactOrder, floor_bracket
 from orbidegen.dimension import (
     ABSOLUTE_ORBIFOLD,
     ABSOLUTE_SMOOTH,
@@ -16,6 +16,7 @@ from orbidegen.dimension import (
     virdim,
 )
 from orbidegen.errors import ValidationError
+from orbidegen.inertia import FiniteGroupTable, monodromy_table
 
 
 def rel(k, r=1, shift=0, monodromy="e"):
@@ -232,7 +233,7 @@ class TestSplittingLedger:
             splitting_ledger(plus, minus, dims[:-1], total)
 
     def test_monodromy_inverse_check_with_table(self):
-        table = MonodromyTable.cyclic(3)
+        table = monodromy_table(FiniteGroupTable.cyclic(3))
         plus = ModuliSpec("relative-orbifold", n=2, genus=0, c1A=F(0),
                           rel=(rel(1, 3, monodromy="c1"),), zA=F(1, 3))
         bad_minus = ModuliSpec("relative-orbifold", n=2, genus=0, c1A=F(0),

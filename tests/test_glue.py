@@ -7,7 +7,6 @@ from orbidegen.glue import (
     ApproxChart,
     FredholmSystem,
     NonConvergenceError,
-    builtin_models,
     chart_map,
     correct,
     estimate_constants,
@@ -338,9 +337,7 @@ class TestJacobians:
         assert seen["fd"] == seen["reference"]
 
     def test_builtin_models_all_have_analytic_jacobians(self):
-        models = builtin_models()
-        assert len(models) == 3
-        for system, chart in models:
+        for system, chart in (model() for model in MODELS.values()):
             assert system.derivative is not None
             assert chart.check_right_inverse(system, chart.sample(
                 np.random.default_rng(0))) <= 1e-8

@@ -30,12 +30,14 @@ from orbidegen.graph import (
     validate,
 )
 from orbidegen.graph import _as_code, _canonical_search, _decode, _key_blocks, _union_find
+from orbidegen.inertia import FiniteGroupTable, monodromy_table
 
 LINE = HomologyModel(rank=1, c1=(F(3),), z_pairing=(F(1),),
                      effective=((0,), (1,), (2,), (3,), (4,)))
 ZFREE = HomologyModel(rank=1, c1=(F(1),), z_pairing=(F(0),),
                       effective=((0,), (1,), (2,), (3,), (4,)))
 Z2DIV = MonodromyTable(orders={"e": 1, "h": 2}, inverses={"e": "e", "h": "h"})
+Z3 = monodromy_table(FiniteGroupTable.cyclic(3))
 
 
 def vertex(g=0, a=0, level=0):
@@ -66,7 +68,7 @@ class TestValidate:
         assert "level rule" in rules
 
     def test_balance_violation(self):
-        table = MonodromyTable.cyclic(3)
+        table = Z3
         graph = RelGraph((vertex(), vertex(level=1)),
                          (Edge("relative", (0, 1), ("c1", "c1"), ContactOrder(1, 3)),), ())
         diags = validate(graph, ZFREE, table)
@@ -94,7 +96,7 @@ class TestValidate:
         # z pairs class 1 to 1/2, so the tail sum holds and only r is off
         half = HomologyModel(rank=1, c1=(F(1),), z_pairing=(F(1, 2),), effective=((0,), (1,)))
         graph = RelGraph((vertex(a=1),), (), (Tail(0, "relative", "c1", ContactOrder(1, 2)),))
-        diags = validate(graph, half, MonodromyTable.cyclic(3))
+        diags = validate(graph, half, Z3)
         assert list(map(str, diags)) == [
             "[contact order] tail 0: contact 1/2 has r=2, class 'c1' has order 3"]
 
@@ -206,7 +208,7 @@ class TestContractEdge:
         graph = RelGraph((vertex(), vertex()),
                          (Edge("absolute", (0, 1)), Edge("absolute", (0, 1))), ())
         result = contract_edge(graph, 0)
-        assert len(result.vertices) == 1 and result.edges[0].is_loop()
+        assert len(result.vertices) == 1 and result.edges[0].ends == (0, 0)
 
     def test_relative_edge_refused(self):
         graph = RelGraph((vertex(), vertex(level=1)),

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -276,7 +277,7 @@ class TestCRPolynomial:
     @pytest.mark.parametrize("name,profile", all_test_profiles())
     def test_total_rank_matches_betti(self, name, profile):
         poly = cr_poincare_polynomial(profile)
-        assert sum(m for _, m in poly) == sum(s.total_rank() for s in profile.sectors)
+        assert sum(m for _, m in poly) == sum(sum(s.betti.values()) for s in profile.sectors)
 
     def test_zero_multiplicity_skipped(self):
         group = FiniteGroupTable.cyclic(1)
@@ -323,11 +324,11 @@ class TestPairingCheck:
 
     @pytest.mark.parametrize("name,profile", all_test_profiles())
     def test_rank_invariant_under_inverse_swap(self, name, profile):
-        total = sum(s.total_rank() for s in profile.sectors)
+        total = sum(sum(s.betti.values()) for s in profile.sectors)
         swapped = 0
         for datum in profile.sectors:
             partner = profile.sector_of(inverse_class(profile.group, datum.cls))
-            swapped += partner.total_rank()
+            swapped += sum(partner.betti.values())
         assert swapped == total
 
 
@@ -338,9 +339,12 @@ class TestMonodromyTableFromGroup:
         assert table.inverse_of("c2") == "c2"
 
     def test_cyclic_labels_agree_with_the_contact_table(self):
-        # contact and inertia each state the labeling of Z_n: cj is the class of j
+        # the closed form of Z_n: cj is the class of j, of order n / gcd(n, j),
+        # with inverse c(-j mod n)
         for n in range(1, MAX_TABLE_ORDER + 1):
-            assert monodromy_table(FiniteGroupTable.cyclic(n)) == MonodromyTable.cyclic(n)
+            oracle = MonodromyTable(orders={f"c{j}": n // math.gcd(n, j) for j in range(n)},
+                                    inverses={f"c{j}": f"c{-j % n}" for j in range(n)})
+            assert monodromy_table(FiniteGroupTable.cyclic(n)) == oracle
 
 
 def dihedral8_table() -> FiniteGroupTable:

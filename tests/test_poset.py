@@ -343,7 +343,7 @@ def test_maximal_element_is_one_vertex():
 
 DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 Z2 = MonodromyTable(orders={"e": 1, "h": 2}, inverses={"e": "e", "h": "h"})
-Z3 = MonodromyTable.cyclic(3)
+Z3 = monodromy_table(FiniteGroupTable.cyclic(3))
 T11 = [("relative", "e", (1, 1)), ("relative", "e", (1, 1))]
 TZ2 = [("relative", "h", (1, 2)), ("relative", "h", (3, 2))]
 
@@ -354,7 +354,7 @@ WALK_CASES = [
     ("g0_v4", None, 0, 2, T11, 4, 1, ("e",), None),
     ("z2_g0_v3", Z2, 0, 2, TZ2, 3, 1, ("e", "h"), None),
     ("z2_g1_v2", Z2, 1, 2, TZ2 + [("absolute", "h", None)], 2, 1, ("e", "h"), None),
-    ("z2grp_g0_v3", MonodromyTable.cyclic(2), 0, 2,
+    ("z2grp_g0_v3", monodromy_table(FiniteGroupTable.cyclic(2)), 0, 2,
      [("relative", "c1", (1, 2)), ("relative", "c1", (3, 2))], 3, 1, ("c0", "c1"), None),
     ("lvl2_g0_v3_k2", None, 0, 2, T11, 3, 2, ("e",), 2),
     ("lvl2_g1_v2_k2", None, 1, 2, T11 + [("absolute", "e", None)], 2, 2, ("e",), 2),

@@ -47,6 +47,7 @@ from orbidegen.inertia import (
     PairingReport,
     PairingViolation,
     SectorDatum,
+    monodromy_table,
 )
 from orbidegen.io import InputDocument, LedgerDocument
 
@@ -76,7 +77,7 @@ SECTOR_REPR = f"SectorDatum(cls={H_REPR}, rotations=(Fraction(1, 2),), betti={{0
 # one instance of every record, and its repr as the dataclass printed it
 RECORDS = {
     "ContactOrder": (HALF, "ContactOrder(k=1, r=2)"),
-    "MonodromyTable": (MonodromyTable.cyclic(2), "MonodromyTable(orders={'c0': 1, 'c1': 2}, "
+    "MonodromyTable": (monodromy_table(Z2), "MonodromyTable(orders={'c0': 1, 'c1': 2}, "
                        "inverses={'c0': 'c0', 'c1': 'c1'})"),
     "RelInsertion": (RelInsertion(HALF, "h", "b1"), "RelInsertion(order=ContactOrder(k=1, r=2), "
                      "monodromy='h', basis_label='b1')"),
@@ -152,7 +153,7 @@ GLUE = ("FredholmSystem", "ApproxChart", "ConditionReport", "GlueConstants", "Co
 # (record, field, bad value, the message the frozen dataclass raised)
 CHECKED = [
     (HALF, "k", 0, "contact order needs k>0 and r>0, got k=0, r=2"),
-    (MonodromyTable.cyclic(2), "inverses", {"c0": "c0", "c1": "c0"},
+    (RECORDS["MonodromyTable"][0], "inverses", {"c0": "c0", "c1": "c0"},
      "inverse map is not an involution at class 'c1'"),
     (RECORDS["HomologyModel"][0], "effective", ((1,),),
      "the zero class must be in the effective list"),
@@ -228,7 +229,6 @@ def test_group_table_checks_on_first_read_not_through_a_copied_cache():
 def test_sector_without_betti_gets_its_own_table():
     a, b = SectorDatum(E_CLASS, (F(0),)), SectorDatum(E_CLASS, (F(0),))
     assert a.betti == {} and a.betti is not b.betti
-    assert a.total_rank() == 0
 
 
 def test_input_document_starts_with_its_own_empty_sections():
