@@ -67,10 +67,10 @@ def _add_graphs(sub) -> None:
         p.add_argument("--level", type=int)
     with _command(gsub, "poset", dot=True) as p:
         p.add_argument("--graph")
-        p.add_argument("--max-vertices", type=int, default=2)
-        p.add_argument("--max-levels", type=int, default=1)
+        p.add_argument("--max-vertices", type=int)
+        p.add_argument("--max-levels", type=int)
         p.add_argument("--edge-monodromies")
-        p.add_argument("--max-edge-contact", type=int, default=None)
+        p.add_argument("--max-edge-contact", type=int)
 
 
 def _add_dim(sub) -> None:
@@ -105,8 +105,8 @@ def _add_glue(sub) -> None:
     glsub = gl.add_subparsers(dest="glue_command", required=True)
     with _command(glsub, "demo", reads=False) as p:
         p.add_argument("model", choices=["sphere", "node", "linear"])
-        p.add_argument("--tau", type=float, default=0.25)
-        p.add_argument("--scale", type=float, default=1.0)
+        p.add_argument("--tau", type=float)
+        p.add_argument("--scale", type=float)
         p.add_argument("--samples", type=int, default=200)
         p.add_argument("--probes", type=int, default=100)
         p.add_argument("--seed", type=int, default=0)

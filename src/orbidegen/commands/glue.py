@@ -19,7 +19,9 @@ _MODELS = {"sphere": (glue.sphere_model, "scale"), "node": (glue.node_model, "ta
 
 def cmd_demo(args) -> int:
     build, option = _MODELS[args.model]
-    setting = {option: getattr(args, option)} if option else {}
+    # the model's setting when given; the builder owns its default
+    value = getattr(args, option) if option else None
+    setting = {option: value} if value is not None else {}
     try:
         # overflow and 0/0 stay silent: the finite checks report them by model
         with np.errstate(all="ignore"):

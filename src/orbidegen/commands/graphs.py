@@ -5,7 +5,7 @@ from __future__ import annotations
 import sys
 
 from ..contact import MonodromyTable
-from ..errors import ValidationError
+from ..errors import ValidationError, named
 from ..graph import (
     PosetBounds,
     bullet_genus,
@@ -60,7 +60,7 @@ def cmd_validate(args) -> int:
 def cmd_genus(args) -> int:
     name, graph, homology, table = _load_graph(args)
     _well_formed(graph, name, homology, table)
-    value, cls = bullet_genus(graph), total_class(graph)
+    value, cls = bullet_genus(graph), named(f"graph {name}", total_class, graph)
     emit(args, {"graph": name, "genus": value, "total_class": list(cls),
                 "connected": is_connected(graph)},
          [f"graph {name}: genus {value}, total class ({','.join(str(x) for x in cls)})"])
@@ -72,10 +72,9 @@ def cmd_contract(args) -> int:
     if (args.edge is None) == (args.level is None):
         raise ValidationError("pass exactly one of --edge or --level")
     _well_formed(graph, name, homology, table)
-    if args.edge is not None:
-        result = contract_edge(graph, args.edge)
-    else:
-        result = contract_level(graph, args.level)
+    move, index = ((contract_edge, args.edge) if args.edge is not None
+                   else (contract_level, args.level))
+    result = named(f"graph {name}", move, graph, index)
     if args.dot:
         sys.stdout.write(to_dot(result, name=f"{name}_contracted"))
         return 0
@@ -104,8 +103,10 @@ def cmd_poset(args) -> int:
 
     menu = (parse_list(args.edge_monodromies, "--edge-monodromies", known_label)
             if args.edge_monodromies is not None else None)
-    bounds = PosetBounds(max_vertices=args.max_vertices, max_levels=args.max_levels,
-                         edge_monodromies=menu, max_edge_contact_numerator=args.max_edge_contact)
+    # only the caps given: PosetBounds owns the defaults of the others
+    caps = {"max_vertices": args.max_vertices, "max_levels": args.max_levels,
+            "edge_monodromies": menu, "max_edge_contact_numerator": args.max_edge_contact}
+    bounds = PosetBounds(**{cap: value for cap, value in caps.items() if value is not None})
     try:
         genus_total = genus(graph)
     except ValidationError:  # genus takes connected graphs with a vertex only

@@ -157,7 +157,7 @@ def _sup(scored) -> tuple[float, tuple[float, ...]]:
 def estimate_constants(
     system: FredholmSystem,
     chart: ApproxChart,
-    sample_count: int = 200,
+    sample_count: int,
     seed: int = 0,
 ) -> GlueConstants:
     """Monte-Carlo estimates of the uniform-continuity constant C1, the chart

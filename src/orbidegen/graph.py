@@ -595,7 +595,7 @@ class PosetBounds(checked_record("PosetBounds", "max_vertices max_levels edge_mo
 
     __slots__ = ()
 
-    def __new__(klass, max_vertices: int, max_levels: int = 1,
+    def __new__(klass, max_vertices: int = 2, max_levels: int = 1,
                 edge_monodromies: tuple[str, ...] | None = None,
                 max_edge_contact_numerator: int | None = None) -> PosetBounds:
         self = super().__new__(klass, max_vertices, max_levels, edge_monodromies,
@@ -719,7 +719,7 @@ def stratification_poset(
     tails: Sequence[Tail],
     homology: HomologyModel,
     classes: MonodromyTable | None = None,
-    bounds: PosetBounds = PosetBounds(max_vertices=2),
+    bounds: PosetBounds = PosetBounds(),
 ) -> StratPoset:
     """All valid graphs (canonical, deterministic order) contracting to the
     one-vertex graph with the given decorations, with single-contraction covers;

@@ -120,6 +120,14 @@ def _field(mapping: Any, key: str, where: str, read, default: Any = ...) -> Any:
     return read(_require(mapping, key, where), f"{where}.{key}")
 
 
+def _optional(mapping: Any, where: str, **reads) -> dict:
+    """The members named in `reads` that `mapping` has, each read by its
+    reader, as keyword arguments: an omitted one takes the default of the
+    record or function they are passed to."""
+    given = _object(mapping, where)
+    return {key: read(given[key], f"{where}.{key}") for key, read in reads.items() if key in given}
+
+
 def _contact(value: Any, where: str) -> ContactOrder | None:
     """The raw 'k/r' form of a contact order ('k' alone means r=1), or None."""
     if value is None:
@@ -229,7 +237,7 @@ def _read_group(doc: InputDocument, name: str, where: str, entry: Any) -> None:
     elif form == "table":
         rows = _field(entry, "table", where, _array_of(_integers))
         group = named(where, FiniteGroupTable.from_rows, rows,
-                      _field(entry, "identity", where, _integer, 0))
+                      **_optional(entry, where, identity=_integer))
     else:
         raise ValidationError(f"{where}: needs 'cyclic' or 'table'")
     doc.groups[name] = group
@@ -255,6 +263,11 @@ def _read_class_table(doc: InputDocument, name: str, where: str, entry: Any) -> 
         raise ValidationError(f"{where}: needs 'trivial', 'group', or 'labels'")
 
 
+def _betti(value: Any, where: str) -> dict[int, int]:
+    return {_integer(k, where): _integer(v, f"{where}.{k}")
+            for k, v in _object(value, where).items()}
+
+
 def _read_profile(doc: InputDocument, name: str, where: str, entry: Any) -> None:
     from .inertia import CRProfile, SectorDatum, class_label
 
@@ -264,13 +277,9 @@ def _read_profile(doc: InputDocument, name: str, where: str, entry: Any) -> None
 
     def sector(sec: Any, at: str) -> SectorDatum:
         label = _known(_field(sec, "class", at, _string), by_label, "class label", at)
-        betti = _field(sec, "betti", at, _object, {})
-        return named(
-            at, SectorDatum,
-            cls=by_label[label],
-            rotations=_field(sec, "rotations", at, _rationals),
-            betti={_integer(k, f"{at}.betti"): _integer(v, f"{at}.betti.{k}")
-                   for k, v in betti.items()})
+        return named(at, SectorDatum, cls=by_label[label],
+                     rotations=_field(sec, "rotations", at, _rationals),
+                     **_optional(sec, at, betti=_betti))
 
     doc.profiles[name] = named(
         where, CRProfile,
@@ -294,20 +303,17 @@ def _read_graph(doc: InputDocument, name: str, where: str, entry: Any) -> None:
 
     def vertex(v: Any, at: str) -> Vertex:
         return Vertex(genus=_field(v, "genus", at, _integer),
-                      cls=_field(v, "class", at, _integers),
-                      level=_field(v, "level", at, _integer, 0))
+                      cls=_field(v, "class", at, _integers), **_optional(v, at, level=_integer))
 
     def edge(e: Any, at: str) -> Edge:
         return Edge(kind=_field(e, "kind", at, _string),
                     ends=_field(e, "ends", at, _pair_of(_integer)),
-                    halves=_field(e, "halves", at, _pair_of(_string), ("e", "e")),
-                    contact=_field(e, "contact", at, _contact, None))
+                    **_optional(e, at, halves=_pair_of(_string), contact=_contact))
 
     def tail(t: Any, at: str) -> Tail:
         return Tail(vertex=_field(t, "vertex", at, _integer),
                     kind=_field(t, "kind", at, _string),
-                    monodromy=_field(t, "monodromy", at, _string, "e"),
-                    contact=_field(t, "contact", at, _contact, None))
+                    **_optional(t, at, monodromy=_string, contact=_contact))
 
     hname = _known(_field(entry, "homology", where, _string), doc.homology,
                    "homology model", where)
@@ -348,7 +354,7 @@ def _read_scenario(doc: InputDocument, name: str, where: str, entry: Any) -> Non
 
     def insertion(a: Any, at: str) -> AbsInsertion:
         return AbsInsertion(label=_field(a, "label", at, _string),
-                            descendant=_field(a, "descendant", at, _integer, 0))
+                            **_optional(a, at, descendant=_integer))
 
     hname = _known(_field(entry, "homology", where, _string), doc.homology,
                    "homology model", where)
@@ -396,8 +402,7 @@ def _rel_term(term: Any, at: str) -> RelTerm:
     order = _field(term, "contact", at, _contact)
     if order is None:
         raise ValidationError(f"{at}: contact order must be a 'k/r' string")
-    return RelTerm(order=order, shift=_field(term, "shift", at, _rational, Fraction(0)),
-                   monodromy=_field(term, "monodromy", at, _string, "e"))
+    return RelTerm(order=order, **_optional(term, at, shift=_rational, monodromy=_string))
 
 
 def _moduli_spec(data: Any, where: str) -> ModuliSpec:
@@ -409,9 +414,7 @@ def _moduli_spec(data: Any, where: str) -> ModuliSpec:
         n=_field(data, "n", where, _integer),
         genus=_field(data, "genus", where, _integer),
         c1A=_field(data, "c1A", where, _rational),
-        shifts=_field(data, "shifts", where, _rationals, ()),
-        rel=_field(data, "rel", where, _array_of(_rel_term), ()),
-        zA=_field(data, "zA", where, _rational, Fraction(0)))
+        **_optional(data, where, shifts=_rationals, rel=_array_of(_rel_term), zA=_rational))
 
 
 def load_ledger(text: str) -> LedgerDocument:
@@ -442,9 +445,10 @@ def parse_rel(text: str) -> tuple[RelTerm, ...]:
             raise ValidationError(
                 f"{where}: expected 'k/r[:shift[:monodromy]]', got {len(parts)} fields")
         order = _contact(parts[0], where)
-        shift = _rational(parts[1], where) if len(parts) > 1 and parts[1] else Fraction(0)
-        monodromy = parts[2] if len(parts) > 2 else "e"
-        terms.append(RelTerm(order=order, shift=shift, monodromy=monodromy))
+        # an empty or omitted shift, and an omitted monodromy, take RelTerm's defaults
+        shift = {"shift": _rational(parts[1], where)} if len(parts) > 1 and parts[1] else {}
+        monodromy = {"monodromy": parts[2]} if len(parts) > 2 else {}
+        terms.append(RelTerm(order, **shift, **monodromy))
     return tuple(terms)
 
 

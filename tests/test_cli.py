@@ -197,6 +197,18 @@ class TestDefaults:
         assert report["nodes"] == len(poset.nodes)
         assert report["covers"] == [list(c) for c in poset.covers]
 
+    @pytest.mark.parametrize("argv,spelled", [
+        (["graphs", "poset", "--in", str(DATA / "graphs.json"), "--graph", "gmax"],
+         ["--max-vertices", "2", "--max-levels", "1"]),
+        (["glue", "demo", "node"], ["--tau", "0.25"]),
+        (["glue", "demo", "sphere"], ["--scale", "1"]),
+    ], ids=["poset", "glue-node", "glue-sphere"])
+    def test_omitted_option_is_the_library_default(self, argv, spelled):
+        # the command passes only the options given
+        rc, out, err = capture(argv)
+        assert rc == 0 and err == ""
+        assert capture(argv + spelled) == (0, out, "")
+
     def test_expand_node_count_bounded_by_z_total(self):
         # a million-node cap adds nothing past z_total * (largest menu order)
         # nodes, here 2, and runs at once
@@ -370,30 +382,11 @@ print("orbidegen.cli" in sys.modules, code, file=sys.stderr)
         assert proc.stdout == (GOLDEN / "sectors_z3.txt").read_bytes()
         assert proc.stderr == b"False 0\n"
 
-    def test_package_root_resolves_names_on_first_access(self):
-        script = """
-import sys
-import orbidegen
-assert not [m for m in sys.modules if m.startswith("orbidegen.")]
-names = {}
-exec("from orbidegen import *", names)
-assert sorted(set(names) - {"__builtins__"}) == sorted(orbidegen.__all__)
-from orbidegen import contact, graph
-for name, module in [("ContactOrder", contact), ("MonodromyTable", contact),
-                     ("RelInsertion", contact), ("HomologyModel", graph),
-                     ("RelGraph", graph)]:
-    assert getattr(orbidegen, name) is getattr(module, name) is names[name], name
-try:
-    orbidegen.NoSuchName
-except AttributeError as exc:
-    assert "NoSuchName" in str(exc)
-else:
-    raise AssertionError("orbidegen.NoSuchName resolved")
-print("ok")
-"""
-        proc = python("-c", script)
+    def test_package_root_loads_no_submodule(self):
+        proc = python("-c", "import sys, orbidegen; "
+                            "print([m for m in sys.modules if m.startswith('orbidegen.')])")
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == b"ok\n"
+        assert proc.stdout == b"[]\n"
 
     def test_glue_error_type_is_shared(self):
         from orbidegen import errors, glue
@@ -476,6 +469,19 @@ class TestMalformedInputExits1:
                "graphs": [{"name": "g", "homology": "h", "vertices": vertices}]}
         err = self.run_on(tmp_path, json.dumps(doc), ["graphs", "poset", "--graph", "g"])
         assert err == f"error: graph g {state}; a poset needs a connected graph\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["genus"], "graph has no vertices"),
+        (["contract", "--edge", "0"], "edge index 0 out of range"),
+        (["contract", "--level", "0"], "levels 0 and 1 are not both occupied"),
+    ], ids=["genus", "contract-edge", "contract-level"])
+    def test_graph_errors_name_the_graph(self, tmp_path, argv, message):
+        doc = {"schema": "orbi-degen/1",
+               "homology": [{"name": "h", "rank": 1, "c1": ["0"], "z_pairing": ["0"],
+                             "effective": [[0]]}],
+               "graphs": [{"name": "void", "homology": "h"}]}
+        err = self.run_on(tmp_path, json.dumps(doc), ["graphs", *argv, "--graph", "void"])
+        assert err == f"error: graph void: {message}\n"
 
     def test_null_cyclic_order(self, tmp_path):
         doc = json.loads((DATA / "ex_z3.json").read_text())

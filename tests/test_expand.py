@@ -653,6 +653,31 @@ def test_candidate_count_matches_a_brute_force_walk(sc, homology):
     assert predicted_candidates(sc, homology) == brute_force_candidates(sc, homology) > 0
 
 
+def brute_force_connected(g):
+    """Whether g's vertices are joined by its edges, by a union-find of its own."""
+    parent = list(range(len(g.vertices)))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for a, b in (e.ends for e in g.edges):
+        parent[root(a)] = root(b)
+    return len({root(v) for v in range(len(parent))}) == 1
+
+
+def test_splitting_mass_counts_the_connected_brute_force_candidates():
+    """The check of test_splitting_mass_counts_the_connected_candidates
+    without a hook on the walk: the connected candidates are those of
+    brute_force_glued that brute_force_connected joins; the roadmap rung,
+    last, has 25,316 candidates and 8,212 connected."""
+    for sc, homology in pinned_scenarios() + [(roadmap_scenario(), ROADMAP_LINE)]:
+        joined = Counter(map(brute_force_connected, brute_force_glued(sc, homology)))
+        assert sum(map(splitting_mass, enumerate_splittings(sc, homology))) == joined[True]
+    assert (joined[False] + joined[True], joined[True]) == (25316, 8212)
+
+
 def decorated_multigraph(nx, g, labels):
     """g as a networkx MultiGraph: a node per vertex decorated (level, genus,
     class), an edge per node edge decorated (half, half, k, r), its level-0
@@ -714,7 +739,8 @@ def isomorphic(multi_1, multi_2):
         edge_match).is_isomorphic()
 
 
-@pytest.mark.parametrize("sc,homology", BRUTE_CASES, ids=BRUTE_IDS)
+@pytest.mark.parametrize("sc,homology", BRUTE_CASES + pinned_scenarios(),
+                         ids=BRUTE_IDS + [f"pinned-{i}" for i in range(len(pinned_scenarios()))])
 def test_splittings_match_an_independent_oracle(sc, homology):
     """The matchings are the isomorphism classes of the connected labeled
     candidates, found by networkx without the library: one matching per

@@ -1,3 +1,4 @@
+import copy
 import json
 from fractions import Fraction as F
 
@@ -5,7 +6,7 @@ import pytest
 
 from orbidegen.contact import ContactOrder, MonodromyTable
 from orbidegen.errors import ValidationError
-from orbidegen.io import _contact, _integer, _rational, load_document
+from orbidegen.io import _contact, _integer, _rational, load_document, load_ledger, parse_rel
 
 
 class TestContactParsing:
@@ -51,3 +52,64 @@ def test_trivial_class_table_loads():
     doc = load_document(json.dumps({"schema": "orbi-degen/1",
                                     "classes": [{"name": "t", "trivial": True}]}))
     assert doc.classes["t"] == MonodromyTable.trivial()
+
+
+HOMOLOGY = [{"name": "h", "rank": 1, "c1": ["0"], "z_pairing": ["0"], "effective": [[0]]}]
+GRAPH = {"schema": "orbi-degen/1", "homology": HOMOLOGY,
+         "graphs": [{"name": "g", "homology": "h", "vertices": [{"genus": 0, "class": [0]}],
+                     "edges": [{"kind": "absolute", "ends": [0, 0]}],
+                     "tails": [{"vertex": 0, "kind": "absolute"}]}]}
+GROUP = {"schema": "orbi-degen/1", "groups": [{"name": "g", "table": [[0]]}],
+         "profiles": [{"name": "p", "group": "g", "ambient_dim": 1,
+                       "sectors": [{"class": "c0", "rotations": ["0"]}]}]}
+SCENARIO = {"schema": "orbi-degen/1", "homology": HOMOLOGY,
+            "scenarios": [{"name": "s", "homology": "h", "genus": 0, "absolute": [{"label": "a"}],
+                           "splittings": [[[0], [0]]], "max_nodes": 0, "z_total": "0",
+                           "monodromy_menu": [{"label": "e", "order": 1, "inverse": "e"}]}]}
+LEDGER = {"schema": "orbi-degen/1",
+          "plus": {"flavor": "relative-orbifold", "n": 2, "genus": 0, "c1A": "3",
+                   "rel": [{"contact": "1/1"}], "zA": "1"},
+          "total": {"flavor": "absolute-orbifold", "n": 2, "genus": 0, "c1A": "2"}}
+
+
+def graph_part(kind):
+    return lambda text: getattr(load_document(text).graphs["g"], kind)[0]
+
+
+# member -> (a document omitting it, the path to its object, the default that
+# the record or function it is passed to states, the record read)
+OMITTED_MEMBERS = {
+    "Vertex.level": (GRAPH, ("graphs", 0, "vertices", 0), 0, graph_part("vertices")),
+    "Edge.halves": (GRAPH, ("graphs", 0, "edges", 0), ["e", "e"], graph_part("edges")),
+    "Edge.contact": (GRAPH, ("graphs", 0, "edges", 0), None, graph_part("edges")),
+    "Tail.monodromy": (GRAPH, ("graphs", 0, "tails", 0), "e", graph_part("tails")),
+    "Tail.contact": (GRAPH, ("graphs", 0, "tails", 0), None, graph_part("tails")),
+    "FiniteGroupTable.identity": (GROUP, ("groups", 0), 0,
+                                  lambda text: load_document(text).groups["g"]),
+    "SectorDatum.betti": (GROUP, ("profiles", 0, "sectors", 0), {},
+                          lambda text: load_document(text).profiles["p"].sectors[0]),
+    "AbsInsertion.descendant": (SCENARIO, ("scenarios", 0, "absolute", 0), 0,
+                                lambda text: load_document(text).scenarios["s"].absolute[0]),
+    "RelTerm.shift": (LEDGER, ("plus", "rel", 0), "0", lambda text: load_ledger(text).plus),
+    "RelTerm.monodromy": (LEDGER, ("plus", "rel", 0), "e", lambda text: load_ledger(text).plus),
+    "ModuliSpec.shifts": (LEDGER, ("total",), [], lambda text: load_ledger(text).total),
+    "ModuliSpec.rel": (LEDGER, ("total",), [], lambda text: load_ledger(text).total),
+    "ModuliSpec.zA": (LEDGER, ("total",), "0", lambda text: load_ledger(text).total),
+}
+
+
+@pytest.mark.parametrize("member", OMITTED_MEMBERS)
+def test_an_omitted_member_takes_the_library_default(member):
+    doc, path, default, record = OMITTED_MEMBERS[member]
+    key = member.split(".")[1]
+    spelled = copy.deepcopy(doc)
+    target = spelled
+    for step in path:
+        target = target[step]
+    assert key not in target
+    target[key] = default
+    assert record(json.dumps(doc)) == record(json.dumps(spelled))
+
+
+def test_omitted_rel_fields_take_the_library_defaults():
+    assert parse_rel("3/2") == parse_rel("3/2::e") == parse_rel("3/2:0:e")
