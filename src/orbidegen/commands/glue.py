@@ -19,6 +19,9 @@ _MODELS = {"sphere": (glue.sphere_model, "scale"), "node": (glue.node_model, "ta
 
 def cmd_demo(args) -> int:
     build, option = _MODELS[args.model]
+    for other in [name for _, name in _MODELS.values() if name not in (None, option)]:
+        if getattr(args, other) is not None:
+            raise ValidationError(f"glue demo {args.model} takes no --{other}")
     # the model's setting when given; the builder owns its default
     value = getattr(args, option) if option else None
     setting = {option: value} if value is not None else {}

@@ -33,9 +33,9 @@ def _load_graph(args):
 
 
 def _well_formed(graph, name: str, homology, table) -> None:
-    """Stop at the first "structure" diagnostic: genus, total_class and the
-    contraction moves index vertices by edge and tail endpoints and add vertex
-    classes entry by entry."""
+    """Stop at the first "structure" diagnostic: genus and total_class need a
+    vertex, and they and the contraction moves index vertices by edge and tail
+    endpoints and add vertex classes entry by entry."""
     broken = [d for d in validate(graph, homology, table) if d.rule == "structure"]
     if broken:
         raise ValidationError(f"graph {name} is malformed: {broken[0]}")
@@ -60,7 +60,7 @@ def cmd_validate(args) -> int:
 def cmd_genus(args) -> int:
     name, graph, homology, table = _load_graph(args)
     _well_formed(graph, name, homology, table)
-    value, cls = bullet_genus(graph), named(f"graph {name}", total_class, graph)
+    value, cls = bullet_genus(graph), total_class(graph)
     emit(args, {"graph": name, "genus": value, "total_class": list(cls),
                 "connected": is_connected(graph)},
          [f"graph {name}: genus {value}, total class ({','.join(str(x) for x in cls)})"])
@@ -109,9 +109,9 @@ def cmd_poset(args) -> int:
     bounds = PosetBounds(**{cap: value for cap, value in caps.items() if value is not None})
     try:
         genus_total = genus(graph)
-    except ValidationError:  # genus takes connected graphs with a vertex only
-        state = "is disconnected" if graph.vertices else "has no vertices"
-        raise ValidationError(f"graph {name} {state}; a poset needs a connected graph") from None
+    except ValidationError:  # genus takes connected graphs only
+        raise ValidationError(
+            f"graph {name} is disconnected; a poset needs a connected graph") from None
     poset = stratification_poset(genus_total, total_class(graph), graph.tails, homology,
                                  table, bounds)
     if args.dot:

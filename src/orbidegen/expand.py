@@ -357,7 +357,6 @@ def _term_heads(contacts: tuple[ContactOrder, ...], monodromies: tuple[str, ...]
     for j, node in enumerate(zip(contacts, monodromies)):
         ties.setdefault(node, []).append(j)
     groups = [group for group in ties.values() if len(group) > 1]
-    coefficient_of: dict[int, Fraction] = {}  # |Aut| -> ell * |Aut|
     heads = []
     for labels in itertools.product(*map(labels_on.__getitem__, monodromies)):
         if total_degree is not None and sum(map(degree_of.__getitem__, labels)) != total_degree:
@@ -365,9 +364,7 @@ def _term_heads(contacts: tuple[ContactOrder, ...], monodromies: tuple[str, ...]
         aut = 1
         for group in groups:
             aut *= _multiset_aut([labels[j] for j in group])
-        coefficient = coefficient_of.get(aut)
-        if coefficient is None:
-            coefficient = coefficient_of[aut] = ell * aut
+        coefficient = ell * aut
         heads.append((labels, coefficient, f"coeff={coefficient} I=({','.join(labels)}"))
     return heads
 

@@ -13,8 +13,9 @@ Each sample works on arrays of 1 to 4 entries, where a NumPy call costs more
 than its arithmetic, so the per-sample path makes few calls: a float array
 passes `_as_vec` as itself, and every norm is computed as `np.linalg.norm`
 computes it, to the bit (`_norm`: the square root of the raveled dot
-product; `_spectral`: the largest singular value, for B2, C5 and C6 from one
-stacked SVD per bound).  The model callbacks still run once per point.
+product; `_spectral_each`: the largest singular value of each matrix, for
+B2, C5 and C6 from one stacked SVD per bound).  The model callbacks still
+run once per point.
 """
 
 from __future__ import annotations
@@ -49,12 +50,6 @@ def _norm(x: np.ndarray) -> float:
     the square root of the dot product of x raveled in memory order."""
     x = x.ravel(order="K")
     return math.sqrt(x.dot(x))
-
-
-def _spectral(m: np.ndarray) -> float:
-    """float(np.linalg.norm(m, 2)) of a 2-D float array: its largest singular
-    value, taken as NumPy takes it."""
-    return float(np.linalg.svd(m, compute_uv=False).max(axis=-1, initial=0))
 
 
 def _spectral_each(matrices: list) -> list[float]:
@@ -132,7 +127,7 @@ class ApproxChart(namedtuple("ApproxChart", "param right_inverse s_low s_high na
     def check_right_inverse(self, system: FredholmSystem, s) -> float:
         s = _as_vec(s)
         residual = system.jacobian(self.x(s)) @ self.q(s) - np.eye(system.dim_f)
-        return _spectral(residual)
+        return _spectral_each([residual])[0]
 
 
 class ConditionReport(namedtuple("ConditionReport", "name estimate witness ok note",
@@ -335,11 +330,11 @@ def chart_map(system: FredholmSystem, chart: ApproxChart, s, eta) -> ChartMapRes
     # reparameterize the s-block to unit speed: dx = T R with T orthonormal
     r_factor = np.linalg.qr(dx, mode="r")
     if abs(np.linalg.det(r_factor)) < 1e-12:
-        norm = _spectral(jac)
+        norm = _spectral_each([jac])[0]
     else:
         jac_s = jac[:, : s.size] @ np.linalg.inv(r_factor)
         jac_full = np.hstack([jac_s, jac[:, s.size:]])
-        norm = _spectral(jac_full)
+        norm = _spectral_each([jac_full])[0]
     return ChartMapResult(point=point, derivative_norm=norm, within_bound=norm <= 2.0)
 
 

@@ -145,6 +145,8 @@ def validate(
     table = classes if classes is not None else MonodromyTable.trivial()
     diags: list[Diagnostic] = []
     nv = len(graph.vertices)
+    if not nv:
+        diags.append(Diagnostic("structure", "graph", "graph has no vertices"))
 
     for i, vertex in enumerate(graph.vertices):
         if vertex.genus < 0:
@@ -369,7 +371,6 @@ def _contact_key(contact: ContactOrder | None) -> tuple[int, int]:
     return (contact.k, contact.r) if contact is not None else (0, 0)
 
 
-@functools.cache  # ContactOrder is frozen; the keys are the input's contact orders
 def _contact_of(key: tuple[int, int]) -> ContactOrder | None:
     return ContactOrder(*key) if key != (0, 0) else None
 
@@ -509,26 +510,21 @@ def _canonical_search(code: tuple) -> tuple[tuple, int]:
     base-key-respecting vertex relabelings, and how many relabelings reach it:
     two tie exactly when they differ by a decoration-preserving symmetry, and
     every symmetry respects the base keys (which hold the tail index, so a
-    symmetry fixes every tail).  A base key starts with the vertex
-    decoration, so when no two vertices share a decoration the decorations
-    alone give the order and the base keys are never built."""
+    symmetry fixes every tail), so the tie count is the order of the symmetry
+    group.  A base key starts with the vertex decoration, so when no two
+    vertices share a decoration the decorations alone give the order and the
+    base keys are never built.  Otherwise the vertices are sorted into
+    equal-key blocks, each block takes the next positions, and only blocks of
+    two or more vertices are permuted."""
     vs = code[0]
+    perm = [0] * len(vs)
     if _distinct_decorations(vs):
-        perm = [0] * len(vs)
         for pos, v in enumerate(sorted(range(len(vs)), key=vs.__getitem__)):
             perm[v] = pos
         return _relabel(code, perm), 1
-    return _block_search(code, _key_blocks(code))
-
-
-def _block_search(code: tuple, blocks: list[list[int]]) -> tuple[tuple, int]:
-    """_canonical_search over the base-key blocks of `code`: each block takes
-    the next positions, and only blocks of two or more vertices are permuted,
-    so all-singleton blocks cost one relabeling."""
-    perm = [0] * len(code[0])
     shuffled = []  # (first position, block) of every multi-vertex block
     budget, pos = 1, 0
-    for block in blocks:
+    for block in _key_blocks(code):
         for offset, v in enumerate(block):
             perm[v] = pos + offset
         if len(block) > 1:
@@ -570,18 +566,14 @@ def automorphism_order(graph: RelGraph) -> int:
     every vertex that carries one: two identically decorated tails are never
     exchanged, and only tail-less vertices can move.  The multiset symmetry of
     equal insertions enters each term's coefficient in expand, so counting it
-    here as well would count it twice.  A symmetry keeps each vertex in its
-    base-key block, so when the tail-less vertices have distinct decorations,
-    or every block is one vertex, the group is trivial and no least encoding
-    is built; in the first case neither the encoding nor a base key is.
+    here as well would count it twice.  The order is the tie count of the
+    least-encoding search that canonical_form runs.  When the tail-less
+    vertices have distinct decorations the group is trivial and no encoding
+    is built.
     """
     if not graph.vertices or _distinct_decorations(graph.vertices, graph.tails):
         return 1
-    code = _as_code(graph)
-    blocks = _key_blocks(code)
-    if all(len(block) == 1 for block in blocks):
-        return 1
-    return _block_search(code, blocks)[1]
+    return _canonical_search(_as_code(graph))[1]
 
 
 class PosetBounds(checked_record("PosetBounds", "max_vertices max_levels edge_monodromies "

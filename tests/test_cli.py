@@ -159,6 +159,12 @@ class TestExitCodes:
         rc, out, _ = capture(["graphs", "validate", "--in", str(path), "--graph", "g"])
         assert rc == 1 and "tail sum" in out
 
+    def test_graph_without_vertices(self):
+        rc, out, _ = capture(["graphs", "validate", "--in",
+                              str(ROOT / "tests" / "data" / "graphs_void.json")])
+        assert rc == 1
+        assert out == "graph void: 1 violation(s)\n  [structure] graph: graph has no vertices\n"
+
 
 class TestDefaults:
     def test_poset_edge_menu_is_the_order_one_labels(self, tmp_path):
@@ -458,30 +464,32 @@ class TestMalformedInputExits1:
         err = self.run_on(tmp_path, json.dumps(doc), ["sectors"])
         assert err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("vertices,state", [
-        ([{"genus": 0, "class": [0]}] * 2, "is disconnected"),
-        ([], "has no vertices"),
+    @pytest.mark.parametrize("vertices,message", [
+        ([{"genus": 0, "class": [0]}] * 2, "is disconnected; a poset needs a connected graph"),
+        ([], "is invalid: [structure] graph: graph has no vertices"),
     ], ids=["disconnected", "no-vertices"])
-    def test_poset_needs_a_connected_graph(self, tmp_path, vertices, state):
+    def test_poset_needs_a_connected_graph(self, tmp_path, vertices, message):
         doc = {"schema": "orbi-degen/1",
                "homology": [{"name": "h", "rank": 1, "c1": ["0"], "z_pairing": ["0"],
                              "effective": [[0]]}],
                "graphs": [{"name": "g", "homology": "h", "vertices": vertices}]}
         err = self.run_on(tmp_path, json.dumps(doc), ["graphs", "poset", "--graph", "g"])
-        assert err == f"error: graph g {state}; a poset needs a connected graph\n"
+        assert err == f"error: graph g {message}\n"
 
-    @pytest.mark.parametrize("argv,message", [
-        (["genus"], "graph has no vertices"),
-        (["contract", "--edge", "0"], "edge index 0 out of range"),
-        (["contract", "--level", "0"], "levels 0 and 1 are not both occupied"),
+    @pytest.mark.parametrize("argv,vertices,message", [
+        (["genus"], [], " is malformed: [structure] graph: graph has no vertices"),
+        (["contract", "--edge", "0"], [{"genus": 0, "class": [0]}],
+         ": edge index 0 out of range"),
+        (["contract", "--level", "0"], [{"genus": 0, "class": [0]}],
+         ": levels 0 and 1 are not both occupied"),
     ], ids=["genus", "contract-edge", "contract-level"])
-    def test_graph_errors_name_the_graph(self, tmp_path, argv, message):
+    def test_graph_errors_name_the_graph(self, tmp_path, argv, vertices, message):
         doc = {"schema": "orbi-degen/1",
                "homology": [{"name": "h", "rank": 1, "c1": ["0"], "z_pairing": ["0"],
                              "effective": [[0]]}],
-               "graphs": [{"name": "void", "homology": "h"}]}
-        err = self.run_on(tmp_path, json.dumps(doc), ["graphs", *argv, "--graph", "void"])
-        assert err == f"error: graph void: {message}\n"
+               "graphs": [{"name": "g", "homology": "h", "vertices": vertices}]}
+        err = self.run_on(tmp_path, json.dumps(doc), ["graphs", *argv, "--graph", "g"])
+        assert err == f"error: graph g{message}\n"
 
     def test_null_cyclic_order(self, tmp_path):
         doc = json.loads((DATA / "ex_z3.json").read_text())
@@ -602,6 +610,14 @@ class TestMalformedInputExits1:
         lines = proc.stderr.decode().splitlines()
         assert proc.returncode == 1 and proc.stdout == b""
         assert len(lines) == 1 and lines[0].startswith(f"error: glue demo {argv[0]}")
+
+    @pytest.mark.parametrize("model,option", [
+        ("sphere", "--tau"), ("node", "--scale"), ("linear", "--tau"), ("linear", "--scale"),
+    ], ids=["sphere-tau", "node-scale", "linear-tau", "linear-scale"])
+    def test_glue_demo_refuses_a_setting_its_model_does_not_take(self, model, option):
+        rc, out, err = capture(["glue", "demo", model, option, "7", "--probes", "0"])
+        assert (rc, out) == (1, "")
+        assert err == f"error: glue demo {model} takes no {option}\n"
 
     @pytest.mark.parametrize("argv,option", [
         (["partitions", "--total", "2", "--orders", "2,x"], "--orders[1]"),
