@@ -38,14 +38,16 @@ from .errors import NonConvergenceError, ResourceLimitError, ValidationError
 def _command(sub, name: str, *, reads: bool = True, dot: bool = False, **kwargs):
     """Register a subcommand, handled by `cmd_<name>` of its group's command
     module: --in when it `reads` a document, then the options added inside
-    the with-block, then --dot when it renders DOT, then --json."""
+    the with-block, then --dot when it renders DOT, then --json; --dot and
+    --json exclude each other."""
     parser = sub.add_parser(name, **kwargs)
     if reads:
         parser.add_argument("--in", dest="input", required=True)
     yield parser
+    forms = parser.add_mutually_exclusive_group() if dot else parser
     if dot:
-        parser.add_argument("--dot", action="store_true")
-    parser.add_argument("--json", action="store_true")
+        forms.add_argument("--dot", action="store_true")
+    forms.add_argument("--json", action="store_true")
     parser.set_defaults(handler=f"cmd_{name}")
 
 

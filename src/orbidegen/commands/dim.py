@@ -2,21 +2,18 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..dimension import ModuliSpec, splitting_ledger, virdim
 from ..io import _rational, load_ledger, parse_list, parse_rel, read_text
 from . import emit
 
 
 def cmd_virdim(args) -> int:
-    rel = parse_rel(args.rel)
-    za = (_rational(args.za, "--za") if args.za is not None
-          else sum((t.order.value for t in rel), Fraction(0)))
+    # an omitted --za is ModuliSpec's default, the contact sum
+    za = {"zA": _rational(args.za, "--za")} if args.za is not None else {}
     value = virdim(ModuliSpec(flavor=args.flavor, n=args.n, genus=args.genus,
                               c1A=_rational(args.c1a, "--c1a"),
                               shifts=parse_list(args.shifts, "--shifts", _rational),
-                              rel=rel, zA=za))
+                              rel=parse_rel(args.rel), **za))
     emit(args, {"flavor": args.flavor, "virdim": str(value)}, [f"virdim = {value}"])
     return 0
 

@@ -79,7 +79,7 @@ def _glue_demo(args, build, setting) -> int:
         out.append("    n    |xi_n|        residual")
         for i, (xn, rn) in enumerate(zip(result.xi_history, result.residual_history)):
             out.append(f"    {i:<4} {xn:.6e}  {rn:.6e}")
-        xi_norm = glue._norm(result.xi)
+        xi_norm = result.xi_history[-1]  # |xi| of the returned xi
         xi_ok = xi_norm <= 2 * const.eps1 + 1e-12
         out.append(f"  |xi| <= 2 eps1 contract: |xi|={xi_norm:.6e} vs "
                    f"2 eps1={2 * const.eps1:.6e}  [{'ok' if xi_ok else 'FLAGGED'}]")

@@ -8,6 +8,7 @@ from ..contact import MonodromyTable
 from ..errors import ValidationError, named
 from ..graph import (
     PosetBounds,
+    _vec_str,
     bullet_genus,
     contract_edge,
     contract_level,
@@ -63,7 +64,7 @@ def cmd_genus(args) -> int:
     value, cls = bullet_genus(graph), total_class(graph)
     emit(args, {"graph": name, "genus": value, "total_class": list(cls),
                 "connected": is_connected(graph)},
-         [f"graph {name}: genus {value}, total class ({','.join(str(x) for x in cls)})"])
+         [f"graph {name}: genus {value}, total class {_vec_str(cls)}"])
     return 0
 
 

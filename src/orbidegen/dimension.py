@@ -33,27 +33,26 @@ class ModuliSpec(checked_record("ModuliSpec", "flavor n genus c1A shifts rel zA"
 
     shifts are the degree shifts of the absolute insertions (m = len);
     rel carries the relative insertions (k = len).  zA is the divisor pairing
-    of the class and must equal the contact sum when rel is nonempty.
+    of the class and must equal the contact sum when rel is nonempty; an
+    omitted zA is that sum (0 with no relative insertions).
     """
 
     __slots__ = ()
 
     def __new__(klass, flavor: str, n: int, genus: int, c1A: Fraction,
                 shifts: tuple[Fraction, ...] = (), rel: tuple[RelTerm, ...] = (),
-                zA: Fraction = Fraction(0)) -> ModuliSpec:
-        self = super().__new__(klass, flavor, n, genus, c1A, shifts, rel, zA)
+                zA: Fraction | None = None) -> ModuliSpec:
+        total = sum((t.order.value for t in rel), Fraction(0))
+        self = super().__new__(klass, flavor, n, genus, c1A, shifts, rel,
+                               total if zA is None else zA)
         if self.flavor not in FLAVORS:
             raise ValidationError(f"unknown flavor {self.flavor!r}")
         if self.n <= 0:
             raise ValidationError(f"ambient dimension must be positive, got {self.n}")
         if self.genus < 0:
             raise ValidationError(f"genus must be non-negative, got {self.genus}")
-        if self.rel:
-            total = sum((t.order.value for t in self.rel), Fraction(0))
-            if total != self.zA:
-                raise ValidationError(
-                    f"contact orders sum to {total} but zA is {self.zA}"
-                )
+        if self.rel and total != self.zA:
+            raise ValidationError(f"contact orders sum to {total} but zA is {self.zA}")
         if self.flavor in (ABSOLUTE_SMOOTH, RELATIVE_SMOOTH):
             if any(s != 0 for s in self.shifts) or any(t.shift != 0 for t in self.rel):
                 raise ValidationError(f"{self.flavor} spec carries nonzero degree shifts")

@@ -34,6 +34,7 @@ from .graph import (
     _class_draws,
     _class_sums,
     _composition_count,
+    _vec_str,
     canonical_form,
     encode,
     is_connected,
@@ -324,14 +325,13 @@ def _candidate_count(shapes: list[tuple], m: int) -> int:
 
 
 def _side_record(graph: RelGraph) -> str:
-    vs = ";".join(f"g={v.genus},A=({','.join(str(x) for x in v.cls)})"
-                  for v in graph.vertices)
+    vs = ";".join(f"g={v.genus},A={_vec_str(v.cls)}" for v in graph.vertices)
     parts = []
     for tail in graph.tails:
         if tail.kind == ABSOLUTE:
             parts.append(f"a[{tail.monodromy}]@{tail.vertex}")
         else:
-            parts.append(f"r[{tail.contact.k}/{tail.contact.r},({tail.monodromy})]@{tail.vertex}")
+            parts.append(f"r[{tail.contact!s},({tail.monodromy})]@{tail.vertex}")
     return f"V({vs})|T({';'.join(parts)})"
 
 
@@ -347,24 +347,14 @@ def _term_heads(contacts: tuple[ContactOrder, ...], monodromies: tuple[str, ...]
     tuple kept on nodes of these contact orders and monodromies.
 
     The coefficient is l(Gamma) times |Aut| of the labels, with l(Gamma) =
-    prod k / prod r as gluing_degrees states it, and 1 with no nodes.  Two
-    insertions tie only on nodes of equal contact order and monodromy (and
-    so one label menu; r is the monodromy's order, so there equal contact
-    values are equal orders), so |Aut| is the product over each such group
-    of its label counts' factorials, as _multiset_aut counts them."""
+    prod k / prod r as gluing_degrees states it, and 1 with no nodes; |Aut|
+    is the multiset count of the nodes' (contact, monodromy, label) triples."""
     ell = gluing_degrees(contacts)[1] if contacts else Fraction(1)
-    ties: dict[tuple[ContactOrder, str], list[int]] = {}
-    for j, node in enumerate(zip(contacts, monodromies)):
-        ties.setdefault(node, []).append(j)
-    groups = [group for group in ties.values() if len(group) > 1]
     heads = []
     for labels in itertools.product(*map(labels_on.__getitem__, monodromies)):
         if total_degree is not None and sum(map(degree_of.__getitem__, labels)) != total_degree:
             continue
-        aut = 1
-        for group in groups:
-            aut *= _multiset_aut([labels[j] for j in group])
-        coefficient = ell * aut
+        coefficient = ell * _multiset_aut(zip(contacts, monodromies, labels))
         heads.append((labels, coefficient, f"coeff={coefficient} I=({','.join(labels)}"))
     return heads
 

@@ -863,7 +863,7 @@ def _composition_count(total: int, parts: int) -> int:
 
 
 def _vec_str(vec: tuple[int, ...]) -> str:
-    return "(" + ",".join(str(x) for x in vec) + ")"
+    return f"({','.join(map(str, vec))})"
 
 
 def _dot_string(text: str) -> str:
@@ -886,7 +886,7 @@ def to_dot(graph: RelGraph, name: str = "G") -> str:
         a, b = e.ends
         if e.kind == RELATIVE:
             contact = e.contact if e.contact is not None else ContactOrder(1, 1)
-            label = _dot_string(f"ℓ={contact.k}/{contact.r},({e.halves[0]})")
+            label = _dot_string(f"ℓ={contact},({e.halves[0]})")
             lines.append(f"  v{a} -- v{b} [style=dashed, label={label}];")
         elif e.halves != ("e", "e"):
             lines.append(f"  v{a} -- v{b} [label={_dot_string(f'({e.halves[0]})')}];")
@@ -894,7 +894,7 @@ def to_dot(graph: RelGraph, name: str = "G") -> str:
             lines.append(f"  v{a} -- v{b};")
     for t, tail in enumerate(graph.tails):
         if tail.kind == RELATIVE and tail.contact is not None:
-            label = f"ℓ={tail.contact.k}/{tail.contact.r},({tail.monodromy})"
+            label = f"ℓ={tail.contact},({tail.monodromy})"
             style = "style=dashed, "
         else:
             label = f"({tail.monodromy})"

@@ -90,6 +90,13 @@ class TestGolden:
         rc, out, _ = capture(["graphs", "poset", "--max-vertices", "2", *quotes])
         assert rc == 0 and out.startswith('digraph "two level_poset" {\n')
 
+    def test_ledger_without_za_reads_the_contact_sums(self):
+        # ledger_smooth.json with both zA members removed
+        argv = ["dim", "ledger", "--in", str(ROOT / "tests" / "data" / "ledger_smooth_no_za.json"),
+                "--json"]
+        rc, out, _ = capture(argv)
+        assert rc == 0 and out.encode() == (GOLDEN / "dim_ledger.json").read_bytes()
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self):
@@ -99,6 +106,15 @@ class TestExitCodes:
     def test_unknown_command_is_2(self):
         rc, _, _ = capture(["frobnicate"])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", [["poset"], ["contract", "--level", "0"]],
+                             ids=["poset", "contract"])
+    def test_dot_and_json_exclude_each_other(self, command):
+        rc, out, err = capture(["graphs", *command, "--in", str(DATA / "graphs.json"),
+                                "--graph", "two_level", "--dot", "--json"])
+        assert rc == 2 and out == ""
+        assert "[--dot | --json]" in err
+        assert err.endswith("error: argument --json: not allowed with argument --dot\n")
 
     def test_validation_error_is_1(self, tmp_path):
         bad = tmp_path / "bad.json"

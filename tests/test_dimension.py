@@ -70,6 +70,14 @@ class TestVirdim:
         with pytest.raises(ValidationError, match="genus must be non-negative, got -5"):
             ModuliSpec("absolute-smooth", n=2, genus=-5, c1A=F(0))
 
+    def test_omitted_za_is_the_contact_sum(self):
+        relative = ModuliSpec("relative-orbifold", n=2, genus=0, c1A=F(3),
+                              rel=(rel(2), rel(1, 2)))
+        absolute = ModuliSpec("absolute-orbifold", n=2, genus=0, c1A=F(3))
+        assert relative.zA == F(5, 2) and absolute.zA == 0
+        assert repr(absolute) == ("ModuliSpec(flavor='absolute-orbifold', n=2, genus=0, "
+                                  "c1A=Fraction(3, 1), shifts=(), rel=(), zA=Fraction(0, 1))")
+
     def test_contact_sum_consistency_enforced(self):
         with pytest.raises(ValidationError, match="zA"):
             ModuliSpec("relative-smooth", n=2, genus=0, c1A=F(0),

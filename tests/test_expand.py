@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -35,14 +36,17 @@ from orbidegen.graph import (
     RELATIVE,
     Edge,
     HomologyModel,
+    PosetBounds,
     RelGraph,
     Tail,
     Vertex,
+    add_classes,
     automorphism_order,
     bullet_genus,
     canonical_form,
     encode,
     is_connected,
+    stratification_poset,
     validate,
 )
 from orbidegen.io import load_document
@@ -291,6 +295,10 @@ class TestExpand:
                 aut = aut_order([RelInsertion(tl.contact, tl.monodromy, lb)
                                  for tl, lb in zip(rel_tails, t.labels)])
                 assert t.coefficient == ell * aut
+                # and by brute force: the node permutations fixing every triple
+                triples = [(tl.contact, tl.monodromy, lb) for tl, lb in zip(rel_tails, t.labels)]
+                assert aut == sum(all(triples[j] == triples[p] for j, p in enumerate(perm))
+                                  for perm in itertools.permutations(range(len(triples))))
                 auts[aut] += 1
         # three tied nodes reach 3! on the roadmap scenario
         assert {1, 2, 6} <= set(auts)
@@ -764,6 +772,72 @@ def test_splittings_match_an_independent_oracle(sc, homology):
         assert classes[key][hits[0]][1] == splitting_mass(m)
     assert len(set(owners)) == len(matchings)
     assert sum(size for bucket in classes.values() for _, size in bucket) == connected
+
+
+def crosswalk_case(pairing, genus=0, insertions=0, max_nodes=2, menu=SMOOTH_MENU,
+                   z_total=F(2), split=(2, 2)):
+    """A one-splitting scenario and its homology, whose effective classes
+    reach the glued class A+ + A-."""
+    sc = scenario(genus=genus, absolute=[AbsInsertion(label) for label in "ab"[:insertions]],
+                  splittings=(((split[0],), (split[1],)),), max_nodes=max_nodes, menu=menu,
+                  z_total=z_total)
+    return sc, HomologyModel(rank=1, c1=(F(3),), z_pairing=(pairing,),
+                             effective=tuple((c,) for c in range(sum(split) + 1)))
+
+
+ONE_SIDED_Z3_MENU = (MenuEntry("e", 1, "e"), MenuEntry("w", 3, "w2"))
+# every case whose poset side takes under 1 s: smooth z = 2, z = 3, Z2 and Z3
+CROSSWALK_CASES = {
+    **{f"smooth-z2-g{g}-m{m}": crosswalk_case(F(1), g, m) for g in (0, 1) for m in (0, 1, 2)},
+    **{f"smooth-z2-g0-m{m}-cap3": crosswalk_case(F(1), 0, m, max_nodes=3) for m in (0, 1, 2)},
+    "smooth-z2-g1-m0-cap3": crosswalk_case(F(1), 1, 0, max_nodes=3),
+    **{f"smooth-z3-m{m}": crosswalk_case(F(1), 0, m, max_nodes=3, z_total=F(3), split=(3, 3))
+       for m in (0, 1)},
+    **{f"z2-m{m}": crosswalk_case(F(1, 2), 0, m, menu=Z2_MENU, z_total=F(1)) for m in (0, 1, 2)},
+    **{f"z3-m{m}": crosswalk_case(F(1, 3), 0, m, menu=Z3_MENU, z_total=F(2, 3))
+       for m in (0, 1, 2)},
+    **{f"z3-one-sided-m{m}": crosswalk_case(F(1, 3), 0, m, menu=ONE_SIDED_Z3_MENU,
+                                            z_total=F(2, 3)) for m in (0, 1, 2)},
+}
+
+
+@pytest.mark.parametrize("sc,homology", CROSSWALK_CASES.values(), ids=CROSSWALK_CASES)
+def test_glued_graphs_are_the_two_level_poset_nodes(sc, homology):
+    """The canonical glued graphs of the splittings are the nodes of the
+    glued class's poset on levels 0 and 1 whose edges are all relative, with
+    contacts summing to z_total, level classes A+ and A-, and at most
+    max_nodes edges.  The poset side pairs no class with the divisor (its
+    one-vertex graph has no relative tail to balance one) and carries each
+    insertion as an absolute tail of monodromy e, in scenario order."""
+    (a_plus, a_minus), = sc.class_splittings
+    position = {insertion.label: i for i, insertion in enumerate(sc.absolute)}
+    glued_codes = []
+    for m in enumerate_splittings(sc, homology):
+        g = glued(m)
+        tails = sorted(g.tails, key=lambda t: position[t.monodromy])
+        g = RelGraph(g.vertices, g.edges, tuple(Tail(t.vertex, ABSOLUTE) for t in tails))
+        glued_codes.append(encode(canonical_form(g)))
+    assert len(set(glued_codes)) == len(glued_codes)
+
+    top_order = max(entry.order for entry in sc.monodromy_menu)
+    bounds = PosetBounds(max_vertices=sc.max_nodes + 1, max_levels=2,
+                         edge_monodromies=tuple(entry.label for entry in sc.monodromy_menu),
+                         max_edge_contact_numerator=math.floor(sc.z_total * top_order))
+    flat = HomologyModel(homology.rank, homology.c1, (F(0),) * homology.rank, homology.effective)
+    poset = stratification_poset(sc.genus, add_classes(a_plus, a_minus),
+                                 [Tail(0, ABSOLUTE)] * len(sc.absolute), flat, sc.table(),
+                                 bounds)
+
+    def level_class(g, level):
+        return functools.reduce(add_classes, (v.cls for v in g.vertices if v.level == level))
+
+    two_level = {encode(g) for g in poset.nodes
+                 if {v.level for v in g.vertices} == {0, 1}
+                 and all(e.kind == RELATIVE for e in g.edges)
+                 and sum(e.contact.value for e in g.edges) == sc.z_total
+                 and (level_class(g, 0), level_class(g, 1)) == (a_plus, a_minus)
+                 and len(g.edges) <= sc.max_nodes}
+    assert set(glued_codes) == two_level
 
 
 class TestScenarioChecks:
