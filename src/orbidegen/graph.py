@@ -46,7 +46,12 @@ shape's connected edge multisets are built once, by a depth-first walk that
 drops a prefix once the edges left cannot join its components, and each is
 searched once per vertex tuple without tails.  Tails are labeled, so placing
 them on one tail-free graph per class reaches every tailed class (if s maps
-B onto B', (B, P) is isomorphic to (B', sP)).
+B onto B', (B, P) is isomorphic to (B', sP)).  A placement on a canonical
+tail-free code whose vertices have pairwise distinct base keys is canonical
+as placed: the search ordered those vertices by base key, and tails only
+extend each key after its decoration and incident edges, so every block is
+still one vertex in the same order (individualization again); only the
+placements on codes with a tie are searched.
 The closure indexes its seeds in walk order and contracts them in that
 order, so its work does not depend on hashing.
 
@@ -64,7 +69,7 @@ import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
-from operator import attrgetter, itemgetter
+from operator import add, attrgetter, itemgetter
 from typing import Iterable, Sequence
 
 from .contact import ContactOrder, MonodromyTable
@@ -76,7 +81,7 @@ RELATIVE = "relative"
 MAX_AUT_VERTICES = 12
 _PERM_BUDGET = 2_000_000  # vertex relabelings one canonical search may try
 _CANDIDATE_BUDGET = 2_000_000  # candidates one poset or splitting walk may build
-_PLACEMENT_BUDGET = 2_000_000  # tail-free graphs x tail placements one poset walk may search
+_PLACEMENT_BUDGET = 2_000_000  # tail-free graphs x tail placements one poset walk may build
 _ENDS = attrgetter("ends")  # of an Edge
 _SLOT_ENDS = itemgetter(1, 3)  # of an edge in encoding shape
 _VERTEX_CODE = itemgetter(2, 0, 1)  # (level, genus, class) of a Vertex
@@ -110,7 +115,7 @@ class HomologyModel(checked_record("HomologyModel", "rank c1 z_pairing effective
 
 
 def add_classes(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 class Vertex(namedtuple("Vertex", "genus cls level", defaults=(0,))):
@@ -729,8 +734,9 @@ def stratification_poset(
     ResourceLimitError before it starts; one whose distinct tail-free graphs
     times the max_vertices ** len(tails) tail placements exceed
     _PLACEMENT_BUDGET raises it after the tail-free searches and before the
-    first placement.  More edges per graph than the edge walk can nest raise
-    it as well.
+    first placement; the budget counts every placement, though only those on
+    tail-free graphs with a tie between two vertices' base keys are searched.
+    More edges per graph than the edge walk can nest raise it as well.
     """
     table = classes if classes is not None else MonodromyTable.trivial()
 
@@ -796,8 +802,8 @@ def stratification_poset(
 
     # connectivity depends only on the slots, so each shape's connected
     # multisets are built once; each is searched once per vertex tuple without
-    # tails (the dict keeps walk order), then each tail placement once per
-    # distinct tail-free code
+    # tails (the dict keeps walk order), then each tail placement is built
+    # once per distinct tail-free code
     bare = dict.fromkeys(_canonical_search((vertices, edges, ()))[0]
                          for slots, vertex_tuples in shapes
                          for connected in [_connected_multisets(slots, nv, n_edges)]
@@ -811,12 +817,24 @@ def stratification_poset(
     placements = [tuple([(home,) + deco for home, deco in zip(homes, tail_decos)])
                   for homes in itertools.product(range(nv), repeat=len(tails))]
     # a one-vertex encoding is canonical; without tails so is each bare code
-    seeds = (_canonical_search((vertices, edges, tails_at))[0]
-             for vertices, edges, _ in bare for tails_at in placements) if tails else iter(bare)
+    seeds = _placed(bare, placements) if tails else iter(bare)
     del bare  # the closure drains its seeds first, and the drained iterator frees them
     codes, covers = _closure(itertools.chain([_as_code(top)], seeds), homology.effective)
     return StratPoset(tuple(_decode(code) for code in codes), tuple(covers),
                       complete=not menu and nv > 1)
+
+
+def _placed(bare: Iterable[tuple], placements: Sequence[tuple]) -> Iterable[tuple]:
+    """The canonical code of each tail placement on each canonical tail-free
+    code, in that order.  A placement on a code whose base keys are pairwise
+    distinct is canonical as placed (the module docstring says why); the
+    others are searched."""
+    for code in bare:
+        keys = _vertex_base_keys(code)
+        rigid = len(set(keys)) == len(keys)
+        for tails_at in placements:
+            seed = (code[0], code[1], tails_at)
+            yield seed if rigid else _canonical_search(seed)[0]
 
 
 def _connected_multisets(slots: Sequence[tuple], nv: int, size: int) -> list[tuple]:

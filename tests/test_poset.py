@@ -338,8 +338,9 @@ def test_maximal_element_is_one_vertex():
 # permutations (one symmetric group per block of equal decorations), and the
 # stabiliser is Aut(B), so the walk must search exactly  sum over distinct B
 # of  prod(block size!) / |Aut(B)|  labeled graphs, then each of the
-# max_vertices ** len(tails) tail placements once on each distinct B.  An
-# emission missed or doubled moves that count.
+# max_vertices ** len(tails) tail placements once on each distinct B with a
+# tie between two of its vertices' keys (a placement on any other B is
+# canonical as placed).  An emission missed or doubled moves that count.
 
 DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 Z2 = MonodromyTable(orders={"e": 1, "h": 2}, inverses={"e": "e", "h": "h"})
@@ -379,11 +380,36 @@ def walk_inputs(case):
             PosetBounds(mv, levels, menu, cap))
 
 
+def vertex_keys(g):
+    """Each vertex of a graph with its sorted incident half-edges, each as
+    (kind, own half, far half, contact, loop, far-end decoration), computed
+    from the graph alone."""
+    incident = [[] for _ in g.vertices]
+    for e in g.edges:
+        (a, b), (ha, hb) = e.ends, e.halves
+        contact = (e.contact.k, e.contact.r) if e.contact else (0, 0)
+        incident[a].append((e.kind, ha, hb, contact, a == b, g.vertices[b]))
+        incident[b].append((e.kind, hb, ha, contact, a == b, g.vertices[a]))
+    return [(v, tuple(sorted(inc))) for v, inc in zip(g.vertices, incident)]
+
+
+def has_tie(g):
+    """Whether two vertices of a tail-free graph share a key."""
+    keys = vertex_keys(g)
+    return len(set(keys)) < len(keys)
+
+
+def bottom_tail_free(poset, max_vertices):
+    """The distinct tail-free graphs under the bottom nodes, canonical."""
+    return {canonical_form(RelGraph(node.vertices, node.edges, ())) for node in poset.nodes
+            if len(node.vertices) == max_vertices and not any(v.genus for v in node.vertices)}
+
+
 def walk_searches(poset, max_vertices, n_tails):
     """The sorted mass of the distinct tail-free graphs under the bottom
-    nodes, plus the tail placements on each of them when there are tails."""
-    bare = {canonical_form(RelGraph(node.vertices, node.edges, ())) for node in poset.nodes
-            if len(node.vertices) == max_vertices and not any(v.genus for v in node.vertices)}
+    nodes, plus the tail placements on each of them with a tie when there
+    are tails."""
+    bare = bottom_tail_free(poset, max_vertices)
     total = 0
     for g in bare:
         blocks = Counter((v.level, v.cls) for v in g.vertices)
@@ -391,14 +417,15 @@ def walk_searches(poset, max_vertices, n_tails):
         orbit, rest = divmod(labelings, automorphism_order(g))
         assert rest == 0
         total += orbit
-    return total + (len(bare) * max_vertices ** n_tails if n_tails else 0)
+    tied = sum(map(has_tie, bare))
+    return total + (tied * max_vertices ** n_tails if n_tails else 0)
 
 
 @pytest.mark.parametrize("case", WALK_CASES, ids=lambda c: c[0])
 def test_sorted_walk(monkeypatch, case):
     """Canonical searches before the first contraction equal the sorted mass
-    of the tail-free bottom layer plus the tail placements on it, validate
-    runs once per poset, and every node it returns is valid."""
+    of the tail-free bottom layer plus the tail placements on its graphs with
+    a tie, validate runs once per poset, and every node it returns is valid."""
     counts = Counter()
     search, contractions, check = (graph._canonical_search, graph._single_contractions,
                                    graph.validate)
@@ -425,8 +452,9 @@ def test_sorted_walk(monkeypatch, case):
     assert counts["validate"] == 1
     assert counts["searches"] == walk_searches(poset, bounds.max_vertices, len(tails))
     if case[0] == "g2_v3":
-        # a walk over every vertex count gave 5,341 searches
-        assert (len(poset.nodes), counts["searches"]) == (3351, 1614)
+        # a walk over every vertex count gave 5,341 searches, and one that
+        # searched every tail placement 1,614
+        assert (len(poset.nodes), counts["searches"]) == (3351, 372)
     for node in poset.nodes:
         assert validate(node, homology, table) == []
         assert graph.genus(node) == genus_total and graph.total_class(node) == cls
@@ -556,10 +584,10 @@ def test_walk_size_counted_before_the_walk(monkeypatch, case):
 
 @pytest.mark.parametrize("case", WALK_CASES, ids=lambda c: c[0])
 def test_placements_counted_before_the_search(monkeypatch, case):
-    """Distinct tail-free codes times tail placements is the number of
-    searches of tailed codes before the first contraction: a placement budget
-    one below it is refused before any tailed code is searched, the count
-    itself runs."""
+    """The placement budget charges distinct tail-free codes times tail
+    placements: a budget one below that is refused before any tailed code is
+    searched, and the charge itself runs.  Only the placements on codes with
+    a tie between two vertices' keys are searched."""
     made = Counter()
     bare = set()
     search, contractions = graph._canonical_search, graph._single_contractions
@@ -581,8 +609,10 @@ def test_placements_counted_before_the_search(monkeypatch, case):
     monkeypatch.setattr(graph, "_single_contractions", first_contractions)
     args = walk_inputs(case)
     stratification_poset(*args)
-    charge = len(bare) * args[5].max_vertices ** len(args[2])
-    assert made["placed"] == charge
+    per_code = args[5].max_vertices ** len(args[2])
+    charge = len(bare) * per_code
+    searched = sum(has_tie(graph._decode(code)) for code in bare) * per_code
+    assert made["placed"] == searched
     made.clear()
     monkeypatch.setattr(graph, "_PLACEMENT_BUDGET", charge - 1)
     with pytest.raises(ResourceLimitError, match="placement budget"):
@@ -590,7 +620,45 @@ def test_placements_counted_before_the_search(monkeypatch, case):
     assert made["placed"] == 0
     monkeypatch.setattr(graph, "_PLACEMENT_BUDGET", charge)
     stratification_poset(*args)
-    assert made["placed"] == charge
+    assert made["placed"] == searched
+
+
+def placements(g, tails):
+    """g with `tails` placed on its vertices in every way, tails in list order."""
+    for homes in itertools.product(range(len(g.vertices)), repeat=len(tails)):
+        yield RelGraph(g.vertices, g.edges, tuple(Tail(home, t.kind, t.monodromy, t.contact)
+                                                  for home, t in zip(homes, tails)))
+
+
+@pytest.mark.parametrize("case", WALK_CASES, ids=lambda c: c[0])
+def test_rigid_placements_are_canonical(case):
+    """On a bottom tail-free graph with no tie between two vertices' keys,
+    every tail placement is its own canonical form; on every bottom graph the
+    walk's placement step returns each placement's search result."""
+    args = walk_inputs(case)
+    rigid = 0
+    for g in bottom_tail_free(stratification_poset(*args), args[5].max_vertices):
+        placed = [graph._as_code(p) for p in placements(g, args[2])]
+        searched = [graph._canonical_search(code)[0] for code in placed]
+        if not has_tie(g):
+            rigid += 1
+            assert searched == placed
+        assert list(graph._placed([graph._as_code(g)], [code[2] for code in placed])) == searched
+    assert rigid
+
+
+def test_a_placement_on_a_tied_graph_is_searched():
+    """Twin vertices joined by an edge tie, and a tail placed on the first
+    is not canonical as placed: a vertex without tails sorts first, so the
+    search moves the tail to the second, and the shortcut needs the keys
+    pairwise distinct."""
+    twins = RelGraph((Vertex(0, (1,)), Vertex(0, (1,))), (Edge(ABSOLUTE, (0, 1)),), ())
+    assert has_tie(twins) and canonical_form(twins) == twins
+    placed = RelGraph(twins.vertices, twins.edges, (Tail(0, "absolute", "e"),))
+    canonical = RelGraph(twins.vertices, twins.edges, (Tail(1, "absolute", "e"),))
+    assert canonical_form(placed) == canonical != placed
+    assert list(graph._placed([graph._as_code(twins)], [graph._as_code(placed)[2]])) == [
+        graph._as_code(canonical)]
 
 
 def public_covers(poset):

@@ -47,6 +47,7 @@ from orbidegen.graph import (  # noqa: E402
     _class_sums,
     _decode,
     _key_blocks,
+    _placed,
     _relabel,
     automorphism_order,
     canonical_form,
@@ -63,6 +64,7 @@ from test_expand import (  # noqa: E402
     Z3_MENU,
 )
 from test_inertia import s3_table, scan_verdict  # noqa: E402
+from test_poset import has_tie  # noqa: E402
 
 SETTINGS = hypothesis.settings(derandomize=True, max_examples=100, deadline=None,
                                database=None)
@@ -227,6 +229,21 @@ def test_distinct_decorations_search_is_relabeling_invariant(pair):
     best, ties = _canonical_search(code)
     assert ties == 1
     assert _canonical_search(relabeled) == (best, 1)
+
+
+@SETTINGS
+@hypothesis.given(st.one_of(graphs(), graphs(both_levels=True),
+                            distinct_decoration_codes().map(_decode)))
+def test_placement_on_a_rigid_graph_is_canonical(g):
+    """A graph's tails placed on its canonical tail-free form: canonical as
+    placed when no two vertices' keys tie, and the walk's placement step
+    returns the search result either way."""
+    bare = canonical_form(RelGraph(g.vertices, g.edges, ()))
+    placed = RelGraph(bare.vertices, bare.edges, g.tails)
+    code = _as_code(placed)
+    if not has_tie(bare):
+        assert canonical_form(placed) == placed
+    assert list(_placed([_as_code(bare)], [code[2]])) == [_canonical_search(code)[0]]
 
 
 def decoded_field_by_field(code: tuple) -> RelGraph:
