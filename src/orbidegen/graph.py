@@ -46,12 +46,14 @@ shape's connected edge multisets are built once, by a depth-first walk that
 drops a prefix once the edges left cannot join its components, and each is
 searched once per vertex tuple without tails.  Tails are labeled, so placing
 them on one tail-free graph per class reaches every tailed class (if s maps
-B onto B', (B, P) is isomorphic to (B', sP)).  A placement on a canonical
-tail-free code whose vertices have pairwise distinct base keys is canonical
-as placed: the search ordered those vertices by base key, and tails only
-extend each key after its decoration and incident edges, so every block is
-still one vertex in the same order (individualization again); only the
-placements on codes with a tie are searched.
+B onto B', (B, P) is isomorphic to (B', sP)).  A placement on a rigid
+canonical tail-free code, one whose base-key blocks are single vertices, is
+canonical as placed: the search ordered those vertices by base key, and
+tails only extend each key after its decoration and incident edges, so every
+block is still one vertex in the same order (individualization again).  So
+no tails, or a rigid code, means no search: without tails each canonical
+tail-free code is its own seed, and only placements on codes with a tie are
+searched.
 The closure indexes its seeds in walk order and contracts them in that
 order, so its work does not depend on hashing.
 
@@ -467,10 +469,11 @@ def _decode(code: tuple) -> RelGraph:
                     tuple(map(_tail_of, ts)))
 
 
-def _vertex_base_keys(code: tuple) -> list[tuple]:
-    """Per vertex of an encoding: its decoration, its sorted incident half-edges
-    (each with the far end's decoration) and its tails in index order; one pass
-    over each list."""
+def _key_blocks(code: tuple) -> list[list[int]]:
+    """Vertices of an encoding sorted by base key, grouped into equal-key
+    blocks.  A vertex's base key is its decoration, its sorted incident
+    half-edges (each with the far end's decoration) and its tails in index
+    order; one pass over each list builds them."""
     vs, es, ts = code
     incident: list[list[tuple]] = [[] for _ in vs]
     for kind, a, ha, b, hb, contact in es:
@@ -480,13 +483,8 @@ def _vertex_base_keys(code: tuple) -> list[tuple]:
     tails: list[list[tuple]] = [[] for _ in vs]
     for t_index, (v, kind, monodromy, contact) in enumerate(ts):
         tails[v].append((t_index, kind, monodromy, contact))
-    return [(deco, tuple(sorted(inc)), tuple(tl))
+    keys = [(deco, tuple(sorted(inc)), tuple(tl))
             for deco, inc, tl in zip(vs, incident, tails)]
-
-
-def _key_blocks(code: tuple) -> list[list[int]]:
-    """Vertices of an encoding sorted by base key, grouped into equal-key blocks."""
-    keys = _vertex_base_keys(code)
     blocks: list[list[int]] = []
     for v in sorted(range(len(keys)), key=keys.__getitem__):
         if blocks and keys[blocks[-1][-1]] == keys[v]:
@@ -734,8 +732,7 @@ def stratification_poset(
     ResourceLimitError before it starts; one whose distinct tail-free graphs
     times the max_vertices ** len(tails) tail placements exceed
     _PLACEMENT_BUDGET raises it after the tail-free searches and before the
-    first placement; the budget counts every placement, though only those on
-    tail-free graphs with a tie between two vertices' base keys are searched.
+    first placement; the budget counts every placement, searched or not.
     More edges per graph than the edge walk can nest raise it as well.
     """
     table = classes if classes is not None else MonodromyTable.trivial()
@@ -816,9 +813,9 @@ def stratification_poset(
     tail_decos = [(t.kind, t.monodromy, _contact_key(t.contact)) for t in tails]
     placements = [tuple([(home,) + deco for home, deco in zip(homes, tail_decos)])
                   for homes in itertools.product(range(nv), repeat=len(tails))]
-    # a one-vertex encoding is canonical; without tails so is each bare code
-    seeds = _placed(bare, placements) if tails else iter(bare)
+    seeds = _placed(bare, placements)
     del bare  # the closure drains its seeds first, and the drained iterator frees them
+    # a one-vertex encoding is canonical
     codes, covers = _closure(itertools.chain([_as_code(top)], seeds), homology.effective)
     return StratPoset(tuple(_decode(code) for code in codes), tuple(covers),
                       complete=not menu and nv > 1)
@@ -826,14 +823,12 @@ def stratification_poset(
 
 def _placed(bare: Iterable[tuple], placements: Sequence[tuple]) -> Iterable[tuple]:
     """The canonical code of each tail placement on each canonical tail-free
-    code, in that order.  A placement on a code whose base keys are pairwise
-    distinct is canonical as placed (the module docstring says why); the
-    others are searched."""
+    code, in that order; the walk paragraph of the module docstring says
+    which are searched."""
     for code in bare:
-        keys = _vertex_base_keys(code)
-        rigid = len(set(keys)) == len(keys)
+        rigid = not placements[0] or len(_key_blocks(code)) == len(code[0])
         for tails_at in placements:
-            seed = (code[0], code[1], tails_at)
+            seed = (code[0], code[1], tails_at) if tails_at else code
             yield seed if rigid else _canonical_search(seed)[0]
 
 

@@ -254,12 +254,10 @@ class CRProfile(checked_record("CRProfile", "group ambient_dim sectors")):
     def __new__(klass, group: FiniteGroupTable, ambient_dim: int,
                 sectors: tuple[SectorDatum, ...]) -> CRProfile:
         self = super().__new__(klass, group, ambient_dim, sectors)
-        by_members = self._sector_index
-        if len(by_members) != len(self.sectors):
+        if len(self._sector_index) != len(self.sectors):
             raise ValidationError("duplicate sector for a conjugacy class")
         for cls_ in self.group.class_data.classes:
-            if cls_.members not in by_members:
-                raise ValidationError(f"no sector for the class of {cls_.representative}")
+            self.sector_of(cls_)
         for sector in self.sectors:
             if len(sector.rotations) != self.ambient_dim:
                 raise ValidationError(
@@ -272,8 +270,7 @@ class CRProfile(checked_record("CRProfile", "group ambient_dim sectors")):
                     raise ValidationError("untwisted sector has a nonzero rotation")
         # inverse-class rotations must be the complements (1 - theta) mod 1
         for sector in self.sectors:
-            inv = inverse_class(self.group, sector.cls)
-            partner = by_members[inv.members]
+            partner = self.sector_of(inverse_class(self.group, sector.cls))
             expected = sorted((1 - t) % 1 if t != 0 else Fraction(0) for t in sector.rotations)
             if sorted(partner.rotations) != expected:
                 raise ValidationError(

@@ -164,6 +164,8 @@ class InputDocument:
             if name not in table:
                 raise ValidationError(f"no {kind} entry named {name!r}")
             return name, table[name]
+        if not table:
+            raise ValidationError(f"document has no {kind} entries")
         if len(table) != 1:
             raise ValidationError(
                 f"document has {len(table)} {kind} entries; pass an explicit name"

@@ -123,6 +123,11 @@ class TestExitCodes:
         rc, _, err = capture(["sectors", "--in", str(bad)])
         assert rc == 1 and "error:" in err
 
+    def test_two_entries_need_a_name(self):
+        rc, out, err = capture(["graphs", "validate", "--in", str(DATA / "graphs.json")])
+        assert rc == 1 and out == ""
+        assert err == "error: document has 2 graphs entries; pass an explicit name\n"
+
     def test_unreadable_input_is_1(self):
         rc, _, err = capture(["sectors", "--in", "/nonexistent.json"])
         assert rc == 1 and "error:" in err
@@ -992,18 +997,18 @@ FUZZ_CASES = {
         ["sectors"], {"schema": "orbi-degen/1", "classes": [{"name": "c", "group": "z3"}]},
         "classes[c]: unknown group 'z3'"),
     "class-table-alone": (["graphs", "validate"], sections("graphs.json", "classes"),
-                          "document has 0 graphs entries"),
+                          "document has no graphs entries"),
     "profiles-without-groups": (["sectors"], sections("ex_z3.json", "profiles"),
                                 "profiles[z3_plane]: unknown group 'z3'"),
     "homology-alone": (["graphs", "genus"], sections("graphs.json", "homology"),
-                       "document has 0 graphs entries"),
+                       "document has no graphs entries"),
     "graphs-without-homology": (["graphs", "validate"], sections("graphs.json", "graphs"),
                                 "graphs[gmax]: unknown homology model 'line'"),
     "graphs-without-classes": (["graphs", "poset"],
                                sections("graphs.json", "homology", "graphs"),
                                "graphs[gmax]: unknown class table 'z2div'"),
     "basis-alone": (["expand"], sections("smooth1.json", "basis"),
-                    "document has 0 scenarios entries"),
+                    "document has no scenarios entries"),
     "scenarios-without-homology": (["expand"], sections("smooth1.json", "scenarios"),
                                    "scenarios[smooth_one_node]: unknown homology model"),
     "scenarios-without-basis": (["expand"], sections("smooth1.json", "homology", "scenarios"),

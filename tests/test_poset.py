@@ -460,6 +460,44 @@ def test_sorted_walk(monkeypatch, case):
         assert graph.genus(node) == genus_total and graph.total_class(node) == cls
 
 
+ZERO_PAIRING = HomologyModel(rank=1, c1=(F(3),), z_pairing=(F(0),),
+                             effective=((0,), (1,), (2,)))
+
+# (name, genus, max_vertices, max_levels, contact cap, searches, tied tail-free codes)
+TAIL_FREE_CASES = [
+    ("g2_v3", 2, 3, 1, None, 102, 10),
+    ("g1_v4", 1, 4, 1, None, 254, 27),
+    ("lvl2_g0_v3_k2", 0, 3, 2, 2, 70, 10),
+]
+
+
+@pytest.mark.parametrize("case", TAIL_FREE_CASES, ids=lambda c: c[0])
+def test_tail_free_walk_searches_no_seed(monkeypatch, case):
+    """Without tails every canonical tail-free code is its own seed, tied or
+    not: the searches before the first contraction are the sorted mass of
+    the bottom layer alone."""
+    _, genus_total, mv, levels, cap, searches, tied = case
+    counts = Counter()
+    search, contractions = graph._canonical_search, graph._single_contractions
+
+    def counted_search(code):
+        if not counts["covers"]:
+            counts["searches"] += 1
+        return search(code)
+
+    def first_contractions(code):
+        counts["covers"] += 1
+        return contractions(code)
+
+    monkeypatch.setattr(graph, "_canonical_search", counted_search)
+    monkeypatch.setattr(graph, "_single_contractions", first_contractions)
+    poset = stratification_poset(genus_total, (2,), [], ZERO_PAIRING, MonodromyTable.trivial(),
+                                 PosetBounds(mv, levels, ("e",), cap))
+    monkeypatch.undo()
+    assert sum(map(has_tie, bottom_tail_free(poset, mv))) == tied
+    assert counts["searches"] == walk_searches(poset, mv, 0) == searches
+
+
 COUNT_SEARCHES = """
 from orbidegen import graph
 from test_poset import WALK_CASES, walk_inputs
