@@ -828,7 +828,7 @@ def _placed(bare: Iterable[tuple], placements: Sequence[tuple]) -> Iterable[tupl
     for code in bare:
         rigid = not placements[0] or len(_key_blocks(code)) == len(code[0])
         for tails_at in placements:
-            seed = (code[0], code[1], tails_at) if tails_at else code
+            seed = (code[0], code[1], tails_at)
             yield seed if rigid else _canonical_search(seed)[0]
 
 

@@ -421,34 +421,41 @@ def walk_searches(poset, max_vertices, n_tails):
     return total + (tied * max_vertices ** n_tails if n_tails else 0)
 
 
+def counted_poset(monkeypatch, *args):
+    """stratification_poset(*args) with its canonical searches before the
+    first contraction and its validate calls counted."""
+    counts = Counter()
+    search, contractions, check = (graph._canonical_search, graph._single_contractions,
+                                   graph.validate)
+
+    def counted_search(code):
+        if not counts["covers"]:
+            counts["searches"] += 1
+        return search(code)
+
+    def first_contractions(code):
+        counts["covers"] += 1
+        return contractions(code)
+
+    def counted_validate(*check_args):
+        counts["validate"] += 1
+        return check(*check_args)
+
+    monkeypatch.setattr(graph, "_canonical_search", counted_search)
+    monkeypatch.setattr(graph, "_single_contractions", first_contractions)
+    monkeypatch.setattr(graph, "validate", counted_validate)
+    poset = stratification_poset(*args)
+    monkeypatch.undo()
+    return poset, counts
+
+
 @pytest.mark.parametrize("case", WALK_CASES, ids=lambda c: c[0])
 def test_sorted_walk(monkeypatch, case):
     """Canonical searches before the first contraction equal the sorted mass
     of the tail-free bottom layer plus the tail placements on its graphs with
     a tie, validate runs once per poset, and every node it returns is valid."""
-    counts = Counter()
-    search, contractions, check = (graph._canonical_search, graph._single_contractions,
-                                   graph.validate)
-
-    def counted_search(g):
-        if not counts["covers"]:
-            counts["searches"] += 1
-        return search(g)
-
-    def first_contractions(g):
-        counts["covers"] += 1
-        return contractions(g)
-
-    def counted_validate(*args):
-        counts["validate"] += 1
-        return check(*args)
-
-    monkeypatch.setattr(graph, "_canonical_search", counted_search)
-    monkeypatch.setattr(graph, "_single_contractions", first_contractions)
-    monkeypatch.setattr(graph, "validate", counted_validate)
     genus_total, cls, tails, homology, table, bounds = walk_inputs(case)
-    poset = stratification_poset(genus_total, cls, tails, homology, table, bounds)
-    monkeypatch.undo()
+    poset, counts = counted_poset(monkeypatch, genus_total, cls, tails, homology, table, bounds)
     assert counts["validate"] == 1
     assert counts["searches"] == walk_searches(poset, bounds.max_vertices, len(tails))
     if case[0] == "g2_v3":
@@ -477,23 +484,8 @@ def test_tail_free_walk_searches_no_seed(monkeypatch, case):
     not: the searches before the first contraction are the sorted mass of
     the bottom layer alone."""
     _, genus_total, mv, levels, cap, searches, tied = case
-    counts = Counter()
-    search, contractions = graph._canonical_search, graph._single_contractions
-
-    def counted_search(code):
-        if not counts["covers"]:
-            counts["searches"] += 1
-        return search(code)
-
-    def first_contractions(code):
-        counts["covers"] += 1
-        return contractions(code)
-
-    monkeypatch.setattr(graph, "_canonical_search", counted_search)
-    monkeypatch.setattr(graph, "_single_contractions", first_contractions)
-    poset = stratification_poset(genus_total, (2,), [], ZERO_PAIRING, MonodromyTable.trivial(),
-                                 PosetBounds(mv, levels, ("e",), cap))
-    monkeypatch.undo()
+    poset, counts = counted_poset(monkeypatch, genus_total, (2,), [], ZERO_PAIRING,
+                                  MonodromyTable.trivial(), PosetBounds(mv, levels, ("e",), cap))
     assert sum(map(has_tie, bottom_tail_free(poset, mv))) == tied
     assert counts["searches"] == walk_searches(poset, mv, 0) == searches
 
