@@ -253,6 +253,13 @@ def enumerate_splittings(
     form goes into one set; the splittings are read off those graphs in
     encode order, a total order on distinct graphs, so the list does not
     depend on hashing.
+
+    Each shape builds its node-edge tuples, its vertex tuples (class draws
+    times genus compositions) and its absolute-tail tuples once, into lists,
+    and walks edges, then vertices, then tails.  With tails innermost,
+    consecutive candidates share their edges and vertices objects, so
+    is_connected answers from its memory of the last edges and canonical_form
+    labels each tail-free graph once; both are still called per candidate.
     """
     table = scenario.table()
     scenario.check_against(homology)
@@ -276,19 +283,23 @@ def enumerate_splittings(
                               for home, insertion in zip(homes, scenario.absolute)])
                        for homes in itertools.product(range(total_v), repeat=m)]
         minus_draws = list(_class_draws(a_minus, range(v_minus), homology.effective))
+        vertex_tuples = []
         for cls_plus in _class_draws(a_plus, range(v_plus), homology.effective):
             for cls_minus in minus_draws:
                 classes = cls_plus + cls_minus
                 # genera by stars and bars: the gaps between total_v - 1 bars
                 for bars in itertools.combinations(range(genus_budget + total_v - 1), total_v - 1):
                     ends = (-1, *bars, genus_budget + total_v - 1)
-                    vertices = tuple(Vertex(ends[v + 1] - ends[v] - 1, classes[v], int(v >= v_plus))
-                                     for v in range(total_v))
-                    for tails in tail_tuples:
-                        for edges in edge_tuples:
-                            glued = RelGraph(vertices, edges, tails)
-                            if is_connected(glued):
-                                found.add(canonical_form(glued))
+                    vertex_tuples.append(tuple(Vertex(ends[v + 1] - ends[v] - 1, classes[v],
+                                                      int(v >= v_plus)) for v in range(total_v)))
+        # tails innermost: consecutive candidates share their vertices and
+        # edges objects, which is_connected and canonical_form remember
+        for edges in edge_tuples:
+            for vertices in vertex_tuples:
+                for tails in tail_tuples:
+                    glued = RelGraph(vertices, edges, tails)
+                    if is_connected(glued):
+                        found.add(canonical_form(glued))
     return [_extract_matching(canon) for canon in sorted(found, key=encode)]
 
 

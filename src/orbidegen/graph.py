@@ -35,6 +35,17 @@ parts are shared, so nearly every lookup hits.  A part that cannot be hashed
 (a hand-built list for ends or halves) is encoded uncached.  _decode says
 why the encode and decode caches stay apart.
 
+The rigid rule: a tail-free code is rigid when its vertices have pairwise
+distinct base keys (distinct decorations are a special case).  Tails only
+extend each base key after its decoration and incident edges, so placing
+tails on a rigid code leaves every block one vertex, in the same order
+(individualization again): the least code of the tailed graph is the
+tail-free least code with the tails relabeled by the same permutation, and
+no search runs.  _placed applies it to the poset's canonical tail-free
+codes, and canonical_form to the tail-free code of each graph it is given
+(remembering the last one, for expand's walk, which places many tail
+tuples on each tail-free graph in turn).
+
 Every poset node refines to a graph with max_vertices vertices of genus 0 (a
 loop for each unit of vertex genus, genus-0, class-0 leaves for the missing
 vertices), so the poset walk covers only that bottom layer and single
@@ -46,12 +57,9 @@ shape's connected edge multisets are built once, by a depth-first walk that
 drops a prefix once the edges left cannot join its components, and each is
 searched once per vertex tuple without tails.  Tails are labeled, so placing
 them on one tail-free graph per class reaches every tailed class (if s maps
-B onto B', (B, P) is isomorphic to (B', sP)).  A placement on a rigid
-canonical tail-free code, one whose base-key blocks are single vertices, is
-canonical as placed: the search ordered those vertices by base key, and
-tails only extend each key after its decoration and incident edges, so every
-block is still one vertex in the same order (individualization again).  So
-no tails, or a rigid code, means no search: without tails each canonical
+B onto B', (B, P) is isomorphic to (B', sP)).  By the rigid rule a
+placement on a rigid canonical tail-free code is canonical as placed.  So no
+tails, or a rigid code, means no search: without tails each canonical
 tail-free code is its own seed, and only placements on codes with a tie are
 searched.
 The closure indexes its seeds in walk order and contracts them in that
@@ -255,10 +263,37 @@ def _union_find(nv: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], i
     return parent, merges
 
 
+def _frozen(*parts) -> bool:
+    """Whether every part hashes: a hashable tuple cannot change, so a memory
+    keyed by its identity stays true while the memory holds it (and so keeps
+    its id from being reused)."""
+    try:
+        hash(parts)
+    except TypeError:
+        return False
+    return True
+
+
+_last_connected: tuple = (-1, None, False)  # (vertex count, edges, answer)
+
+
 def is_connected(graph: RelGraph) -> bool:
-    """Whether the graph has at most one component: n - 1 unions joined its n vertices."""
-    nv = len(graph.vertices)
-    return _union_find(nv, map(_ENDS, graph.edges))[1] >= nv - 1
+    """Whether the graph has at most one component: n - 1 unions joined its n vertices.
+
+    The answer depends only on the vertex count and the edges, so the last
+    answer is remembered for its vertex count and its edges object: a call
+    with that same object (`is`) and count returns it.  Only edges that hash
+    are remembered, and the entry is replaced in one assignment, so no
+    thread reads a mixed one."""
+    global _last_connected
+    nv, edges = len(graph.vertices), graph.edges
+    last = _last_connected
+    if last[1] is edges and last[0] == nv:
+        return last[2]
+    answer = _union_find(nv, map(_ENDS, edges))[1] >= nv - 1
+    if _frozen(edges):
+        _last_connected = (nv, edges, answer)
+    return answer
 
 
 def genus(graph: RelGraph) -> int:
@@ -552,14 +587,58 @@ def _canonical_search(code: tuple) -> tuple[tuple, int]:
     return best, ties
 
 
+def _rigid_labeling(vertices: Sequence[Vertex], edges: Sequence[Edge]) -> tuple | None:
+    """(perm, vertices, edges) of the least code of the tail-free graph on
+    these parts, decoded, when that code is rigid: its vertices have distinct
+    decorations or distinct base keys, and perm[v] is vertex v's position;
+    None when two vertices tie."""
+    code = (tuple(map(_VERTEX_CODE, vertices)), _parts_code(_edge_code, edges), ())
+    vs = code[0]
+    if _distinct_decorations(vs):
+        order = sorted(range(len(vs)), key=vs.__getitem__)
+    else:
+        blocks = _key_blocks(code)
+        if len(blocks) < len(vs):
+            return None
+        order = [block[0] for block in blocks]
+    perm = [0] * len(vs)
+    for pos, v in enumerate(order):
+        perm[v] = pos
+    least_vs, least_es, _ = _relabel(code, perm)
+    return perm, tuple(map(_vertex_of, least_vs)), tuple(map(_edge_of, least_es))
+
+
+_last_labeling: tuple = (None, None, None)  # (vertices, edges, _rigid_labeling of them)
+
+
 def canonical_form(graph: RelGraph) -> RelGraph:
     """Deterministic representative of the vertex-relabeling class (tails stay
     labeled): the least encoding, decoded.  Its vertices come in ascending
     level order, each edge lists its lower-level end first, and its tails
-    stay in list order."""
+    stay in list order.
+
+    When the graph's tail-free code is rigid, its least code with the tails
+    relabeled by the same permutation is the least code (the rigid rule of
+    the module docstring), and no search runs; otherwise the search does.
+    The last tail-free labeling is remembered for its vertices and edges
+    objects, under is_connected's rules: a call with both same objects
+    (`is`) reuses it, only parts that hash are remembered, and the entry is
+    replaced in one assignment."""
+    global _last_labeling
     if not graph.vertices:
         return graph
-    return _decode(_canonical_search(_as_code(graph))[0])
+    vertices, edges, tails = graph
+    last = _last_labeling
+    if last[0] is not vertices or last[1] is not edges:
+        last = (vertices, edges, _rigid_labeling(vertices, edges))
+        if _frozen(vertices, edges):
+            _last_labeling = last
+    if last[2] is None:
+        return _decode(_canonical_search(_as_code(graph))[0])
+    perm, least_vertices, least_edges = last[2]
+    return RelGraph(least_vertices, least_edges,
+                    tuple([_tail_of((perm[v], kind, m, c))
+                           for v, kind, m, c in _parts_code(_tail_code, tails)]))
 
 
 def automorphism_order(graph: RelGraph) -> int:

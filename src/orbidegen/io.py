@@ -3,7 +3,9 @@
 Documents carry a top-level  "schema": "orbi-degen/1".  Rationals are strings
 "p/q" in lowest terms (integers may drop the "/q"); contact orders are the raw
 "k/r" pair and are not reduced.  Parsing resolves every cross-reference and
-rejects duplicate identifiers.
+rejects duplicate identifiers.  Every entry and nested object refuses a
+member that its reader does not look up, so a misspelled optional member is
+an error, not an omission; the document's top-level keys are not checked.
 
 Each section has its own reader, which imports the module of the types it
 builds, so a document loads only the modules its sections need: inertia for
@@ -113,6 +115,41 @@ _integers = _array_of(_integer)
 _rationals = _array_of(_rational)
 
 
+class _Members(dict):
+    """A JSON object that records each member its reader looks up, through
+    _field, _optional or _form."""
+
+    __slots__ = ("asked",)
+
+    def __init__(self, value: Any, where: str) -> None:
+        super().__init__(_object(value, where))
+        self.asked: set[str] = set()
+
+    def __contains__(self, key: Any) -> bool:
+        self.asked.add(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key: Any) -> Any:
+        self.asked.add(key)
+        return super().__getitem__(key)
+
+    def refuse_unread(self, where: str) -> None:
+        for key in self:
+            if key not in self.asked:
+                raise ValidationError(f"{where}: unknown member {key!r}")
+
+
+def _closed(read):
+    """`read` of one JSON object, which then refuses a member that it never
+    looked up: the members a reader takes are stated once, in its own reads."""
+    def read_closed(value: Any, where: str) -> Any:
+        members = _Members(value, where)
+        out = read(members, where)
+        members.refuse_unread(where)
+        return out
+    return read_closed
+
+
 def _field(mapping: Any, key: str, where: str, read, default: Any = ...) -> Any:
     """Read one member; a missing member is an error unless a default is given."""
     if default is not ... and key not in _object(mapping, where):
@@ -199,7 +236,8 @@ def _load_object(text: str) -> dict:
 
 def _entries(raw: dict, section: str, used: set[str]):
     """(name, where, entry) for each entry of a section; names are unique document-wide."""
-    for entry in _array(raw.get(section, []), section):
+    for value in _array(raw.get(section, []), section):
+        entry = _Members(value, section)
         name = _check_name(_require(entry, "name", section), used, section)
         yield name, f"{section}[{name}]", entry
 
@@ -225,6 +263,7 @@ def _form(entry: dict, forms: tuple[str, ...], where: str) -> str | None:
     return present[0] if present else None
 
 
+@_closed
 def _label_row(item: Any, at: str) -> tuple[str, int, str]:
     return (_field(item, "label", at, _string), _field(item, "order", at, _integer),
             _field(item, "inverse", at, _string))
@@ -277,6 +316,7 @@ def _read_profile(doc: InputDocument, name: str, where: str, entry: Any) -> None
     group = doc.groups[gname]
     by_label = {class_label(i): cls_ for i, cls_ in enumerate(group.class_data.classes)}
 
+    @_closed
     def sector(sec: Any, at: str) -> SectorDatum:
         label = _known(_field(sec, "class", at, _string), by_label, "class label", at)
         return named(at, SectorDatum, cls=by_label[label],
@@ -303,15 +343,18 @@ def _read_homology(doc: InputDocument, name: str, where: str, entry: Any) -> Non
 def _read_graph(doc: InputDocument, name: str, where: str, entry: Any) -> None:
     from .graph import Edge, RelGraph, Tail, Vertex
 
+    @_closed
     def vertex(v: Any, at: str) -> Vertex:
         return Vertex(genus=_field(v, "genus", at, _integer),
                       cls=_field(v, "class", at, _integers), **_optional(v, at, level=_integer))
 
+    @_closed
     def edge(e: Any, at: str) -> Edge:
         return Edge(kind=_field(e, "kind", at, _string),
                     ends=_field(e, "ends", at, _pair_of(_integer)),
                     **_optional(e, at, halves=_pair_of(_string), contact=_contact))
 
+    @_closed
     def tail(t: Any, at: str) -> Tail:
         return Tail(vertex=_field(t, "vertex", at, _integer),
                     kind=_field(t, "kind", at, _string),
@@ -319,9 +362,9 @@ def _read_graph(doc: InputDocument, name: str, where: str, entry: Any) -> None:
 
     hname = _known(_field(entry, "homology", where, _string), doc.homology,
                    "homology model", where)
-    cname = entry.get("classes")
+    cname = _field(entry, "classes", where, lambda value, at: value, None)
     if cname is not None:
-        _known(_field(entry, "classes", where, _string), doc.classes, "class table", where)
+        _known(_string(cname, f"{where}.classes"), doc.classes, "class table", where)
     doc.graphs[name] = RelGraph(
         _field(entry, "vertices", where, _array_of(vertex), ()),
         _field(entry, "edges", where, _array_of(edge), ()),
@@ -332,6 +375,7 @@ def _read_graph(doc: InputDocument, name: str, where: str, entry: Any) -> None:
 def _read_basis(doc: InputDocument, name: str, where: str, entry: Any) -> None:
     from .expand import BasisEntry, CRBasisZ
 
+    @_closed
     def basis_entry(b: Any, at: str) -> BasisEntry:
         return BasisEntry(label=_field(b, "label", at, _string),
                           sector=_field(b, "sector", at, _string),
@@ -354,6 +398,7 @@ def _read_scenario(doc: InputDocument, name: str, where: str, entry: Any) -> Non
     def menu_entry(m: Any, at: str) -> MenuEntry:
         return MenuEntry(*_label_row(m, at))
 
+    @_closed
     def insertion(a: Any, at: str) -> AbsInsertion:
         return AbsInsertion(label=_field(a, "label", at, _string),
                             **_optional(a, at, descendant=_integer))
@@ -389,6 +434,7 @@ def load_document(text: str) -> InputDocument:
     for section, read in _SECTIONS:
         for name, where, entry in _entries(raw, section, used):
             read(doc, name, where, entry)
+            entry.refuse_unread(where)
     return doc
 
 
@@ -398,6 +444,7 @@ class LedgerDocument(namedtuple("LedgerDocument", "plus minus sector_dims total"
     __slots__ = ()
 
 
+@_closed
 def _rel_term(term: Any, at: str) -> RelTerm:
     from .dimension import RelTerm
 
@@ -407,6 +454,7 @@ def _rel_term(term: Any, at: str) -> RelTerm:
     return RelTerm(order=order, **_optional(term, at, shift=_rational, monodromy=_string))
 
 
+@_closed
 def _moduli_spec(data: Any, where: str) -> ModuliSpec:
     from .dimension import ModuliSpec
 

@@ -1060,6 +1060,15 @@ FUZZ_CASES = {
                            "classes[z2div]: names 'trivial' and 'labels'"),
     "cyclic-and-table": (["sectors"], demo_document("ex_z3.json", entry("groups", table=[[0]])),
                          "groups[z3]: names 'cyclic' and 'table'"),
+    # a member that no reader takes, here misspelled, is refused
+    "vertex-levle": (["graphs", "validate", "--graph", "gmax"],
+                     demo_document("graphs.json", lambda doc: doc["graphs"][0]["vertices"][0]
+                                   .update(levle=1)),
+                     "graphs[gmax].vertices[0]: unknown member 'levle'"),
+    "ledger-shift": (["dim", "ledger"],
+                     demo_document("ledger_smooth.json",
+                                   lambda doc: doc["total"].update(shift=["2/3"])),
+                     "total: unknown member 'shift'"),
     "empty-ledger-rel": (["dim", "ledger"],
                          demo_document("ledger_smooth.json",
                                        lambda doc: doc["plus"].update(rel=[])),

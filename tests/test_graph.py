@@ -861,6 +861,61 @@ class TestIsConnectedDifferential:
         assert 500 < connected < 2500
 
 
+def searched(graph: RelGraph) -> RelGraph:
+    """The least code by the full search, decoded: what canonical_form returns."""
+    return _decode(_canonical_search(_as_code(graph))[0])
+
+
+class TestLastAnswerMemory:
+    """is_connected and canonical_form remember their last answer for the
+    parts objects they were given; these calls reuse those objects."""
+
+    def test_same_edges_object_with_two_vertex_counts(self):
+        edges = (Edge("absolute", (0, 1)),)
+        two, three = RelGraph((vertex(),) * 2, edges, ()), RelGraph((vertex(),) * 3, edges, ())
+        assert [is_connected(g) for g in (two, three, two, three)] == [True, False, True, False]
+
+    def test_mutated_list_parts_get_a_fresh_answer(self):
+        # a list cannot be hashed, so neither memory keeps a graph holding one
+        ends = [0, 1]
+        graph = RelGraph((vertex(a=1), vertex(a=2)), (Edge("absolute", ends),),
+                         (Tail(1, "absolute", "e"),))
+        joined = canonical_form(graph)
+        assert is_connected(graph) and joined == searched(graph)
+        ends[0] = 1
+        assert not is_connected(graph)
+        assert canonical_form(graph) == searched(graph) != joined
+        edges = [Edge("absolute", (0, 0))]
+        graph = RelGraph((vertex(a=1), vertex(a=2)), edges, (Tail(1, "absolute", "e"),))
+        alone = canonical_form(graph)
+        assert not is_connected(graph)
+        edges.append(Edge("absolute", (0, 1)))
+        assert is_connected(graph)
+        assert canonical_form(graph) == searched(graph) != alone
+
+    def test_alternating_graphs(self):
+        # a rigid graph and a tied one, each under two tail placements
+        edges = (Edge("absolute", (0, 2)), Edge("absolute", (1, 2)))
+        rigid = (vertex(a=1), vertex(a=2), vertex())
+        tied = (vertex(a=1), vertex(a=1), vertex())
+        graphs = [RelGraph(vs, edges, (Tail(home, "absolute", "e"),))
+                  for home in (1, 0) for vs in (rigid, tied)]
+        apart = RelGraph(rigid, (Edge("absolute", (0, 2)),), ())
+        for graph in graphs * 2 + [apart, graphs[0], apart]:
+            assert canonical_form(graph) == searched(graph)
+            assert is_connected(graph) == (graph is not apart)
+
+    def test_tails_break_a_tail_free_tie(self):
+        # vertices 0 and 1 tie without the tail, so the tail decides which
+        # comes first, and both placements have one least code
+        vertices = (vertex(a=1), vertex(a=1), vertex(a=2))
+        edges = (Edge("absolute", (0, 2)), Edge("absolute", (1, 2)))
+        first, second = (RelGraph(vertices, edges, (Tail(home, "absolute", "e"),))
+                         for home in (0, 1))
+        assert canonical_form(first) == canonical_form(second) == searched(first)
+        assert canonical_form(first).tails == (Tail(1, "absolute", "e"),)
+
+
 def large_graph(rng: random.Random) -> RelGraph:
     """7 to 9 vertices drawn from two decorations, joined by a spanning tree
     whose edges hang off the first two vertices (so that equal-key blocks are

@@ -111,5 +111,53 @@ def test_an_omitted_member_takes_the_library_default(member):
     assert record(json.dumps(doc)) == record(json.dumps(spelled))
 
 
+CLASSES = {"schema": "orbi-degen/1",
+           "classes": [{"name": "c", "labels": [{"label": "e", "order": 1, "inverse": "e"}]}]}
+BASIS = {"schema": "orbi-degen/1",
+         "basis": [{"name": "b", "dim_z": 1,
+                    "entries": [{"label": "one", "sector": "e", "degree": "0"},
+                                {"label": "pt", "sector": "e", "degree": "2"}],
+                    "duality": [["one", "pt"]]}]}
+
+# reader -> (a document, the path to an object it reads, a member it does not
+# take, the object's name in the error)
+UNREAD_MEMBERS = {
+    "group": (GROUP, ("groups", 0), "identiy", "groups[g]"),
+    "profile": (GROUP, ("profiles", 0), "sector", "profiles[p]"),
+    "sector": (GROUP, ("profiles", 0, "sectors", 0), "bettis", "profiles[p].sectors[0]"),
+    "class table": (CLASSES, ("classes", 0), "trivail", "classes[c]"),
+    "label row": (CLASSES, ("classes", 0, "labels", 0), "ordre", "classes[c].labels[0]"),
+    "homology": (GRAPH, ("homology", 0), "c_1", "homology[h]"),
+    "graph": (GRAPH, ("graphs", 0), "colour", "graphs[g]"),
+    "vertex": (GRAPH, ("graphs", 0, "vertices", 0), "levle", "graphs[g].vertices[0]"),
+    "edge": (GRAPH, ("graphs", 0, "edges", 0), "halfs", "graphs[g].edges[0]"),
+    "tail": (GRAPH, ("graphs", 0, "tails", 0), "contacts", "graphs[g].tails[0]"),
+    "basis": (BASIS, ("basis", 0), "dimz", "basis[b]"),
+    "basis entry": (BASIS, ("basis", 0, "entries", 1), "deg", "basis[b].entries[1]"),
+    "scenario": (SCENARIO, ("scenarios", 0), "maxnodes", "scenarios[s]"),
+    "insertion": (SCENARIO, ("scenarios", 0, "absolute", 0), "descendent",
+                  "scenarios[s].absolute[0]"),
+    "menu entry": (SCENARIO, ("scenarios", 0, "monodromy_menu", 0), "oder",
+                   "scenarios[s].monodromy_menu[0]"),
+    "ledger spec": (LEDGER, ("total",), "shift", "total"),
+    "relative term": (LEDGER, ("plus", "rel", 0), "shifts", "plus.rel[0]"),
+}
+
+
+@pytest.mark.parametrize("reader", UNREAD_MEMBERS)
+def test_a_member_no_reader_takes_is_refused(reader):
+    doc, path, member, where = UNREAD_MEMBERS[reader]
+    load = load_ledger if doc is LEDGER else load_document
+    load(json.dumps(doc))
+    mistyped = copy.deepcopy(doc)
+    target = mistyped
+    for step in path:
+        target = target[step]
+    target[member] = "0"
+    with pytest.raises(ValidationError) as info:
+        load(json.dumps(mistyped))
+    assert str(info.value) == f"{where}: unknown member {member!r}"
+
+
 def test_omitted_rel_fields_take_the_library_defaults():
     assert parse_rel("3/2") == parse_rel("3/2::e") == parse_rel("3/2:0:e")

@@ -246,6 +246,29 @@ def test_placement_on_a_rigid_graph_is_canonical(g):
     assert list(_placed([_as_code(bare)], [code[2]])) == [_canonical_search(code)[0]]
 
 
+@st.composite
+def shuffled_placements(draw) -> list[RelGraph]:
+    """Every placement of a graph's tails (at least one) on its vertices, in
+    a drawn order, all sharing the graph's vertices and edges objects."""
+    g = draw(graphs(both_levels=draw(st.booleans())))
+    tails = g.tails or (Tail(0, "absolute", "e"),)
+    placements = [RelGraph(g.vertices, g.edges,
+                           tuple(Tail(home, t.kind, t.monodromy, t.contact)
+                                 for home, t in zip(homes, tails)))
+                  for homes in itertools.product(range(len(g.vertices)), repeat=len(tails))]
+    return draw(st.permutations(placements))
+
+
+@SETTINGS
+@hypothesis.given(shuffled_placements())
+def test_canonical_form_over_the_placements_of_one_graph(placements):
+    """canonical_form remembers the last tail-free labeling; over the
+    placements of one tail-free graph, rigid or tied, it still returns what
+    the full search does."""
+    for placed in placements:
+        assert canonical_form(placed) == _decode(_canonical_search(_as_code(placed))[0])
+
+
 def decoded_field_by_field(code: tuple) -> RelGraph:
     """A fresh graph object for every vertex, edge and tail of an encoding."""
     def contact(key):
