@@ -346,16 +346,26 @@ def _side_record(graph: RelGraph) -> str:
     return f"V({vs})|T({';'.join(parts)})"
 
 
+def _record_head(coefficient: Fraction, labels: Sequence[str]) -> str:
+    """A term record up to its labels: "coeff=... I=(labels"."""
+    return f"coeff={coefficient} I=({','.join(labels)}"
+
+
+def _record_tail(plus: str, minus: str) -> str:
+    """The rest of a term record, after its labels, from the two side records."""
+    return f") plus={plus} minus={minus}"
+
+
 def term_record(term: Term) -> str:
     """Canonical one-line record of a term; sorted fields, lowest-terms rationals."""
-    return (f"coeff={term.coefficient} I=({','.join(term.labels)}) "
-            f"plus={_side_record(term.gamma_plus)} minus={_side_record(term.gamma_minus)}")
+    return (_record_head(term.coefficient, term.labels)
+            + _record_tail(_side_record(term.gamma_plus), _side_record(term.gamma_minus)))
 
 
 def _term_heads(contacts: tuple[ContactOrder, ...], monodromies: tuple[str, ...],
                 labels_on: dict, degree_of: dict, total_degree: Fraction | None) -> list[tuple]:
-    """(labels, coefficient, record head "coeff=... I=(labels") for each index
-    tuple kept on nodes of these contact orders and monodromies.
+    """(labels, coefficient, record head) for each index tuple kept on nodes
+    of these contact orders and monodromies.
 
     The coefficient is l(Gamma) times |Aut| of the labels, with l(Gamma) =
     prod k / prod r as gluing_degrees states it, and 1 with no nodes; |Aut|
@@ -366,7 +376,7 @@ def _term_heads(contacts: tuple[ContactOrder, ...], monodromies: tuple[str, ...]
         if total_degree is not None and sum(map(degree_of.__getitem__, labels)) != total_degree:
             continue
         coefficient = ell * _multiset_aut(zip(contacts, monodromies, labels))
-        heads.append((labels, coefficient, f"coeff={coefficient} I=({','.join(labels)}"))
+        heads.append((labels, coefficient, _record_head(coefficient, labels)))
     return heads
 
 
@@ -418,7 +428,7 @@ def expand(
             heads = heads_of[signature] = _term_heads(*signature, labels_on, degree_of,
                                                       total_degree)
         plus, minus = m.gamma_plus, m.gamma_minus
-        tail = f") plus={side_record(plus)} minus={side_record(minus)}"
+        tail = _record_tail(side_record(plus), side_record(minus))
         records += [(head + tail, Term(plus, minus, labels, coefficient))
                     for labels, coefficient, head in heads]
     records.sort(key=operator.itemgetter(0))

@@ -36,15 +36,18 @@ parts are shared, so nearly every lookup hits.  A part that cannot be hashed
 why the encode and decode caches stay apart.
 
 The rigid rule: a tail-free code is rigid when its vertices have pairwise
-distinct base keys (distinct decorations are a special case).  Tails only
-extend each base key after its decoration and incident edges, so placing
-tails on a rigid code leaves every block one vertex, in the same order
-(individualization again): the least code of the tailed graph is the
-tail-free least code with the tails relabeled by the same permutation, and
-no search runs.  _placed applies it to the poset's canonical tail-free
-codes, and canonical_form to the tail-free code of each graph it is given
-(remembering the last one, for expand's walk, which places many tail
-tuples on each tail-free graph in turn).
+distinct base keys (distinct decorations are a special case).  _key_order
+is the one place that decides a code's base-key vertex order and whether it
+is rigid: the canonical search starts from that order, and _placed and
+canonical_form read rigidity from it.  Tails only extend each base key
+after its decoration and incident edges, so placing tails on a rigid code
+leaves every block one vertex, in the same order (individualization again):
+the least code of the tailed graph is the tail-free least code with the
+tails relabeled by the same permutation, and no search runs.  _placed
+applies it to the poset's canonical tail-free codes, and canonical_form to
+the tail-free code of each graph it is given (remembering the last one, for
+expand's walk, which places many tail tuples on each tail-free graph in
+turn).
 
 Every poset node refines to a graph with max_vertices vertices of genus 0 (a
 loop for each unit of vertex genus, genus-0, class-0 leaves for the missing
@@ -543,36 +546,47 @@ def _distinct_decorations(vs: Sequence, ts: Sequence = ()) -> bool:
     return len(set(vs)) == len(vs)
 
 
+def _key_order(code: tuple) -> tuple[list[int], list[tuple[int, list[int]]]]:
+    """(perm, shuffled) for a graph in encoding shape: perm[v] is vertex v's
+    position in base-key order, tied vertices in index order, and shuffled
+    lists (first position, block) of each block of two or more vertices with
+    equal base keys; an empty list means the code is rigid.  A base key
+    starts with the decoration, so distinct decorations alone give the order
+    and then no base key is built."""
+    vs = code[0]
+    shuffled: list[tuple[int, list[int]]] = []
+    if _distinct_decorations(vs):
+        order = sorted(range(len(vs)), key=vs.__getitem__)
+    else:
+        order = []
+        for block in _key_blocks(code):
+            if len(block) > 1:
+                shuffled.append((len(order), block))
+            order += block
+    perm = [0] * len(vs)
+    for pos, v in enumerate(order):
+        perm[v] = pos
+    return perm, shuffled
+
+
 def _canonical_search(code: tuple) -> tuple[tuple, int]:
     """The least encoding of a graph in encoding shape over the
     base-key-respecting vertex relabelings, and how many relabelings reach it:
     two tie exactly when they differ by a decoration-preserving symmetry, and
     every symmetry respects the base keys (which hold the tail index, so a
     symmetry fixes every tail), so the tie count is the order of the symmetry
-    group.  A base key starts with the vertex decoration, so when no two
-    vertices share a decoration the decorations alone give the order and the
-    base keys are never built.  Otherwise the vertices are sorted into
-    equal-key blocks, each block takes the next positions, and only blocks of
-    two or more vertices are permuted."""
-    vs = code[0]
-    perm = [0] * len(vs)
-    if _distinct_decorations(vs):
-        for pos, v in enumerate(sorted(range(len(vs)), key=vs.__getitem__)):
-            perm[v] = pos
+    group.  _key_order gives the start; only its blocks of two or more
+    vertices are permuted, and a rigid code is relabeled once."""
+    perm, shuffled = _key_order(code)
+    if not shuffled:
         return _relabel(code, perm), 1
-    shuffled = []  # (first position, block) of every multi-vertex block
-    budget, pos = 1, 0
-    for block in _key_blocks(code):
-        for offset, v in enumerate(block):
-            perm[v] = pos + offset
-        if len(block) > 1:
-            shuffled.append((pos, block))
-            budget *= math.factorial(len(block))
-            if budget > _PERM_BUDGET:
-                raise ResourceLimitError(
-                    f"canonicalization budget exceeded ({budget} > {_PERM_BUDGET} permutations)"
-                )
-        pos += len(block)
+    budget = 1
+    for _, block in shuffled:
+        budget *= math.factorial(len(block))
+        if budget > _PERM_BUDGET:
+            raise ResourceLimitError(
+                f"canonicalization budget exceeded ({budget} > {_PERM_BUDGET} permutations)"
+            )
     best: tuple | None = None
     ties = 0
     for arrangement in itertools.product(*(itertools.permutations(b) for _, b in shuffled)):
@@ -587,28 +601,7 @@ def _canonical_search(code: tuple) -> tuple[tuple, int]:
     return best, ties
 
 
-def _rigid_labeling(vertices: Sequence[Vertex], edges: Sequence[Edge]) -> tuple | None:
-    """(perm, vertices, edges) of the least code of the tail-free graph on
-    these parts, decoded, when that code is rigid: its vertices have distinct
-    decorations or distinct base keys, and perm[v] is vertex v's position;
-    None when two vertices tie."""
-    code = (tuple(map(_VERTEX_CODE, vertices)), _parts_code(_edge_code, edges), ())
-    vs = code[0]
-    if _distinct_decorations(vs):
-        order = sorted(range(len(vs)), key=vs.__getitem__)
-    else:
-        blocks = _key_blocks(code)
-        if len(blocks) < len(vs):
-            return None
-        order = [block[0] for block in blocks]
-    perm = [0] * len(vs)
-    for pos, v in enumerate(order):
-        perm[v] = pos
-    least_vs, least_es, _ = _relabel(code, perm)
-    return perm, tuple(map(_vertex_of, least_vs)), tuple(map(_edge_of, least_es))
-
-
-_last_labeling: tuple = (None, None, None)  # (vertices, edges, _rigid_labeling of them)
+_last_labeling: tuple = (None, None, None)  # (vertices, edges, (perm, least vs, es) or None)
 
 
 def canonical_form(graph: RelGraph) -> RelGraph:
@@ -617,20 +610,26 @@ def canonical_form(graph: RelGraph) -> RelGraph:
     level order, each edge lists its lower-level end first, and its tails
     stay in list order.
 
-    When the graph's tail-free code is rigid, its least code with the tails
-    relabeled by the same permutation is the least code (the rigid rule of
-    the module docstring), and no search runs; otherwise the search does.
-    The last tail-free labeling is remembered for its vertices and edges
-    objects, under is_connected's rules: a call with both same objects
-    (`is`) reuses it, only parts that hash are remembered, and the entry is
-    replaced in one assignment."""
+    _key_order of the graph's tail-free code decides: when that code is
+    rigid, its least code with the tails relabeled by the same permutation
+    is the least code (the rigid rule of the module docstring), and no
+    search runs; otherwise the search does.  The last tail-free labeling is
+    remembered for its vertices and edges objects, under is_connected's
+    rules: a call with both same objects (`is`) reuses it, only parts that
+    hash are remembered, and the entry is replaced in one assignment."""
     global _last_labeling
     if not graph.vertices:
         return graph
     vertices, edges, tails = graph
     last = _last_labeling
     if last[0] is not vertices or last[1] is not edges:
-        last = (vertices, edges, _rigid_labeling(vertices, edges))
+        code = (tuple(map(_VERTEX_CODE, vertices)), _parts_code(_edge_code, edges), ())
+        perm, shuffled = _key_order(code)
+        labeling = None
+        if not shuffled:
+            least_vs, least_es, _ = _relabel(code, perm)
+            labeling = perm, tuple(map(_vertex_of, least_vs)), tuple(map(_edge_of, least_es))
+        last = (vertices, edges, labeling)
         if _frozen(vertices, edges):
             _last_labeling = last
     if last[2] is None:
@@ -905,7 +904,7 @@ def _placed(bare: Iterable[tuple], placements: Sequence[tuple]) -> Iterable[tupl
     code, in that order; the walk paragraph of the module docstring says
     which are searched."""
     for code in bare:
-        rigid = not placements[0] or len(_key_blocks(code)) == len(code[0])
+        rigid = not placements[0] or not _key_order(code)[1]
         for tails_at in placements:
             seed = (code[0], code[1], tails_at)
             yield seed if rigid else _canonical_search(seed)[0]

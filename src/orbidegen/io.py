@@ -5,7 +5,8 @@ Documents carry a top-level  "schema": "orbi-degen/1".  Rationals are strings
 "k/r" pair and are not reduced.  Parsing resolves every cross-reference and
 rejects duplicate identifiers.  Every entry and nested object refuses a
 member that its reader does not look up, so a misspelled optional member is
-an error, not an omission; the document's top-level keys are not checked.
+an error, not an omission; the top level refuses a member other than
+"schema" and the loader's sections.
 
 Each section has its own reader, which imports the module of the types it
 builds, so a document loads only the modules its sections need: inertia for
@@ -219,8 +220,9 @@ def _check_name(name: Any, used: set[str], where: str) -> str:
     return name
 
 
-def _load_object(text: str) -> dict:
-    """Parse a document's JSON text and check its top level and schema."""
+def _load_object(text: str, members: frozenset[str]) -> dict:
+    """Parse a document's JSON text and check its top level: the schema, and
+    no member outside `members` (the first in document order is named)."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -231,6 +233,9 @@ def _load_object(text: str) -> dict:
         raise ValidationError("top level must be a JSON object")
     if raw.get("schema") != SCHEMA:
         raise ValidationError(f"schema must be {SCHEMA!r}, got {raw.get('schema')!r}")
+    for key in raw:
+        if key not in members:
+            raise ValidationError(f"top level: unknown member {key!r}")
     return raw
 
 
@@ -423,12 +428,14 @@ def _read_scenario(doc: InputDocument, name: str, where: str, entry: Any) -> Non
 _SECTIONS = (("groups", _read_group), ("classes", _read_class_table),
              ("profiles", _read_profile), ("homology", _read_homology),
              ("graphs", _read_graph), ("basis", _read_basis), ("scenarios", _read_scenario))
+_DOCUMENT_MEMBERS = frozenset(["schema", *(section for section, _ in _SECTIONS)])
+_LEDGER_MEMBERS = frozenset(["schema", "plus", "minus", "sector_dims", "total"])
 
 
 def load_document(text: str) -> InputDocument:
     """Parse a document; every field is read through a typed reader, so a
     malformed value raises ValidationError naming its field."""
-    raw = _load_object(text)
+    raw = _load_object(text, _DOCUMENT_MEMBERS)
     doc = InputDocument()
     used: set[str] = set()
     for section, read in _SECTIONS:
@@ -469,7 +476,7 @@ def _moduli_spec(data: Any, where: str) -> ModuliSpec:
 
 def load_ledger(text: str) -> LedgerDocument:
     """Parse a `dim ledger` document: 'plus' and 'total' specs, optional 'minus'."""
-    raw = _load_object(text)
+    raw = _load_object(text, _LEDGER_MEMBERS)
     for key in ("plus", "total"):
         if raw.get(key) is None:
             raise ValidationError(f"ledger document needs a {key!r} spec")

@@ -1069,6 +1069,13 @@ FUZZ_CASES = {
                      demo_document("ledger_smooth.json",
                                    lambda doc: doc["total"].update(shift=["2/3"])),
                      "total: unknown member 'shift'"),
+    "top-level-member": (["graphs", "validate", "--graph", "gmax"],
+                         demo_document("graphs.json", lambda doc: doc.update(grahps=[])),
+                         "top level: unknown member 'grahps'"),
+    "ledger-top-level-member": (["dim", "ledger"],
+                                demo_document("ledger_smooth.json",
+                                              lambda doc: doc.update(sector_dim=[])),
+                                "top level: unknown member 'sector_dim'"),
     "empty-ledger-rel": (["dim", "ledger"],
                          demo_document("ledger_smooth.json",
                                        lambda doc: doc["plus"].update(rel=[])),

@@ -524,6 +524,18 @@ class TestResourceCaps:
                 r"^canonicalization budget exceeded \(3628800 > 2000000 permutations\)$")):
             automorphism_order(cycle)
 
+    def test_tail_free_probe_has_no_permutation_budget(self):
+        # twelve identical vertices on a path: the tail-free blocks (2 ends,
+        # 10 inner vertices) would need 2! * 10! = 7,257,600 relabelings, but
+        # a tail on every vertex makes the tailed code rigid, so no search runs
+        path = RelGraph(tuple(vertex() for _ in range(12)),
+                        tuple(Edge("absolute", (i, i + 1)) for i in range(11)),
+                        tuple(Tail(i, "absolute", "e") for i in range(12)))
+        canon = canonical_form(path)
+        assert len(canon.vertices) == 12
+        assert canon == _decode(_canonical_search(_as_code(path))[0])
+        assert automorphism_order(path) == 1
+
     def test_poset_vertex_cap(self):
         from orbidegen.errors import ResourceLimitError
         with pytest.raises(ResourceLimitError):

@@ -1,11 +1,12 @@
 """Property tests of the canonical form, edge contraction and level collapse
-on graphs of up to 7 vertices, of the two shortcuts of the working form
-(ordering distinct decorations without base keys, interned decoding), of the
-partition count against a generating function, of the partition walk against
-the count, of associativity on a generating set against the full triple
-scan, of the class-draw kernel against brute force, of the basis and menu
-facts that expand relies on without checking them, of side_swap on
-generated scenarios, and of the smooth ledger defect.
+on graphs of up to 7 vertices, of the base-key order against keys built in
+the test, of the two shortcuts of the working form (ordering distinct
+decorations without base keys, interned decoding), of the partition count
+against a generating function, of the partition walk against the count, of
+associativity on a generating set against the full triple scan, of the
+class-draw kernel against brute force, of the basis and menu facts that
+expand relies on without checking them, of side_swap and the term-record
+order on generated scenarios, and of the smooth ledger defect.
 
 Hypothesis runs derandomized with a bounded example count, so every run
 draws the same graphs and the suite stays deterministic.
@@ -47,6 +48,7 @@ from orbidegen.graph import (  # noqa: E402
     _class_sums,
     _decode,
     _key_blocks,
+    _key_order,
     _placed,
     _relabel,
     automorphism_order,
@@ -200,6 +202,64 @@ def test_distinct_decorations_order_like_base_keys(code):
     for pos, (v,) in enumerate(blocks):
         perm[v] = pos
     assert _canonical_search(code) == (_relabel(code, perm), 1)
+
+
+def base_key(code: tuple, v: int) -> tuple:
+    """Vertex v's base key, built here from its definition: its decoration,
+    its incident half-edges sorted (each as kind, its own half, the far half,
+    contact, whether the edge is a loop, and the far end's decoration; a loop
+    counts twice) and its tails in index order, each as (index, kind,
+    monodromy, contact)."""
+    vs, es, ts = code
+    incident = []
+    for kind, a, ha, b, hb, contact in es:
+        if a == v:
+            incident.append((kind, ha, hb, contact, a == b, vs[b]))
+        if b == v:
+            incident.append((kind, hb, ha, contact, a == b, vs[a]))
+    tails = tuple((t, kind, m, contact) for t, (w, kind, m, contact) in enumerate(ts) if w == v)
+    return vs[v], tuple(sorted(incident)), tails
+
+
+@st.composite
+def tied_codes(draw) -> tuple:
+    """Encodings of up to 6 vertices over at most two decorations, with
+    random edges in either orientation (loops and multi-edges included) and
+    up to three tails with one decoration, so that base keys often tie on
+    everything but a far end or a tail index."""
+    palette = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), st.just((0,))),
+                            min_size=1, max_size=2))
+    vs = tuple(draw(st.lists(st.sampled_from(palette), min_size=1, max_size=6)))
+    vertex = st.integers(0, len(vs) - 1)
+    es = tuple(draw(st.lists(st.tuples(st.just("absolute"), vertex, st.sampled_from("eh"),
+                                       vertex, st.sampled_from("eh"), st.just((0, 0))),
+                             max_size=6)))
+    ts = tuple(draw(st.lists(st.tuples(vertex, st.just("absolute"), st.just("e"),
+                                       st.just((0, 0))), max_size=3)))
+    return vs, es, ts
+
+
+@st.composite
+def key_order_codes(draw) -> tuple:
+    """Encodings with shared or distinct decorations, with or without tails."""
+    code = draw(st.one_of(tied_codes(), graphs(both_levels=True).map(_as_code),
+                          distinct_decoration_codes()))
+    return code if draw(st.booleans()) else (code[0], code[1], ())
+
+
+@hypothesis.settings(SETTINGS, max_examples=300)
+@hypothesis.given(key_order_codes())
+def test_key_order_sorts_by_the_base_key(code):
+    """perm places the vertices in base-key order, equal keys in index order,
+    and shuffled is exactly the runs of two or more equal keys."""
+    keys = [base_key(code, v) for v in range(len(code[0]))]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    runs = [[v for _, v in run]
+            for _, run in itertools.groupby(enumerate(order), key=lambda pv: keys[pv[1]])]
+    perm, shuffled = _key_order(code)
+    assert [perm[v] for v in order] == list(range(len(order)))
+    starts = list(itertools.accumulate(map(len, runs), initial=0))
+    assert shuffled == [(start, run) for start, run in zip(starts, runs) if len(run) > 1]
 
 
 @st.composite
@@ -576,6 +636,16 @@ def test_side_swap_is_an_involution(case):
     terms = expand(scenario, basis, homology)
     twice = side_swap(side_swap(terms, basis), basis)
     assert list(map(term_record, twice)) == list(map(term_record, terms))
+
+
+@SETTINGS
+@hypothesis.given(swap_cases())
+def test_term_records_come_out_sorted(case):
+    """expand sorts its terms by the records it builds; term_record gives the
+    same records, so they come out in ascending order, the order the command
+    line prints."""
+    records = list(map(term_record, expand(*case)))
+    assert records == sorted(records)
 
 
 def smooth_spec(flavor, n, genus, c1, marks, contacts=()) -> ModuliSpec:
