@@ -292,14 +292,10 @@ def enumerate_splittings(
                     ends = (-1, *bars, genus_budget + total_v - 1)
                     vertex_tuples.append(tuple(Vertex(ends[v + 1] - ends[v] - 1, classes[v],
                                                       int(v >= v_plus)) for v in range(total_v)))
-        # tails innermost: consecutive candidates share their vertices and
-        # edges objects, which is_connected and canonical_form remember
-        for edges in edge_tuples:
-            for vertices in vertex_tuples:
-                for tails in tail_tuples:
-                    glued = RelGraph(vertices, edges, tails)
-                    if is_connected(glued):
-                        found.add(canonical_form(glued))
+        for edges, vertices, tails in itertools.product(edge_tuples, vertex_tuples, tail_tuples):
+            glued = RelGraph(vertices, edges, tails)
+            if is_connected(glued):
+                found.add(canonical_form(glued))
     return [_extract_matching(canon) for canon in sorted(found, key=encode)]
 
 

@@ -37,8 +37,8 @@ why the encode and decode caches stay apart.
 
 The rigid rule: a tail-free code is rigid when its vertices have pairwise
 distinct base keys (distinct decorations are a special case).  _key_order
-is the one place that decides a code's base-key vertex order and whether it
-is rigid: the canonical search starts from that order, and _placed and
+alone builds base keys, orders a code's vertices by them and decides
+whether it is rigid: the search starts from that order, and _placed and
 canonical_form read rigidity from it.  Tails only extend each base key
 after its decoration and incident edges, so placing tails on a rigid code
 leaves every block one vertex, in the same order (individualization again):
@@ -507,31 +507,6 @@ def _decode(code: tuple) -> RelGraph:
                     tuple(map(_tail_of, ts)))
 
 
-def _key_blocks(code: tuple) -> list[list[int]]:
-    """Vertices of an encoding sorted by base key, grouped into equal-key
-    blocks.  A vertex's base key is its decoration, its sorted incident
-    half-edges (each with the far end's decoration) and its tails in index
-    order; one pass over each list builds them."""
-    vs, es, ts = code
-    incident: list[list[tuple]] = [[] for _ in vs]
-    for kind, a, ha, b, hb, contact in es:
-        loop = a == b
-        incident[a].append((kind, ha, hb, contact, loop, vs[b]))
-        incident[b].append((kind, hb, ha, contact, loop, vs[a]))
-    tails: list[list[tuple]] = [[] for _ in vs]
-    for t_index, (v, kind, monodromy, contact) in enumerate(ts):
-        tails[v].append((t_index, kind, monodromy, contact))
-    keys = [(deco, tuple(sorted(inc)), tuple(tl))
-            for deco, inc, tl in zip(vs, incident, tails)]
-    blocks: list[list[int]] = []
-    for v in sorted(range(len(keys)), key=keys.__getitem__):
-        if blocks and keys[blocks[-1][-1]] == keys[v]:
-            blocks[-1].append(v)
-        else:
-            blocks.append([v])
-    return blocks
-
-
 def _distinct_decorations(vs: Sequence, ts: Sequence = ()) -> bool:
     """Whether no two vertices that carry none of the tails `ts` share a
     decoration, for the vertices and tails of an encoding or of a RelGraph
@@ -547,25 +522,38 @@ def _distinct_decorations(vs: Sequence, ts: Sequence = ()) -> bool:
 
 
 def _key_order(code: tuple) -> tuple[list[int], list[tuple[int, list[int]]]]:
-    """(perm, shuffled) for a graph in encoding shape: perm[v] is vertex v's
+    """(perm, shuffled) for a graph in encoding shape.  A vertex's base key is
+    its decoration, its sorted incident half-edges (each with the far end's
+    decoration) and its tails in index order; distinct decorations alone
+    give the order, and then no base key is built.  perm[v] is vertex v's
     position in base-key order, tied vertices in index order, and shuffled
-    lists (first position, block) of each block of two or more vertices with
-    equal base keys; an empty list means the code is rigid.  A base key
-    starts with the decoration, so distinct decorations alone give the order
-    and then no base key is built."""
-    vs = code[0]
-    shuffled: list[tuple[int, list[int]]] = []
-    if _distinct_decorations(vs):
-        order = sorted(range(len(vs)), key=vs.__getitem__)
-    else:
-        order = []
-        for block in _key_blocks(code):
-            if len(block) > 1:
-                shuffled.append((len(order), block))
-            order += block
+    lists (first position, block) of each run of two or more vertices with
+    equal base keys; an empty list means the code is rigid."""
+    vs, es, ts = code
+    keys = vs
+    if not _distinct_decorations(vs):
+        incident: list[list[tuple]] = [[] for _ in vs]
+        for kind, a, ha, b, hb, contact in es:
+            loop = a == b
+            incident[a].append((kind, ha, hb, contact, loop, vs[b]))
+            incident[b].append((kind, hb, ha, contact, loop, vs[a]))
+        tails: list[list[tuple]] = [[] for _ in vs]
+        for t_index, (v, kind, monodromy, contact) in enumerate(ts):
+            tails[v].append((t_index, kind, monodromy, contact))
+        keys = [(deco, tuple(sorted(inc)), tuple(tl))
+                for deco, inc, tl in zip(vs, incident, tails)]
+    order = sorted(range(len(vs)), key=keys.__getitem__)
     perm = [0] * len(vs)
+    shuffled: list[tuple[int, list[int]]] = []
+    start = 0
     for pos, v in enumerate(order):
         perm[v] = pos
+        if keys[v] != keys[order[start]]:
+            if pos - start > 1:
+                shuffled.append((start, order[start:pos]))
+            start = pos
+    if len(order) - start > 1:
+        shuffled.append((start, order[start:]))
     return perm, shuffled
 
 

@@ -367,9 +367,9 @@ def _read_graph(doc: InputDocument, name: str, where: str, entry: Any) -> None:
 
     hname = _known(_field(entry, "homology", where, _string), doc.homology,
                    "homology model", where)
-    cname = _field(entry, "classes", where, lambda value, at: value, None)
+    cname = _field(entry, "classes", where, _string, None)
     if cname is not None:
-        _known(_string(cname, f"{where}.classes"), doc.classes, "class table", where)
+        _known(cname, doc.classes, "class table", where)
     doc.graphs[name] = RelGraph(
         _field(entry, "vertices", where, _array_of(vertex), ()),
         _field(entry, "edges", where, _array_of(edge), ()),
@@ -502,9 +502,9 @@ def parse_rel(text: str) -> tuple[RelTerm, ...]:
             raise ValidationError(
                 f"{where}: expected 'k/r[:shift[:monodromy]]', got {len(parts)} fields")
         order = _contact(parts[0], where)
-        # an empty or omitted shift, and an omitted monodromy, take RelTerm's defaults
+        # an empty or omitted shift or monodromy takes RelTerm's default
         shift = {"shift": _rational(parts[1], where)} if len(parts) > 1 and parts[1] else {}
-        monodromy = {"monodromy": parts[2]} if len(parts) > 2 else {}
+        monodromy = {"monodromy": parts[2]} if len(parts) > 2 and parts[2] else {}
         terms.append(RelTerm(order, **shift, **monodromy))
     return tuple(terms)
 

@@ -1060,6 +1060,10 @@ FUZZ_CASES = {
                            "classes[z2div]: names 'trivial' and 'labels'"),
     "cyclic-and-table": (["sectors"], demo_document("ex_z3.json", entry("groups", table=[[0]])),
                          "groups[z3]: names 'cyclic' and 'table'"),
+    # a null member is a value to check, not an omitted one
+    "classes-null": (["graphs", "validate", "--graph", "gmax"],
+                     demo_document("graphs.json", entry("graphs", classes=None)),
+                     "graphs[gmax].classes: expected a string, got None"),
     # a member that no reader takes, here misspelled, is refused
     "vertex-levle": (["graphs", "validate", "--graph", "gmax"],
                      demo_document("graphs.json", lambda doc: doc["graphs"][0]["vertices"][0]

@@ -160,4 +160,5 @@ def test_a_member_no_reader_takes_is_refused(reader):
 
 
 def test_omitted_rel_fields_take_the_library_defaults():
-    assert parse_rel("3/2") == parse_rel("3/2::e") == parse_rel("3/2:0:e")
+    assert (parse_rel("3/2") == parse_rel("3/2::e") == parse_rel("3/2:0:e")
+            == parse_rel("3/2:0:"))

@@ -47,7 +47,6 @@ from orbidegen.graph import (  # noqa: E402
     _class_draws,
     _class_sums,
     _decode,
-    _key_blocks,
     _key_order,
     _placed,
     _relabel,
@@ -196,10 +195,10 @@ def distinct_decoration_codes(draw) -> tuple:
 @SETTINGS
 @hypothesis.given(distinct_decoration_codes())
 def test_distinct_decorations_order_like_base_keys(code):
-    blocks = _key_blocks(code)
-    assert all(len(block) == 1 for block in blocks)
-    perm = [0] * len(blocks)
-    for pos, (v,) in enumerate(blocks):
+    keys = [base_key(code, v) for v in range(len(code[0]))]
+    assert len(set(keys)) == len(keys)
+    perm = [0] * len(keys)
+    for pos, v in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
         perm[v] = pos
     assert _canonical_search(code) == (_relabel(code, perm), 1)
 
